@@ -18,7 +18,16 @@ The checker is a dumb verifier: scripts are generated per parameter instance
 with concrete exponents spliced in, and replaying the steps must reproduce
 the claimed equation exactly.  Mid-derivation words may be temporarily
 unreduced (adjacent syllables on the same generator are allowed); explicit
-reduction steps normalize them.
+reduction steps normalize them.  Steps edit the state in place, so checking
+a script costs time linear in its number of steps, not steps times length.
+
+Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
+through :func:`apply_step` as it emits it, and the script that
+:meth:`ScriptBuilder.finish` returns carries the equation so derived; that
+equation is admitted without a second pass.  Any other script, whether read
+from a file, rebuilt from JSON or made by ``dataclasses.replace``, carries
+no derived equation and is checked in full by :func:`check_script`, as is
+every script in a certificate under replay.
 
 Equations proven in the knot group G hold in every surgery quotient H and may
 be cited there; equations proven in some H may only be cited at the same
@@ -31,6 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .presentations import (
     LAM,
@@ -43,7 +53,7 @@ from .presentations import (
     surgery_named_form,
 )
 from .slopes import Slope, beta_slope, cramer
-from .words import Syllable, Word, invert
+from .words import Syllable, Word, _reduce, invert
 
 SCRIPT_DIR_ENV = "CABLE_ORDER_SCRIPT_DIR"
 
@@ -141,6 +151,15 @@ class Axiom:
 
 
 @dataclass(frozen=True)
+class _Derivation:
+    """What :class:`ScriptBuilder` saw while it checked a script step by step."""
+
+    pres: GroupPresentation
+    cited: tuple[tuple[str, Equation], ...]  # the cited equations it had in hand
+    equation: Equation
+
+
+@dataclass(frozen=True)
 class DerivationScript:
     script_id: str
     context: Context
@@ -149,6 +168,9 @@ class DerivationScript:
     claimed_lhs: Word
     claimed_rhs: Word
     cites: tuple[str, ...] = ()
+    # set only by ScriptBuilder.finish(); init=False keeps every other way of
+    # making a script, dataclasses.replace included, from carrying one
+    _derivation: _Derivation | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +179,7 @@ class DerivationScript:
 State = tuple[list[Syllable], list[Syllable]]
 
 
-def _reduce_raw(syls: list[Syllable]) -> list[Syllable]:
-    stack: list[Syllable] = []
-    for g, e in syls:
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == g:
-            merged = stack[-1][1] + e
-            stack.pop()
-            if merged:
-                stack.append((g, merged))
-        else:
-            stack.append((g, e))
-    return stack
-
-
-def _invert_raw(syls: list[Syllable]) -> list[Syllable]:
+def _invert_raw(syls: Sequence[Syllable]) -> list[Syllable]:
     return [(g, -e) for g, e in reversed(syls)]
 
 
@@ -217,41 +224,53 @@ def apply_step(
     script: DerivationScript,
     env: dict[str, Equation],
 ) -> State:
-    """Apply one validated step; raises StepError on any violation."""
-    lhs, rhs = list(state[0]), list(state[1])
+    """Apply one step to `state` in place and return it; raises StepError on any violation.
+
+    Every check runs before the first edit, so a rejected step leaves the
+    state unchanged.  The two sides must be distinct lists.
+    """
+    lhs, rhs = state
 
     if step.kind == "invert":
-        return _invert_raw(lhs), _invert_raw(rhs)
+        lhs[:] = _invert_raw(lhs)
+        rhs[:] = _invert_raw(rhs)
+        return state
 
     if step.kind == "multiply":
         assert step.word is not None
         unknown = step.word.generators() - pres.letters()
         if unknown:
             raise StepError(f"unknown generators {sorted(unknown)} in multiplier")
-        ws = list(step.word.syllables)
+        ws = step.word.syllables
         if step.on == "left":
-            return ws + lhs, ws + rhs
-        if step.on == "right":
-            return lhs + ws, rhs + ws
-        raise StepError(f"bad multiplication side {step.on!r}")
+            lhs[:0] = ws
+            rhs[:0] = ws
+        elif step.on == "right":
+            lhs.extend(ws)
+            rhs.extend(ws)
+        else:
+            raise StepError(f"bad multiplication side {step.on!r}")
+        return state
 
     if step.kind == "power":
         if not step.n:
             raise StepError("power step requires a nonzero exponent")
         if step.n > 0:
-            return lhs * step.n, rhs * step.n
-        return _invert_raw(lhs) * -step.n, _invert_raw(rhs) * -step.n
+            lhs[:] = lhs * step.n
+            rhs[:] = rhs * step.n
+        else:
+            lhs[:] = _invert_raw(lhs) * -step.n
+            rhs[:] = _invert_raw(rhs) * -step.n
+        return state
 
     if step.kind == "reduce":
-        if step.side in (None, "both"):
-            return _reduce_raw(lhs), _reduce_raw(rhs)
-        sides = [lhs, rhs]
-        sides[_side_index(step)] = _reduce_raw(sides[_side_index(step)])
-        return sides[0], sides[1]
+        targets = state if step.side in (None, "both") else (state[_side_index(step)],)
+        for syls in targets:
+            syls[:] = _reduce(syls)
+        return state
 
-    # remaining kinds edit a single named side at a position
-    sides = [lhs, rhs]
-    syls = sides[_side_index(step)]
+    # remaining kinds replace one slice of a single named side
+    syls = state[_side_index(step)]
     pos = step.position
     if pos is None:
         raise StepError("step requires a position")
@@ -262,13 +281,14 @@ def apply_step(
         (g1, e1), (g2, e2) = syls[pos], syls[pos + 1]
         if g1 != g2:
             raise StepError("collect requires adjacent syllables on one generator")
-        merged = [] if e1 + e2 == 0 else [(g1, e1 + e2)]
-        out = syls[:pos] + merged + syls[pos + 2 :]
+        syls[pos : pos + 2] = [] if e1 + e2 == 0 else [(g1, e1 + e2)]
 
     elif step.kind == "swap":
         if step.left is None or step.right is None:
             raise StepError("swap requires both operands")
         (g1, e1), (g2, e2) = step.left, step.right
+        if not (isinstance(g1, str) and isinstance(g2, str)):
+            raise StepError("swap operands must name generators")
         if e1 == 0 or e2 == 0 or g1 == g2:
             raise StepError("swap operands must be distinct generators with nonzero exponents")
         if not pres.commutes((g1, e1), (g2, e2)):
@@ -283,32 +303,32 @@ def apply_step(
         # right operand off the left edge of the next
         left_rem = [] if ea == e1 else [(g1, ea - e1)]
         right_rem = [] if eb == e2 else [(g2, eb - e2)]
-        out = syls[:pos] + left_rem + [(g2, e2), (g1, e1)] + right_rem + syls[pos + 2 :]
+        syls[pos : pos + 2] = left_rem + [(g2, e2), (g1, e1)] + right_rem
 
     elif step.kind == "definition":
         if step.name not in pres.named:
             raise StepError(f"unknown defined element {step.name!r}")
-        el = pres.named[step.name]
+        definition = pres.named[step.name].definition.syllables
         if step.direction == "expand":
             if not (0 <= pos < len(syls)):
                 raise StepError("position out of range")
             g, e = syls[pos]
             if g != step.name:
                 raise StepError(f"syllable at position {pos} is not {step.name}")
-            base = list(el.definition.syllables) if e > 0 else _invert_raw(list(el.definition.syllables))
-            out = syls[:pos] + base * abs(e) + syls[pos + 1 :]
+            base = definition if e > 0 else _invert_raw(definition)
+            syls[pos : pos + 1] = base * abs(e)
         elif step.direction == "fold":
-            n = len(el.definition.syllables)
+            n = len(definition)
             if not (0 <= pos and pos + n <= len(syls)):
                 raise StepError("position out of range")
             window = syls[pos : pos + n]
-            if window == list(el.definition.syllables):
+            if window == list(definition):
                 exp = 1
-            elif window == _invert_raw(list(el.definition.syllables)):
+            elif window == _invert_raw(definition):
                 exp = -1
             else:
                 raise StepError(f"definition of {step.name} does not match at position {pos}")
-            out = syls[:pos] + [(step.name, exp)] + syls[pos + n :]
+            syls[pos : pos + n] = [(step.name, exp)]
         else:
             raise StepError(f"bad definition direction {step.direction!r}")
 
@@ -321,20 +341,19 @@ def apply_step(
         else:
             raise StepError(f"bad relation direction {step.direction!r}")
         if step.anchor == "before":
-            ins = list(invert(x_word).syllables) + list(y_word.syllables)
+            ins = invert(x_word).syllables + y_word.syllables
         elif step.anchor == "after":
-            ins = list(y_word.syllables) + list(invert(x_word).syllables)
+            ins = y_word.syllables + invert(x_word).syllables
         else:
             raise StepError(f"bad relation anchor {step.anchor!r}")
         if not (0 <= pos <= len(syls)):
             raise StepError("position out of range")
-        out = syls[:pos] + ins + syls[pos:]
+        syls[pos:pos] = ins
 
     else:
         raise StepError(f"unknown step kind {step.kind!r}")
 
-    sides[_side_index(step)] = out
-    return sides[0], sides[1]
+    return state
 
 
 def axiom_state(script: DerivationScript, pres: GroupPresentation) -> State:
@@ -381,7 +400,11 @@ def check_step(
 def iter_states(
     script: DerivationScript, pres: GroupPresentation, env: dict[str, Equation] | None = None
 ):
-    """Yield the derivation state after the axiom and after every step."""
+    """Yield the derivation state after the axiom and after every step.
+
+    The state yielded is live: the next step edits the same two lists in
+    place.  Copy it to keep it past the next iteration.
+    """
     env = env or {}
     state = axiom_state(script, pres)
     yield state
@@ -399,7 +422,9 @@ def check_script(
     """Replay a script; on success return its proven equation.
 
     Fails atomically with the index of the first bad step.  The final state
-    must match the claimed equation syllable for syllable.
+    must match the claimed equation syllable for syllable.  Scripts that
+    :class:`ScriptBuilder` did not derive, such as overrides and the entries
+    of a certificate under replay, are checked here in full.
     """
     state = None
     for state in iter_states(script, pres, env):
@@ -418,7 +443,12 @@ def check_script(
 # script construction
 
 class ScriptBuilder:
-    """Emit steps while simulating them, so positions are always concrete."""
+    """Emit steps while checking them, so positions are always concrete.
+
+    Every emitted step goes through :func:`apply_step`, which is the checker
+    itself; :meth:`finish` hands the derived equation on with the script, so
+    :func:`admit` need not replay it.
+    """
 
     def __init__(
         self,
@@ -435,13 +465,13 @@ class ScriptBuilder:
         self.axiom = axiom
         self.cites = cites
         self.env = env or {}
-        self.steps: list[Step] = []
+        self._steps: list[Step] = []
         self._carrier = DerivationScript(script_id, context, axiom, (), Word(), Word(), cites)
-        self.state = axiom_state(self._carrier, pres)
+        self._state = axiom_state(self._carrier, pres)
 
     def _emit(self, step: Step) -> None:
-        self.state = apply_step(self.state, step, self.pres, self._carrier, self.env)
-        self.steps.append(step)
+        apply_step(self._state, step, self.pres, self._carrier, self.env)
+        self._steps.append(step)
 
     def multiply(self, on: str, word: Word, why: str = "") -> None:
         self._emit(Step(kind="multiply", on=on, word=word, why=why))
@@ -493,18 +523,25 @@ class ScriptBuilder:
         )
 
     def finish(self) -> DerivationScript:
-        lhs, rhs = self.state
-        if _reduce_raw(list(lhs)) != list(lhs) or _reduce_raw(list(rhs)) != list(rhs):
+        lhs, rhs = (tuple(side) for side in self._state)
+        if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
             raise AssertionError("script must end on a reduced state")
-        return DerivationScript(
+        script = DerivationScript(
             self.script_id,
             self.context,
             self.axiom,
-            tuple(self.steps),
-            Word(tuple(lhs)),
-            Word(tuple(rhs)),
+            tuple(self._steps),
+            Word(lhs),
+            Word(rhs),
             self.cites,
         )
+        derived = _Derivation(
+            self.pres,
+            tuple((c, self.env[c]) for c in self.cites if c in self.env),
+            Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id),
+        )
+        object.__setattr__(script, "_derivation", derived)
+        return script
 
 
 def central_relation_script(pres: GroupPresentation) -> DerivationScript:
@@ -834,6 +871,35 @@ def script_file_json_dict(script: DerivationScript, pres: GroupPresentation) -> 
     }
 
 
+def admit(
+    script: DerivationScript,
+    pres: GroupPresentation,
+    env: dict[str, Equation],
+    script_dir: str | Path | None = None,
+) -> tuple[DerivationScript, Equation]:
+    """Prove `script`'s equation into `env`; returns the script used and the equation.
+
+    A file ``<id>.json`` in `script_dir` (or in ``$CABLE_ORDER_SCRIPT_DIR``)
+    replaces the script first.  Each proof is checked exactly once: a script
+    from :meth:`ScriptBuilder.finish` was checked as it was emitted, and its
+    equation is taken as derived when the builder worked over this
+    presentation from the cited equations that `env` holds now.  Every other
+    script is checked in full with :func:`check_script`.
+    """
+    script = resolve_script_override(script, pres, script_dir)
+    derived = script._derivation
+    if (
+        derived is not None
+        and derived.pres == pres
+        and all(env.get(c) == eq for c, eq in derived.cited)
+    ):
+        eq = derived.equation
+    else:
+        eq = check_script(script, pres, env)
+    env[script.script_id] = eq
+    return script, eq
+
+
 def builtin_scripts(
     x: int,
     y: int,
@@ -843,10 +909,10 @@ def builtin_scripts(
 ) -> dict[str, DerivationScript]:
     """The named derivation chains, generated for one parameter instance.
 
-    Scripts come out in dependency order and each has already been replayed
-    through the checker.  Files named ``<id>.json`` in `script_dir` (or in
-    ``$CABLE_ORDER_SCRIPT_DIR``) replace the generated script with that id and
-    are subject to the same checking.
+    Scripts come out in dependency order, each admitted by :func:`admit`:
+    generated scripts were checked once, as they were emitted.  Files named
+    ``<id>.json`` in `script_dir` (or in ``$CABLE_ORDER_SCRIPT_DIR``) replace
+    the generated script with that id and are checked in full.
     """
     if p < 2:
         raise ParameterError(f"these derivations require p >= 2, got p = {p}")
@@ -856,15 +922,14 @@ def builtin_scripts(
     env: dict[str, Equation] = {}
     out: dict[str, DerivationScript] = {}
 
-    def admit(script: DerivationScript) -> None:
-        script = resolve_script_override(script, pres, script_dir)
-        env[script.script_id] = check_script(script, pres, env)
+    def add(script: DerivationScript) -> None:
+        script, _ = admit(script, pres, env, script_dir)
         out[script.script_id] = script
 
-    admit(central_relation_script(pres))
-    admit(cable_t_power_script(pres))
-    admit(surgery_peripheral_power_script(pres, beta))
-    admit(surgery_central_power_script(pres, beta))
-    admit(surgery_t_inverse_power_script(pres, beta, env))
-    admit(cable_endpoint_product_script(pres, env))
+    add(central_relation_script(pres))
+    add(cable_t_power_script(pres))
+    add(surgery_peripheral_power_script(pres, beta))
+    add(surgery_central_power_script(pres, beta))
+    add(surgery_t_inverse_power_script(pres, beta, env))
+    add(cable_endpoint_product_script(pres, env))
     return out

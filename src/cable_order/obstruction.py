@@ -25,11 +25,11 @@ from .derivations import (
     DerivationScript,
     Equation,
     StepError,
+    admit,
     cable_endpoint_product_script,
     cable_t_power_script,
     central_relation_script,
     check_script,
-    resolve_script_override,
     script_from_json_dict,
     script_to_json_dict,
     surgery_central_power_script,
@@ -307,9 +307,7 @@ def _admit(
     entries: list[CertEntry],
     script: DerivationScript,
 ) -> None:
-    script = resolve_script_override(script, pres)
-    eq = check_script(script, pres, env)
-    env[script.script_id] = eq
+    script, eq = admit(script, pres, env)
     entries.append(CertEntry(script.script_id, eq, script))
 
 

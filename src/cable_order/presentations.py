@@ -14,14 +14,18 @@ Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
 two syllables succeeds when each is a power of its base (so t-syllables
 match the t^p base only when p divides the exponent).
+
+Presentations are deeply immutable, because the caches below hand the same
+object to every caller and the checker reads its definitions and licences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .slopes import Slope
 from .words import Syllable, Word, concat, invert, power
@@ -127,11 +131,32 @@ class GroupPresentation:
     q: int | None
     alphabet: tuple[str, ...]
     relators: tuple[Relator, ...]
-    named: dict[str, NamedElement]
+    named: Mapping[str, NamedElement]  # stored as a read-only copy
     whitelist: tuple[tuple[Word, Word], ...]
     torus_bezout: TorusBezout
     cable_bezout: CableBezout | None
     theorem_mode: bool
+    # (generator, generator) -> ((k1, k2), ...): the whitelist pairs whose bases
+    # are single syllables g1^k1 and g2^k2, indexed in both orders
+    _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
+        licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
+        for u, w in self.whitelist:
+            if len(u.syllables) == 1 and len(w.syllables) == 1:
+                (g1, k1), (g2, k2) = u.syllables[0], w.syllables[0]
+                licences[g1, g2] = licences.get((g1, g2), ()) + ((k1, k2),)
+                licences[g2, g1] = licences.get((g2, g1), ()) + ((k2, k1),)
+        object.__setattr__(self, "_licences", MappingProxyType(licences))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild through __init__, which wraps `named` again
+        args = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        args["named"] = dict(self.named)
+        return (GroupPresentation, tuple(args.values()))
 
     def relator(self, name: str) -> Relator:
         for rel in self.relators:
@@ -159,17 +184,8 @@ class GroupPresentation:
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""
-
-        def matches(syl: Syllable, base: Word) -> bool:
-            if len(base.syllables) != 1:
-                return False
-            g, k = base.syllables[0]
-            return syl[0] == g and syl[1] % k == 0
-
-        for u, w in self.whitelist:
-            if (matches(s1, u) and matches(s2, w)) or (matches(s1, w) and matches(s2, u)):
-                return True
-        return False
+        (g1, e1), (g2, e2) = s1, s2
+        return any(e1 % k1 == 0 and e2 % k2 == 0 for k1, k2 in self._licences.get((g1, g2), ()))
 
     def to_json_dict(self) -> dict:
         params: dict = {"x": self.x, "y": self.y}
@@ -244,14 +260,20 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
     return pres
 
 
-@lru_cache(maxsize=None)
 def cable_presentation(
     x: int, y: int, p: int, q: int | None = None, theorem_mode: bool = True
 ) -> GroupPresentation:
-    """The (p, q)-cable of the (x, y)-torus knot, over letters a, b, t."""
+    """The (p, q)-cable of the (x, y)-torus knot, over letters a, b, t.
+
+    q defaults to p*x*y - 1, and is filled in before the cache lookup, so
+    that ``(x, y, p)`` and ``(x, y, p, p*x*y - 1)`` share one cached object.
+    """
+    return _cable_presentation(x, y, p, p * x * y - 1 if q is None else q, theorem_mode)
+
+
+@lru_cache(maxsize=None)
+def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> GroupPresentation:
     base = torus_presentation(x, y)
-    if q is None:
-        q = p * x * y - 1
     if theorem_mode and q != p * x * y - 1:
         raise ParameterError(f"theorem mode requires q = p*x*y - 1 = {p * x * y - 1}, got {q}")
     CableParams(p, q)
@@ -298,6 +320,10 @@ def cable_presentation(
     )
     _check_expansions(pres)
     return pres
+
+
+cable_presentation.cache_clear = _cable_presentation.cache_clear  # type: ignore[attr-defined]
+cable_presentation.cache_info = _cable_presentation.cache_info  # type: ignore[attr-defined]
 
 
 def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,12 @@ class TestPresent:
         doc = json.loads(capsys.readouterr().out)
         assert doc["named"]["mu"]["expansion"] == "b^-1 a"
         assert doc["params"]["q"] == 11
+
+    def test_document_bytes_are_stable(self, tmp_path):
+        out = tmp_path / "pres.json"
+        assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--json", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "d500a8e0b08722c900131421f4f7bb3923e9ff04b70dff57389fd3a39520c306"
 
     def test_torus_document(self, capsys):
         assert main(["present", "--x", "2", "--y", "3"]) == 0

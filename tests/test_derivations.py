@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cable_order import derivations, obstruction
 from cable_order.derivations import (
     Axiom,
     Context,
@@ -10,6 +11,8 @@ from cable_order.derivations import (
     Equation,
     Step,
     StepError,
+    admit,
+    apply_step,
     builtin_scripts,
     cable_endpoint_product_script,
     cable_t_power_script,
@@ -286,6 +289,85 @@ class TestStepValidation:
         )
         with pytest.raises(StepError, match="not cited"):
             check_script(script, pres, env)
+
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            Step(kind="swap", side="lhs", position=1, left=("mu", 6), right=("lam", 1)),
+            Step(kind="swap", side="lhs", position=0, left=("mu", 6), right=("t", 1)),
+            Step(kind="swap", side="lhs", position=0, left=(["mu"], 6), right=("lam", 1)),
+            Step(kind="collect", side="lhs", position=0),
+            Step(kind="collect", side="rhs", position=1),
+            Step(kind="definition", name="lam", side="lhs", position=0, direction="expand"),
+            Step(kind="definition", name="mu", side="rhs", position=0, direction="fold"),
+            Step(kind="definition", name="mu", side="rhs", position=1, direction="fold"),
+            Step(kind="relation", ref=("relator", "cable"), side="lhs", position=4,
+                 direction="forward", anchor="before"),
+            Step(kind="relation", ref=("relator", "cable"), side="rhs", position=0,
+                 direction="forward", anchor="middle"),
+            Step(kind="relation", ref=("equation", "central_relation"), side="lhs", position=0,
+                 direction="forward", anchor="before"),
+        ],
+        ids=lambda step: step.kind,
+    )
+    def test_rejected_step_leaves_state_unchanged(self, step):
+        pres = cable_presentation(2, 3, 2)
+        lhs, rhs = [("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)]
+        state = (lhs, rhs)
+        carrier = DerivationScript(
+            "adhoc", Context("G"), Axiom("relator", "central"), (), Word(), Word()
+        )
+        with pytest.raises(StepError):
+            apply_step(state, step, pres, carrier, {})
+        assert state[0] is lhs and state[1] is rhs
+        assert state == ([("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)])
+
+
+class TestCheckOnce:
+    def test_built_scripts_are_not_checked_again(self, monkeypatch):
+        calls = []
+        check = derivations.check_script
+
+        def counted(script, *args):
+            calls.append(script)
+            return check(script, *args)
+
+        monkeypatch.setattr(derivations, "check_script", counted)
+        builtin_scripts(2, 5, 3, beta=4)
+        cert = obstruction.certify_beta(2, 5, 3, 4)
+        assert calls == []
+        monkeypatch.setattr(obstruction, "check_script", counted)
+        assert obstruction.replay(cert)
+        assert calls == [entry.script for entry in cert.entries]
+
+    def test_replaced_built_script_is_checked_in_full(self, monkeypatch):
+        real = obstruction.surgery_central_power_script
+
+        def forged(pres, beta):
+            return dataclasses.replace(real(pres, beta), claimed_rhs=Word.parse("a^5"))
+
+        monkeypatch.setattr(obstruction, "surgery_central_power_script", forged)
+        with pytest.raises(StepError, match="claimed result mismatch"):
+            obstruction.certify_beta(2, 3, 2, 3)
+
+    def test_built_script_is_checked_when_its_citations_differ(self):
+        pres = cable_presentation(2, 3, 2)
+        env = {}
+        admit(central_relation_script(pres), pres, env)
+        admit(cable_t_power_script(pres), pres, env)
+        forged = dataclasses.replace(env["cable_t_power"], rhs=Word.parse("a^4 b"))
+        forged_env = dict(env, cable_t_power=forged)
+        script = cable_endpoint_product_script(pres, forged_env)
+        assert script.claimed_rhs == Word.parse("t a^2 b")
+        with pytest.raises(StepError, match="claimed result mismatch"):
+            admit(script, pres, env)
+
+    def test_built_script_is_checked_against_another_presentation(self):
+        script = surgery_central_power_script(cable_presentation(2, 3, 2), 2)
+        other = cable_presentation(2, 3, 2, 9, theorem_mode=False)
+        with pytest.raises(StepError):
+            admit(script, other, {})
 
 
 class TestConservativity:

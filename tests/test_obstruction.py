@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -184,6 +185,12 @@ class TestCertifyBeta:
         entry = {e.entry_id: e for e in cert.entries}["surgery_central_power"]
         assert entry.equation.lhs == Word.parse("t^51")
         assert replay(cert)
+
+    def test_certificate_pickles(self):
+        cert = certify_beta(2, 3, 2, 3)
+        again = pickle.loads(pickle.dumps(cert))
+        assert again == cert and again.to_json_dict() == cert.to_json_dict()
+        assert replay(again)
 
 
 class TestCertifySlope:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from math import gcd
 
 import pytest
@@ -135,6 +136,56 @@ class TestCablePresentation:
         assert pres.commutes((LAM, -1), ("t", -2))
         assert pres.commutes((MUC, 21), (LAMC, 1))
         assert pres.commutes((LAMC, 2), ("t", 2))
+
+
+    def test_licence_index_matches_a_whitelist_scan(self):
+        def scanned(pres, s1, s2):
+            def matches(syl, base):
+                if len(base.syllables) != 1:
+                    return False
+                g, k = base.syllables[0]
+                return syl[0] == g and syl[1] % k == 0
+
+            return any(
+                (matches(s1, u) and matches(s2, w)) or (matches(s1, w) and matches(s2, u))
+                for u, w in pres.whitelist
+            )
+
+        presentations = (torus_presentation(2, 3), cable_presentation(2, 3, 2), cable_presentation(3, 5, 3))
+        for pres in presentations:
+            letters = pres.alphabet + tuple(pres.named)
+            for g1 in letters:
+                for g2 in letters:
+                    for e1 in range(-16, 17):
+                        for e2 in (-9, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 9):
+                            s1, s2 = (g1, e1), (g2, e2)
+                            assert pres.commutes(s1, s2) == scanned(pres, s1, s2), (pres.p, s1, s2)
+
+
+class TestPresentationCache:
+    def test_default_q_shares_one_cache_entry(self):
+        cable_presentation.cache_clear()
+        assert cable_presentation.cache_info().currsize == 0
+        assert cable_presentation(2, 3, 2) is cable_presentation(2, 3, 2, 11)
+        info = cable_presentation.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_named_elements_are_read_only(self):
+        pres = cable_presentation(2, 3, 2)
+        with pytest.raises(TypeError):
+            pres.named[MU] = pres.named[LAM]
+        with pytest.raises(TypeError):
+            del pres.named[LAMC]
+        assert pres.named[MU].expansion == Word.parse("b^-1 a")
+        assert cable_presentation(2, 3, 2).named[LAMC].definition == Word.parse("muC^-22 t^2")
+
+    def test_pickle_round_trip(self):
+        pres = cable_presentation(2, 3, 2)
+        again = pickle.loads(pickle.dumps(pres))
+        assert again == pres and again.to_json_dict() == pres.to_json_dict()
+        assert again.commutes((MUC, 21), (LAMC, 1)) and not again.commutes((MU, 3), ("t", 3))
+        with pytest.raises(TypeError):
+            again.named[MU] = again.named[LAM]
 
 
 class TestSurgeryRelator:
