@@ -15,7 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 from pathlib import Path
 
-from .derivations import StepError, builtin_scripts, check_script
+from .derivations import (
+    Equation,
+    StepError,
+    admit,
+    cable_endpoint_product_script,
+    cable_t_power_script,
+)
 from .normal_form import eliminate_t, equal_in_torus_group
 from .obstruction import (
     Inconclusive,
@@ -38,7 +44,8 @@ from .words import Word, concat
 CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
 
 
-def _dump(doc: dict, path: str | None) -> None:
+def _dump(doc: dict, path: str | Path | None) -> None:
+    """Write `doc` in the certificate text format, to `path` or to stdout."""
     text = json.dumps(doc, indent=2) + "\n"
     if path:
         Path(path).write_text(text)
@@ -148,18 +155,18 @@ def identity_report(x: int, y: int, p: int, q: int | None = None) -> list[tuple[
         got = eliminate_t(Word.single("t", pres.p), pres)
         return equal_in_torus_group(got, target, x, y), f"t^{p} reduces to {target}"
 
+    # each proof is built and admitted once; the checks run in the order they
+    # are added, so the endpoint check finds cable_t_power already in env
+    env: dict[str, Equation] = {}
+
     def derivation_vs_normal_form():
-        scripts = builtin_scripts(x, y, p)
-        eq = check_script(scripts["cable_t_power"], pres, {})
+        eq = admit(cable_t_power_script(pres), pres, env)
         lhs_ab = eliminate_t(pres.expand(eq.lhs), pres)
         ok = equal_in_torus_group(lhs_ab, pres.expand(eq.rhs), x, y)
         return ok, f"checked {eq.lhs} = {eq.rhs}"
 
     def endpoint_tail_vs_normal_form():
-        scripts = builtin_scripts(x, y, p)
-        env = {sid: check_script(s, pres, {}) for sid, s in scripts.items() if sid == "central_relation"}
-        env["cable_t_power"] = check_script(scripts["cable_t_power"], pres, env)
-        eq = check_script(scripts["cable_endpoint_product"], pres, env)
+        eq = admit(cable_endpoint_product_script(pres, env), pres, env)
         tail = Word(eq.rhs.syllables[1:])  # strip the leading t
         lhs_ab = concat(Word.single("a", -x), eliminate_t(Word.single("t", pres.p), pres))
         return equal_in_torus_group(lhs_ab, tail, x, y), f"tail {tail}"
@@ -262,7 +269,7 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
         record.update(status="replay_failed", detail="; ".join(report.problems))
         return record
     path = Path(out_dir) / f"{stem}.json"
-    path.write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
+    _dump(result.to_json_dict(), path)
     record.update(status="certified", file=path.name, elapsed=round(time.perf_counter() - started, 4))
     return record
 
@@ -291,7 +298,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     certified = sum(r["status"] == "certified" for r in records)
     print(f"{certified}/{len(records)} certified")
     summary = {"grid": args.grid, "results": records}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _dump(summary, out_dir / "summary.json")
     return CERTIFIED if certified == len(records) else ERROR
 
 

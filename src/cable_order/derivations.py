@@ -24,10 +24,10 @@ a script costs time linear in its number of steps, not steps times length.
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
 :meth:`ScriptBuilder.finish` returns carries the equation so derived; that
-equation is admitted without a second pass.  Any other script, whether read
-from a file, rebuilt from JSON or made by ``dataclasses.replace``, carries
-no derived equation and is checked in full by :func:`check_script`, as is
-every script in a certificate under replay.
+equation is admitted without a second pass.  Any other script, whether
+rebuilt from JSON or made by ``dataclasses.replace``, carries no derived
+equation and is checked in full by :func:`check_script`, as is every script
+in a certificate under replay.
 
 Equations proven in the knot group G hold in every surgery quotient H and may
 be cited there; equations proven in some H may only be cited at the same
@@ -36,10 +36,7 @@ surgery slope.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from .presentations import (
@@ -54,8 +51,6 @@ from .presentations import (
 )
 from .slopes import Slope, beta_slope, cramer
 from .words import Syllable, Word, _reduce, invert
-
-SCRIPT_DIR_ENV = "CABLE_ORDER_SCRIPT_DIR"
 
 LHS, RHS = "lhs", "rhs"
 
@@ -423,8 +418,8 @@ def check_script(
 
     Fails atomically with the index of the first bad step.  The final state
     must match the claimed equation syllable for syllable.  Scripts that
-    :class:`ScriptBuilder` did not derive, such as overrides and the entries
-    of a certificate under replay, are checked here in full.
+    :class:`ScriptBuilder` did not derive, such as scripts rebuilt from JSON
+    and the entries of a certificate under replay, are checked here in full.
     """
     state = None
     for state in iter_states(script, pres, env):
@@ -597,12 +592,17 @@ def _surgery_context(pres: GroupPresentation, beta: int) -> Context:
     return Context("H", beta_slope(pres.p, pres.q, beta))
 
 
-def _emit_surgery_collapse(b: ScriptBuilder, beta: int) -> None:
-    """From muC^(pq*beta-1) lamC^beta = 1 down to t^(p*beta+v) = mu^u lam^v."""
-    pres = b.pres
+def surgery_central_power_script(pres: GroupPresentation, beta: int) -> DerivationScript:
+    """t^(p*beta+1) = a^x in the surgery quotient (theorem-mode parameters)."""
+    if not pres.theorem_mode:
+        raise ParameterError("this derivation needs the normalization u = x*y, v = 1")
     p, q = pres.p, pres.q
     assert p is not None and q is not None and pres.cable_bezout is not None
     u, v = pres.cable_bezout
+    b = ScriptBuilder(
+        "surgery_central_power", pres, _surgery_context(pres, beta), Axiom("surgery")
+    )
+    # from muC^(pq*beta-1) lamC^beta = 1 down to t^(p*beta+v) = mu^u lam^v
     b.multiply("left", Word.single(MUC), why="complete the meridian power")
     b.reduce()
     for k in range(1, beta):
@@ -619,25 +619,7 @@ def _emit_surgery_collapse(b: ScriptBuilder, beta: int) -> None:
     b.expand(MUC, RHS, 0, why="cable meridian definition")
     b.multiply("right", Word.single("t", v), why="cancel the trailing t-power")
     b.reduce()
-
-
-def surgery_peripheral_power_script(pres: GroupPresentation, beta: int) -> DerivationScript:
-    """t^(p*beta+v) = mu^u lam^v in the surgery quotient at slope pq - 1/beta."""
-    b = ScriptBuilder(
-        "surgery_peripheral_power", pres, _surgery_context(pres, beta), Axiom("surgery")
-    )
-    _emit_surgery_collapse(b, beta)
-    return b.finish()
-
-
-def surgery_central_power_script(pres: GroupPresentation, beta: int) -> DerivationScript:
-    """t^(p*beta+1) = a^x in the surgery quotient (theorem-mode parameters)."""
-    if not pres.theorem_mode:
-        raise ParameterError("this derivation needs the normalization u = x*y, v = 1")
-    b = ScriptBuilder(
-        "surgery_central_power", pres, _surgery_context(pres, beta), Axiom("surgery")
-    )
-    _emit_surgery_collapse(b, beta)
+    # then mu^u lam = mu^(u-xy) a^x = a^x, since u = x*y
     b.expand(LAM, RHS, 1, why="longitude definition")
     b.reduce()
     return b.finish()
@@ -815,7 +797,7 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> DerivationScript:
 
 
 # ---------------------------------------------------------------------------
-# named script sets and overrides
+# the JSON form of a script, admission and the named script set
 
 def script_to_json_dict(script: DerivationScript) -> dict:
     return {
@@ -842,51 +824,16 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     )
 
 
-def resolve_script_override(
-    script: DerivationScript, pres: GroupPresentation, script_dir: str | Path | None = None
-) -> DerivationScript:
-    """Swap in an externally supplied script with the same id, if present."""
-    directory = script_dir if script_dir is not None else os.environ.get(SCRIPT_DIR_ENV)
-    if not directory:
-        return script
-    path = Path(directory) / f"{script.script_id}.json"
-    if not path.exists():
-        return script
-    doc = json.loads(path.read_text())
-    if doc.get("version") != "v1":
-        raise StepError(f"unsupported script file version in {path}")
-    params = doc.get("params", {})
-    expected = {"x": pres.x, "y": pres.y, "p": pres.p, "q": pres.q}
-    if {k: params.get(k) for k in expected} != expected:
-        raise StepError(f"script file {path} was generated for different parameters")
-    return script_from_json_dict(doc["script"])
+def admit(script: DerivationScript, pres: GroupPresentation, env: dict[str, Equation]) -> Equation:
+    """Prove `script`'s equation into `env` and return it.
 
-
-def script_file_json_dict(script: DerivationScript, pres: GroupPresentation) -> dict:
-    """Standalone on-disk form of a script, with its parameter record."""
-    return {
-        "version": "v1",
-        "params": {"x": pres.x, "y": pres.y, "p": pres.p, "q": pres.q},
-        "script": script_to_json_dict(script),
-    }
-
-
-def admit(
-    script: DerivationScript,
-    pres: GroupPresentation,
-    env: dict[str, Equation],
-    script_dir: str | Path | None = None,
-) -> tuple[DerivationScript, Equation]:
-    """Prove `script`'s equation into `env`; returns the script used and the equation.
-
-    A file ``<id>.json`` in `script_dir` (or in ``$CABLE_ORDER_SCRIPT_DIR``)
-    replaces the script first.  Each proof is checked exactly once: a script
-    from :meth:`ScriptBuilder.finish` was checked as it was emitted, and its
+    Each proof is checked exactly once: a script from
+    :meth:`ScriptBuilder.finish` was checked as it was emitted, and its
     equation is taken as derived when the builder worked over this
     presentation from the cited equations that `env` holds now.  Every other
-    script is checked in full with :func:`check_script`.
+    script, such as one rebuilt from JSON, is checked in full with
+    :func:`check_script`.
     """
-    script = resolve_script_override(script, pres, script_dir)
     derived = script._derivation
     if (
         derived is not None
@@ -897,22 +844,14 @@ def admit(
     else:
         eq = check_script(script, pres, env)
     env[script.script_id] = eq
-    return script, eq
+    return eq
 
 
-def builtin_scripts(
-    x: int,
-    y: int,
-    p: int,
-    beta: int = 1,
-    script_dir: str | Path | None = None,
-) -> dict[str, DerivationScript]:
+def builtin_scripts(x: int, y: int, p: int, beta: int = 1) -> dict[str, DerivationScript]:
     """The named derivation chains, generated for one parameter instance.
 
     Scripts come out in dependency order, each admitted by :func:`admit`:
-    generated scripts were checked once, as they were emitted.  Files named
-    ``<id>.json`` in `script_dir` (or in ``$CABLE_ORDER_SCRIPT_DIR``) replace
-    the generated script with that id and are checked in full.
+    generated scripts were checked once, as they were emitted.
     """
     if p < 2:
         raise ParameterError(f"these derivations require p >= 2, got p = {p}")
@@ -923,12 +862,11 @@ def builtin_scripts(
     out: dict[str, DerivationScript] = {}
 
     def add(script: DerivationScript) -> None:
-        script, _ = admit(script, pres, env, script_dir)
+        admit(script, pres, env)
         out[script.script_id] = script
 
     add(central_relation_script(pres))
     add(cable_t_power_script(pres))
-    add(surgery_peripheral_power_script(pres, beta))
     add(surgery_central_power_script(pres, beta))
     add(surgery_t_inverse_power_script(pres, beta, env))
     add(cable_endpoint_product_script(pres, env))

@@ -36,8 +36,7 @@ class TorusNormalForm:
         head = f"c^{self.central_exponent}"
         if not self.syllables:
             return head
-        tail = " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
-        return f"{head} · {tail}"
+        return f"{head} · {Word(self.syllables)}"
 
     @staticmethod
     def parse(text: str) -> "TorusNormalForm":

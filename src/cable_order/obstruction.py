@@ -35,7 +35,6 @@ from .derivations import (
     surgery_central_power_script,
     surgery_endpoint_identity_script,
     surgery_interior_combination_script,
-    surgery_peripheral_power_script,
     surgery_t_inverse_power_script,
     surgery_t_power_identity_script,
 )
@@ -307,8 +306,7 @@ def _admit(
     entries: list[CertEntry],
     script: DerivationScript,
 ) -> None:
-    script, eq = admit(script, pres, env)
-    entries.append(CertEntry(script.script_id, eq, script))
+    entries.append(CertEntry(script.script_id, admit(script, pres, env), script))
 
 
 def certify_beta(
@@ -324,7 +322,6 @@ def certify_beta(
     entries: list[CertEntry] = []
     _admit(pres, env, entries, central_relation_script(pres))
     _admit(pres, env, entries, cable_t_power_script(pres))
-    _admit(pres, env, entries, surgery_peripheral_power_script(pres, beta))
     _admit(pres, env, entries, surgery_central_power_script(pres, beta))
     _admit(pres, env, entries, surgery_t_inverse_power_script(pres, beta, env))
     rows = refute_all([e.equation for e in entries], pres, slope)

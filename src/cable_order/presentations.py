@@ -342,9 +342,9 @@ def peripheral_invariance_check(x: int, y: int, p: int, q: int | None, k: int) -
     """Check that shifting the normalization by k defines the same peripherals.
 
     The meridian variant b^(j-ky) a^(i+kx) must equal b^j a^i in the torus
-    group (decided by the normal form), and the cable meridian variant
-    mu^(u+kq) lam^(v+kp) t^-(v+kp) must equal muC via a checked derivation
-    that inserts the cable relation k times.
+    group (decided by the normal form), and the k-shift derivation, which
+    inserts the cable relation k times, must prove exactly
+    muC = mu^(u+kq) lam^(v+kp) t^-(v+kp).
     """
     from . import derivations  # deferred: derivations imports this module
     from .normal_form import equal_in_torus_group
@@ -354,9 +354,12 @@ def peripheral_invariance_check(x: int, y: int, p: int, q: int | None, k: int) -
     mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
     if not equal_in_torus_group(pres.named[MU].expansion, mu_variant, x, y):
         return False
-    script = derivations.meridian_shift_script(pres, k)
+    assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
+    u, v = pres.cable_bezout
+    v_k = v + k * pres.p
+    shifted = Word.from_pairs([(MU, u + k * pres.q), (LAM, v_k), ("t", -v_k)])
     try:
-        derivations.check_script(script, pres, {})
+        eq = derivations.admit(derivations.meridian_shift_script(pres, k), pres, {})
     except derivations.StepError:
         return False
-    return True
+    return eq.lhs == Word.single(MUC) and eq.rhs == shifted

@@ -3,9 +3,17 @@ import json
 
 import pytest
 
+from cable_order import cli
 from cable_order.cli import main, parse_grid
-from cable_order.derivations import script_file_json_dict, cable_t_power_script
+from cable_order.derivations import cable_t_power_script, script_from_json_dict, script_to_json_dict
 from cable_order.presentations import cable_presentation
+
+
+def corrupted_t_power_doc(pres) -> dict:
+    """The cable_t_power script as JSON, with step 3 (a swap) moved off its operands."""
+    doc = script_to_json_dict(cable_t_power_script(pres))
+    doc["steps"][3]["position"] += 1
+    return doc
 
 
 class TestPresent:
@@ -74,6 +82,21 @@ class TestCertify:
         for path in paths:
             main(["certify", "--x", "3", "--y", "4", "--p", "2", "--beta", "3", "--json", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_no_script_directory_variable_is_read(self, tmp_path, monkeypatch):
+        # a file that once replaced the built cable_t_power proof must change nothing
+        pres = cable_presentation(2, 3, 2)
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        doc = {"version": "v1", "params": {"x": 2, "y": 3, "p": 2, "q": 11},
+               "script": corrupted_t_power_doc(pres)}
+        (scripts / "cable_t_power.json").write_text(json.dumps(doc))
+        argv = ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json"]
+        monkeypatch.delenv("CABLE_ORDER_SCRIPT_DIR", raising=False)
+        assert main(argv + [str(tmp_path / "unset.json")]) == 0
+        monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(scripts))
+        assert main(argv + [str(tmp_path / "set.json")]) == 0
+        assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
 
 
 class TestReplayCommand:
@@ -162,14 +185,10 @@ class TestVerifyIdentities:
         assert main(["verify-identities", "--x", "3", "--y", "5", "--p", "2"]) == 0
         assert "2g-1 = 43" in capsys.readouterr().out
 
-    def test_corrupted_script_fixture_fails_with_step_index(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_corrupted_script_fixture_fails_with_step_index(self, monkeypatch, capsys):
         pres = cable_presentation(2, 3, 2)
-        doc = script_file_json_dict(cable_t_power_script(pres), pres)
-        doc["script"]["steps"][3]["position"] += 1
-        (tmp_path / "cable_t_power.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(tmp_path))
+        corrupted = script_from_json_dict(corrupted_t_power_doc(pres))
+        monkeypatch.setattr(cli, "cable_t_power_script", lambda pres: corrupted)
         assert main(["verify-identities", "--x", "2", "--y", "3", "--p", "2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "step 3" in out

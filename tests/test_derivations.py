@@ -21,12 +21,10 @@ from cable_order.derivations import (
     check_step,
     iter_states,
     meridian_shift_script,
-    script_file_json_dict,
     script_from_json_dict,
     script_to_json_dict,
     surgery_central_power_script,
     surgery_interior_combination_script,
-    surgery_peripheral_power_script,
     surgery_t_inverse_power_script,
     surgery_t_power_identity_script,
     surgery_endpoint_identity_script,
@@ -71,12 +69,6 @@ class TestBuiltinChains:
         eq = check_script(s, pres, env)
         assert (eq.lhs, eq.rhs) == (Word.parse("t^-1"), Word.parse("a b"))
 
-    def test_peripheral_power_instance(self):
-        pres = cable_presentation(2, 3, 2)
-        eq = check_script(surgery_peripheral_power_script(pres, 1), pres, {})
-        assert (eq.lhs, eq.rhs) == (Word.parse("t^3"), Word.parse("mu^6 lam"))
-        assert eq.context.slope == Slope(21, 1)
-
     def test_central_power_instances(self):
         pres = cable_presentation(2, 3, 2)
         eq = check_script(surgery_central_power_script(pres, 2), pres, {})
@@ -115,7 +107,6 @@ class TestBuiltinChains:
         assert set(scripts) == {
             "central_relation",
             "cable_t_power",
-            "surgery_peripheral_power",
             "surgery_central_power",
             "surgery_t_inverse_power",
             "cable_endpoint_product",
@@ -129,7 +120,7 @@ class TestBuiltinChains:
 
     def test_replay_determinism(self):
         pres = cable_presentation(3, 4, 3)
-        s = surgery_peripheral_power_script(pres, 4)
+        s = surgery_central_power_script(pres, 4)
         assert check_script(s, pres, {}) == check_script(s, pres, {})
 
 
@@ -446,30 +437,33 @@ class TestSerialization:
         assert d1 == d2
 
 
-class TestScriptOverrides:
-    def test_corrupted_override_fails_with_step_index(self, tmp_path, monkeypatch):
+class TestRebuiltScripts:
+    # a script rebuilt from JSON carries no derived equation, so admit checks it in full
+    def test_corrupted_json_fails_with_step_index(self):
         pres = cable_presentation(2, 3, 2)
-        doc = script_file_json_dict(cable_t_power_script(pres), pres)
-        step = doc["script"]["steps"][3]
+        doc = script_to_json_dict(cable_t_power_script(pres))
+        step = doc["steps"][3]
         assert step["kind"] == "swap"
         step["position"] += 1
-        (tmp_path / "cable_t_power.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(tmp_path))
-        with pytest.raises(StepError, match=r"step \d+"):
-            builtin_scripts(2, 3, 2)
+        script = script_from_json_dict(json.loads(json.dumps(doc)))
+        with pytest.raises(StepError, match=r"step 3: ") as err:
+            admit(script, pres, {})
+        assert err.value.index == 3
 
-    def test_faithful_override_is_accepted(self, tmp_path, monkeypatch):
+    def test_faithful_json_round_trip_is_checked_in_full(self, monkeypatch):
         pres = cable_presentation(2, 3, 2)
-        doc = script_file_json_dict(cable_t_power_script(pres), pres)
-        (tmp_path / "cable_t_power.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(tmp_path))
-        scripts = builtin_scripts(2, 3, 2)
-        assert scripts["cable_t_power"] == cable_t_power_script(pres)
+        built = cable_t_power_script(pres)
+        rebuilt = script_from_json_dict(json.loads(json.dumps(script_to_json_dict(built))))
+        calls = []
+        check = derivations.check_script
 
-    def test_override_for_other_parameters_rejected(self, tmp_path, monkeypatch):
-        other = cable_presentation(3, 5, 2)
-        doc = script_file_json_dict(cable_t_power_script(other), other)
-        (tmp_path / "cable_t_power.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(tmp_path))
-        with pytest.raises(StepError, match="different parameters"):
-            builtin_scripts(2, 3, 2)
+        def counted(script, *args):
+            calls.append(script)
+            return check(script, *args)
+
+        monkeypatch.setattr(derivations, "check_script", counted)
+        env = {}
+        eq = admit(rebuilt, pres, env)
+        assert calls == [rebuilt]
+        assert eq == admit(built, pres, {}) and env == {"cable_t_power": eq}
+        assert calls == [rebuilt]

@@ -164,7 +164,6 @@ class TestCertifyBeta:
         assert [e.entry_id for e in cert.entries] == [
             "central_relation",
             "cable_t_power",
-            "surgery_peripheral_power",
             "surgery_central_power",
             "surgery_t_inverse_power",
         ]
@@ -247,6 +246,28 @@ class TestCertifySlope:
         # below the open band stays rejected even with the flag
         with pytest.raises(UnsupportedParameters):
             certify_slope(2, 3, 2, Slope(5, 1), experimental=True)
+
+
+class TestEntriesUsed:
+    # a certificate carries only the equations its refutation table reaches,
+    # directly or through the citations of the scripts it reaches
+    @pytest.mark.parametrize("x,y,p", [(2, 3, 2), (2, 5, 3), (3, 4, 2)])
+    def test_every_entry_is_reached_from_a_refutation_row(self, x, y, p):
+        pq = p * (p * x * y - 1)
+        certs = [certify_beta(x, y, p, beta) for beta in (1, 4)] + [
+            certify_slope(x, y, p, slope)
+            for slope in (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2))
+        ]
+        for cert in certs:
+            cites = {e.entry_id: e.script.cites for e in cert.entries}
+            todo = [r.equation_id for r in cert.refutations if r.equation_id is not None]
+            reached = set()
+            while todo:
+                eq_id = todo.pop()
+                if eq_id not in reached:
+                    reached.add(eq_id)
+                    todo.extend(cites[eq_id])
+            assert reached == set(cites), (cert.params.slope, set(cites) - reached)
 
 
 class TestReplay:

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from cable_order import derivations
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -220,6 +221,13 @@ class TestPeripheralInvariance:
 
     def test_trivial_shift(self):
         assert peripheral_invariance_check(2, 3, 2, 11, 0)
+
+    def test_derivation_must_prove_the_shifted_meridian(self, monkeypatch):
+        # the k = 0 proof replays, but it proves muC = mu^6 lam t^-1, not the k = 1 shift
+        real = derivations.meridian_shift_script
+        monkeypatch.setattr(derivations, "meridian_shift_script", lambda pres, k: real(pres, 0))
+        assert peripheral_invariance_check(2, 3, 2, None, 0)
+        assert not peripheral_invariance_check(2, 3, 2, None, 1)
 
     def test_corrupted_variant_detected(self):
         from cable_order.normal_form import equal_in_torus_group
