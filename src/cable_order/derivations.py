@@ -86,6 +86,13 @@ class Equation:
     provenance: str = ""
 
 
+def _json_syllable(pair: list, what: str) -> Syllable:
+    gen, exp = pair  # raises unless there are exactly two
+    if type(gen) is not str or type(exp) is not int:
+        raise ValueError(f"{what} must be a [generator, integer exponent] pair")
+    return (gen, exp)
+
+
 @dataclass(frozen=True, slots=True)
 class Step:
     kind: str
@@ -122,19 +129,22 @@ class Step:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Step":
+        kind, position, n = d["kind"], d.get("position"), d.get("n")
+        if not (position is None or type(position) is int) or not (n is None or type(n) is int):
+            raise ValueError("step position and n must be integers")
         return Step(
-            kind=d["kind"],
+            kind=kind,
             side=d.get("side"),
-            position=d.get("position"),
+            position=position,
             word=Word.parse(d["word"]) if "word" in d else None,
             name=d.get("name"),
             ref=(d["ref"]["type"], d["ref"]["name"]) if "ref" in d else None,
             direction=d.get("direction"),
             anchor=d.get("anchor"),
-            left=tuple(d["left"]) if "left" in d else None,
-            right=tuple(d["right"]) if "right" in d else None,
+            left=_json_syllable(d["left"], "swap operand left") if "left" in d else None,
+            right=_json_syllable(d["right"], "swap operand right") if "right" in d else None,
             on=d.get("on"),
-            n=d.get("n"),
+            n=n,
             why=d.get("why", ""),
         )
 

@@ -199,15 +199,32 @@ class ObstructionCertificate:
         }
 
 
+def _json_int(value: object, what: str, optional: bool = False) -> int | None:
+    """`value` if it is an integer read from JSON, else ValueError.
+
+    A bool is not accepted (it is an int subclass); None is, when `optional`.
+    """
+    if type(value) is int or (optional and value is None):
+        return value  # type: ignore[return-value]
+    raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+
+
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
+    """Rebuild a certificate from its JSON form.
+
+    A wrongly typed integer, word or slope field raises ValueError here, at
+    load time (`Step.from_json_dict` and the parsers check theirs), so that
+    `replay` never meets a string or a bool where it expects an integer.
+    """
+    par = doc["params"]
     params = CertParams(
-        x=doc["params"]["x"],
-        y=doc["params"]["y"],
-        p=doc["params"]["p"],
-        q=doc["params"]["q"],
-        mode=doc["params"]["mode"],
-        beta=doc["params"]["beta"],
-        slope=Slope.parse(doc["params"]["slope"]),
+        x=_json_int(par["x"], "params.x"),
+        y=_json_int(par["y"], "params.y"),
+        p=_json_int(par["p"], "params.p"),
+        q=_json_int(par["q"], "params.q"),
+        mode=par["mode"],
+        beta=_json_int(par["beta"], "params.beta", optional=True),
+        slope=Slope.parse(par["slope"]),
     )
     entries = []
     for e in doc["equations"]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -168,19 +169,22 @@ class GroupPresentation:
         return frozenset(self.alphabet) | frozenset(self.named)
 
     def is_concrete(self, w: Word) -> bool:
-        return all(g in self.alphabet for g, _ in w)
+        return set(map(itemgetter(0), w.syllables)).issubset(self.alphabet)
 
     def expand(self, w: Word) -> Word:
-        """Replace defined-name letters by their concrete expansions and reduce."""
-        pairs: list[Syllable] = []
+        """Replace defined-name letters by their concrete expansions.
+
+        Each piece is reduced, so :func:`concat` cancels only where pieces meet.
+        """
+        pieces: list[Word] = []
         for g, e in w:
             if g in self.named:
-                pairs.extend(power(self.named[g].expansion, e).syllables)
+                pieces.append(power(self.named[g].expansion, e))
             elif g in self.alphabet:
-                pairs.append((g, e))
+                pieces.append(Word(((g, e),)))
             else:
                 raise ValueError(f"unknown generator {g!r}")
-        return Word.from_pairs(pairs)
+        return concat(*pieces)
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""

@@ -29,6 +29,8 @@ class Slope:
 
     @staticmethod
     def parse(text: str) -> "Slope":
+        if not isinstance(text, str):
+            raise ValueError(f"slope text must be a string, got {type(text).__name__}")
         parts = text.strip().split("/")
         if len(parts) == 1:
             return Slope(int(parts[0]), 1)

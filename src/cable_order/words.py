@@ -5,6 +5,12 @@ arbitrary-precision integer exponents and no two adjacent syllables on the
 same generator.  Words are immutable values: every operation returns a fresh
 reduced word, so they can be shared freely across concurrent sweeps.
 
+``Word(...)`` trusts its syllables to be reduced already; unreduced input
+(text, raw pairs) goes through :meth:`Word.from_pairs`, the one full reducer.
+:func:`concat`, :func:`power` and ``GroupPresentation.expand`` rely on that
+invariant: they cancel and merge syllables only where two reduced words meet,
+so their cost is linear in the length of their result.
+
 Text syntax: syllables are whitespace-separated, ``a^3 b^-1 t^2``; an
 exponent of 1 is left implicit (``a``); ``1`` or the empty string denotes the
 identity.  The parser and printer round-trip bit-exactly on canonical forms.
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[str, int]
 
@@ -41,9 +47,34 @@ def _reduce(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(stack)
 
 
+def _join(out: list[Syllable], syllables: Sequence[Syllable]) -> None:
+    """Append the reduced `syllables` to the reduced list `out` in place.
+
+    Only the junction can cancel or merge: a cancellation exposes the next
+    pair of syllables across it, and the first merge or mismatch ends it.
+    """
+    i = 0
+    while out and i < len(syllables):
+        gen, exp = syllables[i]
+        last_gen, last_exp = out[-1]
+        if last_gen != gen:
+            break
+        i += 1
+        if last_exp + exp:
+            out[-1] = (gen, last_exp + exp)
+            break
+        out.pop()
+    out.extend(syllables[i:])
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
-    """A freely reduced word.  Construct via :meth:`from_pairs` or :meth:`parse`."""
+    """A freely reduced word.  Construct via :meth:`from_pairs` or :meth:`parse`.
+
+    The constructor does not reduce: ``Word(syllables)`` is only for syllables
+    that are already reduced, because :func:`concat`, :func:`power` and
+    ``GroupPresentation.expand`` cancel only at the junctions between words.
+    """
 
     syllables: tuple[Syllable, ...] = ()
 
@@ -61,6 +92,8 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> "Word":
+        if not isinstance(text, str):
+            raise WordSyntaxError(f"word text must be a string, got {type(text).__name__}")
         tokens = text.split()
         if not tokens or tokens == ["1"]:
             return Word()
@@ -110,10 +143,10 @@ class Word:
 
 
 def concat(*ws: Word) -> Word:
-    pairs: list[Syllable] = []
+    out: list[Syllable] = []
     for w in ws:
-        pairs.extend(w.syllables)
-    return Word.from_pairs(pairs)
+        _join(out, w.syllables)
+    return Word(tuple(out))
 
 
 def invert(w: Word) -> Word:
@@ -121,10 +154,32 @@ def invert(w: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
-    if n == 0:
+    """w^n, built from the split w = A c A^-1 as A c^n A^-1.
+
+    c is what is left after peeling mutually inverse end syllables off w, so
+    copies of c meet without cancelling: they only merge when c begins and
+    ends on the same generator, and then the two end syllables are glued
+    into one syllable between copies.
+    """
+    if n == 0 or not w.syllables:
         return Word()
-    base = w.syllables if n > 0 else invert(w).syllables
-    return Word.from_pairs(base * abs(n))
+    syls = w.syllables if n > 0 else invert(w).syllables
+    n = abs(n)
+    last = len(syls) - 1
+    k = 0
+    while k < last - k and syls[last - k] == (syls[k][0], -syls[k][1]):
+        k += 1
+    head, core, tail = syls[:k], syls[k : last - k + 1], syls[last - k + 1 :]
+    (g0, e0), (g1, e1) = core[0], core[-1]
+    if len(core) == 1:
+        core_n = ((g0, e0 * n),)
+    elif g0 != g1:
+        core_n = core * n
+    else:
+        # core = (g, e0) mid (g, e1) with e0 + e1 != 0, else it would have been peeled
+        mid = core[1:-1]
+        core_n = core[:1] + (mid + ((g0, e1 + e0),)) * (n - 1) + mid + core[-1:]
+    return Word(head + core_n + tail)
 
 
 def abelianize(w: Word) -> dict[str, int]:

@@ -16,6 +16,31 @@ def corrupted_t_power_doc(pres) -> dict:
     return doc
 
 
+def type_swap(doc: dict, probe: str) -> None:
+    """Give one field of a beta certificate document the wrong JSON type."""
+
+    def first_swap(entry_id):
+        entry = next(e for e in doc["equations"] if e["id"] == entry_id)
+        return next(s for s in entry["script"]["steps"] if s["kind"] == "swap")
+
+    if probe == "string_position":
+        first_swap("cable_t_power")["position"] = "0"
+    elif probe == "string_swap_exponent":
+        first_swap("surgery_central_power")["left"] = ["muC", "5"]
+    elif probe == "string_params_x":
+        doc["params"]["x"] = "2"
+    elif probe == "bool_params_beta":
+        doc["params"]["beta"] = True
+    elif probe == "number_word":
+        doc["equations"][0]["lhs"] = 5
+    elif probe == "number_slope":
+        doc["params"]["slope"] = 65
+    elif probe == "number_step":
+        doc["equations"][1]["script"]["steps"][3] = 5
+    else:
+        raise ValueError(probe)
+
+
 class TestPresent:
     def test_cable_document(self, capsys):
         assert main(["present", "--x", "2", "--y", "3", "--p", "2"]) == 0
@@ -28,6 +53,20 @@ class TestPresent:
         assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--json", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "d500a8e0b08722c900131421f4f7bb3923e9ff04b70dff57389fd3a39520c306"
+
+    @pytest.mark.parametrize(
+        "xyp, digest",
+        [
+            ((11, 13, 9), "ee6438592a0681bcd647a3b3b323e2ccc4e15197c35f233b3dfc9101f17c0ef3"),
+            ((2, 3, 50), "84f0e1f23be59d333d6bf9daf053c4bf8d572c36c307bc7e9ae5af74b2e63ca3"),
+        ],
+    )
+    def test_large_document_bytes_are_stable(self, tmp_path, xyp, digest):
+        # lamC expands to 23,149 syllables at (11, 13, 9) and 29,901 at (2, 3, 50)
+        out = tmp_path / "pres.json"
+        x, y, p = (str(v) for v in xyp)
+        assert main(["present", "--x", x, "--y", y, "--p", p, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_torus_document(self, capsys):
         assert main(["present", "--x", "2", "--y", "3"]) == 0
@@ -120,6 +159,28 @@ class TestReplayCommand:
 
     def test_missing_file_is_error(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            "string_position",
+            "string_swap_exponent",
+            "string_params_x",
+            "bool_params_beta",
+            "number_word",
+            "number_slope",
+            "number_step",
+        ],
+    )
+    def test_type_swapped_field_is_a_load_error(self, tmp_path, capsys, probe):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        type_swap(doc, probe)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1  # raises nothing
+        assert "error: cannot load certificate" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -138,6 +138,13 @@ class TestCablePresentation:
         assert pres.commutes((MUC, 21), (LAMC, 1))
         assert pres.commutes((LAMC, 2), ("t", 2))
 
+    def test_is_concrete(self):
+        pres = cable_presentation(2, 3, 2)
+        assert pres.is_concrete(Word.identity())
+        assert pres.is_concrete(Word.parse("a^2 b^-1 t a"))
+        assert not pres.is_concrete(Word.parse("a mu"))
+        assert not pres.is_concrete(Word.parse("lamC"))
+        assert not torus_presentation(2, 3).is_concrete(Word.parse("a t"))
 
     def test_licence_index_matches_a_whitelist_scan(self):
         def scanned(pres, s1, s2):

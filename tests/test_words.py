@@ -1,9 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from cable_order.presentations import LAM, MU, cable_presentation
+from cable_order import words
+from cable_order.presentations import (
+    LAM,
+    LAMC,
+    MU,
+    MUC,
+    cable_presentation,
+    torus_presentation,
+)
 from cable_order.words import Word, WordSyntaxError, abelianize, concat, invert, power
 from helpers import word_strategy
 
@@ -123,3 +131,122 @@ class TestTextSyntax:
     def test_rejects_bad_syllables(self, bad):
         with pytest.raises(WordSyntaxError):
             Word.parse(bad)
+
+
+# -- junction-only arithmetic against the full reducer ------------------------
+
+EXPONENTS = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+def is_reduced(w: Word) -> bool:
+    syls = w.syllables
+    return all(e != 0 for _, e in syls) and all(a[0] != b[0] for a, b in zip(syls, syls[1:]))
+
+
+def reference_power(w: Word, n: int) -> Word:
+    base = w.syllables if n >= 0 else invert(w).syllables
+    return Word.from_pairs(base * abs(n))
+
+
+def reference_concat(*ws: Word) -> Word:
+    return Word.from_pairs([s for w in ws for s in w.syllables])
+
+
+def reference_expand(pres, w: Word) -> Word:
+    pairs = []
+    for g, e in w.syllables:
+        if g in pres.named:
+            pairs.extend(reference_power(pres.named[g].expansion, e).syllables)
+        else:
+            pairs.append((g, e))
+    return Word.from_pairs(pairs)
+
+
+@st.composite
+def conjugates(draw):
+    """A c A^-1 with a core c of one of three shapes."""
+    outer = draw(word_strategy())
+    shape = draw(st.sampled_from(("any", "shared_ends", "one_syllable")))
+    if shape == "any":
+        core = draw(word_strategy())
+    elif shape == "one_syllable":
+        core = Word.single(draw(st.sampled_from("abt")), draw(EXPONENTS))
+    else:
+        # (g, e0) mid (g, e1): the two end syllables share a generator
+        g = draw(st.sampled_from("abt"))
+        mid = draw(word_strategy(alphabet=tuple(set("abt") - {g})).filter(bool))
+        core = Word(((g, draw(EXPONENTS)),) + mid.syllables + ((g, draw(EXPONENTS)),))
+    return concat(outer, core, invert(outer))
+
+
+class TestJunctionArithmetic:
+    @given(st.one_of(word_strategy(), conjugates()), st.integers(min_value=-5, max_value=5))
+    def test_power_matches_full_reduction(self, w, n):
+        got = power(w, n)
+        assert got == reference_power(w, n)
+        assert is_reduced(got)
+
+    @given(st.lists(st.one_of(word_strategy(), conjugates()), max_size=5))
+    def test_concat_matches_full_reduction(self, ws):
+        got = concat(*ws)
+        assert got == reference_concat(*ws)
+        assert is_reduced(got)
+
+    @given(st.lists(word_strategy(), min_size=1, max_size=5))
+    def test_chains_that_cancel_entirely(self, ws):
+        inverses = [invert(w) for w in reversed(ws)]
+        assert concat(*ws, *inverses) == Word.identity()
+        # the cancellation crosses every junction, one word at a time
+        assert concat(concat(*ws), *inverses) == Word.identity()
+
+    def test_shared_end_core_glues_between_copies(self):
+        w = W("a^2 b a^-1")
+        assert power(w, 3) == W("a^2 b a b a b a^-1")
+        assert power(w, -2) == W("a b^-1 a^-1 b^-1 a^-2")
+
+    def test_conjugated_shared_end_core(self):
+        w = W("t a^2 b a^-1 t^-1")
+        assert power(w, 2) == W("t a^2 b a b a^-1 t^-1")
+
+    def test_one_syllable_core_multiplies_its_exponent(self):
+        assert power(W("a b^2 t a^-3 t^-1 b^-2 a^-1"), -4) == W("a b^2 t a^12 t^-1 b^-2 a^-1")
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("a", "b", "t", MU, LAM, MUC, LAMC)), EXPONENTS),
+            max_size=6,
+        ).map(Word.from_pairs)
+    )
+    def test_expand_matches_full_reduction(self, w):
+        pres = cable_presentation(2, 3, 2)
+        got = pres.expand(w)
+        assert got == reference_expand(pres, w)
+        assert is_reduced(got)
+
+    @pytest.mark.parametrize("xyp", [(2, 3, 2), (11, 13, 9)])
+    def test_expand_cancels_across_junctions(self, xyp):
+        # muC^(pq-1) lamC = muC^-1 t^p: the pq-1 copies of muC cancel against lamC
+        pres = cable_presentation(*xyp)
+        pq = pres.p * pres.q
+        w = Word.from_pairs([(MUC, pq - 1), (LAMC, 1)])
+        got = pres.expand(w)
+        assert got == reference_expand(pres, w)
+        assert got == concat(invert(pres.named[MUC].expansion), Word.single("t", pres.p))
+        assert is_reduced(got)
+
+    def test_cold_build_feeds_the_full_reducer_little(self, monkeypatch):
+        # a work count, not a timing: building (11, 13, 9) with full reduction
+        # of every power and concatenation feeds _reduce 117,252 syllables
+        seen = []
+        reduce = words._reduce
+
+        def counting(pairs):
+            pairs = list(pairs)
+            seen.append(len(pairs))
+            return reduce(pairs)
+
+        monkeypatch.setattr(words, "_reduce", counting)
+        torus_presentation.cache_clear()
+        cable_presentation.cache_clear()
+        cable_presentation(11, 13, 9)
+        assert 0 < sum(seen) < 1_000
