@@ -12,9 +12,7 @@ from .derivations import (
     Equation,
     Step,
     StepError,
-    builtin_scripts,
     check_script,
-    check_step,
 )
 from .normal_form import NonEliminable, TorusNormalForm, eliminate_t, equal_in_torus_group, normal_form
 from .obstruction import (
@@ -64,13 +62,11 @@ __all__ = [
     "beta_slope",
     "bezout_cable",
     "bezout_torus",
-    "builtin_scripts",
     "cable_presentation",
     "certificate_from_json_dict",
     "certify_beta",
     "certify_slope",
     "check_script",
-    "check_step",
     "concat",
     "cramer",
     "eliminate_t",

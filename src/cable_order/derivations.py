@@ -7,19 +7,20 @@ the equation in the context group:
 
 * inserting a relator, or a previously proven equation combined into an
   identity-valued word, at a syllable boundary;
-* expanding or folding a defined element (mu, lam, muC, lamC);
+* expanding a defined element (mu, lam, muC, lamC) into its definition;
 * swapping two adjacent syllable runs, only when the presentation's
   commutation whitelist licenses the pair;
-* free reduction and power collection;
-* multiplying both sides by one word, raising both sides to a power, or
-  inverting both sides.
+* freely reducing both sides;
+* multiplying both sides by one word, or inverting both sides.
 
-The checker is a dumb verifier: scripts are generated per parameter instance
-with concrete exponents spliced in, and replaying the steps must reproduce
-the claimed equation exactly.  Mid-derivation words may be temporarily
-unreduced (adjacent syllables on the same generator are allowed); explicit
-reduction steps normalize them.  Steps edit the state in place, so checking
-a script costs time linear in its number of steps, not steps times length.
+These are the steps the script factories below emit, and the checker
+accepts no others (see :func:`apply_step`).  It is a dumb verifier: scripts
+are generated per parameter instance with concrete exponents spliced in, and
+replaying the steps must reproduce the claimed equation exactly.
+Mid-derivation words may be temporarily unreduced (adjacent syllables on the
+same generator are allowed); explicit reduction steps normalize them.  Steps
+edit the state in place, so checking a script costs time linear in its
+number of steps, not steps times length.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
@@ -37,7 +38,7 @@ surgery slope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from .presentations import (
     LAM,
@@ -46,7 +47,6 @@ from .presentations import (
     MUC,
     GroupPresentation,
     ParameterError,
-    cable_presentation,
     surgery_named_form,
 )
 from .slopes import Slope, beta_slope, cramer
@@ -56,7 +56,10 @@ LHS, RHS = "lhs", "rhs"
 
 
 class StepError(Exception):
-    """A derivation step failed to apply or the final claim did not match."""
+    """A derivation step failed to apply or the final claim did not match.
+
+    Messages cut quoted values to 40 characters and words to a short window.
+    """
 
     def __init__(self, reason: str, index: int | None = None):
         self.reason = reason
@@ -86,6 +89,13 @@ class Equation:
     provenance: str = ""
 
 
+def _json_typed(value: object, typ: type, what: str, optional: bool = False) -> Any:
+    """`value` if its type is exactly `typ` (a bool is no int), else ValueError; None passes when `optional`."""
+    if type(value) is typ or (optional and value is None):
+        return value
+    raise ValueError(f"{what} must be {typ.__name__}, got {type(value).__name__}")
+
+
 def _json_syllable(pair: list, what: str) -> Syllable:
     gen, exp = pair  # raises unless there are exactly two
     if type(gen) is not str or type(exp) is not int:
@@ -106,12 +116,11 @@ class Step:
     left: Syllable | None = None
     right: Syllable | None = None
     on: str | None = None  # multiply: attach side, "left" | "right"
-    n: int | None = None
     why: str = ""
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        for key in ("side", "position", "name", "direction", "anchor", "on", "n"):
+        for key in ("side", "position", "name", "direction", "anchor", "on"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -129,22 +138,23 @@ class Step:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Step":
-        kind, position, n = d["kind"], d.get("position"), d.get("n")
-        if not (position is None or type(position) is int) or not (n is None or type(n) is int):
-            raise ValueError("step position and n must be integers")
+        # inline checks: this runs once per step of every certificate loaded
+        kind, position, name = d["kind"], d.get("position"), d.get("name")
+        if not (position is None or type(position) is int) or not (name is None or type(name) is str):
+            raise ValueError("a step position must be an integer and a step name a string")
         return Step(
             kind=kind,
             side=d.get("side"),
             position=position,
             word=Word.parse(d["word"]) if "word" in d else None,
-            name=d.get("name"),
-            ref=(d["ref"]["type"], d["ref"]["name"]) if "ref" in d else None,
+            name=name,
+            ref=tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
+            if "ref" in d else None,
             direction=d.get("direction"),
             anchor=d.get("anchor"),
             left=_json_syllable(d["left"], "swap operand left") if "left" in d else None,
             right=_json_syllable(d["right"], "swap operand right") if "right" in d else None,
             on=d.get("on"),
-            n=n,
             why=d.get("why", ""),
         )
 
@@ -189,29 +199,25 @@ def _invert_raw(syls: Sequence[Syllable]) -> list[Syllable]:
 
 
 def _resolve_ref(
-    step: Step,
-    pres: GroupPresentation,
-    script: DerivationScript,
-    env: dict[str, Equation],
+    step: Step, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
 ) -> tuple[Word, Word]:
-    assert step.ref is not None
+    if step.ref is None:
+        raise StepError("relation requires a reference")
     kind, name = step.ref
     if kind == "relator":
         try:
             rel = pres.relator(name)
         except KeyError:
-            raise StepError(f"relator mismatch: no relator {name!r}") from None
+            raise StepError(f"relator mismatch: no relator {name!r:.40}") from None
         return rel.named_form, Word.identity()
     if kind == "equation":
-        if name not in script.cites:
-            raise StepError(f"equation {name!r} is not cited by the script")
-        if name not in env:
-            raise StepError(f"cited equation {name!r} has not been proven")
-        eq = env[name]
-        if eq.context.kind == "H" and eq.context != script.context:
-            raise StepError(f"equation {name!r} was proven in a different quotient")
+        if name not in cited:
+            raise StepError(f"equation {name!r:.40} is not cited by the script, or not proven")
+        eq = cited[name]
+        if eq.context.kind == "H" and eq.context != context:
+            raise StepError(f"equation {name!r:.40} was proven in a different quotient")
         return eq.lhs, eq.rhs
-    raise StepError(f"unknown reference kind {kind!r}")
+    raise StepError(f"unknown reference kind {kind!r:.40}")
 
 
 def _side_index(step: Step) -> int:
@@ -219,20 +225,38 @@ def _side_index(step: Step) -> int:
         return 0
     if step.side == RHS:
         return 1
-    raise StepError(f"bad side {step.side!r}")
+    raise StepError(f"bad side {step.side!r:.40}")
 
 
 def apply_step(
-    state: State,
-    step: Step,
-    pres: GroupPresentation,
-    script: DerivationScript,
-    env: dict[str, Equation],
+    state: State, step: Step, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
 ) -> State:
     """Apply one step to `state` in place and return it; raises StepError on any violation.
 
-    Every check runs before the first edit, so a rejected step leaves the
-    state unchanged.  The two sides must be distinct lists.
+    `context` is the script's context and `cited` maps each equation the
+    script cites and that has been proven to that equation.  The steps
+    accepted are exactly these (`side` is ``lhs`` or ``rhs`` unless said
+    otherwise, and `position` a syllable index on that side):
+
+    * ``invert``: invert both sides;
+    * ``multiply`` with `on` ``left`` or ``right`` and a `word` over the
+      presentation's letters: multiply both sides by the word on that side;
+    * ``reduce`` with `side` ``both``: freely reduce both sides;
+    * ``swap`` with `side`, `position` and operands `left`, `right` whose
+      commutation the presentation licenses: carve the operands off the
+      syllables at `position` and `position` + 1 and exchange them;
+    * ``definition`` with `direction` ``expand``, a defined element `name`,
+      `side` and `position`: replace the power of `name` there by its
+      definition;
+    * ``relation`` with `ref` (``relator`` or ``equation``, name), `direction`
+      ``forward`` or ``backward``, `anchor` ``before`` or ``after``, `side`
+      and `position`: insert the identity-valued word x^-1 y (``before``) or
+      y x^-1 (``after``) at that boundary, where x = y is the relator set
+      to 1 or the cited equation, read in `direction`.
+
+    Anything else raises StepError.  Every check runs before the first edit,
+    so a rejected step leaves the state unchanged.  The two sides must be
+    distinct lists.
     """
     lhs, rhs = state
 
@@ -242,10 +266,11 @@ def apply_step(
         return state
 
     if step.kind == "multiply":
-        assert step.word is not None
+        if step.word is None:
+            raise StepError("multiply requires a word")
         unknown = step.word.generators() - pres.letters()
         if unknown:
-            raise StepError(f"unknown generators {sorted(unknown)} in multiplier")
+            raise StepError(f"unknown generators {sorted(unknown)!r:.40} in multiplier")
         ws = step.word.syllables
         if step.on == "left":
             lhs[:0] = ws
@@ -254,41 +279,25 @@ def apply_step(
             lhs.extend(ws)
             rhs.extend(ws)
         else:
-            raise StepError(f"bad multiplication side {step.on!r}")
-        return state
-
-    if step.kind == "power":
-        if not step.n:
-            raise StepError("power step requires a nonzero exponent")
-        if step.n > 0:
-            lhs[:] = lhs * step.n
-            rhs[:] = rhs * step.n
-        else:
-            lhs[:] = _invert_raw(lhs) * -step.n
-            rhs[:] = _invert_raw(rhs) * -step.n
+            raise StepError(f"bad multiplication side {step.on!r:.40}")
         return state
 
     if step.kind == "reduce":
-        targets = state if step.side in (None, "both") else (state[_side_index(step)],)
-        for syls in targets:
-            syls[:] = _reduce(syls)
+        if step.side != "both":
+            raise StepError(f"reduce requires side 'both', got {step.side!r:.40}")
+        lhs[:] = _reduce(lhs)
+        rhs[:] = _reduce(rhs)
         return state
 
-    # remaining kinds replace one slice of a single named side
+    if step.kind not in ("swap", "definition", "relation"):
+        raise StepError(f"unknown step kind {step.kind!r:.40}")
+    # the remaining kinds replace one slice of a single named side
     syls = state[_side_index(step)]
     pos = step.position
     if pos is None:
         raise StepError("step requires a position")
 
-    if step.kind == "collect":
-        if not (0 <= pos < len(syls) - 1):
-            raise StepError("position out of range")
-        (g1, e1), (g2, e2) = syls[pos], syls[pos + 1]
-        if g1 != g2:
-            raise StepError("collect requires adjacent syllables on one generator")
-        syls[pos : pos + 2] = [] if e1 + e2 == 0 else [(g1, e1 + e2)]
-
-    elif step.kind == "swap":
+    if step.kind == "swap":
         if step.left is None or step.right is None:
             raise StepError("swap requires both operands")
         (g1, e1), (g2, e2) = step.left, step.right
@@ -297,7 +306,7 @@ def apply_step(
         if e1 == 0 or e2 == 0 or g1 == g2:
             raise StepError("swap operands must be distinct generators with nonzero exponents")
         if not pres.commutes((g1, e1), (g2, e2)):
-            raise StepError(f"commutation of {g1}^{e1} and {g2}^{e2} is not licensed")
+            raise StepError(f"commutation of {g1:.40}^{e1} and {g2:.40}^{e2} is not licensed")
         if not (0 <= pos < len(syls) - 1):
             raise StepError("position out of range")
         ga, ea = syls[pos]
@@ -312,94 +321,57 @@ def apply_step(
 
     elif step.kind == "definition":
         if step.name not in pres.named:
-            raise StepError(f"unknown defined element {step.name!r}")
+            raise StepError(f"unknown defined element {step.name!r:.40}")
+        if step.direction != "expand":
+            raise StepError(f"bad definition direction {step.direction!r:.40}")
+        if not (0 <= pos < len(syls)):
+            raise StepError("position out of range")
+        g, e = syls[pos]
+        if g != step.name:
+            raise StepError(f"syllable at position {pos} is not {step.name}")
         definition = pres.named[step.name].definition.syllables
-        if step.direction == "expand":
-            if not (0 <= pos < len(syls)):
-                raise StepError("position out of range")
-            g, e = syls[pos]
-            if g != step.name:
-                raise StepError(f"syllable at position {pos} is not {step.name}")
-            base = definition if e > 0 else _invert_raw(definition)
-            syls[pos : pos + 1] = base * abs(e)
-        elif step.direction == "fold":
-            n = len(definition)
-            if not (0 <= pos and pos + n <= len(syls)):
-                raise StepError("position out of range")
-            window = syls[pos : pos + n]
-            if window == list(definition):
-                exp = 1
-            elif window == _invert_raw(definition):
-                exp = -1
-            else:
-                raise StepError(f"definition of {step.name} does not match at position {pos}")
-            syls[pos : pos + n] = [(step.name, exp)]
-        else:
-            raise StepError(f"bad definition direction {step.direction!r}")
+        base = definition if e > 0 else _invert_raw(definition)
+        syls[pos : pos + 1] = base * abs(e)
 
-    elif step.kind == "relation":
-        L, R = _resolve_ref(step, pres, script, env)
+    else:  # relation
+        L, R = _resolve_ref(step, pres, context, cited)
         if step.direction == "forward":
             x_word, y_word = L, R
         elif step.direction == "backward":
             x_word, y_word = R, L
         else:
-            raise StepError(f"bad relation direction {step.direction!r}")
+            raise StepError(f"bad relation direction {step.direction!r:.40}")
         if step.anchor == "before":
             ins = invert(x_word).syllables + y_word.syllables
         elif step.anchor == "after":
             ins = y_word.syllables + invert(x_word).syllables
         else:
-            raise StepError(f"bad relation anchor {step.anchor!r}")
+            raise StepError(f"bad relation anchor {step.anchor!r:.40}")
         if not (0 <= pos <= len(syls)):
             raise StepError("position out of range")
         syls[pos:pos] = ins
 
-    else:
-        raise StepError(f"unknown step kind {step.kind!r}")
-
     return state
 
 
-def axiom_state(script: DerivationScript, pres: GroupPresentation) -> State:
-    ax = script.axiom
-    if ax.kind == "relator":
-        assert ax.name is not None
+def axiom_state(axiom: Axiom, context: Context, pres: GroupPresentation) -> State:
+    """The equation a script with this axiom, in this context, starts from."""
+    if axiom.kind == "relator":
         try:
-            rel = pres.relator(ax.name)
+            rel = pres.relator(axiom.name)  # type: ignore[arg-type]
         except KeyError:
-            raise StepError(f"relator mismatch: no relator {ax.name!r}") from None
+            raise StepError(f"relator mismatch: no relator {axiom.name!r:.40}") from None
         return list(rel.named_form.syllables), []
-    if ax.kind == "definition":
-        if ax.name not in pres.named:
-            raise StepError(f"no defined element {ax.name!r}")
-        return [(ax.name, 1)], list(pres.named[ax.name].definition.syllables)
-    if ax.kind == "surgery":
-        if script.context.kind != "H":
+    if axiom.kind == "definition":
+        if axiom.name not in pres.named:
+            raise StepError(f"no defined element {axiom.name!r:.40}")
+        return [(axiom.name, 1)], list(pres.named[axiom.name].definition.syllables)
+    if axiom.kind == "surgery":
+        if context.kind != "H":
             raise StepError("the surgery relator is only an axiom in a surgery quotient")
-        assert script.context.slope is not None
-        return list(surgery_named_form(pres, script.context.slope).syllables), []
-    raise StepError(f"unknown axiom kind {ax.kind!r}")
-
-
-def check_step(
-    eq: Equation,
-    step: Step,
-    pres: GroupPresentation,
-    env: dict[str, Equation] | None = None,
-) -> State:
-    """Apply a single step to a reduced equation; returns the raw new state."""
-    carrier = DerivationScript(
-        script_id="<adhoc>",
-        context=eq.context,
-        axiom=Axiom("relator", "central"),
-        steps=(step,),
-        claimed_lhs=eq.lhs,
-        claimed_rhs=eq.rhs,
-        cites=tuple(env) if env else (),
-    )
-    state = (list(eq.lhs.syllables), list(eq.rhs.syllables))
-    return apply_step(state, step, pres, carrier, env or {})
+        assert context.slope is not None
+        return list(surgery_named_form(pres, context.slope).syllables), []
+    raise StepError(f"unknown axiom kind {axiom.kind!r:.40}")
 
 
 def iter_states(
@@ -411,14 +383,23 @@ def iter_states(
     place.  Copy it to keep it past the next iteration.
     """
     env = env or {}
-    state = axiom_state(script, pres)
+    cited = {c: env[c] for c in script.cites if c in env}  # what relation steps may insert
+    state = axiom_state(script.axiom, script.context, pres)
     yield state
     for idx, step in enumerate(script.steps):
         try:
-            state = apply_step(state, step, pres, script, env)
+            state = apply_step(state, step, pres, script.context, cited)
         except StepError as err:
             raise StepError(err.reason, index=idx) from None
         yield state
+
+
+def _brief(syls: Sequence[Syllable]) -> str:
+    """A word for an error message: its first syllables, cut short, and its length."""
+    text = str(Word(tuple(syls[:6])))
+    if len(syls) > 6 or len(text) > 120:
+        text = f"{text[:120]} ... ({len(syls)} syllables)"
+    return text
 
 
 def check_script(
@@ -435,10 +416,11 @@ def check_script(
     for state in iter_states(script, pres, env):
         pass
     assert state is not None
-    if tuple(state[0]) != script.claimed_lhs.syllables or tuple(state[1]) != script.claimed_rhs.syllables:
+    lhs, rhs = script.claimed_lhs.syllables, script.claimed_rhs.syllables
+    if tuple(state[0]) != lhs or tuple(state[1]) != rhs:
         raise StepError(
-            f"claimed result mismatch: derived {Word(tuple(state[0]))} = {Word(tuple(state[1]))}, "
-            f"claimed {script.claimed_lhs} = {script.claimed_rhs}",
+            f"claimed result mismatch: derived {_brief(state[0])} = {_brief(state[1])}, "
+            f"claimed {_brief(lhs)} = {_brief(rhs)}",
             index=len(script.steps),
         )
     return Equation(script.claimed_lhs, script.claimed_rhs, script.context, provenance=script.script_id)
@@ -469,13 +451,13 @@ class ScriptBuilder:
         self.context = context
         self.axiom = axiom
         self.cites = cites
-        self.env = env or {}
+        env = env or {}
+        self._cited = {c: env[c] for c in cites if c in env}
         self._steps: list[Step] = []
-        self._carrier = DerivationScript(script_id, context, axiom, (), Word(), Word(), cites)
-        self._state = axiom_state(self._carrier, pres)
+        self._state = axiom_state(axiom, context, pres)
 
     def _emit(self, step: Step) -> None:
-        apply_step(self._state, step, self.pres, self._carrier, self.env)
+        apply_step(self._state, step, self.pres, self.context, self._cited)
         self._steps.append(step)
 
     def multiply(self, on: str, word: Word, why: str = "") -> None:
@@ -484,14 +466,8 @@ class ScriptBuilder:
     def invert_sides(self, why: str = "") -> None:
         self._emit(Step(kind="invert", why=why))
 
-    def power_sides(self, n: int, why: str = "") -> None:
-        self._emit(Step(kind="power", n=n, why=why))
-
-    def reduce(self, side: str = "both") -> None:
-        self._emit(Step(kind="reduce", side=side))
-
-    def collect(self, side: str, position: int, why: str = "") -> None:
-        self._emit(Step(kind="collect", side=side, position=position, why=why))
+    def reduce(self) -> None:
+        self._emit(Step(kind="reduce", side="both"))
 
     def swap(self, side: str, position: int, left: Syllable, right: Syllable, why: str = "") -> None:
         self._emit(Step(kind="swap", side=side, position=position, left=left, right=right, why=why))
@@ -542,7 +518,7 @@ class ScriptBuilder:
         )
         derived = _Derivation(
             self.pres,
-            tuple((c, self.env[c]) for c in self.cites if c in self.env),
+            tuple(self._cited.items()),
             Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id),
         )
         object.__setattr__(script, "_derivation", derived)
@@ -807,7 +783,7 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> DerivationScript:
 
 
 # ---------------------------------------------------------------------------
-# the JSON form of a script, admission and the named script set
+# the JSON form of a script and admission
 
 def script_to_json_dict(script: DerivationScript) -> dict:
     return {
@@ -822,15 +798,19 @@ def script_to_json_dict(script: DerivationScript) -> dict:
 
 
 def script_from_json_dict(d: dict) -> DerivationScript:
+    if type(d) is not dict:
+        raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
     slope = Slope.parse(d["slope"]) if d.get("slope") else None
     return DerivationScript(
-        script_id=d["id"],
+        script_id=_json_typed(d["id"], str, "script id"),
         context=Context(d["context"], slope),
-        axiom=Axiom(d["axiom"]["kind"], d["axiom"].get("name")),
+        axiom=Axiom(
+            d["axiom"]["kind"], _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True)
+        ),
         steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
         claimed_lhs=Word.parse(d["claimed"]["lhs"]),
         claimed_rhs=Word.parse(d["claimed"]["rhs"]),
-        cites=tuple(d.get("cites", ())),
+        cites=tuple(_json_typed(c, str, "cited equation id") for c in d.get("cites", ())),
     )
 
 
@@ -856,28 +836,3 @@ def admit(script: DerivationScript, pres: GroupPresentation, env: dict[str, Equa
     env[script.script_id] = eq
     return eq
 
-
-def builtin_scripts(x: int, y: int, p: int, beta: int = 1) -> dict[str, DerivationScript]:
-    """The named derivation chains, generated for one parameter instance.
-
-    Scripts come out in dependency order, each admitted by :func:`admit`:
-    generated scripts were checked once, as they were emitted.
-    """
-    if p < 2:
-        raise ParameterError(f"these derivations require p >= 2, got p = {p}")
-    if beta < 1:
-        raise ParameterError(f"beta must be >= 1, got {beta}")
-    pres = cable_presentation(x, y, p)
-    env: dict[str, Equation] = {}
-    out: dict[str, DerivationScript] = {}
-
-    def add(script: DerivationScript) -> None:
-        admit(script, pres, env)
-        out[script.script_id] = script
-
-    add(central_relation_script(pres))
-    add(cable_t_power_script(pres))
-    add(surgery_central_power_script(pres, beta))
-    add(surgery_t_inverse_power_script(pres, beta, env))
-    add(cable_endpoint_product_script(pres, env))
-    return out

@@ -25,6 +25,7 @@ from .derivations import (
     DerivationScript,
     Equation,
     StepError,
+    _json_typed,
     admit,
     cable_endpoint_product_script,
     cable_t_power_script,
@@ -199,38 +200,30 @@ class ObstructionCertificate:
         }
 
 
-def _json_int(value: object, what: str, optional: bool = False) -> int | None:
-    """`value` if it is an integer read from JSON, else ValueError.
-
-    A bool is not accepted (it is an int subclass); None is, when `optional`.
-    """
-    if type(value) is int or (optional and value is None):
-        return value  # type: ignore[return-value]
-    raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
-
-
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     """Rebuild a certificate from its JSON form.
 
-    A wrongly typed integer, word or slope field raises ValueError here, at
-    load time (`Step.from_json_dict` and the parsers check theirs), so that
-    `replay` never meets a string or a bool where it expects an integer.
+    A wrongly typed integer, word, slope, id, name or equation reference,
+    or a script that is not an object, raises ValueError here, at load time
+    (`script_from_json_dict` and the parsers check theirs), so that `replay`
+    never meets a value of the wrong JSON type.
     """
     par = doc["params"]
     params = CertParams(
-        x=_json_int(par["x"], "params.x"),
-        y=_json_int(par["y"], "params.y"),
-        p=_json_int(par["p"], "params.p"),
-        q=_json_int(par["q"], "params.q"),
+        x=_json_typed(par["x"], int, "params.x"),
+        y=_json_typed(par["y"], int, "params.y"),
+        p=_json_typed(par["p"], int, "params.p"),
+        q=_json_typed(par["q"], int, "params.q"),
         mode=par["mode"],
-        beta=_json_int(par["beta"], "params.beta", optional=True),
+        beta=_json_typed(par["beta"], int, "params.beta", optional=True),
         slope=Slope.parse(par["slope"]),
     )
     entries = []
     for e in doc["equations"]:
         ctx = Context(e["context"], Slope.parse(e["slope"]) if e.get("slope") else None)
-        eq = Equation(Word.parse(e["lhs"]), Word.parse(e["rhs"]), ctx, provenance=e["id"])
-        entries.append(CertEntry(e["id"], eq, script_from_json_dict(e["script"])))
+        entry_id = _json_typed(e["id"], str, "equation id")
+        eq = Equation(Word.parse(e["lhs"]), Word.parse(e["rhs"]), ctx, provenance=entry_id)
+        entries.append(CertEntry(entry_id, eq, script_from_json_dict(e["script"])))
     if doc.get("cramer") is None:
         cramer_data = None
     else:
@@ -250,9 +243,8 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         if reason["kind"] == "nontriviality_axiom":
             rows.append(RefutationRow(assignment, None, None, None))
         elif reason["kind"] == "clash":
-            rows.append(
-                RefutationRow(assignment, reason["equation"], reason["lhs_sign"], reason["rhs_sign"])
-            )
+            eq_id = _json_typed(reason["equation"], str, "refutation equation")
+            rows.append(RefutationRow(assignment, eq_id, reason["lhs_sign"], reason["rhs_sign"]))
         else:
             raise ValueError(f"bad refutation reason {reason!r}")
     return ObstructionCertificate(

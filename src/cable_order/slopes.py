@@ -41,9 +41,6 @@ class Slope:
     def __str__(self) -> str:
         return f"{self.m}/{self.n}"
 
-    def value(self) -> Fraction:
-        return Fraction(self.m, self.n)
-
     # exact cross-multiplied comparisons (denominators are positive)
     def __lt__(self, other: "Slope") -> bool:
         return self.m * other.n < other.m * self.n

@@ -131,9 +131,6 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         return power(self, n)
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def generators(self) -> set[str]:
         return {g for g, _ in self.syllables}
 

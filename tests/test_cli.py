@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -181,6 +182,48 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", str(out)]) == 1  # raises nothing
         assert "error: cannot load certificate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", 5, True, None, [], {}], ids=repr)
+    @pytest.mark.parametrize("site", ["refutation_equation", "step_name", "entry_id", "script", "axiom_name"])
+    def test_string_and_object_fields_are_typed(self, tmp_path, capsys, site, value):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        entry = doc["equations"][1]  # cable_t_power, from the cable relator
+        if site == "refutation_equation":
+            next(r for r in doc["refutations"] if r["reason"]["kind"] == "clash")["reason"]["equation"] = value
+        elif site == "step_name":
+            next(s for s in entry["script"]["steps"] if "name" in s)["name"] = value
+        elif site == "entry_id":
+            entry["id"] = value
+        elif site == "script":
+            entry["script"] = value
+        else:
+            entry["script"]["axiom"]["name"] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["replay", str(out)])  # raises nothing
+        err = capsys.readouterr().err
+        optional = site in ("step_name", "axiom_name") and value is None
+        if site != "script" and (value == "x" or optional):
+            assert code == 2 and "replay problem" in err  # well typed; the checker rejects it
+        else:
+            assert code == 1 and "error: cannot load certificate" in err
+
+    def test_power_step_probe_is_rejected_fast(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["equations"][2]["script"]["steps"].append({"kind": "power", "n": 10_000_000})
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert main(["replay", str(out)]) == 2
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert "unknown step kind 'power'" in err
+        assert len(err.encode()) < 1024
+        assert elapsed < 0.1
 
 
 class TestSweep:

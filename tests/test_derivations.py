@@ -13,12 +13,10 @@ from cable_order.derivations import (
     StepError,
     admit,
     apply_step,
-    builtin_scripts,
     cable_endpoint_product_script,
     cable_t_power_script,
     central_relation_script,
     check_script,
-    check_step,
     iter_states,
     meridian_shift_script,
     script_from_json_dict,
@@ -31,13 +29,16 @@ from cable_order.derivations import (
 )
 from cable_order.normal_form import eliminate_t, equal_in_torus_group
 from cable_order.presentations import (
-    ParameterError,
     cable_presentation,
     surgery_relator,
 )
 from cable_order.slopes import Slope, beta_slope
 from cable_order.words import Word, concat
 from helpers import ab_vector, in_integer_span
+
+
+def state_of(lhs: str, rhs: str):
+    return list(Word.parse(lhs).syllables), list(Word.parse(rhs).syllables)
 
 
 def prove_chain(pres, *factories):
@@ -102,22 +103,6 @@ class TestBuiltinChains:
         )
         assert (eq.lhs, eq.rhs) == (Word.parse("t a b t^2"), Word.identity())
 
-    def test_builtin_scripts_set(self):
-        scripts = builtin_scripts(2, 3, 2, beta=1)
-        assert set(scripts) == {
-            "central_relation",
-            "cable_t_power",
-            "surgery_central_power",
-            "surgery_t_inverse_power",
-            "cable_endpoint_product",
-        }
-
-    def test_builtin_scripts_rejects_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            builtin_scripts(2, 3, 1)
-        with pytest.raises(ParameterError):
-            builtin_scripts(2, 3, 2, beta=0)
-
     def test_replay_determinism(self):
         pres = cable_presentation(3, 4, 3)
         s = surgery_central_power_script(pres, 4)
@@ -125,31 +110,28 @@ class TestBuiltinChains:
 
 
 class TestStepValidation:
+    # apply_step takes the script's context and its cited, proven equations
     def test_unlicensed_commutation(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("a b"), Word.parse("a b"), Context("G"))
         step = Step(kind="swap", side="lhs", position=0, left=("a", 1), right=("b", 1))
         with pytest.raises(StepError, match="not licensed"):
-            check_step(eq, step, pres)
+            apply_step(state_of("a b", "a b"), step, pres, Context("G"), {})
 
     def test_licensed_commutation(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("b^-1 a^4"), Word.parse("b^-1 a^4"), Context("G"))
         step = Step(kind="swap", side="lhs", position=0, left=("b", -1), right=("a", 4))
-        lhs, _ = check_step(eq, step, pres)
+        lhs, _ = apply_step(state_of("b^-1 a^4", "b^-1 a^4"), step, pres, Context("G"), {})
         assert lhs == [("a", 4), ("b", -1)]
 
     def test_swap_carves_syllables(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("mu^11 lam^2"), Word.parse("t^2"), Context("G"))
         step = Step(kind="swap", side="lhs", position=0, left=("mu", 6), right=("lam", 1))
-        lhs, _ = check_step(eq, step, pres)
+        lhs, _ = apply_step(state_of("mu^11 lam^2", "t^2"), step, pres, Context("G"), {})
         assert lhs == [("mu", 5), ("lam", 1), ("mu", 6), ("lam", 1)]
 
     def test_relator_insertion_inside_t_run(self):
         # t^4 becomes t^4 * (cable relator), a valid rewriting of the same element
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("t^4"), Word.parse("t^4"), Context("G"))
         step = Step(
             kind="relation",
             ref=("relator", "cable"),
@@ -158,12 +140,11 @@ class TestStepValidation:
             direction="backward",
             anchor="after",
         )
-        lhs, _ = check_step(eq, step, pres)
+        lhs, _ = apply_step(state_of("t^4", "t^4"), step, pres, Context("G"), {})
         assert lhs == [("t", 4), ("mu", 11), ("lam", 2), ("t", -2)]
 
     def test_relator_mismatch(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("a"), Word.parse("a"), Context("G"))
         step = Step(
             kind="relation",
             ref=("relator", "nope"),
@@ -173,55 +154,23 @@ class TestStepValidation:
             anchor="before",
         )
         with pytest.raises(StepError, match="relator mismatch"):
-            check_step(eq, step, pres)
+            apply_step(state_of("a", "a"), step, pres, Context("G"), {})
 
     def test_position_out_of_range(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("a"), Word.parse("a"), Context("G"))
         step = Step(kind="definition", name="mu", side="lhs", position=5, direction="expand")
         with pytest.raises(StepError, match="out of range"):
-            check_step(eq, step, pres)
+            apply_step(state_of("a", "a"), step, pres, Context("G"), {})
 
-    def test_definition_fold(self):
+    def test_cited_equation_insertion(self):
         pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("b^-1 a"), Word.parse("b^-1 a"), Context("G"))
-        step = Step(kind="definition", name="mu", side="lhs", position=0, direction="fold")
-        lhs, _ = check_step(eq, step, pres)
-        assert lhs == [("mu", 1)]
-
-    def test_definition_fold_mismatch(self):
-        pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("b^-1 a^2"), Word.parse("b^-1 a^2"), Context("G"))
-        step = Step(kind="definition", name="mu", side="lhs", position=0, direction="fold")
-        with pytest.raises(StepError, match="does not match"):
-            check_step(eq, step, pres)
-
-    def test_power_both_sides(self):
-        pres = cable_presentation(2, 3, 2)
-        b_axiom = central_relation_script(pres)
-        extended = dataclasses.replace(
-            b_axiom,
-            steps=b_axiom.steps + (Step(kind="power", n=2), Step(kind="reduce")),
-            claimed_lhs=Word.parse("a^4"),
-            claimed_rhs=Word.parse("b^6"),
-        )
-        eq = check_script(extended, pres, {})
-        assert (eq.lhs, eq.rhs) == (Word.parse("a^4"), Word.parse("b^6"))
-
-    def test_collect_powers(self):
-        pres = cable_presentation(2, 3, 2)
-        eq = Equation(Word.parse("a"), Word.parse("a"), Context("G"))
-        grow = Step(kind="multiply", on="right", word=Word.parse("a^2"))
-        state = check_step(eq, grow, pres)
-        assert state[0] == [("a", 1), ("a", 2)]
-        collected = Step(kind="collect", side="lhs", position=0)
-        from cable_order.derivations import apply_step
-
-        carrier = DerivationScript(
-            "adhoc", Context("G"), Axiom("relator", "central"), (), Word(), Word()
-        )
-        lhs, _ = apply_step(state, collected, pres, carrier, {})
-        assert lhs == [("a", 3)]
+        cited = prove_chain(pres, central_relation_script)  # a^2 = b^3
+        step = Step(kind="relation", ref=("equation", "central_relation"), side="rhs",
+                    position=0, direction="forward", anchor="before")
+        _, rhs = apply_step(state_of("b", "b"), step, pres, Context("G"), cited)
+        assert rhs == [("a", -2), ("b", 3), ("b", 1)]
+        with pytest.raises(StepError, match="not cited"):
+            apply_step(state_of("b", "b"), step, pres, Context("G"), {})
 
     def test_forged_claim_rejected(self):
         pres = cable_presentation(2, 3, 2)
@@ -281,7 +230,6 @@ class TestStepValidation:
         with pytest.raises(StepError, match="not cited"):
             check_script(script, pres, env)
 
-
     @pytest.mark.parametrize(
         "step",
         [
@@ -299,18 +247,23 @@ class TestStepValidation:
                  direction="forward", anchor="middle"),
             Step(kind="relation", ref=("equation", "central_relation"), side="lhs", position=0,
                  direction="forward", anchor="before"),
+            # kinds and forms outside the step language
+            Step(kind="power"),
+            Step(kind="reduce", side="lhs"),
+            Step(kind="reduce"),
+            Step(kind="multiply", on="left"),
+            Step(kind="multiply", on="middle", word=Word.parse("a")),
+            Step(kind="relation", side="lhs", position=0, direction="forward", anchor="before"),
         ],
         ids=lambda step: step.kind,
     )
     def test_rejected_step_leaves_state_unchanged(self, step):
+        # collect and definition1-2 (fold) are no longer step forms: rejected too
         pres = cable_presentation(2, 3, 2)
         lhs, rhs = [("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)]
         state = (lhs, rhs)
-        carrier = DerivationScript(
-            "adhoc", Context("G"), Axiom("relator", "central"), (), Word(), Word()
-        )
         with pytest.raises(StepError):
-            apply_step(state, step, pres, carrier, {})
+            apply_step(state, step, pres, Context("G"), {})
         assert state[0] is lhs and state[1] is rhs
         assert state == ([("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)])
 
@@ -325,7 +278,7 @@ class TestCheckOnce:
             return check(script, *args)
 
         monkeypatch.setattr(derivations, "check_script", counted)
-        builtin_scripts(2, 5, 3, beta=4)
+        obstruction.certify_slope(2, 5, 3, Slope(2 * 87 - 1, 2))  # p*q = 87
         cert = obstruction.certify_beta(2, 5, 3, 4)
         assert calls == []
         monkeypatch.setattr(obstruction, "check_script", counted)
@@ -395,19 +348,22 @@ class TestAbelianizationInvariance:
             cols.append(ab_vector(surgery_relator(pres, slope)))
         return cols
 
+    def _check_states(self, pres, script, env):
+        cols = self._lattice(pres, script.context.slope)
+        for state in iter_states(script, pres, env):
+            lhs = ab_vector(pres.expand(Word.from_pairs(state[0])))
+            rhs = ab_vector(pres.expand(Word.from_pairs(state[1])))
+            diff = tuple(l - r for l, r in zip(lhs, rhs))
+            assert in_integer_span(cols, diff), (script.script_id, state)
+        env[script.script_id] = check_script(script, pres, env)
+
     @pytest.mark.parametrize("x,y,p,beta", [(2, 3, 2, 2), (3, 5, 3, 1), (2, 5, 2, 3)])
     def test_every_state_stays_in_lattice(self, x, y, p, beta):
         pres = cable_presentation(x, y, p)
-        scripts = builtin_scripts(x, y, p, beta=beta)
         env = {}
-        for sid, script in scripts.items():
-            cols = self._lattice(pres, script.context.slope)
-            for state in iter_states(script, pres, env):
-                lhs = ab_vector(pres.expand(Word.from_pairs(state[0])))
-                rhs = ab_vector(pres.expand(Word.from_pairs(state[1])))
-                diff = tuple(l - r for l, r in zip(lhs, rhs))
-                assert in_integer_span(cols, diff), (sid, state)
-            env[sid] = check_script(script, pres, env)
+        for entry in obstruction.certify_beta(x, y, p, beta).entries:
+            self._check_states(pres, entry.script, env)
+        self._check_states(pres, cable_endpoint_product_script(pres, env), env)
 
 
 class TestMeridianShift:
@@ -424,7 +380,8 @@ class TestSerialization:
     def test_round_trip(self):
         pres = cable_presentation(2, 3, 2)
         env = prove_chain(pres, central_relation_script, cable_t_power_script)
-        for script in builtin_scripts(2, 3, 2, beta=2).values():
+        scripts = [e.script for e in obstruction.certify_beta(2, 3, 2, 2).entries]
+        for script in scripts + [cable_endpoint_product_script(pres, env)]:
             doc = script_to_json_dict(script)
             again = script_from_json_dict(json.loads(json.dumps(doc)))
             assert again == script

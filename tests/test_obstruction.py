@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,6 +318,36 @@ class TestReplay:
             "slopes": {"s0": "21/1", "s1": "22/1", "s": "43/2"},
         }
         assert not replay(certificate_from_json_dict(doc))
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "power", "n": 10**7},
+            {"kind": "collect", "side": "lhs", "position": 0},
+            {"kind": "definition", "name": "mu", "side": "lhs", "position": 0, "direction": "fold"},
+            {"kind": "reduce", "side": "lhs"},
+        ],
+        ids=lambda step: step.get("direction", step["kind"]),
+    )
+    def test_step_outside_the_step_language_fails_at_its_index(self, step):
+        doc = certify_beta(2, 3, 2, 3).to_json_dict()
+        steps = doc["equations"][0]["script"]["steps"]
+        steps.append(step)
+        cert = certificate_from_json_dict(json.loads(json.dumps(doc)))
+        started = time.perf_counter()
+        report = replay(cert)
+        elapsed = time.perf_counter() - started
+        assert not report
+        assert any(f"step {len(steps) - 1}: " in problem for problem in report.problems)
+        assert elapsed < 0.1
+
+    def test_claimed_result_mismatch_text_is_bounded(self):
+        doc = certify_beta(2, 3, 2, 1).to_json_dict()
+        doc["equations"][1]["script"]["claimed"]["rhs"] = " ".join(["a b"] * 5000)
+        report = replay(certificate_from_json_dict(doc))
+        (problem,) = [p for p in report.problems if "claimed result mismatch" in p]
+        assert "(10000 syllables)" in problem
+        assert len(problem.encode()) < 1024
 
 
 class TestAssignments:
