@@ -3,6 +3,15 @@
 Exit codes: 0 success/certified, 2 inconclusive or failed replay, 1 invalid
 input or any other error.  Certificates are byte-stable across runs: the JSON
 carries no timestamps, and timing goes to a sidecar ``.log`` file (or stderr).
+Every JSON document the CLI writes (certificates, ``present --json`` and a
+sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
+``:``, keys in the order the program builds them, and a final newline.
+Readers parse any JSON layout, so a certificate indented by another tool
+replays the same.
+
+The argument parser is built once per process and reused by every
+:func:`main` call; ``concurrent.futures`` is imported only when a sweep runs
+more than one job.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -45,8 +54,13 @@ CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
 
 
 def _dump(doc: dict, path: str | Path | None) -> None:
-    """Write `doc` in the certificate text format, to `path` or to stdout."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write `doc` as one compact line of JSON plus a newline, to `path` or to stdout.
+
+    The separators ``,`` and ``:`` carry no spaces and the keys keep the
+    order in which `doc` was built, so the bytes are stable across runs;
+    leaving out ``indent`` also keeps the encoding in CPython's C encoder.
+    """
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -288,6 +302,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(x, y, p, mode, val, str(out_dir)) for x, y, p, mode, val in points]
     if args.jobs > 1:
+        # imported here: it loads about 50 modules that no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_sweep_point, tasks))
     else:
@@ -304,7 +321,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Sharing it is safe: ``parse_args`` returns a new namespace per call and
+    leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="cable-order",
         description="Build cable-knot group presentations and certify "

@@ -38,7 +38,7 @@ surgery slope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .presentations import (
     LAM,
@@ -78,7 +78,7 @@ class Context:
         if self.kind == "H" and self.slope is None:
             raise ValueError("surgery context requires a slope")
         if self.kind not in ("G", "H"):
-            raise ValueError(f"unknown context {self.kind!r}")
+            raise ValueError(f"unknown context {self.kind!r:.40}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +103,9 @@ def _json_syllable(pair: list, what: str) -> Syllable:
     return (gen, exp)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
+    """One step of a script: an immutable record, cheap to build (a tuple)."""
+
     kind: str
     side: str | None = None
     position: int | None = None
@@ -143,19 +144,19 @@ class Step:
         if not (position is None or type(position) is int) or not (name is None or type(name) is str):
             raise ValueError("a step position must be an integer and a step name a string")
         return Step(
-            kind=kind,
-            side=d.get("side"),
-            position=position,
-            word=Word.parse(d["word"]) if "word" in d else None,
-            name=name,
-            ref=tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
+            kind,
+            d.get("side"),
+            position,
+            Word.parse(d["word"]) if "word" in d else None,
+            name,
+            tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
             if "ref" in d else None,
-            direction=d.get("direction"),
-            anchor=d.get("anchor"),
-            left=_json_syllable(d["left"], "swap operand left") if "left" in d else None,
-            right=_json_syllable(d["right"], "swap operand right") if "right" in d else None,
-            on=d.get("on"),
-            why=d.get("why", ""),
+            d.get("direction"),
+            d.get("anchor"),
+            _json_syllable(d["left"], "swap operand left") if "left" in d else None,
+            _json_syllable(d["right"], "swap operand right") if "right" in d else None,
+            d.get("on"),
+            d.get("why", ""),
         )
 
 
@@ -199,11 +200,11 @@ def _invert_raw(syls: Sequence[Syllable]) -> list[Syllable]:
 
 
 def _resolve_ref(
-    step: Step, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
+    ref: tuple[str, str] | None, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
 ) -> tuple[Word, Word]:
-    if step.ref is None:
+    if ref is None:
         raise StepError("relation requires a reference")
-    kind, name = step.ref
+    kind, name = ref
     if kind == "relator":
         try:
             rel = pres.relator(name)
@@ -220,12 +221,12 @@ def _resolve_ref(
     raise StepError(f"unknown reference kind {kind!r:.40}")
 
 
-def _side_index(step: Step) -> int:
-    if step.side == LHS:
+def _side_index(side: str | None) -> int:
+    if side == LHS:
         return 0
-    if step.side == RHS:
+    if side == RHS:
         return 1
-    raise StepError(f"bad side {step.side!r:.40}")
+    raise StepError(f"bad side {side!r:.40}")
 
 
 def apply_step(
@@ -259,48 +260,49 @@ def apply_step(
     distinct lists.
     """
     lhs, rhs = state
+    # one unpacking of the record: cheaper than reading each field by name
+    kind, side, pos, word, name, ref, direction, anchor, left, right, on, _why = step
 
-    if step.kind == "invert":
+    if kind == "invert":
         lhs[:] = _invert_raw(lhs)
         rhs[:] = _invert_raw(rhs)
         return state
 
-    if step.kind == "multiply":
-        if step.word is None:
+    if kind == "multiply":
+        if word is None:
             raise StepError("multiply requires a word")
-        unknown = step.word.generators() - pres.letters()
+        unknown = word.generators() - pres.letters()
         if unknown:
             raise StepError(f"unknown generators {sorted(unknown)!r:.40} in multiplier")
-        ws = step.word.syllables
-        if step.on == "left":
+        ws = word.syllables
+        if on == "left":
             lhs[:0] = ws
             rhs[:0] = ws
-        elif step.on == "right":
+        elif on == "right":
             lhs.extend(ws)
             rhs.extend(ws)
         else:
-            raise StepError(f"bad multiplication side {step.on!r:.40}")
+            raise StepError(f"bad multiplication side {on!r:.40}")
         return state
 
-    if step.kind == "reduce":
-        if step.side != "both":
-            raise StepError(f"reduce requires side 'both', got {step.side!r:.40}")
+    if kind == "reduce":
+        if side != "both":
+            raise StepError(f"reduce requires side 'both', got {side!r:.40}")
         lhs[:] = _reduce(lhs)
         rhs[:] = _reduce(rhs)
         return state
 
-    if step.kind not in ("swap", "definition", "relation"):
-        raise StepError(f"unknown step kind {step.kind!r:.40}")
+    if kind not in ("swap", "definition", "relation"):
+        raise StepError(f"unknown step kind {kind!r:.40}")
     # the remaining kinds replace one slice of a single named side
-    syls = state[_side_index(step)]
-    pos = step.position
+    syls = state[_side_index(side)]
     if pos is None:
         raise StepError("step requires a position")
 
-    if step.kind == "swap":
-        if step.left is None or step.right is None:
+    if kind == "swap":
+        if left is None or right is None:
             raise StepError("swap requires both operands")
-        (g1, e1), (g2, e2) = step.left, step.right
+        (g1, e1), (g2, e2) = left, right
         if not (isinstance(g1, str) and isinstance(g2, str)):
             raise StepError("swap operands must name generators")
         if e1 == 0 or e2 == 0 or g1 == g2:
@@ -319,34 +321,34 @@ def apply_step(
         right_rem = [] if eb == e2 else [(g2, eb - e2)]
         syls[pos : pos + 2] = left_rem + [(g2, e2), (g1, e1)] + right_rem
 
-    elif step.kind == "definition":
-        if step.name not in pres.named:
-            raise StepError(f"unknown defined element {step.name!r:.40}")
-        if step.direction != "expand":
-            raise StepError(f"bad definition direction {step.direction!r:.40}")
+    elif kind == "definition":
+        if name not in pres.named:
+            raise StepError(f"unknown defined element {name!r:.40}")
+        if direction != "expand":
+            raise StepError(f"bad definition direction {direction!r:.40}")
         if not (0 <= pos < len(syls)):
             raise StepError("position out of range")
         g, e = syls[pos]
-        if g != step.name:
-            raise StepError(f"syllable at position {pos} is not {step.name}")
-        definition = pres.named[step.name].definition.syllables
+        if g != name:
+            raise StepError(f"syllable at position {pos} is not {name}")
+        definition = pres.named[name].definition.syllables
         base = definition if e > 0 else _invert_raw(definition)
         syls[pos : pos + 1] = base * abs(e)
 
     else:  # relation
-        L, R = _resolve_ref(step, pres, context, cited)
-        if step.direction == "forward":
+        L, R = _resolve_ref(ref, pres, context, cited)
+        if direction == "forward":
             x_word, y_word = L, R
-        elif step.direction == "backward":
+        elif direction == "backward":
             x_word, y_word = R, L
         else:
-            raise StepError(f"bad relation direction {step.direction!r:.40}")
-        if step.anchor == "before":
+            raise StepError(f"bad relation direction {direction!r:.40}")
+        if anchor == "before":
             ins = invert(x_word).syllables + y_word.syllables
-        elif step.anchor == "after":
+        elif anchor == "after":
             ins = y_word.syllables + invert(x_word).syllables
         else:
-            raise StepError(f"bad relation anchor {step.anchor!r:.40}")
+            raise StepError(f"bad relation anchor {anchor!r:.40}")
         if not (0 <= pos <= len(syls)):
             raise StepError("position out of range")
         syls[pos:pos] = ins

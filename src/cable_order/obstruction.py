@@ -61,7 +61,7 @@ class SignAssignment:
     def __post_init__(self) -> None:
         for s in (self.a, self.b, self.t):
             if s not in SIGNS:
-                raise ValueError(f"bad sign {s!r}")
+                raise ValueError(f"bad sign {s!r:.40}")
 
     def get(self, gen: str) -> str:
         return getattr(self, gen)
@@ -200,13 +200,17 @@ class ObstructionCertificate:
         }
 
 
+_ASSIGNMENT_KEYS = {"a", "b", "t"}
+
+
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     """Rebuild a certificate from its JSON form.
 
     A wrongly typed integer, word, slope, id, name or equation reference,
     or a script that is not an object, raises ValueError here, at load time
     (`script_from_json_dict` and the parsers check theirs), so that `replay`
-    never meets a value of the wrong JSON type.
+    never meets a value of the wrong JSON type.  Like `replay`'s problems,
+    load errors cut the values they quote to 40 characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -238,7 +242,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         )
     rows = []
     for r in doc["refutations"]:
-        assignment = SignAssignment(**r["assignment"])
+        signs = r["assignment"]
+        if type(signs) is not dict or signs.keys() != _ASSIGNMENT_KEYS:
+            raise ValueError("a refutation assignment must be an object with the keys a, b and t")
+        assignment = SignAssignment(signs["a"], signs["b"], signs["t"])
         reason = r["reason"]
         if reason["kind"] == "nontriviality_axiom":
             rows.append(RefutationRow(assignment, None, None, None))
@@ -246,7 +253,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
             eq_id = _json_typed(reason["equation"], str, "refutation equation")
             rows.append(RefutationRow(assignment, eq_id, reason["lhs_sign"], reason["rhs_sign"]))
         else:
-            raise ValueError(f"bad refutation reason {reason!r}")
+            raise ValueError(f"bad refutation reason {reason!r:.40}")
     return ObstructionCertificate(
         params=params,
         entries=tuple(entries),
@@ -396,11 +403,16 @@ class ReplayReport:
 
 
 def replay(cert: ObstructionCertificate) -> ReplayReport:
-    """Re-check every embedded script and every refutation row from scratch."""
+    """Re-check every embedded script and every refutation row from scratch.
+
+    Problems quote certificate values cut to 40 characters.  The rows that
+    cite an equation with no verified proof make one problem per id, so a
+    failing script is reported once, by its own problem, and counted once.
+    """
     problems: list[str] = []
 
     if cert.version != "v1":
-        return ReplayReport(False, [f"unsupported certificate version {cert.version!r}"])
+        return ReplayReport(False, [f"unsupported certificate version {cert.version!r:.40}"])
 
     p_ = cert.params
     try:
@@ -417,33 +429,33 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         if p_.beta is not None:
             problems.append("slope mode must not carry beta")
     else:
-        problems.append(f"unknown mode {p_.mode!r}")
+        problems.append(f"unknown mode {p_.mode!r:.40}")
 
     # scripts, in order, with citations drawn only from earlier entries
     env: dict[str, Equation] = {}
     verified: dict[str, Equation] = {}
     for entry in cert.entries:
         if entry.entry_id in env:
-            problems.append(f"duplicate equation id {entry.entry_id!r}")
+            problems.append(f"duplicate equation id {entry.entry_id!r:.40}")
             continue
         script = entry.script
         if script.script_id != entry.entry_id:
-            problems.append(f"entry {entry.entry_id!r} embeds script {script.script_id!r}")
+            problems.append(f"entry {entry.entry_id!r:.40} embeds script {script.script_id!r:.40}")
             continue
         ctx = entry.equation.context
         if ctx.kind == "H" and ctx.slope != p_.slope:
-            problems.append(f"equation {entry.entry_id!r} proven at a different slope")
+            problems.append(f"equation {entry.entry_id!r:.40} proven at a different slope")
             continue
         if script.context != ctx:
-            problems.append(f"equation {entry.entry_id!r} context differs from its script")
+            problems.append(f"equation {entry.entry_id!r:.40} context differs from its script")
             continue
         try:
             eq = check_script(script, pres, env)
         except (StepError, ValueError) as err:
-            problems.append(f"script {entry.entry_id!r} fails: {err}")
+            problems.append(f"script {entry.entry_id!r:.40} fails: {err}")
             continue
         if eq.lhs != entry.equation.lhs or eq.rhs != entry.equation.rhs:
-            problems.append(f"equation {entry.entry_id!r} does not match its script")
+            problems.append(f"equation {entry.entry_id!r:.40} does not match its script")
             continue
         env[entry.entry_id] = eq
         verified[entry.entry_id] = eq
@@ -451,11 +463,12 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     # refutation table: all 27 assignments, each row recomputed
     seen: set[SignAssignment] = set()
     concrete: dict[str, tuple[Word, Word]] = {}
+    uncited: dict[str, int] = {}  # rows per cited id without a verified equation
     for eq_id, eq in verified.items():
         try:
             concrete[eq_id] = (pres.expand(eq.lhs), pres.expand(eq.rhs))
         except ValueError as err:
-            problems.append(f"equation {eq_id!r} does not expand: {err}")
+            problems.append(f"equation {eq_id!r:.40} does not expand: {err}")
     for row in cert.refutations:
         if row.assignment in seen:
             problems.append(f"duplicate assignment {row.assignment.to_json_dict()}")
@@ -469,18 +482,25 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             problems.append("the all-zero assignment must cite the nontriviality axiom")
             continue
         if row.equation_id not in concrete:
-            problems.append(f"refutation cites unknown equation {row.equation_id!r}")
+            uncited[row.equation_id] = uncited.get(row.equation_id, 0) + 1
             continue
         lw, rw = concrete[row.equation_id]
         ls, rs = evaluate_sign(lw, row.assignment), evaluate_sign(rw, row.assignment)
         if (ls, rs) != (row.lhs_sign, row.rhs_sign):
             problems.append(
-                f"recorded signs {row.lhs_sign}/{row.rhs_sign} for {row.equation_id!r} "
+                f"recorded signs {row.lhs_sign!s:.40}/{row.rhs_sign!s:.40} for {row.equation_id!r:.40} "
                 f"recompute as {ls}/{rs}"
             )
             continue
         if ls == UNKNOWN or rs == UNKNOWN or ls == rs:
-            problems.append(f"row for {row.equation_id!r} is not a clash")
+            problems.append(f"row for {row.equation_id!r:.40} is not a clash")
+    # one problem per id: a failed script has already said why it failed
+    entry_ids = {entry.entry_id for entry in cert.entries}
+    for eq_id, rows in uncited.items():
+        if eq_id in entry_ids:
+            problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which did not verify")
+        else:
+            problems.append(f"{rows} refutation row(s) cite unknown equation {eq_id!r:.40}")
     missing = set(all_sign_assignments()) - seen
     if missing:
         problems.append(f"{len(missing)} assignments are not refuted")

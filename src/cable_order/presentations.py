@@ -183,7 +183,7 @@ class GroupPresentation:
             elif g in self.alphabet:
                 pieces.append(Word(((g, e),)))
             else:
-                raise ValueError(f"unknown generator {g!r}")
+                raise ValueError(f"unknown generator {g!r:.40}")
         return concat(*pieces)
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:

@@ -23,9 +23,9 @@ class Slope:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"slope denominator must be >= 1, got {self.n}")
+            raise ValueError(f"slope denominator must be >= 1, got {self.n!s:.40}")
         if gcd(self.m, self.n) != 1:
-            raise ValueError(f"slope {self.m}/{self.n} is not reduced")
+            raise ValueError(f"slope {self.m!s:.40}/{self.n!s:.40} is not reduced")
 
     @staticmethod
     def parse(text: str) -> "Slope":
@@ -36,7 +36,7 @@ class Slope:
             return Slope(int(parts[0]), 1)
         if len(parts) == 2:
             return Slope(int(parts[0]), int(parts[1]))
-        raise ValueError(f"bad slope {text!r}")
+        raise ValueError(f"bad slope {text!r:.40}")
 
     def __str__(self) -> str:
         return f"{self.m}/{self.n}"

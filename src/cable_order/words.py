@@ -101,10 +101,10 @@ class Word:
         for tok in tokens:
             m = _TOKEN.match(tok)
             if m is None:
-                raise WordSyntaxError(f"bad syllable {tok!r}")
+                raise WordSyntaxError(f"bad syllable {tok!r:.40}")
             exp = int(m.group(2)) if m.group(2) is not None else 1
             if exp == 0:
-                raise WordSyntaxError(f"zero exponent in {tok!r}")
+                raise WordSyntaxError(f"zero exponent in {tok!r:.40}")
             pairs.append((m.group(1), exp))
         return Word.from_pairs(pairs)
 

@@ -1,13 +1,20 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from cable_order import cli
 from cable_order.cli import main, parse_grid
 from cable_order.derivations import cable_t_power_script, script_from_json_dict, script_to_json_dict
+from cable_order.obstruction import certify_beta
 from cable_order.presentations import cable_presentation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HUGE = "z" * 1_000_000
 
 
 def corrupted_t_power_doc(pres) -> dict:
@@ -42,6 +49,37 @@ def type_swap(doc: dict, probe: str) -> None:
         raise ValueError(probe)
 
 
+def huge_value(doc: dict, probe: str) -> None:
+    """Set one field of a beta certificate document to a 1,000,000-character string."""
+    clash = next(r for r in doc["refutations"] if r["reason"]["kind"] == "clash")
+    if probe == "refutation_equation":
+        clash["reason"]["equation"] = HUGE
+    elif probe == "params_mode":
+        doc["params"]["mode"] = HUGE
+    elif probe == "entry_id":
+        doc["equations"][1]["id"] = HUGE
+    elif probe == "reason_kind":
+        clash["reason"]["kind"] = HUGE
+    elif probe == "recorded_sign":
+        clash["reason"]["lhs_sign"] = HUGE
+    elif probe == "version":
+        doc["version"] = HUGE
+    elif probe == "assignment_sign":
+        clash["assignment"]["a"] = HUGE
+    elif probe == "assignment_key":
+        clash["assignment"][HUGE] = "pos"
+    elif probe == "context":
+        doc["equations"][1]["context"] = HUGE
+    elif probe == "slope":
+        doc["params"]["slope"] = "1/2/" + HUGE
+    elif probe == "unreduced_slope":
+        doc["params"]["slope"] = "2" + "0" * 4000 + "/2"
+    elif probe == "word":
+        doc["equations"][1]["lhs"] = "!" + HUGE
+    else:
+        raise ValueError(probe)
+
+
 class TestPresent:
     def test_cable_document(self, capsys):
         assert main(["present", "--x", "2", "--y", "3", "--p", "2"]) == 0
@@ -53,13 +91,13 @@ class TestPresent:
         out = tmp_path / "pres.json"
         assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--json", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "d500a8e0b08722c900131421f4f7bb3923e9ff04b70dff57389fd3a39520c306"
+        assert digest == "8ad875552df7ef13af23f51fd0f595763cffdfa19f43aebfd71156ce2de24d21"
 
     @pytest.mark.parametrize(
         "xyp, digest",
         [
-            ((11, 13, 9), "ee6438592a0681bcd647a3b3b323e2ccc4e15197c35f233b3dfc9101f17c0ef3"),
-            ((2, 3, 50), "84f0e1f23be59d333d6bf9daf053c4bf8d572c36c307bc7e9ae5af74b2e63ca3"),
+            ((11, 13, 9), "9ad518a28658720665f5b6c349290c5a3f81dd6645a63e03b05ad9d5ca66b6d9"),
+            ((2, 3, 50), "3efa86ba3155695c2907e2f937afd0cd0faba386412404cbf3e782b91c1b8192"),
         ],
     )
     def test_large_document_bytes_are_stable(self, tmp_path, xyp, digest):
@@ -224,6 +262,95 @@ class TestReplayCommand:
         assert "unknown step kind 'power'" in err
         assert len(err.encode()) < 1024
         assert elapsed < 0.1
+
+    @pytest.mark.parametrize(
+        "probe, code",
+        [
+            ("refutation_equation", 2),
+            ("params_mode", 2),
+            ("entry_id", 2),
+            ("reason_kind", 1),
+            ("recorded_sign", 2),
+            ("version", 2),
+            ("assignment_sign", 1),
+            ("assignment_key", 1),
+            ("context", 1),
+            ("slope", 1),
+            ("unreduced_slope", 1),
+            ("word", 1),
+        ],
+    )
+    def test_quoted_values_are_bounded(self, tmp_path, capsys, probe, code):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        huge_value(doc, probe)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == code
+        assert len(capsys.readouterr().err.encode()) < 1024
+
+
+class TestFormat:
+    def test_certificate_is_one_compact_line(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == certify_beta(2, 3, 2, 7).to_json_dict()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+    def test_indented_certificate_replays(self, tmp_path):
+        # indent=2 is the layout of earlier releases; readers take any layout
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "43/2", "--json", str(out)]) == 0
+        out.write_text(json.dumps(json.loads(out.read_text()), indent=2) + "\n")
+        assert main(["replay", str(out)]) == 0
+
+    def test_sweep_summary_is_compact(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert text.count("\n") == 1 and json.loads(text)["results"][0]["status"] == "certified"
+
+
+class TestSharedParser:
+    """One parser serves every main() call in a process; no call may leak into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_table_does_not_stick(self, tmp_path, capsys):
+        argv = ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "2"]
+        assert main(argv + ["--table"]) == 0
+        assert "refuted by" in capsys.readouterr().out
+        out = tmp_path / "cert.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["params"]["beta"] == 2
+
+    def test_rejected_arguments_leave_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "2", "--slope", "43/2"])
+        assert err.value.code == 2
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "43/2"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["mode"] == "slope"
+
+    def test_replay_after_certify(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "4", "--json", str(out)]) == 0
+        assert main(["replay", str(out)]) == 0
+        assert capsys.readouterr().out == "replay ok\n"
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cable_order.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 class TestSweep:

@@ -393,6 +393,20 @@ class TestSerialization:
         d2 = json.dumps(script_to_json_dict(cable_t_power_script(pres)), indent=2)
         assert d1 == d2
 
+    def test_steps_are_immutable(self):
+        step = cable_t_power_script(cable_presentation(2, 3, 2)).steps[3]
+        for field in Step._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, field, None)
+
+    def test_step_load_checks_hold(self):
+        good = {"kind": "swap", "side": "lhs", "position": 0, "left": ["a", 3], "right": ["b", 1]}
+        assert Step.from_json_dict(good) == Step("swap", "lhs", 0, left=("a", 3), right=("b", 1))
+        for key, value in [("position", "0"), ("name", 5), ("left", ["a", "3"]), ("right", ["b"]),
+                           ("word", 5), ("ref", {"type": "relator", "name": None})]:
+            with pytest.raises(ValueError):
+                Step.from_json_dict({**good, key: value})
+
 
 class TestRebuiltScripts:
     # a script rebuilt from JSON carries no derived equation, so admit checks it in full

@@ -349,6 +349,25 @@ class TestReplay:
         assert "(10000 syllables)" in problem
         assert len(problem.encode()) < 1024
 
+    def test_failing_script_is_reported_once(self):
+        doc = certify_beta(2, 3, 2, 7).to_json_dict()
+        entry = next(e for e in doc["equations"] if e["id"] == "surgery_t_inverse_power")
+        entry["script"]["steps"][3]["position"] += 1
+        report = replay(certificate_from_json_dict(doc))
+        assert not report
+        first, *rest = report.problems
+        assert first.startswith("script 'surgery_t_inverse_power' fails: step 3: ")
+        (folded,) = [p for p in rest if "surgery_t_inverse_power" in p]
+        assert folded == "2 refutation row(s) cite equation 'surgery_t_inverse_power', which did not verify"
+
+    def test_rows_citing_an_unknown_id_make_one_problem(self):
+        doc = certify_beta(2, 3, 2, 7).to_json_dict()
+        for row in doc["refutations"]:
+            if row["reason"]["kind"] == "clash":
+                row["reason"]["equation"] = "no_such_equation"
+        report = replay(certificate_from_json_dict(doc))
+        assert report.problems == ["26 refutation row(s) cite unknown equation 'no_such_equation'"]
+
 
 class TestAssignments:
     def test_enumeration(self):
