@@ -135,7 +135,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.path).read_text())
         cert = certificate_from_json_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
+        # RecursionError: json.loads on arrays or objects nested too deeply
         print(f"error: cannot load certificate: {err}", file=sys.stderr)
         return ERROR
     report = replay(cert)

@@ -96,11 +96,32 @@ def _json_typed(value: object, typ: type, what: str, optional: bool = False) -> 
     raise ValueError(f"{what} must be {typ.__name__}, got {type(value).__name__}")
 
 
+def _json_enum(value: object, allowed: frozenset, what: str) -> Any:
+    """`value` if it is one of `allowed`, else ValueError naming `what`."""
+    try:
+        if value in allowed:
+            return value
+    except TypeError:  # a list or an object: unhashable, and never allowed
+        pass
+    shown = f"{value!r:.40}" if type(value) is str else type(value).__name__
+    raise ValueError(f"unknown {what} {shown}")
+
+
 def _json_syllable(pair: list, what: str) -> Syllable:
     gen, exp = pair  # raises unless there are exactly two
     if type(gen) is not str or type(exp) is not int:
         raise ValueError(f"{what} must be a [generator, integer exponent] pair")
     return (gen, exp)
+
+
+# the values each enumerated step field may take; None where the field may be absent
+_STEP_KINDS = frozenset({"invert", "multiply", "reduce", "swap", "definition", "relation"})
+_STEP_SIDES = frozenset({None, LHS, RHS, "both"})
+_STEP_DIRECTIONS = frozenset({None, "expand", "forward", "backward"})
+_STEP_ANCHORS = frozenset({None, "before", "after"})
+_STEP_ONS = frozenset({None, "left", "right"})
+_AXIOM_KINDS = frozenset({"relator", "definition", "surgery"})
+_tuple_new = tuple.__new__
 
 
 class Step(NamedTuple):
@@ -141,23 +162,41 @@ class Step(NamedTuple):
     def from_json_dict(d: dict) -> "Step":
         # inline checks: this runs once per step of every certificate loaded
         kind, position, name = d["kind"], d.get("position"), d.get("name")
+        side, direction, anchor, on = d.get("side"), d.get("direction"), d.get("anchor"), d.get("on")
         if not (position is None or type(position) is int) or not (name is None or type(name) is str):
             raise ValueError("a step position must be an integer and a step name a string")
-        return Step(
+        try:
+            known = (
+                kind in _STEP_KINDS
+                and side in _STEP_SIDES
+                and direction in _STEP_DIRECTIONS
+                and anchor in _STEP_ANCHORS
+                and on in _STEP_ONS
+            )
+        except TypeError:  # an unhashable list or object
+            known = False
+        if not known:  # name the first bad field
+            _json_enum(kind, _STEP_KINDS, "step kind")
+            _json_enum(side, _STEP_SIDES, "step side")
+            _json_enum(direction, _STEP_DIRECTIONS, "step direction")
+            _json_enum(anchor, _STEP_ANCHORS, "step anchor")
+            _json_enum(on, _STEP_ONS, "step on")
+        # all twelve fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
+        return _tuple_new(Step, (
             kind,
-            d.get("side"),
+            side,
             position,
             Word.parse(d["word"]) if "word" in d else None,
             name,
             tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
             if "ref" in d else None,
-            d.get("direction"),
-            d.get("anchor"),
+            direction,
+            anchor,
             _json_syllable(d["left"], "swap operand left") if "left" in d else None,
             _json_syllable(d["right"], "swap operand right") if "right" in d else None,
-            d.get("on"),
+            on,
             d.get("why", ""),
-        )
+        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -807,7 +846,8 @@ def script_from_json_dict(d: dict) -> DerivationScript:
         script_id=_json_typed(d["id"], str, "script id"),
         context=Context(d["context"], slope),
         axiom=Axiom(
-            d["axiom"]["kind"], _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True)
+            _json_enum(d["axiom"]["kind"], _AXIOM_KINDS, "axiom kind"),
+            _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True),
         ),
         steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
         claimed_lhs=Word.parse(d["claimed"]["lhs"]),

@@ -25,6 +25,7 @@ from .derivations import (
     DerivationScript,
     Equation,
     StepError,
+    _json_enum,
     _json_typed,
     admit,
     cable_endpoint_product_script,
@@ -201,16 +202,20 @@ class ObstructionCertificate:
 
 
 _ASSIGNMENT_KEYS = {"a", "b", "t"}
+_MODES = frozenset({"beta", "slope"})
+_RECORDED_SIGNS = frozenset({POS, NEG, ZERO, UNKNOWN})  # what evaluate_sign returns
 
 
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     """Rebuild a certificate from its JSON form.
 
     A wrongly typed integer, word, slope, id, name or equation reference,
-    or a script that is not an object, raises ValueError here, at load time
-    (`script_from_json_dict` and the parsers check theirs), so that `replay`
-    never meets a value of the wrong JSON type.  Like `replay`'s problems,
-    load errors cut the values they quote to 40 characters.
+    a script that is not an object, or an enumerated field (step `kind`,
+    `side`, `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`,
+    the recorded signs) outside its values raises ValueError here, at load
+    time (`script_from_json_dict` and the parsers check theirs), so that
+    `replay` never meets a value of the wrong JSON type.  Like `replay`'s
+    problems, load errors cut the values they quote to 40 characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -218,7 +223,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         y=_json_typed(par["y"], int, "params.y"),
         p=_json_typed(par["p"], int, "params.p"),
         q=_json_typed(par["q"], int, "params.q"),
-        mode=par["mode"],
+        mode=_json_enum(par["mode"], _MODES, "params.mode"),
         beta=_json_typed(par["beta"], int, "params.beta", optional=True),
         slope=Slope.parse(par["slope"]),
     )
@@ -251,7 +256,9 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
             rows.append(RefutationRow(assignment, None, None, None))
         elif reason["kind"] == "clash":
             eq_id = _json_typed(reason["equation"], str, "refutation equation")
-            rows.append(RefutationRow(assignment, eq_id, reason["lhs_sign"], reason["rhs_sign"]))
+            lhs_sign = _json_enum(reason["lhs_sign"], _RECORDED_SIGNS, "recorded lhs_sign")
+            rhs_sign = _json_enum(reason["rhs_sign"], _RECORDED_SIGNS, "recorded rhs_sign")
+            rows.append(RefutationRow(assignment, eq_id, lhs_sign, rhs_sign))
         else:
             raise ValueError(f"bad refutation reason {reason!r:.40}")
     return ObstructionCertificate(

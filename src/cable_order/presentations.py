@@ -10,6 +10,14 @@ In "theorem mode" the cable parameters are constrained to q = p*x*y - 1 with
 p >= 2, and the normalization (u, v) = (x*y, 1) is used.  General-mode
 presentations take 0 < v <= p instead.
 
+Each defined name has a definition over earlier names and a spelling (its
+`expansion`) over the concrete letters.  :meth:`GroupPresentation.expand`
+substitutes the names latest-first and reduces after each name, so powers
+cancel among the names before anything is spelled out: muC^(pq-1) lamC
+becomes muC^-1 t^p, then three syllables.  lamC's spelling, 2pq + 1
+syllables and the only one that grows with pq, is built and checked the
+first time it is read; no certify or replay step reads it.
+
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
 two syllables succeeds when each is a power of its base (so t-syllables
@@ -17,23 +25,33 @@ match the t^p base only when p divides the exponent).
 
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
+The one thing set after construction is lamC's spelling, once, on first
+read; every read sees the same value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from functools import lru_cache, partial
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .slopes import Slope
-from .words import Syllable, Word, concat, invert, power
+from .words import Syllable, Word, _join, concat, power
 
 CONCRETE_LETTERS = ("a", "b", "t")
 
 MU, LAM, MUC, LAMC = "mu", "lam", "muC", "lamC"
+
+# The names `expand` substitutes by their definitions: the longitudes, powers
+# of their meridian times one letter, which cancel against neighbouring powers
+# of the meridian before it is spelled.  The meridians go through their
+# spellings: muC spells as a^x t^-1 in theorem mode, and even in general mode,
+# where its spelling can be the longer, spelling muC^-pq beats going through
+# mu and lam (about 20x at (3, 5, 7, q = 20)).
+_THROUGH_DEFINITION = frozenset({LAM, LAMC})
 
 
 class ParameterError(ValueError):
@@ -114,13 +132,62 @@ class Relator:
     named_form: Word
 
 
-@dataclass(frozen=True, slots=True)
 class NamedElement:
-    """A defined element: `definition` over earlier names, `expansion` concrete."""
+    """A defined element: `definition` over earlier names, `expansion` concrete.
 
+    The expansion is given, or, when `spell` is given instead, built by
+    ``spell()`` the first time it is read and kept from then on; ``spell``
+    checks the word it builds.  Like a frozen dataclass, an element refuses
+    attribute assignment.  Equality sees the expansion, so it builds it;
+    hashing, ``repr`` and pickling do not, so `spell` must itself pickle.
+    """
+
+    __slots__ = ("name", "definition", "_expansion", "_spell")
     name: str
     definition: Word
-    expansion: Word
+
+    def __init__(
+        self,
+        name: str,
+        definition: Word,
+        expansion: Word | None = None,
+        spell: Callable[[], Word] | None = None,
+    ) -> None:
+        if (expansion is None) == (spell is None):
+            raise TypeError("a named element takes exactly one of expansion and spell")
+        for attr, value in zip(self.__slots__, (name, definition, expansion, spell)):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def expansion(self) -> Word:
+        if self._expansion is None:
+            # set once: a second reader racing the first builds an equal word
+            object.__setattr__(self, "_expansion", self._spell())
+            object.__setattr__(self, "_spell", None)
+        return self._expansion
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NamedElement):
+            return NotImplemented
+        return self is other or (self.name, self.definition, self.expansion) == (
+            other.name, other.definition, other.expansion
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.definition))
+
+    def __repr__(self) -> str:
+        spelled = "<built on first read>" if self._expansion is None else repr(self._expansion)
+        return f"NamedElement(name={self.name!r}, definition={self.definition!r}, expansion={spelled})"
+
+    def __reduce__(self):
+        return (NamedElement, (self.name, self.definition, self._expansion, self._spell))
 
 
 @dataclass(frozen=True)
@@ -142,9 +209,18 @@ class GroupPresentation:
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
+    # (name, word it stands for, letters of that word), latest name first: see expand
+    _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
+        substitutions = []
+        for el in reversed(self.named.values()):
+            body = el.definition if el.name in _THROUGH_DEFINITION else el.expansion
+            substitutions.append((el.name, body, frozenset(body.generators())))
+        object.__setattr__(self, "_substitutions", tuple(substitutions))
         licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         for u, w in self.whitelist:
             if len(u.syllables) == 1 and len(w.syllables) == 1:
@@ -172,19 +248,29 @@ class GroupPresentation:
         return set(map(itemgetter(0), w.syllables)).issubset(self.alphabet)
 
     def expand(self, w: Word) -> Word:
-        """Replace defined-name letters by their concrete expansions.
+        """The reduced concrete word that `w` stands for.
 
-        Each piece is reduced, so :func:`concat` cancels only where pieces meet.
+        Defined names are substituted latest first (lamC, muC, lam, mu), lamC
+        and lam by their definitions and mu and muC by their spellings, with
+        cancelling at the junctions after each name: muC^(pq-1) lamC becomes
+        muC^-1 t^p before muC is spelled.  Reduced words are unique, so the
+        result is the full reduction of the spelled-out word.
         """
-        pieces: list[Word] = []
-        for g, e in w:
-            if g in self.named:
-                pieces.append(power(self.named[g].expansion, e))
-            elif g in self.alphabet:
-                pieces.append(Word(((g, e),)))
-            else:
-                raise ValueError(f"unknown generator {g!r:.40}")
-        return concat(*pieces)
+        syllables = w.syllables
+        present = {g for g, _ in syllables}
+        if not all(g in self.named or g in self.alphabet for g in present):
+            g = next(g for g, _ in syllables if g not in self.named and g not in self.alphabet)
+            raise ValueError(f"unknown generator {g!r:.40}")
+        for name, body, body_letters in self._substitutions:
+            if name not in present:
+                continue
+            out: list[Syllable] = []
+            for g, e in syllables:
+                _join(out, power(body, e).syllables if g == name else ((g, e),))
+            syllables = out
+            present.discard(name)
+            present |= body_letters
+        return w if syllables is w.syllables else Word(tuple(syllables))
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""
@@ -215,14 +301,20 @@ class GroupPresentation:
         }
 
 
+def _check_expansion(pres: GroupPresentation, name: str, expansion: Word) -> None:
+    # expanding the definition must reproduce the spelling, over the concrete letters
+    if pres.expand(pres.named[name].definition) != expansion:
+        raise AssertionError(f"expansion mismatch for {name}")
+    if not pres.is_concrete(expansion):
+        raise AssertionError(f"expansion of {name} is not concrete")
+
+
 def _check_expansions(pres: GroupPresentation) -> None:
-    # definitions may reference earlier names; expanding them must reproduce
-    # the stored concrete expansion, and relator named forms the relator word
+    # every spelling built so far (lamC's is checked when it is built), and the
+    # relators: expanding a named form must reproduce the relator word
     for el in pres.named.values():
-        if pres.expand(el.definition) != el.expansion:
-            raise AssertionError(f"expansion mismatch for {el.name}")
-        if not pres.is_concrete(el.expansion):
-            raise AssertionError(f"expansion of {el.name} is not concrete")
+        if el._expansion is not None:
+            _check_expansion(pres, el.name, el._expansion)
     for rel in pres.relators:
         if pres.expand(rel.named_form) != rel.word:
             raise AssertionError(f"named form mismatch for relator {rel.name}")
@@ -275,6 +367,25 @@ def cable_presentation(
     return _cable_presentation(x, y, p, p * x * y - 1 if q is None else q, theorem_mode)
 
 
+def _lamc_spelling(muc_word: Word, p: int, q: int) -> Word:
+    """lamC = muC^(-pq) t^p over a, b, t: 2pq + 1 syllables in theorem mode."""
+    return concat(power(muc_word, -p * q), Word.single("t", p))
+
+
+def _spell_lamc(x: int, y: int, p: int, q: int, theorem_mode: bool) -> Word:
+    """lamC's spelling, checked like the others at build time; run on its first read.
+
+    It takes the presentation from the cache, which holds it unless the
+    cache was cleared, and then builds an equal one.  Holding the
+    presentation itself would make a reference cycle through `named`, and
+    each cold build would wait for the cycle collector.
+    """
+    pres = _cable_presentation(x, y, p, q, theorem_mode)
+    lamc_word = _lamc_spelling(pres.named[MUC].expansion, p, q)
+    _check_expansion(pres, LAMC, lamc_word)
+    return lamc_word
+
+
 @lru_cache(maxsize=None)
 def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> GroupPresentation:
     base = torus_presentation(x, y)
@@ -291,11 +402,10 @@ def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> G
     muc_def = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
     muc_word = concat(power(mu_word, u), power(lam_word, v), Word.single("t", -v))
     lamc_def = Word.from_pairs([(MUC, -p * q), ("t", p)])
-    lamc_word = concat(power(muc_word, -p * q), Word.single("t", p))
 
     named = dict(base.named)
     named[MUC] = NamedElement(MUC, muc_def, muc_word)
-    named[LAMC] = NamedElement(LAMC, lamc_def, lamc_word)
+    named[LAMC] = NamedElement(LAMC, lamc_def, spell=partial(_spell_lamc, x, y, p, q, theorem_mode))
 
     tp = Word.single("t", p)
     whitelist = base.whitelist + (

@@ -199,6 +199,46 @@ class TestReplayCommand:
     def test_missing_file_is_error(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("opener", ["[", '{"a":'])
+    def test_deeply_nested_json_is_error(self, tmp_path, capsys, opener):
+        bad = tmp_path / "nested.json"
+        bad.write_text(opener * 100_000)
+        capsys.readouterr()
+        assert main(["replay", str(bad)]) == 1  # raises nothing
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load certificate: ") and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("value", ["x", 5, True, None, [], {}], ids=repr)
+    @pytest.mark.parametrize(
+        "site",
+        ["step_kind", "step_side", "step_direction", "step_anchor", "step_on",
+         "axiom_kind", "params_mode", "lhs_sign", "rhs_sign"],
+    )
+    def test_enum_fields_are_load_errors(self, tmp_path, capsys, site, value):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        steps = [s for e in doc["equations"] for s in e["script"]["steps"]]
+        clash = next(r for r in doc["refutations"] if r["reason"]["kind"] == "clash")
+        field = site.split("_", 1)[1]
+        if site.startswith("step_"):
+            next(s for s in steps if field in s)[field] = value
+        elif site == "axiom_kind":
+            doc["equations"][1]["script"]["axiom"]["kind"] = value
+        elif site == "params_mode":
+            doc["params"]["mode"] = value
+        else:
+            clash["reason"][site] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["replay", str(out)])  # raises nothing
+        err = capsys.readouterr().err
+        if value is None and site in ("step_side", "step_direction", "step_anchor", "step_on"):
+            assert code == 2 and "replay problem" in err  # the field may be absent; the checker rejects it
+        else:
+            assert code == 1 and "error: cannot load certificate: unknown " in err
+        assert len(err.encode()) < 1024
+
     @pytest.mark.parametrize(
         "probe",
         [
@@ -256,10 +296,10 @@ class TestReplayCommand:
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         started = time.perf_counter()
-        assert main(["replay", str(out)]) == 2
+        assert main(["replay", str(out)]) == 1  # an unknown step kind is a load error
         elapsed = time.perf_counter() - started
         err = capsys.readouterr().err
-        assert "unknown step kind 'power'" in err
+        assert "error: cannot load certificate: unknown step kind 'power'" in err
         assert len(err.encode()) < 1024
         assert elapsed < 0.1
 
@@ -267,10 +307,10 @@ class TestReplayCommand:
         "probe, code",
         [
             ("refutation_equation", 2),
-            ("params_mode", 2),
+            ("params_mode", 1),
             ("entry_id", 2),
             ("reason_kind", 1),
-            ("recorded_sign", 2),
+            ("recorded_sign", 1),
             ("version", 2),
             ("assignment_sign", 1),
             ("assignment_key", 1),

@@ -320,19 +320,28 @@ class TestReplay:
         assert not replay(certificate_from_json_dict(doc))
 
     @pytest.mark.parametrize(
-        "step",
+        "step, load_error",
         [
-            {"kind": "power", "n": 10**7},
-            {"kind": "collect", "side": "lhs", "position": 0},
-            {"kind": "definition", "name": "mu", "side": "lhs", "position": 0, "direction": "fold"},
-            {"kind": "reduce", "side": "lhs"},
+            ({"kind": "power", "n": 10**7}, "unknown step kind 'power'"),
+            ({"kind": "collect", "side": "lhs", "position": 0}, "unknown step kind 'collect'"),
+            (
+                {"kind": "definition", "name": "mu", "side": "lhs", "position": 0, "direction": "fold"},
+                "unknown step direction 'fold'",
+            ),
+            ({"kind": "reduce", "side": "lhs"}, None),
         ],
-        ids=lambda step: step.get("direction", step["kind"]),
+        ids=["power", "collect", "fold", "reduce"],
     )
-    def test_step_outside_the_step_language_fails_at_its_index(self, step):
+    def test_step_outside_the_step_language_fails_at_its_index(self, step, load_error):
+        # a kind or direction outside its values fails at load; a known kind
+        # with fields the checker rejects fails replay at the step's index
         doc = certify_beta(2, 3, 2, 3).to_json_dict()
         steps = doc["equations"][0]["script"]["steps"]
         steps.append(step)
+        if load_error is not None:
+            with pytest.raises(ValueError, match=load_error):
+                certificate_from_json_dict(json.loads(json.dumps(doc)))
+            return
         cert = certificate_from_json_dict(json.loads(json.dumps(doc)))
         started = time.perf_counter()
         report = replay(cert)

@@ -1,10 +1,11 @@
 import json
 import pickle
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
 
-from cable_order import derivations
+from cable_order import derivations, presentations
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -186,6 +187,31 @@ class TestPresentationCache:
             del pres.named[LAMC]
         assert pres.named[MU].expansion == Word.parse("b^-1 a")
         assert cable_presentation(2, 3, 2).named[LAMC].definition == Word.parse("muC^-22 t^2")
+
+    def test_lamc_is_spelled_and_checked_on_first_read(self, monkeypatch):
+        real = presentations._lamc_spelling
+        monkeypatch.setattr(
+            presentations, "_lamc_spelling", lambda muc_word, p, q: real(muc_word, p, q) * Word.single("a")
+        )
+        cable_presentation.cache_clear()
+        try:
+            pres = cable_presentation(2, 3, 2)  # builds: the spelling is not read
+            for _ in range(2):  # a failed read keeps nothing
+                with pytest.raises(AssertionError, match="expansion mismatch for lamC"):
+                    pres.named[LAMC].expansion
+        finally:
+            cable_presentation.cache_clear()
+
+    def test_unread_lamc_pickles_and_compares(self):
+        cable_presentation.cache_clear()
+        pres = cable_presentation(2, 3, 2)
+        assert "<built on first read>" in repr(pres.named[LAMC])
+        again = pickle.loads(pickle.dumps(pres))
+        assert "<built on first read>" in repr(again.named[LAMC])
+        assert again == pres and again.named[LAMC].expansion == pres.named[LAMC].expansion
+        assert again.expand(Word.parse("muC^21 lamC")) == Word.parse("t a^-2 t^2")
+        with pytest.raises(FrozenInstanceError):
+            pres.named[LAMC].definition = Word.parse("t")
 
     def test_pickle_round_trip(self):
         pres = cable_presentation(2, 3, 2)

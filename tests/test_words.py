@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cable_order import words
+from cable_order import presentations, words
+from cable_order.obstruction import Inconclusive, certify_slope, replay
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -12,6 +13,7 @@ from cable_order.presentations import (
     cable_presentation,
     torus_presentation,
 )
+from cable_order.slopes import Slope
 from cable_order.words import Word, WordSyntaxError, abelianize, concat, invert, power
 from helpers import word_strategy
 
@@ -163,6 +165,26 @@ def reference_expand(pres, w: Word) -> Word:
 
 
 @st.composite
+def named_words(draw):
+    """A cable presentation and a word over its letters and names.
+
+    At pq = 22, 11,574 and 14,950, muC's exponents are small or within 2
+    of +-pq, where lamC = muC^-pq t^p cancels them; lamC's stay small, so
+    that the spelled-out oracle stays cheap.
+    """
+    x, y, p = xyp = draw(st.sampled_from(((2, 3, 2), (11, 13, 9), (2, 3, 50))))
+    pq = p * (p * x * y - 1)
+    near_pq = st.tuples(st.sampled_from((1, -1)), st.integers(-2, 2)).map(lambda sd: sd[0] * pq + sd[1])
+    lamc_exponents = EXPONENTS if pq < 100 else st.integers(-2, 2).filter(bool)
+    syllable = st.one_of(
+        st.tuples(st.sampled_from(("a", "b", "t", MU, LAM)), EXPONENTS),
+        st.tuples(st.just(MUC), st.one_of(EXPONENTS, near_pq)),
+        st.tuples(st.just(LAMC), lamc_exponents),
+    )
+    return xyp, Word.from_pairs(draw(st.lists(syllable, max_size=6)))
+
+
+@st.composite
 def conjugates(draw):
     """A c A^-1 with a core c of one of three shapes."""
     outer = draw(word_strategy())
@@ -211,14 +233,12 @@ class TestJunctionArithmetic:
     def test_one_syllable_core_multiplies_its_exponent(self):
         assert power(W("a b^2 t a^-3 t^-1 b^-2 a^-1"), -4) == W("a b^2 t a^12 t^-1 b^-2 a^-1")
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(("a", "b", "t", MU, LAM, MUC, LAMC)), EXPONENTS),
-            max_size=6,
-        ).map(Word.from_pairs)
-    )
-    def test_expand_matches_full_reduction(self, w):
-        pres = cable_presentation(2, 3, 2)
+    @given(named_words())
+    @example(((2, 3, 50), Word.from_pairs([(MUC, 14949), (LAMC, 1)])))
+    @example(((11, 13, 9), Word.from_pairs([(LAMC, -2), (MUC, -23148), ("t", 3), (MUC, 11573)])))
+    def test_expand_matches_full_reduction(self, drawn):
+        xyp, w = drawn
+        pres = cable_presentation(*xyp)
         got = pres.expand(w)
         assert got == reference_expand(pres, w)
         assert is_reduced(got)
@@ -250,3 +270,26 @@ class TestJunctionArithmetic:
         cable_presentation.cache_clear()
         cable_presentation(11, 13, 9)
         assert 0 < sum(seen) < 1_000
+
+    def test_certify_and_replay_never_spell_lamc(self, monkeypatch):
+        # a work count, not a timing: lamC's spelling is muC^-pq t^p, 29,901
+        # syllables at (2, 3, 50); a cold build that spelled it, or an expand
+        # that went through it, would make a power at least pq syllables long
+        built = []
+        real_power = presentations.power
+
+        def counting(w, n):
+            out = real_power(w, n)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(presentations, "power", counting)
+        torus_presentation.cache_clear()
+        cable_presentation.cache_clear()
+        pres = cable_presentation(2, 3, 50)
+        pq = pres.p * pres.q
+        cert = certify_slope(2, 3, 50, Slope(2 * pq - 1, 2))
+        assert not isinstance(cert, Inconclusive) and replay(cert)
+        assert cert.entries[2].equation.lhs.syllables == ((MUC, pq - 1), (LAMC, 1))
+        assert max(built) < 1_000 and sum(built) < 5_000
+        assert "<built on first read>" in repr(pres.named[LAMC])
