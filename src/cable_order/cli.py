@@ -106,9 +106,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if args.beta is not None:
             result = certify_beta(args.x, args.y, args.p, args.beta)
         else:
-            result = certify_slope(
-                args.x, args.y, args.p, Slope.parse(args.slope), experimental=args.experimental
-            )
+            result = certify_slope(args.x, args.y, args.p, Slope.parse(args.slope))
     except (UnsupportedParameters, ParameterError, ValueError, StepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
@@ -354,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--slope", type=str, default=None)
     sp.add_argument("--json", metavar="PATH", default=None)
     sp.add_argument("--table", action="store_true", help="print the 27-row table instead of JSON")
-    sp.add_argument("--experimental", action="store_true",
-                    help="allow slopes below the certified window (always inconclusive)")
     sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("sweep", help="certify a parameter grid")

@@ -5,11 +5,15 @@ identity, a defining equation, or the surgery relator in a quotient group)
 and applies a sequence of elementary steps, each of which preserves truth of
 the equation in the context group:
 
-* inserting a relator, or a previously proven equation combined into an
-  identity-valued word, at a syllable boundary;
+* inserting a relator, or the n-th power of a previously proven equation
+  combined into an identity-valued word, at a syllable boundary;
 * expanding a defined element (mu, lam, muC, lamC) into its definition;
 * swapping two adjacent syllable runs, only when the presentation's
   commutation whitelist licenses the pair;
+* collecting a power of a product whose factors the whitelist licenses to
+  commute pairwise: a defined name's power, lamC^e = muC^(-pq e) t^(p e), or
+  a written-out run of n copies of a block f1^k1 ... fm^km, which becomes
+  f1^(k1 n) ... fm^(km n);
 * freely reducing both sides;
 * multiplying both sides by one word, or inverting both sides.
 
@@ -21,6 +25,14 @@ Mid-derivation words may be temporarily unreduced (adjacent syllables on the
 same generator are allowed); explicit reduction steps normalize them.  Steps
 edit the state in place, so checking a script costs time linear in its
 number of steps, not steps times length.
+
+A script is untrusted input, so its resources are capped by what it proves
+(:func:`script_caps`): the number of steps, the syllables on either side of
+any state and the exponent of a relation step are bounded by linear
+functions of p and of the denominator n of the context's slope (1 in the
+knot group).  A step that would break a cap is rejected before it edits or
+allocates anything.  The exponent forms keep every surgery proof at a fixed
+number of steps, whatever the slope.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
@@ -49,8 +61,8 @@ from .presentations import (
     ParameterError,
     surgery_named_form,
 )
-from .slopes import Slope, beta_slope, cramer
-from .words import Syllable, Word, _reduce, invert
+from .slopes import Slope, cramer
+from .words import Syllable, Word, _reduce, invert, power
 
 LHS, RHS = "lhs", "rhs"
 
@@ -115,7 +127,7 @@ def _json_syllable(pair: list, what: str) -> Syllable:
 
 
 # the values each enumerated step field may take; None where the field may be absent
-_STEP_KINDS = frozenset({"invert", "multiply", "reduce", "swap", "definition", "relation"})
+_STEP_KINDS = frozenset({"invert", "multiply", "reduce", "swap", "definition", "relation", "commute"})
 _STEP_SIDES = frozenset({None, LHS, RHS, "both"})
 _STEP_DIRECTIONS = frozenset({None, "expand", "forward", "backward"})
 _STEP_ANCHORS = frozenset({None, "before", "after"})
@@ -138,11 +150,12 @@ class Step(NamedTuple):
     left: Syllable | None = None
     right: Syllable | None = None
     on: str | None = None  # multiply: attach side, "left" | "right"
+    n: int | None = None  # relation: exponent (1 when absent); commute: copies in the run
     why: str = ""
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        for key in ("side", "position", "name", "direction", "anchor", "on"):
+        for key in ("side", "position", "name", "direction", "anchor", "on", "n"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -161,10 +174,11 @@ class Step(NamedTuple):
     @staticmethod
     def from_json_dict(d: dict) -> "Step":
         # inline checks: this runs once per step of every certificate loaded
-        kind, position, name = d["kind"], d.get("position"), d.get("name")
+        kind, position, name, n = d["kind"], d.get("position"), d.get("name"), d.get("n")
         side, direction, anchor, on = d.get("side"), d.get("direction"), d.get("anchor"), d.get("on")
-        if not (position is None or type(position) is int) or not (name is None or type(name) is str):
-            raise ValueError("a step position must be an integer and a step name a string")
+        if not ((position is None or type(position) is int) and (n is None or type(n) is int)
+                and (name is None or type(name) is str)):
+            raise ValueError("a step position and n must be integers and a step name a string")
         try:
             known = (
                 kind in _STEP_KINDS
@@ -181,7 +195,7 @@ class Step(NamedTuple):
             _json_enum(direction, _STEP_DIRECTIONS, "step direction")
             _json_enum(anchor, _STEP_ANCHORS, "step anchor")
             _json_enum(on, _STEP_ONS, "step on")
-        # all twelve fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
+        # all thirteen fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
         return _tuple_new(Step, (
             kind,
             side,
@@ -195,8 +209,13 @@ class Step(NamedTuple):
             _json_syllable(d["left"], "swap operand left") if "left" in d else None,
             _json_syllable(d["right"], "swap operand right") if "right" in d else None,
             on,
+            n,
             d.get("why", ""),
         ))
+
+    def v2_only(self) -> bool:
+        """True for the forms certificate format v2 added: ``commute`` and a relation exponent."""
+        return self.kind == "commute" or self.n is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,6 +287,47 @@ def _side_index(side: str | None) -> int:
     raise StepError(f"bad side {side!r:.40}")
 
 
+class Caps(NamedTuple):
+    """The resources one script may use; see :func:`script_caps`."""
+
+    side: int  # syllables on either side of any state
+    steps: int  # steps in the script
+    exponent: int  # the largest relation exponent
+
+
+def script_caps(pres: GroupPresentation, context: Context) -> Caps:
+    """Caps derived only from the presentation and the script's context.
+
+    With n the denominator of the context's slope (1 in the knot group) and
+    k = n + p: at most 8k + 32 syllables per side, 4k + 32 steps, and a
+    relation exponent of at most n.  Every proof the factories emit fits
+    with room to spare; so do the longer proofs of format v1, whose steps
+    grew with n.
+    """
+    n = 1 if context.slope is None else context.slope.n
+    k = n + (pres.p or 1)
+    return Caps(8 * k + 32, 4 * k + 32, n)
+
+
+def _check_side(new_length: int, pres: GroupPresentation, context: Context) -> None:
+    cap = script_caps(pres, context).side
+    if new_length > cap:
+        raise StepError(f"the step would make a side of {new_length!s:.40} syllables; the cap is {cap}")
+
+
+def _check_commuting(pres: GroupPresentation, factors: Sequence[Syllable]) -> None:
+    # pairwise licensed factors are on distinct generators, so a repeat ends the
+    # check before the quadratic loop can grow
+    if len({g for g, _ in factors}) != len(factors):
+        raise StepError("commuting factors must be on distinct generators")
+    for i, f1 in enumerate(factors):
+        for f2 in factors[i + 1 :]:
+            if not pres.commutes(f1, f2):
+                raise StepError(
+                    f"commutation of {f1[0]:.40}^{f1[1]!s:.40} and {f2[0]:.40}^{f2[1]!s:.40} is not licensed"
+                )
+
+
 def apply_step(
     state: State, step: Step, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
 ) -> State:
@@ -289,18 +349,32 @@ def apply_step(
       `side` and `position`: replace the power of `name` there by its
       definition;
     * ``relation`` with `ref` (``relator`` or ``equation``, name), `direction`
-      ``forward`` or ``backward``, `anchor` ``before`` or ``after``, `side`
-      and `position`: insert the identity-valued word x^-1 y (``before``) or
-      y x^-1 (``after``) at that boundary, where x = y is the relator set
-      to 1 or the cited equation, read in `direction`.
+      ``forward`` or ``backward``, `anchor` ``before`` or ``after``, `side`,
+      `position` and an exponent `n` >= 1 (1 when absent): insert the
+      identity-valued word x^-n y^n (``before``) or y^n x^-n (``after``) at
+      that boundary, where x = y is the relator set to 1 or the cited
+      equation, read in `direction`;
+    * ``commute`` with `side`, `position` and a defined element `name`:
+      rewrite the power name^e there as f1^(k1 e) ... fm^(km e), where
+      f1^k1 ... fm^km is the definition of `name`;
+    * ``commute`` with `side`, `position`, a block `word` f1^k1 ... fm^km and
+      a count `n` >= 1: rewrite the n copies of the block that start at
+      `position` as f1^(k1 n) ... fm^(km n).
 
-    Anything else raises StepError.  Every check runs before the first edit,
-    so a rejected step leaves the state unchanged.  The two sides must be
+    Both ``commute`` forms require the factors f1^k1, ..., fm^km to commute
+    pairwise under the whitelist, which makes the power of their product the
+    product of their powers.
+
+    The caps of :func:`script_caps` hold for every step: no side may grow
+    past the side cap, and a relation exponent may not exceed the slope's
+    denominator.  Anything else raises StepError.  Every check runs before
+    the first edit, so a rejected step leaves the state unchanged and
+    allocates nothing in proportion to an exponent.  The two sides must be
     distinct lists.
     """
     lhs, rhs = state
     # one unpacking of the record: cheaper than reading each field by name
-    kind, side, pos, word, name, ref, direction, anchor, left, right, on, _why = step
+    kind, side, pos, word, name, ref, direction, anchor, left, right, on, n, _why = step
 
     if kind == "invert":
         lhs[:] = _invert_raw(lhs)
@@ -313,15 +387,16 @@ def apply_step(
         unknown = word.generators() - pres.letters()
         if unknown:
             raise StepError(f"unknown generators {sorted(unknown)!r:.40} in multiplier")
+        if on not in ("left", "right"):
+            raise StepError(f"bad multiplication side {on!r:.40}")
         ws = word.syllables
+        _check_side(max(len(lhs), len(rhs)) + len(ws), pres, context)
         if on == "left":
             lhs[:0] = ws
             rhs[:0] = ws
-        elif on == "right":
+        else:
             lhs.extend(ws)
             rhs.extend(ws)
-        else:
-            raise StepError(f"bad multiplication side {on!r:.40}")
         return state
 
     if kind == "reduce":
@@ -331,7 +406,7 @@ def apply_step(
         rhs[:] = _reduce(rhs)
         return state
 
-    if kind not in ("swap", "definition", "relation"):
+    if kind not in ("swap", "definition", "relation", "commute"):
         raise StepError(f"unknown step kind {kind!r:.40}")
     # the remaining kinds replace one slice of a single named side
     syls = state[_side_index(side)]
@@ -358,6 +433,8 @@ def apply_step(
         # right operand off the left edge of the next
         left_rem = [] if ea == e1 else [(g1, ea - e1)]
         right_rem = [] if eb == e2 else [(g2, eb - e2)]
+        if left_rem or right_rem:
+            _check_side(len(syls) + len(left_rem) + len(right_rem), pres, context)
         syls[pos : pos + 2] = left_rem + [(g2, e2), (g1, e1)] + right_rem
 
     elif kind == "definition":
@@ -371,10 +448,11 @@ def apply_step(
         if g != name:
             raise StepError(f"syllable at position {pos} is not {name}")
         definition = pres.named[name].definition.syllables
+        _check_side(len(syls) - 1 + len(definition) * abs(e), pres, context)
         base = definition if e > 0 else _invert_raw(definition)
         syls[pos : pos + 1] = base * abs(e)
 
-    else:  # relation
+    elif kind == "relation":
         L, R = _resolve_ref(ref, pres, context, cited)
         if direction == "forward":
             x_word, y_word = L, R
@@ -382,15 +460,40 @@ def apply_step(
             x_word, y_word = R, L
         else:
             raise StepError(f"bad relation direction {direction!r:.40}")
-        if anchor == "before":
-            ins = invert(x_word).syllables + y_word.syllables
-        elif anchor == "after":
-            ins = y_word.syllables + invert(x_word).syllables
-        else:
+        if anchor not in ("before", "after"):
             raise StepError(f"bad relation anchor {anchor!r:.40}")
+        k = 1 if n is None else n
+        cap = script_caps(pres, context).exponent
+        if not (1 <= k <= cap):
+            raise StepError(f"relation exponent {k!s:.40} is outside 1..{cap}")
         if not (0 <= pos <= len(syls)):
             raise StepError("position out of range")
-        syls[pos:pos] = ins
+        _check_side(len(syls) + k * (len(x_word) + len(y_word)), pres, context)
+        x_inv, y_pow = power(x_word, -k).syllables, power(y_word, k).syllables
+        syls[pos:pos] = x_inv + y_pow if anchor == "before" else y_pow + x_inv
+
+    else:  # commute
+        if name is not None and word is None and n is None:  # a defined name's power
+            if name not in pres.named:
+                raise StepError(f"unknown defined element {name!r:.40}")
+            if not (0 <= pos < len(syls)):
+                raise StepError("position out of range")
+            g, e = syls[pos]
+            if g != name:
+                raise StepError(f"syllable at position {pos} is not {name}")
+            factors, end = pres.named[name].definition.syllables, pos + 1
+        elif name is None and word and n is not None and n >= 1:  # n copies of a block
+            factors, e = word.syllables, n
+            end = pos + len(factors) * n
+            if not (0 <= pos and end <= len(syls)):
+                raise StepError("position out of range")
+            if any(syls[i] != factors[(i - pos) % len(factors)] for i in range(pos, end)):
+                raise StepError(f"the syllables at position {pos} are not {n!s:.40} copies of the block")
+        else:
+            raise StepError("commute takes a name, or a nonempty word and a count of at least 1")
+        _check_commuting(pres, factors)
+        _check_side(len(syls) - (end - pos) + len(factors), pres, context)
+        syls[pos:end] = [(f, c * e) for f, c in factors]
 
     return state
 
@@ -421,8 +524,12 @@ def iter_states(
     """Yield the derivation state after the axiom and after every step.
 
     The state yielded is live: the next step edits the same two lists in
-    place.  Copy it to keep it past the next iteration.
+    place.  Copy it to keep it past the next iteration.  A script with more
+    steps than its step cap fails before the axiom is read.
     """
+    cap = script_caps(pres, script.context).steps
+    if len(script.steps) > cap:
+        raise StepError(f"the script has {len(script.steps)} steps; the cap is {cap}")
     env = env or {}
     cited = {c: env[c] for c in script.cites if c in env}  # what relation steps may insert
     state = axiom_state(script.axiom, script.context, pres)
@@ -496,8 +603,11 @@ class ScriptBuilder:
         self._cited = {c: env[c] for c in cites if c in env}
         self._steps: list[Step] = []
         self._state = axiom_state(axiom, context, pres)
+        self._step_cap = script_caps(pres, context).steps
 
     def _emit(self, step: Step) -> None:
+        if len(self._steps) == self._step_cap:
+            raise StepError(f"the script would exceed its cap of {self._step_cap} steps")
         apply_step(self._state, step, self.pres, self.context, self._cited)
         self._steps.append(step)
 
@@ -530,7 +640,7 @@ class ScriptBuilder:
         )
 
     def insert_equation(
-        self, eq_id: str, side: str, position: int, direction: str, anchor: str, why: str = ""
+        self, eq_id: str, side: str, position: int, direction: str, anchor: str, n: int | None = None, why: str = ""
     ) -> None:
         self._emit(
             Step(
@@ -540,9 +650,16 @@ class ScriptBuilder:
                 position=position,
                 direction=direction,
                 anchor=anchor,
+                n=n,
                 why=why,
             )
         )
+
+    def collect(self, name: str, side: str, position: int, why: str = "") -> None:
+        self._emit(Step(kind="commute", name=name, side=side, position=position, why=why))
+
+    def collapse(self, side: str, position: int, block: Word, n: int, why: str = "") -> None:
+        self._emit(Step(kind="commute", side=side, position=position, word=block, n=n, why=why))
 
     def finish(self) -> DerivationScript:
         lhs, rhs = (tuple(side) for side in self._state)
@@ -574,14 +691,16 @@ def central_relation_script(pres: GroupPresentation) -> DerivationScript:
     return b.finish()
 
 
-def _emit_t_power_chain(b: ScriptBuilder) -> None:
-    """From the cable relator, rewrite t^p into a word over a and b."""
-    pres = b.pres
+def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
+    """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator."""
+    if not pres.theorem_mode:
+        raise ParameterError("this derivation needs q = p*x*y - 1")
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     x, y = pres.x, pres.y
     xy = x * y
     i, j = pres.torus_bezout
+    b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
     b.multiply(
         "left",
         Word.from_pairs([(LAM, -p), (MU, -q)]),
@@ -602,81 +721,6 @@ def _emit_t_power_chain(b: ScriptBuilder) -> None:
     b.reduce()
     b.expand(MU, RHS, 0, why="meridian definition")
     b.swap(RHS, 1, left=("b", -j), right=("a", x * p), why="powers of a^x pass every b-power")
-    b.reduce()
-
-
-def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
-    """t^p = a^(xp-i) b^(-j) in the cable group."""
-    if not pres.theorem_mode:
-        raise ParameterError("this derivation needs q = p*x*y - 1")
-    b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
-    _emit_t_power_chain(b)
-    return b.finish()
-
-
-def _surgery_context(pres: GroupPresentation, beta: int) -> Context:
-    assert pres.p is not None and pres.q is not None
-    return Context("H", beta_slope(pres.p, pres.q, beta))
-
-
-def surgery_central_power_script(pres: GroupPresentation, beta: int) -> DerivationScript:
-    """t^(p*beta+1) = a^x in the surgery quotient (theorem-mode parameters)."""
-    if not pres.theorem_mode:
-        raise ParameterError("this derivation needs the normalization u = x*y, v = 1")
-    p, q = pres.p, pres.q
-    assert p is not None and q is not None and pres.cable_bezout is not None
-    u, v = pres.cable_bezout
-    b = ScriptBuilder(
-        "surgery_central_power", pres, _surgery_context(pres, beta), Axiom("surgery")
-    )
-    # from muC^(pq*beta-1) lamC^beta = 1 down to t^(p*beta+v) = mu^u lam^v
-    b.multiply("left", Word.single(MUC), why="complete the meridian power")
-    b.reduce()
-    for k in range(1, beta):
-        b.swap(
-            LHS,
-            2 * (k - 1),
-            left=(MUC, (beta - k) * p * q),
-            right=(LAMC, 1),
-            why="cable peripherals commute",
-        )
-    for g in range(beta - 1, -1, -1):
-        b.expand(LAMC, LHS, 2 * g + 1, why="cable longitude definition")
-    b.reduce()
-    b.expand(MUC, RHS, 0, why="cable meridian definition")
-    b.multiply("right", Word.single("t", v), why="cancel the trailing t-power")
-    b.reduce()
-    # then mu^u lam = mu^(u-xy) a^x = a^x, since u = x*y
-    b.expand(LAM, RHS, 1, why="longitude definition")
-    b.reduce()
-    return b.finish()
-
-
-def surgery_t_inverse_power_script(
-    pres: GroupPresentation, beta: int, env: dict[str, Equation]
-) -> DerivationScript:
-    """t^-(p(beta-1)+1) = a^((p-1)x-i) b^(-j): a negative t-power equal to a positive word."""
-    p = pres.p
-    assert p is not None
-    b = ScriptBuilder(
-        "surgery_t_inverse_power",
-        pres,
-        _surgery_context(pres, beta),
-        Axiom("relator", "cable"),
-        cites=("surgery_central_power",),
-        env=env,
-    )
-    _emit_t_power_chain(b)
-    b.multiply("left", Word.single("t", -(p * beta + 1)), why="divide by the central power identity")
-    b.reduce()
-    b.insert_equation(
-        "surgery_central_power",
-        RHS,
-        1,
-        direction="backward",
-        anchor="after",
-        why="replace the inverse t-power by the inverse central power",
-    )
     b.reduce()
     return b.finish()
 
@@ -755,7 +799,13 @@ def surgery_endpoint_identity_script(
 def surgery_interior_combination_script(
     pres: GroupPresentation, slope: Slope, env: dict[str, Equation]
 ) -> DerivationScript:
-    """(t a^.. b^..)^d0 (t^p)^d1 = 1 at an interior slope strictly between pq-1 and pq."""
+    """(t a^.. b^..)^d0 (t^p)^d1 = 1 at an interior slope strictly between pq-1 and pq.
+
+    m/n = (d0 (pq-1) + d1 pq)/n with n = d0 + d1, so the surgery relator
+    muC^m lamC^n is muC^-d0 t^(pn) once lamC^n is collected, and inserting
+    E^d0 E^-d0 for the endpoint product E = muC^(pq-1) lamC leaves only
+    commuting powers to gather.  Eight steps, whatever the slope.
+    """
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     pq = p * q
@@ -763,9 +813,8 @@ def surgery_interior_combination_script(
     if not (triple.d0 > 0 and triple.d1 > 0):
         raise ParameterError(f"slope {slope} is not strictly between {pq - 1} and {pq}")
     assert triple.d == 1  # integer endpoints one apart
-    group_exps = [pq - 1] * triple.d0 + [pq] * triple.d1
-    n = slope.n
-    assert n == triple.d0 + triple.d1 and slope.m == sum(group_exps)
+    d0 = triple.d0
+    endpoint = env["cable_endpoint_product"]
     b = ScriptBuilder(
         "surgery_interior_combination",
         pres,
@@ -774,28 +823,22 @@ def surgery_interior_combination_script(
         cites=("cable_endpoint_product",),
         env=env,
     )
-    consumed = 0
-    for k in range(1, n):
-        consumed += group_exps[k - 1]
-        b.swap(
-            LHS,
-            2 * (k - 1),
-            left=(MUC, slope.m - consumed),
-            right=(LAMC, 1),
-            why="cable peripherals commute",
-        )
-    for k in range(n - 1, -1, -1):
-        if group_exps[k] == pq:
-            b.expand(LAMC, LHS, 2 * k + 1, why="cable longitude definition")
-        else:
-            b.insert_equation(
-                "cable_endpoint_product",
-                LHS,
-                2 * k + 2,
-                direction="forward",
-                anchor="before",
-                why="rewrite one product factor over the letters",
-            )
+    b.collect(LAMC, LHS, 1, why="cable longitude power, its factors commute")
+    b.reduce()  # muC^-d0 t^(pn)
+    b.insert_equation(
+        "cable_endpoint_product",
+        LHS,
+        0,
+        direction="forward",
+        anchor="after",
+        n=d0,
+        why="the rewritten endpoint product and its inverse, d0 times",
+    )
+    run = len(power(endpoint.rhs, d0))  # (muC^(pq-1) lamC)^-d0 starts here
+    b.collapse(LHS, run, invert(endpoint.lhs), d0, why="cable peripherals commute")
+    b.collect(LAMC, LHS, run, why="cable longitude power, its factors commute")
+    b.swap(LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0), why="t^p is central in the cable")
+    b.swap(LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0), why="t^p is central in the cable")
     b.reduce()
     return b.finish()
 

@@ -13,11 +13,20 @@ that the trivial group is not left-orderable.  Certificates embed their
 derivation scripts verbatim and are replayable from the JSON alone.  The
 engine never fabricates: if any assignment survives every equation, the
 result is an :class:`Inconclusive` value listing the survivors.
+
+One pipeline, :func:`certify_slope`, covers every slope in [pq-1, pq]; its
+surgery proof takes the same number of steps at every slope.
+:func:`certify_beta` is that pipeline at the slope pq - 1/beta, labelled with
+beta.  Certificates are written in format v2, whose scripts may use the
+exponent steps ``commute`` and ``relation`` with `n`; :func:`replay` also
+accepts format v1, whose beta certificates carried longer, beta-only proofs
+and no determinant data, and rejects a v1 document that uses a v2 step form
+when it is loaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .derivations import (
@@ -34,10 +43,8 @@ from .derivations import (
     check_script,
     script_from_json_dict,
     script_to_json_dict,
-    surgery_central_power_script,
     surgery_endpoint_identity_script,
     surgery_interior_combination_script,
-    surgery_t_inverse_power_script,
     surgery_t_power_identity_script,
 )
 from .presentations import GroupPresentation, ParameterError, cable_presentation
@@ -47,6 +54,8 @@ from .words import Word
 POS, NEG, ZERO = "pos", "neg", "zero"
 UNKNOWN = "unknown"
 SIGNS = (POS, NEG, ZERO)
+VERSION = "v2"  # the format certify writes
+_VERSIONS = frozenset({"v1", VERSION})  # the formats replay reads
 
 
 class UnsupportedParameters(ParameterError):
@@ -74,11 +83,13 @@ class SignAssignment:
         return {"a": self.a, "b": self.b, "t": self.t}
 
 
+_ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
+_ASSIGNMENT_SET = frozenset(_ASSIGNMENTS)
+
+
 def all_sign_assignments() -> tuple[SignAssignment, ...]:
-    """All 27 assignments, all-positive first and all-zero last."""
-    return tuple(
-        SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS
-    )
+    """All 27 assignments, all-positive first and all-zero last (built once, at import)."""
+    return _ASSIGNMENTS
 
 
 def evaluate_sign(w: Word, assignment: SignAssignment) -> str:
@@ -179,7 +190,7 @@ class ObstructionCertificate:
     entries: tuple[CertEntry, ...]
     cramer_data: CramerTriple | None
     refutations: tuple[RefutationRow, ...]
-    version: str = "v1"
+    version: str = VERSION
 
     def to_json_dict(self) -> dict:
         if self.cramer_data is None:
@@ -214,8 +225,9 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     `side`, `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`,
     the recorded signs) outside its values raises ValueError here, at load
     time (`script_from_json_dict` and the parsers check theirs), so that
-    `replay` never meets a value of the wrong JSON type.  Like `replay`'s
-    problems, load errors cut the values they quote to 40 characters.
+    `replay` never meets a value of the wrong JSON type.  So does a v1
+    document with a step of a form that v2 added.  Like `replay`'s problems,
+    load errors cut the values they quote to 40 characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -233,6 +245,9 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         entry_id = _json_typed(e["id"], str, "equation id")
         eq = Equation(Word.parse(e["lhs"]), Word.parse(e["rhs"]), ctx, provenance=entry_id)
         entries.append(CertEntry(entry_id, eq, script_from_json_dict(e["script"])))
+    version = doc.get("version", "")
+    if version == "v1" and any(step.v2_only() for e in entries for step in e.script.steps):
+        raise ValueError("a v1 certificate uses a step form of v2 (commute, or a relation exponent)")
     if doc.get("cramer") is None:
         cramer_data = None
     else:
@@ -266,7 +281,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         entries=tuple(entries),
         cramer_data=cramer_data,
         refutations=tuple(rows),
-        version=doc.get("version", ""),
+        version=version,
     )
 
 
@@ -295,7 +310,7 @@ def refute_all(
 
     rows: list[RefutationRow] = []
     survivors: list[SignAssignment] = []
-    for assignment in all_sign_assignments():
+    for assignment in _ASSIGNMENTS:
         if assignment.is_all_zero():
             # all generators trivial would make the whole group trivial, and
             # left-orderability is a property of nontrivial groups
@@ -335,34 +350,22 @@ def _admit(
 def certify_beta(
     x: int, y: int, p: int, beta: int
 ) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at slope pq - 1/beta, q = p*x*y - 1."""
+    """Certificate for the surgery at slope pq - 1/beta, q = p*x*y - 1.
+
+    This is :func:`certify_slope` at ``beta_slope(p, q, beta)`` with the
+    parameters labelled ``mode = "beta"``: beta = 1 is the endpoint pq - 1,
+    and every larger beta an interior slope.
+    """
     if beta < 1:
         raise UnsupportedParameters(f"beta must be >= 1, got {beta}")
-    pres = _theorem_pres(x, y, p)
-    assert pres.p is not None and pres.q is not None
-    slope = beta_slope(pres.p, pres.q, beta)
-    env: dict[str, Equation] = {}
-    entries: list[CertEntry] = []
-    _admit(pres, env, entries, central_relation_script(pres))
-    _admit(pres, env, entries, cable_t_power_script(pres))
-    _admit(pres, env, entries, surgery_central_power_script(pres, beta))
-    _admit(pres, env, entries, surgery_t_inverse_power_script(pres, beta, env))
-    rows = refute_all([e.equation for e in entries], pres, slope)
-    if isinstance(rows, Inconclusive):
-        return rows
-    params = CertParams(x, y, p, pres.q, "beta", beta, slope)
-    return ObstructionCertificate(params, tuple(entries), None, rows)
+    cert = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
+    if isinstance(cert, Inconclusive):
+        return cert
+    return replace(cert, params=replace(cert.params, mode="beta", beta=beta))
 
 
-def certify_slope(
-    x: int, y: int, p: int, slope: Slope, experimental: bool = False
-) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1.
-
-    With `experimental=True`, slopes strictly between pq-p-q and pq-1 are
-    accepted as well; there the sign atoms are known to be insufficient and
-    the result is an honest Inconclusive rather than an error.
-    """
+def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
+    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1."""
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
     q = pres.q
@@ -383,8 +386,6 @@ def certify_slope(
         cramer_data = cramer(low, high, slope)
         _admit(pres, env, entries, cable_endpoint_product_script(pres, env))
         _admit(pres, env, entries, surgery_interior_combination_script(pres, slope, env))
-    elif experimental and Slope(pq - p - q, 1) < slope < low:
-        pass  # open territory: only the knot-group equations are available
     else:
         raise UnsupportedParameters(
             f"slope {slope} is outside the certified window [{pq - 1}, {pq}]"
@@ -418,7 +419,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     """
     problems: list[str] = []
 
-    if cert.version != "v1":
+    if cert.version not in _VERSIONS:
         return ReplayReport(False, [f"unsupported certificate version {cert.version!r:.40}"])
 
     p_ = cert.params
@@ -508,14 +509,14 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which did not verify")
         else:
             problems.append(f"{rows} refutation row(s) cite unknown equation {eq_id!r:.40}")
-    missing = set(all_sign_assignments()) - seen
+    missing = _ASSIGNMENT_SET - seen
     if missing:
         problems.append(f"{len(missing)} assignments are not refuted")
 
-    # determinant data must match an exact recomputation
+    # determinant data must match an exact recomputation; v1 beta certificates carried none
     pq = p_.p * p_.q
     low, high = Slope(pq - 1, 1), Slope(pq, 1)
-    if p_.mode == "slope" and low < p_.slope < high:
+    if low < p_.slope < high and (cert.version != "v1" or p_.mode == "slope"):
         if cert.cramer_data is None:
             problems.append("interior slope certificate lacks determinant data")
         else:

@@ -6,6 +6,9 @@ import random
 
 from hypothesis import strategies as st
 
+from cable_order.derivations import LHS, Axiom, Context, DerivationScript, Equation, ScriptBuilder
+from cable_order.presentations import LAMC, MUC, GroupPresentation
+from cable_order.slopes import Slope, cramer
 from cable_order.words import Word, abelianize
 
 
@@ -183,3 +186,39 @@ def apply_mutation(doc, site, rng: random.Random):
         raise ValueError(kind)
     assert parent[path[-1]] != old
     return doc
+
+
+# -- the interior proof of format v1, kept as a reference for the exponent steps --
+
+def swap_expand_interior_script(
+    pres: GroupPresentation, slope: Slope, env: dict[str, Equation]
+) -> DerivationScript:
+    """(t a^.. b^..)^d0 (t^p)^d1 = 1 by n - 1 swaps and n expansions or insertions.
+
+    The chain certificates of format v1 carry for an interior slope m/n: split
+    muC^m lamC^n into n products muC^(pq-1) lamC or muC^pq lamC, then rewrite
+    each product on its own.
+    """
+    pq = pres.p * pres.q
+    triple = cramer(Slope(pq - 1, 1), Slope(pq, 1), slope)
+    assert triple.d0 > 0 and triple.d1 > 0 and triple.d == 1
+    group_exps = [pq - 1] * triple.d0 + [pq] * triple.d1
+    b = ScriptBuilder(
+        "surgery_interior_combination",
+        pres,
+        Context("H", slope),
+        Axiom("surgery"),
+        cites=("cable_endpoint_product",),
+        env=env,
+    )
+    consumed = 0
+    for k in range(1, slope.n):
+        consumed += group_exps[k - 1]
+        b.swap(LHS, 2 * (k - 1), left=(MUC, slope.m - consumed), right=(LAMC, 1))
+    for k in range(slope.n - 1, -1, -1):
+        if group_exps[k] == pq:
+            b.expand(LAMC, LHS, 2 * k + 1)
+        else:
+            b.insert_equation("cable_endpoint_product", LHS, 2 * k + 2, direction="forward", anchor="before")
+    b.reduce()
+    return b.finish()

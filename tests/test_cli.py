@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from cable_order.obstruction import certify_beta
 from cable_order.presentations import cable_presentation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+V1_FIXTURES = sorted((Path(__file__).resolve().parent / "data" / "v1").glob("*.json"))
 HUGE = "z" * 1_000_000
 
 
@@ -34,7 +36,7 @@ def type_swap(doc: dict, probe: str) -> None:
     if probe == "string_position":
         first_swap("cable_t_power")["position"] = "0"
     elif probe == "string_swap_exponent":
-        first_swap("surgery_central_power")["left"] = ["muC", "5"]
+        first_swap("surgery_interior_combination")["left"] = ["t", "-2"]
     elif probe == "string_params_x":
         doc["params"]["x"] = "2"
     elif probe == "bool_params_beta":
@@ -142,13 +144,8 @@ class TestCertify:
 
     def test_outside_window_is_error(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "1/1"]) == 1
-
-    def test_experimental_band_is_inconclusive(self, capsys):
-        code = main(
-            ["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "19/1", "--experimental"]
-        )
-        assert code == 2
-        assert "surviving" in capsys.readouterr().err
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "19/1"]) == 1
+        assert "outside the certified window [21, 22]" in capsys.readouterr().err
 
     def test_table_output(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--table"]) == 0
@@ -304,6 +301,38 @@ class TestReplayCommand:
         assert elapsed < 0.1
 
     @pytest.mark.parametrize(
+        "probe, problem",
+        [
+            # a power of lamC spelled out: 2,000,001 syllables, far past the side cap of 104
+            ([{"kind": "multiply", "on": "left", "word": "lamC^1000000"},
+              {"kind": "definition", "name": "lamC", "side": "lhs", "position": 0, "direction": "expand"}],
+             "step 9: the step would make a side of 2000004 syllables; the cap is 104"),
+            # a relation exponent far above the slope's denominator, 7
+            ([{"kind": "relation", "ref": {"type": "equation", "name": "cable_endpoint_product"},
+               "side": "lhs", "position": 0, "direction": "forward", "anchor": "before", "n": 10**7}],
+             "step 8: relation exponent 10000000 is outside 1..7"),
+        ],
+        ids=["expand", "relation"],
+    )
+    def test_cap_probe_is_rejected_fast_and_small(self, tmp_path, capsys, probe, problem):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["equations"][-1]["script"]["steps"].extend(probe)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code = main(["replay", str(out)])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and problem in capsys.readouterr().err
+        assert elapsed < 0.1 and peak < 2**20, (elapsed, peak)
+
+    @pytest.mark.parametrize(
         "probe, code",
         [
             ("refutation_equation", 2),
@@ -329,6 +358,21 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", str(out)]) == code
         assert len(capsys.readouterr().err.encode()) < 1024
+
+
+class TestV1Certificates:
+    # written by the release before format v2: beta certificates with the beta-only
+    # proofs and no determinant data, and a slope certificate with the swap/expand chain
+    def test_fixtures_are_present(self):
+        assert [f.stem for f in V1_FIXTURES] == [
+            "x2_y3_p2_beta1", "x2_y3_p2_beta30", "x2_y3_p2_beta7", "x2_y3_p2_slope43_2", "x3_y5_p3_beta12"
+        ]
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda path: path.stem)
+    def test_v1_certificate_replays(self, path, capsys):
+        assert json.loads(path.read_text())["version"] == "v1"
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out == "replay ok\n"
 
 
 class TestFormat:

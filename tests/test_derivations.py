@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -19,22 +21,23 @@ from cable_order.derivations import (
     check_script,
     iter_states,
     meridian_shift_script,
+    script_caps,
     script_from_json_dict,
     script_to_json_dict,
-    surgery_central_power_script,
     surgery_interior_combination_script,
-    surgery_t_inverse_power_script,
     surgery_t_power_identity_script,
     surgery_endpoint_identity_script,
 )
 from cable_order.normal_form import eliminate_t, equal_in_torus_group
 from cable_order.presentations import (
+    LAMC,
+    MUC,
     cable_presentation,
     surgery_relator,
 )
-from cable_order.slopes import Slope, beta_slope
+from cable_order.slopes import Slope
 from cable_order.words import Word, concat
-from helpers import ab_vector, in_integer_span
+from helpers import ab_vector, in_integer_span, swap_expand_interior_script
 
 
 def state_of(lhs: str, rhs: str):
@@ -58,24 +61,19 @@ class TestBuiltinChains:
         assert eq.context == Context("G")
         assert eq.provenance == "cable_t_power"
 
-    def test_t_inverse_power_instance(self):
+    def test_interior_combination_instances(self):
+        # the beta slopes 43/2 and 549/25 and a slope with d0 = 2; eight steps each
         pres = cable_presentation(2, 3, 2)
-        env = {}
-        for factory in (central_relation_script, cable_t_power_script):
-            s = factory(pres)
-            env[s.script_id] = check_script(s, pres, env)
-        s = surgery_central_power_script(pres, 1)
-        env[s.script_id] = check_script(s, pres, env)
-        s = surgery_t_inverse_power_script(pres, 1, env)
-        eq = check_script(s, pres, env)
-        assert (eq.lhs, eq.rhs) == (Word.parse("t^-1"), Word.parse("a b"))
-
-    def test_central_power_instances(self):
-        pres = cable_presentation(2, 3, 2)
-        eq = check_script(surgery_central_power_script(pres, 2), pres, {})
-        assert (eq.lhs, eq.rhs) == (Word.parse("t^5"), Word.parse("a^2"))
-        eq = check_script(surgery_central_power_script(pres, 25), pres, {})
-        assert eq.lhs == Word.parse("t^51")
+        env = prove_chain(pres, central_relation_script, cable_t_power_script, cable_endpoint_product_script)
+        for slope, lhs in [
+            (Slope(43, 2), "t a b t^2"),
+            (Slope(549, 25), "t a b t^48"),
+            (Slope(152, 7), "t a b t a b t^10"),
+        ]:
+            script = surgery_interior_combination_script(pres, slope, env)
+            eq = check_script(script, pres, env)
+            assert (eq.lhs, eq.rhs) == (Word.parse(lhs), Word.identity())
+            assert len(script.steps) == 8
 
     def test_endpoint_product_instance(self):
         pres = cable_presentation(2, 3, 2)
@@ -105,8 +103,9 @@ class TestBuiltinChains:
 
     def test_replay_determinism(self):
         pres = cable_presentation(3, 4, 3)
-        s = surgery_central_power_script(pres, 4)
-        assert check_script(s, pres, {}) == check_script(s, pres, {})
+        env = prove_chain(pres, central_relation_script, cable_t_power_script, cable_endpoint_product_script)
+        s = surgery_interior_combination_script(pres, Slope(4 * 3 * 35 - 1, 4), env)
+        assert check_script(s, pres, env) == check_script(s, pres, env)
 
 
 class TestStepValidation:
@@ -254,6 +253,22 @@ class TestStepValidation:
             Step(kind="multiply", on="left"),
             Step(kind="multiply", on="middle", word=Word.parse("a")),
             Step(kind="relation", side="lhs", position=0, direction="forward", anchor="before"),
+            # the exponent forms and the caps: the knot group allows a relation exponent of 1
+            # and 8 * (1 + p) + 32 = 56 syllables per side
+            Step(kind="relation", ref=("relator", "cable"), side="lhs", position=0,
+                 direction="forward", anchor="before", n=2),
+            Step(kind="relation", ref=("relator", "cable"), side="lhs", position=0,
+                 direction="forward", anchor="before", n=0),
+            Step(kind="multiply", on="left", word=Word.parse(" ".join(["a b"] * 30))),
+            Step(kind="commute", side="lhs", position=0, name="mu"),
+            Step(kind="commute", side="lhs", position=1, name="lam"),
+            Step(kind="commute", side="lhs", position=0, name="lamC"),
+            Step(kind="commute", side="lhs", position=0),
+            Step(kind="commute", side="lhs", position=0, name="lamC", word=Word.parse("mu^11"), n=1),
+            Step(kind="commute", side="lhs", position=0, word=Word.parse("mu^11 lam^2"), n=2),
+            Step(kind="commute", side="lhs", position=0, word=Word.parse("mu^11 lam"), n=1),
+            Step(kind="commute", side="lhs", position=0, word=Word.parse("mu^11"), n=0),
+            Step(kind="commute", side="lhs", position=1, word=Word.parse("lam^2 t^-2 lam"), n=1),
         ],
         ids=lambda step: step.kind,
     )
@@ -286,12 +301,12 @@ class TestCheckOnce:
         assert calls == [entry.script for entry in cert.entries]
 
     def test_replaced_built_script_is_checked_in_full(self, monkeypatch):
-        real = obstruction.surgery_central_power_script
+        real = obstruction.surgery_interior_combination_script
 
-        def forged(pres, beta):
-            return dataclasses.replace(real(pres, beta), claimed_rhs=Word.parse("a^5"))
+        def forged(pres, slope, env):
+            return dataclasses.replace(real(pres, slope, env), claimed_rhs=Word.parse("a^5"))
 
-        monkeypatch.setattr(obstruction, "surgery_central_power_script", forged)
+        monkeypatch.setattr(obstruction, "surgery_interior_combination_script", forged)
         with pytest.raises(StepError, match="claimed result mismatch"):
             obstruction.certify_beta(2, 3, 2, 3)
 
@@ -308,7 +323,7 @@ class TestCheckOnce:
             admit(script, pres, env)
 
     def test_built_script_is_checked_against_another_presentation(self):
-        script = surgery_central_power_script(cable_presentation(2, 3, 2), 2)
+        script = surgery_t_power_identity_script(cable_presentation(2, 3, 2))
         other = cable_presentation(2, 3, 2, 9, theorem_mode=False)
         with pytest.raises(StepError):
             admit(script, other, {})
@@ -364,6 +379,95 @@ class TestAbelianizationInvariance:
         for entry in obstruction.certify_beta(x, y, p, beta).entries:
             self._check_states(pres, entry.script, env)
         self._check_states(pres, cable_endpoint_product_script(pres, env), env)
+
+
+class TestExponentForms:
+    # the commute and relation-exponent steps against the chains of single steps they replace
+    def test_collected_lamc_power_matches_expand_and_swaps(self):
+        pres = cable_presentation(2, 3, 2)
+        ctx = Context("H", Slope(43, 2))
+        for e in range(-6, 7):
+            if e == 0:
+                continue  # lamC^0 is no syllable
+            collected = apply_step(
+                ([(LAMC, e)], []), Step(kind="commute", side="lhs", position=0, name=LAMC), pres, ctx, {}
+            )
+            state = apply_step(
+                ([(LAMC, e)], []),
+                Step(kind="definition", name=LAMC, side="lhs", position=0, direction="expand"),
+                pres, ctx, {},
+            )
+            lhs = state[0]
+            moved = True
+            while moved:  # carry each t^(+-2) right past the muC-syllables: (muC, t^p) is licensed
+                moved = False
+                for i in range(len(lhs) - 1):
+                    if lhs[i][0] == "t" and lhs[i + 1][0] == MUC:
+                        step = Step(kind="swap", side="lhs", position=i, left=lhs[i], right=lhs[i + 1])
+                        apply_step(state, step, pres, ctx, {})
+                        moved = True
+            apply_step(state, Step(kind="reduce", side="both"), pres, ctx, {})
+            assert collected == state == ([(MUC, -22 * e), ("t", 2 * e)], []), e
+
+    def test_new_proof_matches_the_swap_expand_chain(self):
+        rng = random.Random(1610)
+        pairs = [(x, y) for x in range(2, 7) for y in range(x + 1, 8) if gcd(x, y) == 1]
+        for _ in range(40):
+            x, y = rng.choice(pairs)
+            p = rng.randint(2, 5)
+            n = rng.randint(2, 12)
+            k = rng.choice([k for k in range(1, n) if gcd(k, n) == 1])
+            pq = p * (p * x * y - 1)
+            slope = Slope((pq - 1) * n + k, n)
+            pres = cable_presentation(x, y, p)
+            env = prove_chain(pres, central_relation_script, cable_t_power_script, cable_endpoint_product_script)
+            new = surgery_interior_combination_script(pres, slope, env)
+            old = swap_expand_interior_script(pres, slope, env)
+            assert check_script(new, pres, env) == check_script(old, pres, env), (x, y, p, str(slope))
+            assert len(new.steps) == 8 and len(old.steps) == 2 * n
+
+    def test_run_collapse_needs_the_licence_of_every_pair(self):
+        pres = cable_presentation(2, 3, 2)
+        ctx = Context("G")
+        run = Step(kind="commute", side="lhs", position=0, word=Word.parse("muC^2 lamC^-1"), n=2)
+        lhs, _ = apply_step(state_of("muC^2 lamC^-1 muC^2 lamC^-1 a", "a"), run, pres, ctx, {})
+        assert lhs == [(MUC, 4), (LAMC, -2), ("a", 1)]
+        unlicensed = Step(kind="commute", side="lhs", position=0, word=Word.parse("a b"), n=2)
+        with pytest.raises(StepError, match="not licensed"):
+            apply_step(state_of("a b a b", "1"), unlicensed, pres, ctx, {})
+
+    def test_relation_exponent_inserts_powers(self):
+        pres = cable_presentation(2, 3, 2)
+        cited = prove_chain(pres, central_relation_script)  # a^2 = b^3
+        step = Step(kind="relation", ref=("equation", "central_relation"), side="lhs", position=1,
+                    direction="forward", anchor="after", n=3)
+        ctx = Context("H", Slope(64, 3))
+        lhs, _ = apply_step(([("t", 1), ("t", -1)], []), step, pres, ctx, cited)
+        assert lhs == [("t", 1), ("b", 9), ("a", -6), ("t", -1)]
+        with pytest.raises(StepError, match="relation exponent 3 is outside 1..1"):
+            apply_step(state_of("t", "1"), step, pres, Context("G"), cited)
+
+    def test_caps_grow_with_the_slope_and_p(self):
+        small, large = cable_presentation(2, 3, 2), cable_presentation(2, 3, 50)
+        assert script_caps(small, Context("G")) == (56, 44, 1)
+        assert script_caps(small, Context("H", Slope(153, 7))) == (104, 68, 7)
+        assert script_caps(large, Context("H", Slope(14949 * 50 + 1, 50))) == (832, 432, 50)
+
+    def test_step_cap_is_checked_before_the_first_step(self):
+        pres = cable_presentation(2, 3, 2)
+        script = cable_t_power_script(pres)
+        padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 44)
+        with pytest.raises(StepError, match="the script has 54 steps; the cap is 44") as err:
+            check_script(padded, pres, {})
+        assert err.value.index is None
+
+    def test_builder_stops_at_the_step_cap(self):
+        # a builder emits only what the checker would accept, so certify never
+        # hands out a script that replay rejects
+        script = meridian_shift_script(cable_presentation(2, 3, 2), -7)  # 6 steps per shift
+        assert len(script.steps) == 42
+        with pytest.raises(StepError, match="exceed its cap of 44 steps"):
+            meridian_shift_script(cable_presentation(2, 3, 2), -8)
 
 
 class TestMeridianShift:

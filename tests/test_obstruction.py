@@ -2,6 +2,8 @@ import json
 import pickle
 import random
 import time
+from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,8 +103,8 @@ class TestRefuteAll:
         assert len(cert.refutations) == 27
         by_assignment = {row.assignment: row for row in cert.refutations}
         row = by_assignment[ALL_POS]
-        assert row.equation_id == "surgery_t_inverse_power"
-        assert (row.lhs_sign, row.rhs_sign) == (NEG, POS)
+        assert row.equation_id == "surgery_endpoint_identity"
+        assert (row.lhs_sign, row.rhs_sign) == (POS, ZERO)
         zero_row = by_assignment[SignAssignment(ZERO, ZERO, ZERO)]
         assert zero_row.equation_id is None
 
@@ -165,10 +167,11 @@ class TestCertifyBeta:
         assert [e.entry_id for e in cert.entries] == [
             "central_relation",
             "cable_t_power",
-            "surgery_central_power",
-            "surgery_t_inverse_power",
+            "cable_endpoint_product",
+            "surgery_endpoint_identity",
         ]
         assert cert.params.slope == Slope(21, 1)
+        assert (cert.params.mode, cert.params.beta) == ("beta", 1)
         assert cert.cramer_data is None
         assert replay(cert)
 
@@ -182,9 +185,34 @@ class TestCertifyBeta:
 
     def test_large_beta_exponent(self):
         cert = certify_beta(2, 3, 2, 25)
-        entry = {e.entry_id: e for e in cert.entries}["surgery_central_power"]
-        assert entry.equation.lhs == Word.parse("t^51")
+        entry = {e.entry_id: e for e in cert.entries}["surgery_interior_combination"]
+        assert entry.equation.lhs == Word.parse("t a b t^48")
         assert replay(cert)
+
+    def test_beta_is_a_label_over_the_slope_pipeline(self):
+        # over the acceptance grid: the same proofs, determinants and refutation table
+        pairs = [(x, y) for x in range(2, 7) for y in range(x + 1, 8) if gcd(x, y) == 1]
+        for x, y in pairs:
+            for p in (2, 3, 4, 5):
+                for beta in range(1, 26):
+                    cert = certify_beta(x, y, p, beta)
+                    same = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
+                    assert cert.params == replace(same.params, mode="beta", beta=beta)
+                    assert (cert.entries, cert.cramer_data, cert.refutations) == (
+                        same.entries, same.cramer_data, same.refutations
+                    ), (x, y, p, beta)
+
+    def test_step_count_does_not_grow_with_beta(self):
+        # a work count: the beta proof is the interior proof, eight steps at every beta
+        counts = {
+            beta: sum(len(e.script.steps) for e in certify_beta(2, 3, 2, beta).entries)
+            for beta in (2, 1000, 10**6)
+        }
+        assert len(set(counts.values())) == 1, counts
+        started = time.perf_counter()
+        cert = certify_beta(2, 3, 2, 10**6)
+        assert replay(certificate_from_json_dict(json.loads(json.dumps(cert.to_json_dict()))))
+        assert time.perf_counter() - started < 0.05
 
     def test_certificate_pickles(self):
         cert = certify_beta(2, 3, 2, 3)
@@ -239,14 +267,17 @@ class TestCertifySlope:
             certify_slope(2, 3, 2, Slope(1, 1))
         with pytest.raises(UnsupportedParameters):
             certify_slope(2, 3, 2, Slope(23, 1))
+        with pytest.raises(UnsupportedParameters, match="outside the certified window"):
+            certify_slope(2, 3, 2, Slope(19, 1))  # below pq - 1, where the sign atoms do not reach
 
-    def test_experimental_band_is_inconclusive(self):
-        result = certify_slope(2, 3, 2, Slope(19, 1), experimental=True)
-        assert isinstance(result, Inconclusive)
-        assert ALL_POS in result.survivors
-        # below the open band stays rejected even with the flag
-        with pytest.raises(UnsupportedParameters):
-            certify_slope(2, 3, 2, Slope(5, 1), experimental=True)
+    @pytest.mark.parametrize("x,y,p", [(6, 7, 5), (11, 13, 9), (2, 3, 50)])
+    def test_large_pq_certificates_fit_the_caps(self, x, y, p):
+        # replay enforces the caps of derivations.script_caps on every step
+        pq = p * (p * x * y - 1)
+        slopes = [Slope(pq - 1), Slope(pq), Slope((pq - 1) * 50 + 1, 50), Slope((pq - 1) * 50 + 49, 50)]
+        for slope in slopes:
+            assert replay(certify_slope(x, y, p, slope)), (x, y, p, str(slope))
+        assert replay(certify_beta(x, y, p, 5))
 
 
 class TestEntriesUsed:
@@ -298,8 +329,53 @@ class TestReplay:
     def test_wrong_version_detected(self):
         cert = certify_beta(2, 3, 2, 1)
         doc = cert.to_json_dict()
-        doc["version"] = "v2"
+        doc["version"] = "v3"
         assert not replay(certificate_from_json_dict(doc))
+
+    def test_v1_document_with_a_v2_step_is_a_load_error(self):
+        doc = certify_beta(2, 3, 2, 7).to_json_dict()
+        assert doc["version"] == "v2"
+        doc["version"] = "v1"
+        with pytest.raises(ValueError, match="a v1 certificate uses a step form of v2"):
+            certificate_from_json_dict(doc)
+        # an exponent on a v1 relation step is a v2 form too
+        doc = certify_slope(2, 3, 2, Slope(21, 1)).to_json_dict()
+        doc["version"] = "v1"
+        assert replay(certificate_from_json_dict(doc))
+        entry = next(e for e in doc["equations"] if e["id"] == "surgery_endpoint_identity")
+        entry["script"]["steps"][0]["n"] = 1
+        with pytest.raises(ValueError, match="a v1 certificate uses a step form of v2"):
+            certificate_from_json_dict(doc)
+
+    def test_beta_certificate_needs_determinant_data(self):
+        doc = certify_beta(2, 3, 2, 7).to_json_dict()
+        assert doc["cramer"]["d0"] == 1 and doc["cramer"]["d1"] == 6
+        doc["cramer"] = None
+        report = replay(certificate_from_json_dict(doc))
+        assert report.problems == ["interior slope certificate lacks determinant data"]
+
+    @pytest.mark.parametrize(
+        "step_index, field, change",
+        [
+            (2, "n", 1),  # the relation exponent
+            (2, "n", -1),
+            (3, "n", 1),  # the run count
+            (3, "n", -1),
+            (3, "word", "lamC^-1 muC^-20"),  # a collected exponent of the block
+            (3, "word", "lamC^-2 muC^-21"),
+            (0, "position", 1),
+            (4, "name", "muC"),
+        ],
+    )
+    def test_tampered_exponent_step_is_detected(self, step_index, field, change):
+        # d0 = 2 at 152/7, so every exponent step does real work
+        doc = certify_slope(2, 3, 2, Slope(152, 7)).to_json_dict()
+        entry = next(e for e in doc["equations"] if e["id"] == "surgery_interior_combination")
+        step = entry["script"]["steps"][step_index]
+        assert step["kind"] in ("relation", "commute")
+        step[field] = step[field] + change if type(change) is int else change
+        report = replay(certificate_from_json_dict(json.loads(json.dumps(doc))))
+        assert any(p.startswith("script 'surgery_interior_combination' fails: ") for p in report.problems)
 
     def test_missing_assignment_detected(self):
         cert = certify_beta(2, 3, 2, 1)
@@ -360,14 +436,14 @@ class TestReplay:
 
     def test_failing_script_is_reported_once(self):
         doc = certify_beta(2, 3, 2, 7).to_json_dict()
-        entry = next(e for e in doc["equations"] if e["id"] == "surgery_t_inverse_power")
+        entry = next(e for e in doc["equations"] if e["id"] == "surgery_interior_combination")
         entry["script"]["steps"][3]["position"] += 1
         report = replay(certificate_from_json_dict(doc))
         assert not report
         first, *rest = report.problems
-        assert first.startswith("script 'surgery_t_inverse_power' fails: step 3: ")
-        (folded,) = [p for p in rest if "surgery_t_inverse_power" in p]
-        assert folded == "2 refutation row(s) cite equation 'surgery_t_inverse_power', which did not verify"
+        assert first.startswith("script 'surgery_interior_combination' fails: step 3: ")
+        (folded,) = [p for p in rest if "surgery_interior_combination" in p]
+        assert folded == "2 refutation row(s) cite equation 'surgery_interior_combination', which did not verify"
 
     def test_rows_citing_an_unknown_id_make_one_problem(self):
         doc = certify_beta(2, 3, 2, 7).to_json_dict()
@@ -381,6 +457,7 @@ class TestReplay:
 class TestAssignments:
     def test_enumeration(self):
         assignments = all_sign_assignments()
+        assert assignments is all_sign_assignments()  # built once
         assert len(assignments) == len(set(assignments)) == 27
         assert assignments[0] == ALL_POS
         assert assignments[-1] == SignAssignment(ZERO, ZERO, ZERO)
