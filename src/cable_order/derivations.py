@@ -26,13 +26,13 @@ same generator are allowed); explicit reduction steps normalize them.  Steps
 edit the state in place, so checking a script costs time linear in its
 number of steps, not steps times length.
 
-A script is untrusted input, so its resources are capped by what it proves
-(:func:`script_caps`): the number of steps, the syllables on either side of
-any state and the exponent of a relation step are bounded by linear
-functions of p and of the denominator n of the context's slope (1 in the
-knot group).  A step that would break a cap is rejected before it edits or
-allocates anything.  The exponent forms keep every surgery proof at a fixed
-number of steps, whatever the slope.
+A script read as input is untrusted, so the syllables on either side of any
+of its states are capped by a linear function of the script's own size
+(:func:`side_cap`), not of anything it claims, such as its slope.  A step
+that would break the cap is rejected before it edits or allocates anything,
+so checking a script takes memory linear in its size and time at most
+quadratic.  The exponent forms keep every surgery proof at a fixed number
+of steps, whatever the slope.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
@@ -195,6 +195,8 @@ class Step(NamedTuple):
             _json_enum(direction, _STEP_DIRECTIONS, "step direction")
             _json_enum(anchor, _STEP_ANCHORS, "step anchor")
             _json_enum(on, _STEP_ONS, "step on")
+        if n is not None and kind not in ("relation", "commute"):
+            raise ValueError(f"a {kind} step takes no n")
         # all thirteen fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
         return _tuple_new(Step, (
             kind,
@@ -287,31 +289,21 @@ def _side_index(side: str | None) -> int:
     raise StepError(f"bad side {side!r:.40}")
 
 
-class Caps(NamedTuple):
-    """The resources one script may use; see :func:`script_caps`."""
+def side_cap(script: DerivationScript) -> int:
+    """The most syllables either side of any state of `script` may hold.
 
-    side: int  # syllables on either side of any state
-    steps: int  # steps in the script
-    exponent: int  # the largest relation exponent
-
-
-def script_caps(pres: GroupPresentation, context: Context) -> Caps:
-    """Caps derived only from the presentation and the script's context.
-
-    With n the denominator of the context's slope (1 in the knot group) and
-    k = n + p: at most 8k + 32 syllables per side, 4k + 32 steps, and a
-    relation exponent of at most n.  Every proof the factories emit fits
-    with room to spare; so do the longer proofs of format v1, whose steps
-    grew with n.
+    4 (s + w + c) + 16, with s the script's steps, w the syllables of its
+    step words and c the syllables of its claimed equation: every proof the
+    factories emit, and every proof of format v1, peaks below 1.6 (s + w + c).
+    The cap reads nothing the script only claims, such as the slope of its
+    context, so a short script cannot buy a large cap.
     """
-    n = 1 if context.slope is None else context.slope.n
-    k = n + (pres.p or 1)
-    return Caps(8 * k + 32, 4 * k + 32, n)
+    words = sum(len(step.word) for step in script.steps if step.word is not None)
+    return 4 * (len(script.steps) + words + len(script.claimed_lhs) + len(script.claimed_rhs)) + 16
 
 
-def _check_side(new_length: int, pres: GroupPresentation, context: Context) -> None:
-    cap = script_caps(pres, context).side
-    if new_length > cap:
+def _check_side(new_length: int, cap: int | None) -> None:
+    if cap is not None and new_length > cap:
         raise StepError(f"the step would make a side of {new_length!s:.40} syllables; the cap is {cap}")
 
 
@@ -329,7 +321,12 @@ def _check_commuting(pres: GroupPresentation, factors: Sequence[Syllable]) -> No
 
 
 def apply_step(
-    state: State, step: Step, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
+    state: State,
+    step: Step,
+    pres: GroupPresentation,
+    context: Context,
+    cited: dict[str, Equation],
+    cap: int | None = None,
 ) -> State:
     """Apply one step to `state` in place and return it; raises StepError on any violation.
 
@@ -365,12 +362,11 @@ def apply_step(
     pairwise under the whitelist, which makes the power of their product the
     product of their powers.
 
-    The caps of :func:`script_caps` hold for every step: no side may grow
-    past the side cap, and a relation exponent may not exceed the slope's
-    denominator.  Anything else raises StepError.  Every check runs before
-    the first edit, so a rejected step leaves the state unchanged and
-    allocates nothing in proportion to an exponent.  The two sides must be
-    distinct lists.
+    When `cap` is given (:func:`iter_states` passes the script's
+    :func:`side_cap`), no step may grow a side past `cap` syllables.
+    Anything else raises StepError.  Every check runs before the first edit,
+    so a rejected step leaves the state unchanged and allocates nothing in
+    proportion to an exponent.  The two sides must be distinct lists.
     """
     lhs, rhs = state
     # one unpacking of the record: cheaper than reading each field by name
@@ -390,7 +386,7 @@ def apply_step(
         if on not in ("left", "right"):
             raise StepError(f"bad multiplication side {on!r:.40}")
         ws = word.syllables
-        _check_side(max(len(lhs), len(rhs)) + len(ws), pres, context)
+        _check_side(max(len(lhs), len(rhs)) + len(ws), cap)
         if on == "left":
             lhs[:0] = ws
             rhs[:0] = ws
@@ -434,7 +430,7 @@ def apply_step(
         left_rem = [] if ea == e1 else [(g1, ea - e1)]
         right_rem = [] if eb == e2 else [(g2, eb - e2)]
         if left_rem or right_rem:
-            _check_side(len(syls) + len(left_rem) + len(right_rem), pres, context)
+            _check_side(len(syls) + len(left_rem) + len(right_rem), cap)
         syls[pos : pos + 2] = left_rem + [(g2, e2), (g1, e1)] + right_rem
 
     elif kind == "definition":
@@ -448,7 +444,7 @@ def apply_step(
         if g != name:
             raise StepError(f"syllable at position {pos} is not {name}")
         definition = pres.named[name].definition.syllables
-        _check_side(len(syls) - 1 + len(definition) * abs(e), pres, context)
+        _check_side(len(syls) - 1 + len(definition) * abs(e), cap)
         base = definition if e > 0 else _invert_raw(definition)
         syls[pos : pos + 1] = base * abs(e)
 
@@ -463,12 +459,11 @@ def apply_step(
         if anchor not in ("before", "after"):
             raise StepError(f"bad relation anchor {anchor!r:.40}")
         k = 1 if n is None else n
-        cap = script_caps(pres, context).exponent
-        if not (1 <= k <= cap):
-            raise StepError(f"relation exponent {k!s:.40} is outside 1..{cap}")
+        if k < 1:
+            raise StepError(f"relation exponent {k!s:.40} is below 1")
         if not (0 <= pos <= len(syls)):
             raise StepError("position out of range")
-        _check_side(len(syls) + k * (len(x_word) + len(y_word)), pres, context)
+        _check_side(len(syls) + k * (len(x_word) + len(y_word)), cap)
         x_inv, y_pow = power(x_word, -k).syllables, power(y_word, k).syllables
         syls[pos:pos] = x_inv + y_pow if anchor == "before" else y_pow + x_inv
 
@@ -492,7 +487,7 @@ def apply_step(
         else:
             raise StepError("commute takes a name, or a nonempty word and a count of at least 1")
         _check_commuting(pres, factors)
-        _check_side(len(syls) - (end - pos) + len(factors), pres, context)
+        _check_side(len(syls) - (end - pos) + len(factors), cap)
         syls[pos:end] = [(f, c * e) for f, c in factors]
 
     return state
@@ -524,19 +519,17 @@ def iter_states(
     """Yield the derivation state after the axiom and after every step.
 
     The state yielded is live: the next step edits the same two lists in
-    place.  Copy it to keep it past the next iteration.  A script with more
-    steps than its step cap fails before the axiom is read.
+    place.  Copy it to keep it past the next iteration.  Every step is held
+    to the script's :func:`side_cap`.
     """
-    cap = script_caps(pres, script.context).steps
-    if len(script.steps) > cap:
-        raise StepError(f"the script has {len(script.steps)} steps; the cap is {cap}")
+    cap = side_cap(script)
     env = env or {}
     cited = {c: env[c] for c in script.cites if c in env}  # what relation steps may insert
     state = axiom_state(script.axiom, script.context, pres)
     yield state
     for idx, step in enumerate(script.steps):
         try:
-            state = apply_step(state, step, pres, script.context, cited)
+            state = apply_step(state, step, pres, script.context, cited, cap)
         except StepError as err:
             raise StepError(err.reason, index=idx) from None
         yield state
@@ -582,7 +575,9 @@ class ScriptBuilder:
 
     Every emitted step goes through :func:`apply_step`, which is the checker
     itself; :meth:`finish` hands the derived equation on with the script, so
-    :func:`admit` need not replay it.
+    :func:`admit` need not replay it.  The factories are trusted code, so
+    their steps are not held to a :func:`side_cap`; a script read back as
+    input, as every script of a certificate is under replay, is.
     """
 
     def __init__(
@@ -603,11 +598,8 @@ class ScriptBuilder:
         self._cited = {c: env[c] for c in cites if c in env}
         self._steps: list[Step] = []
         self._state = axiom_state(axiom, context, pres)
-        self._step_cap = script_caps(pres, context).steps
 
     def _emit(self, step: Step) -> None:
-        if len(self._steps) == self._step_cap:
-            raise StepError(f"the script would exceed its cap of {self._step_cap} steps")
         apply_step(self._state, step, self.pres, self.context, self._cited)
         self._steps.append(step)
 

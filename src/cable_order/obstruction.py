@@ -84,7 +84,6 @@ class SignAssignment:
 
 
 _ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
-_ASSIGNMENT_SET = frozenset(_ASSIGNMENTS)
 
 
 def all_sign_assignments() -> tuple[SignAssignment, ...]:
@@ -310,7 +309,7 @@ def refute_all(
 
     rows: list[RefutationRow] = []
     survivors: list[SignAssignment] = []
-    for assignment in _ASSIGNMENTS:
+    for assignment in all_sign_assignments():
         if assignment.is_all_zero():
             # all generators trivial would make the whole group trivial, and
             # left-orderability is a property of nontrivial groups
@@ -509,9 +508,9 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which did not verify")
         else:
             problems.append(f"{rows} refutation row(s) cite unknown equation {eq_id!r:.40}")
-    missing = _ASSIGNMENT_SET - seen
+    missing = len(all_sign_assignments()) - len(seen)  # every valid assignment is one of them
     if missing:
-        problems.append(f"{len(missing)} assignments are not refuted")
+        problems.append(f"{missing} assignments are not refuted")
 
     # determinant data must match an exact recomputation; v1 beta certificates carried none
     pq = p_.p * p_.q

@@ -300,23 +300,25 @@ class TestReplayCommand:
         assert len(err.encode()) < 1024
         assert elapsed < 0.1
 
+    @pytest.mark.parametrize("beta", [7, 10**6, 10**9])
     @pytest.mark.parametrize(
         "probe, problem",
         [
-            # a power of lamC spelled out: 2,000,001 syllables, far past the side cap of 104
+            # a power of lamC spelled out: 2,000,001 syllables
             ([{"kind": "multiply", "on": "left", "word": "lamC^1000000"},
               {"kind": "definition", "name": "lamC", "side": "lhs", "position": 0, "direction": "expand"}],
-             "step 9: the step would make a side of 2000004 syllables; the cap is 104"),
-            # a relation exponent far above the slope's denominator, 7
+             "step 9: the step would make a side of 2000004 syllables; the cap is 84"),
+            # ten million copies of the endpoint product and its inverse
             ([{"kind": "relation", "ref": {"type": "equation", "name": "cable_endpoint_product"},
                "side": "lhs", "position": 0, "direction": "forward", "anchor": "before", "n": 10**7}],
-             "step 8: relation exponent 10000000 is outside 1..7"),
+             "step 8: the step would make a side of 50000004 syllables; the cap is 76"),
         ],
         ids=["expand", "relation"],
     )
-    def test_cap_probe_is_rejected_fast_and_small(self, tmp_path, capsys, probe, problem):
+    def test_cap_probe_is_rejected_fast_and_small(self, tmp_path, capsys, probe, problem, beta):
+        # the cap follows the script's size, not the slope the certificate names
         out = tmp_path / "cert.json"
-        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", str(beta), "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
         doc["equations"][-1]["script"]["steps"].extend(probe)
         out.write_text(json.dumps(doc))

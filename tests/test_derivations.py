@@ -21,7 +21,7 @@ from cable_order.derivations import (
     check_script,
     iter_states,
     meridian_shift_script,
-    script_caps,
+    side_cap,
     script_from_json_dict,
     script_to_json_dict,
     surgery_interior_combination_script,
@@ -253,13 +253,13 @@ class TestStepValidation:
             Step(kind="multiply", on="left"),
             Step(kind="multiply", on="middle", word=Word.parse("a")),
             Step(kind="relation", side="lhs", position=0, direction="forward", anchor="before"),
-            # the exponent forms and the caps: the knot group allows a relation exponent of 1
-            # and 8 * (1 + p) + 32 = 56 syllables per side
+            # the exponent forms, and steps past the cap of 20 syllables per side
             Step(kind="relation", ref=("relator", "cable"), side="lhs", position=0,
-                 direction="forward", anchor="before", n=2),
+                 direction="forward", anchor="before", n=8),
             Step(kind="relation", ref=("relator", "cable"), side="lhs", position=0,
                  direction="forward", anchor="before", n=0),
-            Step(kind="multiply", on="left", word=Word.parse(" ".join(["a b"] * 30))),
+            Step(kind="multiply", on="left", word=Word.parse(" ".join(["a b"] * 11))),
+            Step(kind="definition", name="mu", side="lhs", position=0, direction="expand"),
             Step(kind="commute", side="lhs", position=0, name="mu"),
             Step(kind="commute", side="lhs", position=1, name="lam"),
             Step(kind="commute", side="lhs", position=0, name="lamC"),
@@ -278,7 +278,7 @@ class TestStepValidation:
         lhs, rhs = [("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)]
         state = (lhs, rhs)
         with pytest.raises(StepError):
-            apply_step(state, step, pres, Context("G"), {})
+            apply_step(state, step, pres, Context("G"), {}, cap=20)
         assert state[0] is lhs and state[1] is rhs
         assert state == ([("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)])
 
@@ -444,30 +444,41 @@ class TestExponentForms:
         ctx = Context("H", Slope(64, 3))
         lhs, _ = apply_step(([("t", 1), ("t", -1)], []), step, pres, ctx, cited)
         assert lhs == [("t", 1), ("b", 9), ("a", -6), ("t", -1)]
-        with pytest.raises(StepError, match="relation exponent 3 is outside 1..1"):
-            apply_step(state_of("t", "1"), step, pres, Context("G"), cited)
+        with pytest.raises(StepError, match="a side of 7 syllables; the cap is 6"):
+            apply_step(([("t", 1)], []), step, pres, ctx, cited, cap=6)
 
-    def test_caps_grow_with_the_slope_and_p(self):
-        small, large = cable_presentation(2, 3, 2), cable_presentation(2, 3, 50)
-        assert script_caps(small, Context("G")) == (56, 44, 1)
-        assert script_caps(small, Context("H", Slope(153, 7))) == (104, 68, 7)
-        assert script_caps(large, Context("H", Slope(14949 * 50 + 1, 50))) == (832, 432, 50)
+    def test_side_cap_follows_the_size_of_the_script(self):
+        pres = cable_presentation(2, 3, 2)
+        script = cable_t_power_script(pres)  # 10 steps, 2 syllables of words, 3 claimed
+        assert side_cap(script) == 4 * (10 + 2 + 3) + 16
+        padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 5)
+        assert side_cap(padded) == side_cap(script) + 20
 
-    def test_step_cap_is_checked_before_the_first_step(self):
+    def test_side_cap_does_not_follow_the_claimed_slope(self):
+        # a certificate names its own slope: at d0 = 1, beta 7 and beta 10^9 have the same caps
+        caps = [
+            [side_cap(entry.script) for entry in obstruction.certify_beta(2, 3, 2, beta).entries]
+            for beta in (7, 10**9)
+        ]
+        assert caps[0] == caps[1] and max(caps[0]) < 100
+
+    def test_checked_script_is_held_to_its_cap(self):
         pres = cable_presentation(2, 3, 2)
         script = cable_t_power_script(pres)
-        padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 44)
-        with pytest.raises(StepError, match="the script has 54 steps; the cap is 44") as err:
-            check_script(padded, pres, {})
-        assert err.value.index is None
+        spelled = Step(kind="multiply", on="left", word=Word.parse("lam^50"))
+        expand = Step(kind="definition", name="lam", side="lhs", position=0, direction="expand")
+        probe = dataclasses.replace(script, steps=script.steps + (spelled, expand))
+        with pytest.raises(StepError, match="a side of 101 syllables; the cap is 88") as err:
+            check_script(probe, pres, {})
+        assert err.value.index == 11
 
-    def test_builder_stops_at_the_step_cap(self):
-        # a builder emits only what the checker would accept, so certify never
-        # hands out a script that replay rejects
-        script = meridian_shift_script(cable_presentation(2, 3, 2), -7)  # 6 steps per shift
-        assert len(script.steps) == 42
-        with pytest.raises(StepError, match="exceed its cap of 44 steps"):
-            meridian_shift_script(cable_presentation(2, 3, 2), -8)
+    def test_builder_is_not_capped(self):
+        # factory scripts are trusted code; the shift proofs grow with |k| and
+        # are never written into a certificate
+        pres = cable_presentation(2, 3, 2)
+        script = meridian_shift_script(pres, -8)  # 6 steps per shift
+        assert len(script.steps) == 48
+        assert check_script(script, pres, {}).rhs == Word.parse("mu^-82 lam^-15 t^15")
 
 
 class TestMeridianShift:

@@ -272,7 +272,7 @@ class TestCertifySlope:
 
     @pytest.mark.parametrize("x,y,p", [(6, 7, 5), (11, 13, 9), (2, 3, 50)])
     def test_large_pq_certificates_fit_the_caps(self, x, y, p):
-        # replay enforces the caps of derivations.script_caps on every step
+        # replay holds every step to the script's derivations.side_cap
         pq = p * (p * x * y - 1)
         slopes = [Slope(pq - 1), Slope(pq), Slope((pq - 1) * 50 + 1, 50), Slope((pq - 1) * 50 + 49, 50)]
         for slope in slopes:
@@ -405,8 +405,13 @@ class TestReplay:
                 "unknown step direction 'fold'",
             ),
             ({"kind": "reduce", "side": "lhs"}, None),
+            ({"kind": "reduce", "side": "both", "n": 2}, "a reduce step takes no n"),
+            (
+                {"kind": "swap", "side": "lhs", "position": 0, "left": ["a", 1], "right": ["b", 1], "n": 2},
+                "a swap step takes no n",
+            ),
         ],
-        ids=["power", "collect", "fold", "reduce"],
+        ids=["power", "collect", "fold", "reduce", "n_on_reduce", "n_on_swap"],
     )
     def test_step_outside_the_step_language_fails_at_its_index(self, step, load_error):
         # a kind or direction outside its values fails at load; a known kind

@@ -255,6 +255,11 @@ class TestPeripheralInvariance:
     def test_trivial_shift(self):
         assert peripheral_invariance_check(2, 3, 2, 11, 0)
 
+    def test_long_shifts(self):
+        # the shift proofs take 3 or 6 steps per unit of k, whatever its size
+        for k in (-8, 9):
+            assert peripheral_invariance_check(2, 3, 2, None, k), k
+
     def test_derivation_must_prove_the_shifted_meridian(self, monkeypatch):
         # the k = 0 proof replays, but it proves muC = mu^6 lam t^-1, not the k = 1 shift
         real = derivations.meridian_shift_script
