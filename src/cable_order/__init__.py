@@ -30,7 +30,6 @@ from .obstruction import (
 from .presentations import (
     GroupPresentation,
     ParameterError,
-    bezout_cable,
     bezout_torus,
     cable_presentation,
     peripheral_invariance_check,
@@ -60,7 +59,6 @@ __all__ = [
     "Word",
     "abelianize",
     "beta_slope",
-    "bezout_cable",
     "bezout_torus",
     "cable_presentation",
     "certificate_from_json_dict",

@@ -86,10 +86,12 @@ def _print_table(cert: ObstructionCertificate) -> None:
 
 def cmd_present(args: argparse.Namespace) -> int:
     try:
-        if args.p is None:
-            pres = torus_presentation(args.x, args.y)
-        else:
+        if args.p is not None:
             pres = cable_presentation(args.x, args.y, args.p, args.q)
+        elif args.q is not None:
+            raise ParameterError("--q needs --p: a torus knot has no cable parameter q")
+        else:
+            pres = torus_presentation(args.x, args.y)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR

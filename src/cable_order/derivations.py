@@ -176,9 +176,10 @@ class Step(NamedTuple):
         # inline checks: this runs once per step of every certificate loaded
         kind, position, name, n = d["kind"], d.get("position"), d.get("name"), d.get("n")
         side, direction, anchor, on = d.get("side"), d.get("direction"), d.get("anchor"), d.get("on")
+        why = d.get("why")
         if not ((position is None or type(position) is int) and (n is None or type(n) is int)
-                and (name is None or type(name) is str)):
-            raise ValueError("a step position and n must be integers and a step name a string")
+                and (name is None or type(name) is str) and (why is None or type(why) is str)):
+            raise ValueError("a step position and n must be integers and a step name and why strings")
         try:
             known = (
                 kind in _STEP_KINDS
@@ -212,7 +213,7 @@ class Step(NamedTuple):
             _json_syllable(d["right"], "swap operand right") if "right" in d else None,
             on,
             n,
-            d.get("why", ""),
+            why or "",
         ))
 
     def v2_only(self) -> bool:
@@ -685,8 +686,6 @@ def central_relation_script(pres: GroupPresentation) -> DerivationScript:
 
 def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
     """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator."""
-    if not pres.theorem_mode:
-        raise ParameterError("this derivation needs q = p*x*y - 1")
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     x, y = pres.x, pres.y
@@ -721,8 +720,6 @@ def cable_endpoint_product_script(
     pres: GroupPresentation, env: dict[str, Equation]
 ) -> DerivationScript:
     """muC^(pq-1) lamC = t a^(x(p-1)-i) b^(-j) in the cable group."""
-    if not pres.theorem_mode:
-        raise ParameterError("this derivation needs the normalization u = x*y, v = 1")
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     b = ScriptBuilder(

@@ -219,14 +219,15 @@ _RECORDED_SIGNS = frozenset({POS, NEG, ZERO, UNKNOWN})  # what evaluate_sign ret
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     """Rebuild a certificate from its JSON form.
 
-    A wrongly typed integer, word, slope, id, name or equation reference,
-    a script that is not an object, or an enumerated field (step `kind`,
-    `side`, `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`,
-    the recorded signs) outside its values raises ValueError here, at load
-    time (`script_from_json_dict` and the parsers check theirs), so that
-    `replay` never meets a value of the wrong JSON type.  So does a v1
-    document with a step of a form that v2 added.  Like `replay`'s problems,
-    load errors cut the values they quote to 40 characters.
+    A wrongly typed version, integer, word, slope, id, name, `why` or
+    equation reference, a script that is not an object, or an enumerated
+    field (step `kind`, `side`, `direction`, `anchor` and `on`, the axiom
+    `kind`, `params.mode`, the recorded signs) outside its values raises
+    ValueError here, at load time (`script_from_json_dict` and the parsers
+    check theirs), so that `replay` never meets a value of the wrong JSON
+    type.  So does a v1 document with a step of a form that v2 added.  Like
+    `replay`'s problems, load errors cut the values they quote to 40
+    characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -244,7 +245,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         entry_id = _json_typed(e["id"], str, "equation id")
         eq = Equation(Word.parse(e["lhs"]), Word.parse(e["rhs"]), ctx, provenance=entry_id)
         entries.append(CertEntry(entry_id, eq, script_from_json_dict(e["script"])))
-    version = doc.get("version", "")
+    version = _json_typed(doc.get("version", ""), str, "version")
     if version == "v1" and any(step.v2_only() for e in entries for step in e.script.steps):
         raise ValueError("a v1 certificate uses a step form of v2 (commute, or a relation exponent)")
     if doc.get("cramer") is None:
@@ -252,9 +253,9 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     else:
         c = doc["cramer"]
         cramer_data = CramerTriple(
-            c["d0"],
-            c["d1"],
-            c["d"],
+            _json_typed(c["d0"], int, "cramer.d0"),
+            _json_typed(c["d1"], int, "cramer.d1"),
+            _json_typed(c["d"], int, "cramer.d"),
             Slope.parse(c["slopes"]["s0"]),
             Slope.parse(c["slopes"]["s1"]),
             Slope.parse(c["slopes"]["s"]),

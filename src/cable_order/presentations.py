@@ -6,9 +6,9 @@ with the normalization 0 < i < x (hence j < 0).  The (p, q)-cable group adds
 a generator t and the relation mu^q lam^p = t^p; its peripheral elements are
 muC = mu^u lam^v t^-v and lamC = muC^(-pq) t^p with p*u - q*v = 1.
 
-In "theorem mode" the cable parameters are constrained to q = p*x*y - 1 with
-p >= 2, and the normalization (u, v) = (x*y, 1) is used.  General-mode
-presentations take 0 < v <= p instead.
+The paper's cables have q = p*x*y - 1 with p >= 2, and use the
+normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
+u and v follow from (x, y, p).
 
 Each defined name has a definition over earlier names and a spelling (its
 `expansion`) over the concrete letters.  :meth:`GroupPresentation.expand`
@@ -31,8 +31,8 @@ read; every read sees the same value.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache, partial
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
@@ -41,16 +41,12 @@ from typing import Callable, Mapping, NamedTuple
 from .slopes import Slope
 from .words import Syllable, Word, _join, concat, power
 
-CONCRETE_LETTERS = ("a", "b", "t")
-
 MU, LAM, MUC, LAMC = "mu", "lam", "muC", "lamC"
 
 # The names `expand` substitutes by their definitions: the longitudes, powers
 # of their meridian times one letter, which cancel against neighbouring powers
 # of the meridian before it is spelled.  The meridians go through their
-# spellings: muC spells as a^x t^-1 in theorem mode, and even in general mode,
-# where its spelling can be the longer, spelling muC^-pq beats going through
-# mu and lam (about 20x at (3, 5, 7, q = 20)).
+# spellings: muC spells as a^x t^-1.
 _THROUGH_DEFINITION = frozenset({LAM, LAMC})
 
 
@@ -68,18 +64,6 @@ class TorusParams:
             raise ParameterError(f"torus parameters must be >= 2, got ({self.x}, {self.y})")
         if gcd(self.x, self.y) != 1:
             raise ParameterError(f"torus parameters must be coprime, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True, slots=True)
-class CableParams:
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ParameterError(f"cable winding p must be >= 2, got {self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise ParameterError(f"cable parameters must be coprime, got ({self.p}, {self.q})")
 
 
 class TorusBezout(NamedTuple):
@@ -101,24 +85,6 @@ def bezout_torus(x: int, y: int) -> TorusBezout:
     return TorusBezout(i, j)
 
 
-def bezout_cable(p: int, q: int, xy_hint: int | None = None) -> CableBezout:
-    """Solve p*u - q*v == 1.
-
-    When q == p*xy_hint - 1 the canonical choice (u, v) = (xy_hint, 1) is
-    returned; otherwise v is normalized into (0, p].
-    """
-    if gcd(p, q) != 1:
-        raise ParameterError(f"cable parameters must be coprime, got ({p}, {q})")
-    if xy_hint is not None and q == p * xy_hint - 1:
-        return CableBezout(xy_hint, 1)
-    v = (-pow(q, -1, p)) % p
-    if v == 0:
-        v = p
-    u = (1 + q * v) // p
-    assert p * u - q * v == 1 and 0 < v <= p
-    return CableBezout(u, v)
-
-
 @dataclass(frozen=True, slots=True)
 class Relator:
     """A presentation relator: `word` == identity in the group.
@@ -132,62 +98,33 @@ class Relator:
     named_form: Word
 
 
+@dataclass(frozen=True)
 class NamedElement:
     """A defined element: `definition` over earlier names, `expansion` concrete.
 
-    The expansion is given, or, when `spell` is given instead, built by
-    ``spell()`` the first time it is read and kept from then on; ``spell``
-    checks the word it builds.  Like a frozen dataclass, an element refuses
-    attribute assignment.  Equality sees the expansion, so it builds it;
-    hashing, ``repr`` and pickling do not, so `spell` must itself pickle.
+    The expansion is built by ``spell()`` the first time it is read and kept
+    from then on; a failed read keeps nothing.  Equality and hashing see the
+    name and the definition, which determine the spelling, so comparing
+    never spells.  ``spell`` must pickle, as it is pickled with the element.
     """
 
-    __slots__ = ("name", "definition", "_expansion", "_spell")
     name: str
     definition: Word
+    spell: Callable[[], Word] = field(compare=False, repr=False)
 
-    def __init__(
-        self,
-        name: str,
-        definition: Word,
-        expansion: Word | None = None,
-        spell: Callable[[], Word] | None = None,
-    ) -> None:
-        if (expansion is None) == (spell is None):
-            raise TypeError("a named element takes exactly one of expansion and spell")
-        for attr, value in zip(self.__slots__, (name, definition, expansion, spell)):
-            object.__setattr__(self, attr, value)
-
-    @property
+    @cached_property
     def expansion(self) -> Word:
-        if self._expansion is None:
-            # set once: a second reader racing the first builds an equal word
-            object.__setattr__(self, "_expansion", self._spell())
-            object.__setattr__(self, "_spell", None)
-        return self._expansion
-
-    def __setattr__(self, attr: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NamedElement):
-            return NotImplemented
-        return self is other or (self.name, self.definition, self.expansion) == (
-            other.name, other.definition, other.expansion
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.definition))
+        return self.spell()
 
     def __repr__(self) -> str:
-        spelled = "<built on first read>" if self._expansion is None else repr(self._expansion)
+        built = vars(self).get("expansion")  # where cached_property keeps it
+        spelled = "<built on first read>" if built is None else repr(built)
         return f"NamedElement(name={self.name!r}, definition={self.definition!r}, expansion={spelled})"
 
-    def __reduce__(self):
-        return (NamedElement, (self.name, self.definition, self._expansion, self._spell))
+
+def _given(word: Word) -> Word:
+    """``partial(_given, word)`` spells an element whose spelling is built with it."""
+    return word
 
 
 @dataclass(frozen=True)
@@ -203,7 +140,6 @@ class GroupPresentation:
     whitelist: tuple[tuple[Word, Word], ...]
     torus_bezout: TorusBezout
     cable_bezout: CableBezout | None
-    theorem_mode: bool
     # (generator, generator) -> ((k1, k2), ...): the whitelist pairs whose bases
     # are single syllables g1^k1 and g2^k2, indexed in both orders
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
@@ -280,7 +216,8 @@ class GroupPresentation:
     def to_json_dict(self) -> dict:
         params: dict = {"x": self.x, "y": self.y}
         if self.kind == "cable":
-            params.update(p=self.p, q=self.q, theorem_mode=self.theorem_mode)
+            # every cable built is the paper's; the key keeps the document's bytes
+            params.update(p=self.p, q=self.q, theorem_mode=True)
         params["bezout"] = {"i": self.torus_bezout.i, "j": self.torus_bezout.j}
         if self.cable_bezout is not None:
             params["bezout"].update(u=self.cable_bezout.u, v=self.cable_bezout.v)
@@ -310,11 +247,11 @@ def _check_expansion(pres: GroupPresentation, name: str, expansion: Word) -> Non
 
 
 def _check_expansions(pres: GroupPresentation) -> None:
-    # every spelling built so far (lamC's is checked when it is built), and the
+    # every spelling but lamC's, which is checked when it is built, and the
     # relators: expanding a named form must reproduce the relator word
     for el in pres.named.values():
-        if el._expansion is not None:
-            _check_expansion(pres, el.name, el._expansion)
+        if el.name != LAMC:
+            _check_expansion(pres, el.name, el.expansion)
     for rel in pres.relators:
         if pres.expand(rel.named_form) != rel.word:
             raise AssertionError(f"named form mismatch for relator {rel.name}")
@@ -330,8 +267,8 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
     lam_word = concat(power(mu_word, -x * y), Word.single("a", x))
     central = Word.from_pairs([("a", x), ("b", -y)])
     named = {
-        MU: NamedElement(MU, mu_word, mu_word),
-        LAM: NamedElement(LAM, lam_def, lam_word),
+        MU: NamedElement(MU, mu_word, partial(_given, mu_word)),
+        LAM: NamedElement(LAM, lam_def, partial(_given, lam_word)),
     }
     whitelist = (
         (Word.single("a", x), Word.single("b")),
@@ -350,29 +287,29 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         whitelist=whitelist,
         torus_bezout=TorusBezout(i, j),
         cable_bezout=None,
-        theorem_mode=False,
     )
     _check_expansions(pres)
     return pres
 
 
-def cable_presentation(
-    x: int, y: int, p: int, q: int | None = None, theorem_mode: bool = True
-) -> GroupPresentation:
+def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPresentation:
     """The (p, q)-cable of the (x, y)-torus knot, over letters a, b, t.
 
-    q defaults to p*x*y - 1, and is filled in before the cache lookup, so
-    that ``(x, y, p)`` and ``(x, y, p, p*x*y - 1)`` share one cached object.
+    q is p*x*y - 1, and any other `q` is a ParameterError; (u, v) is
+    (x*y, 1).  The cache is keyed on (x, y, p), so passing q or not returns
+    one cached object.
     """
-    return _cable_presentation(x, y, p, p * x * y - 1 if q is None else q, theorem_mode)
+    if q is not None and q != p * x * y - 1:
+        raise ParameterError(f"q must be p*x*y - 1 = {p * x * y - 1}, got {q}")
+    return _cable_presentation(x, y, p)
 
 
 def _lamc_spelling(muc_word: Word, p: int, q: int) -> Word:
-    """lamC = muC^(-pq) t^p over a, b, t: 2pq + 1 syllables in theorem mode."""
+    """lamC = muC^(-pq) t^p over a, b, t: 2pq + 1 syllables."""
     return concat(power(muc_word, -p * q), Word.single("t", p))
 
 
-def _spell_lamc(x: int, y: int, p: int, q: int, theorem_mode: bool) -> Word:
+def _spell_lamc(x: int, y: int, p: int) -> Word:
     """lamC's spelling, checked like the others at build time; run on its first read.
 
     It takes the presentation from the cache, which holds it unless the
@@ -380,19 +317,18 @@ def _spell_lamc(x: int, y: int, p: int, q: int, theorem_mode: bool) -> Word:
     presentation itself would make a reference cycle through `named`, and
     each cold build would wait for the cycle collector.
     """
-    pres = _cable_presentation(x, y, p, q, theorem_mode)
-    lamc_word = _lamc_spelling(pres.named[MUC].expansion, p, q)
+    pres = _cable_presentation(x, y, p)
+    lamc_word = _lamc_spelling(pres.named[MUC].expansion, p, pres.q)
     _check_expansion(pres, LAMC, lamc_word)
     return lamc_word
 
 
 @lru_cache(maxsize=None)
-def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> GroupPresentation:
+def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     base = torus_presentation(x, y)
-    if theorem_mode and q != p * x * y - 1:
-        raise ParameterError(f"theorem mode requires q = p*x*y - 1 = {p * x * y - 1}, got {q}")
-    CableParams(p, q)
-    u, v = bezout_cable(p, q, xy_hint=x * y if theorem_mode else None)
+    if p < 2:
+        raise ParameterError(f"cable winding p must be >= 2, got {p}")
+    q, u, v = p * x * y - 1, x * y, 1  # p*u - q*v = 1
 
     mu_word = base.named[MU].expansion
     lam_word = base.named[LAM].expansion
@@ -404,8 +340,8 @@ def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> G
     lamc_def = Word.from_pairs([(MUC, -p * q), ("t", p)])
 
     named = dict(base.named)
-    named[MUC] = NamedElement(MUC, muc_def, muc_word)
-    named[LAMC] = NamedElement(LAMC, lamc_def, spell=partial(_spell_lamc, x, y, p, q, theorem_mode))
+    named[MUC] = NamedElement(MUC, muc_def, partial(_given, muc_word))
+    named[LAMC] = NamedElement(LAMC, lamc_def, partial(_spell_lamc, x, y, p))
 
     tp = Word.single("t", p)
     whitelist = base.whitelist + (
@@ -430,7 +366,6 @@ def _cable_presentation(x: int, y: int, p: int, q: int, theorem_mode: bool) -> G
         whitelist=whitelist,
         torus_bezout=base.torus_bezout,
         cable_bezout=CableBezout(u, v),
-        theorem_mode=theorem_mode,
     )
     _check_expansions(pres)
     return pres

@@ -138,10 +138,6 @@ class Word:
     def generators(self) -> set[str]:
         return {g for g, _ in self.syllables}
 
-    def length(self) -> int:
-        """Total letter length, the sum of absolute exponents."""
-        return sum(abs(e) for _, e in self.syllables)
-
 
 def concat(*ws: Word) -> Word:
     out: list[Syllable] = []

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ import pytest
 from cable_order import cli
 from cable_order.cli import main, parse_grid
 from cable_order.derivations import cable_t_power_script, script_from_json_dict, script_to_json_dict
-from cable_order.obstruction import certify_beta
+from cable_order.obstruction import certify_beta, certify_slope
 from cable_order.presentations import cable_presentation
+from cable_order.slopes import Slope
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 V1_FIXTURES = sorted((Path(__file__).resolve().parent / "data" / "v1").glob("*.json"))
@@ -47,6 +49,10 @@ def type_swap(doc: dict, probe: str) -> None:
         doc["params"]["slope"] = 65
     elif probe == "number_step":
         doc["equations"][1]["script"]["steps"][3] = 5
+    elif probe == "bool_cramer_d0":
+        doc["cramer"]["d0"] = True
+    elif probe == "float_cramer_d":
+        doc["cramer"]["d"] = float(doc["cramer"]["d"])
     else:
         raise ValueError(probe)
 
@@ -119,6 +125,11 @@ class TestPresent:
 
     def test_wrong_q_rejected(self, capsys):
         assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--q", "10"]) == 1
+
+    def test_q_without_p_rejected(self, capsys):
+        assert main(["present", "--x", "2", "--y", "3", "--q", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --q needs --p")
 
 
 class TestCertify:
@@ -246,6 +257,8 @@ class TestReplayCommand:
             "number_word",
             "number_slope",
             "number_step",
+            "bool_cramer_d0",
+            "float_cramer_d",
         ],
     )
     def test_type_swapped_field_is_a_load_error(self, tmp_path, capsys, probe):
@@ -258,8 +271,26 @@ class TestReplayCommand:
         assert main(["replay", str(out)]) == 1  # raises nothing
         assert "error: cannot load certificate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["any text", None, 5, True, [], {}], ids=repr)
+    def test_step_why_is_an_optional_string(self, tmp_path, capsys, value):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["equations"][1]["script"]["steps"][0]["why"] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["replay", str(out)])  # raises nothing
+        err = capsys.readouterr().err
+        if value is None or type(value) is str:
+            assert code == 0  # `why` is commentary: the checker never reads it
+        else:
+            assert code == 1 and err.startswith("error: cannot load certificate: ")
+            assert len(err.encode()) < 1024
+
     @pytest.mark.parametrize("value", ["x", 5, True, None, [], {}], ids=repr)
-    @pytest.mark.parametrize("site", ["refutation_equation", "step_name", "entry_id", "script", "axiom_name"])
+    @pytest.mark.parametrize(
+        "site", ["refutation_equation", "step_name", "entry_id", "script", "axiom_name", "version"]
+    )
     def test_string_and_object_fields_are_typed(self, tmp_path, capsys, site, value):
         out = tmp_path / "cert.json"
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
@@ -273,6 +304,8 @@ class TestReplayCommand:
             entry["id"] = value
         elif site == "script":
             entry["script"] = value
+        elif site == "version":
+            doc["version"] = value
         else:
             entry["script"]["axiom"]["name"] = value
         out.write_text(json.dumps(doc))
@@ -378,6 +411,26 @@ class TestV1Certificates:
 
 
 class TestFormat:
+    def test_grid_certificate_bytes_are_pinned(self, capsys):
+        # the acceptance beta grid in x, y, p, beta order, then four window slopes
+        # per triple, each written as the CLI writes it; any change to the bytes
+        # of a certificate changes this digest
+        triples = [
+            (x, y, p) for x in range(2, 8) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in range(2, 6)
+        ]
+        capsys.readouterr()
+        for x, y, p in triples:
+            for beta in range(1, 26):
+                cli._dump(certify_beta(x, y, p, beta).to_json_dict(), None)
+        for x, y, p in triples:
+            pq = p * (p * x * y - 1)
+            for slope in (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2), Slope(3 * pq - 2, 3)):
+                cli._dump(certify_slope(x, y, p, slope).to_json_dict(), None)
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1276
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "fac0af91a1d1b77037ee7981801af7959832737702c5b5f204953c7458b01623"
+
     def test_certificate_is_one_compact_line(self, tmp_path):
         out = tmp_path / "cert.json"
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0

@@ -324,7 +324,7 @@ class TestCheckOnce:
 
     def test_built_script_is_checked_against_another_presentation(self):
         script = surgery_t_power_identity_script(cable_presentation(2, 3, 2))
-        other = cable_presentation(2, 3, 2, 9, theorem_mode=False)
+        other = cable_presentation(2, 5, 2)
         with pytest.raises(StepError):
             admit(script, other, {})
 

@@ -12,7 +12,6 @@ from cable_order.presentations import (
     MU,
     MUC,
     ParameterError,
-    bezout_cable,
     bezout_torus,
     cable_presentation,
     peripheral_invariance_check,
@@ -45,26 +44,6 @@ class TestBezoutTorus:
             bezout_torus(2, 4)
         with pytest.raises(ParameterError):
             bezout_torus(1, 3)
-
-
-class TestBezoutCable:
-    def test_hint_branch(self):
-        assert bezout_cable(2, 11, xy_hint=6) == (6, 1)
-        assert 2 * 6 - 11 * 1 == 1
-        assert bezout_cable(3, 17, xy_hint=6) == (6, 1)
-
-    def test_general_branch(self):
-        assert bezout_cable(2, 3) == (2, 1)
-        for p in range(2, 12):
-            for q in range(2, 40):
-                if gcd(p, q) != 1:
-                    continue
-                u, v = bezout_cable(p, q)
-                assert p * u - q * v == 1 and 0 < v <= p
-
-    def test_rejects_noncoprime(self):
-        with pytest.raises(ParameterError):
-            bezout_cable(4, 6)
 
 
 class TestTorusPresentation:
@@ -120,12 +99,6 @@ class TestCablePresentation:
     def test_theorem_mode_rejects_wrong_q(self):
         with pytest.raises(ParameterError):
             cable_presentation(2, 3, 2, 10)
-
-    def test_general_mode(self):
-        pres = cable_presentation(2, 3, 2, 9, theorem_mode=False)
-        assert pres.q == 9 and not pres.theorem_mode
-        u, v = pres.cable_bezout
-        assert 2 * u - 9 * v == 1 and 0 < v <= 2
 
     def test_rejects_p_one(self):
         with pytest.raises(ParameterError):
