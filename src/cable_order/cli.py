@@ -100,11 +100,10 @@ def cmd_present(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if args.q is not None and args.q != args.p * args.x * args.y - 1:
-        print(f"error: q must be p*x*y - 1 = {args.p * args.x * args.y - 1}", file=sys.stderr)
-        return ERROR
     started = time.perf_counter()
     try:
+        if args.q is not None:  # cable_presentation holds the rule q = pxy - 1
+            cable_presentation(args.x, args.y, args.p, args.q)
         if args.beta is not None:
             result = certify_beta(args.x, args.y, args.p, args.beta)
         else:

@@ -11,7 +11,8 @@ the equation in the context group:
 * swapping two adjacent syllable runs, only when the presentation's
   commutation whitelist licenses the pair;
 * collecting a power of a product whose factors the whitelist licenses to
-  commute pairwise: a defined name's power, lamC^e = muC^(-pq e) t^(p e), or
+  commute pairwise: a defined name's power, such as lam^e =
+  mu^(-xy e) a^(x e) or lamC^e = muC^(-pq e) t^(p e), or
   a written-out run of n copies of a block f1^k1 ... fm^km, which becomes
   f1^(k1 n) ... fm^(km n);
 * freely reducing both sides;
@@ -31,8 +32,8 @@ of its states are capped by a linear function of the script's own size
 (:func:`side_cap`), not of anything it claims, such as its slope.  A step
 that would break the cap is rejected before it edits or allocates anything,
 so checking a script takes memory linear in its size and time at most
-quadratic.  The exponent forms keep every surgery proof at a fixed number
-of steps, whatever the slope.
+quadratic.  The exponent forms keep every proof at a fixed number of
+steps, whatever the slope and p.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
@@ -685,12 +686,17 @@ def central_relation_script(pres: GroupPresentation) -> DerivationScript:
 
 
 def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
-    """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator."""
+    """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator.
+
+    The relator gives t^p = mu^q lam^p.  Collecting lam^p, whose factors mu
+    and a^x commute, makes it mu^(-pxy) a^(px), which leaves mu^-1 a^(px)
+    since q = pxy - 1; spelling mu and passing a^(px) over b^-j ends it.
+    Eight steps, whatever p.
+    """
     p, q = pres.p, pres.q
     assert p is not None and q is not None
-    x, y = pres.x, pres.y
-    xy = x * y
-    i, j = pres.torus_bezout
+    x = pres.x
+    j = pres.torus_bezout.j
     b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
     b.multiply(
         "left",
@@ -699,17 +705,8 @@ def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
     )
     b.reduce()
     b.invert_sides(why="orient the equation with the t-power on the left")
-    for k in range(1, p):
-        b.swap(
-            RHS,
-            2 * (k - 1),
-            left=(MU, (p - k) * xy),
-            right=(LAM, 1),
-            why="meridian and longitude commute",
-        )
-    for pos in range(2 * p - 1, 0, -2):
-        b.expand(LAM, RHS, pos, why="longitude definition")
-    b.reduce()
+    b.collect(LAM, RHS, 1, why="longitude power, its factors commute")
+    b.reduce()  # mu^-1 a^(px)
     b.expand(MU, RHS, 0, why="meridian definition")
     b.swap(RHS, 1, left=("b", -j), right=("a", x * p), why="powers of a^x pass every b-power")
     b.reduce()

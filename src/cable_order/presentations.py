@@ -14,19 +14,22 @@ Each defined name has a definition over earlier names and a spelling (its
 `expansion`) over the concrete letters.  :meth:`GroupPresentation.expand`
 substitutes the names latest-first and reduces after each name, so powers
 cancel among the names before anything is spelled out: muC^(pq-1) lamC
-becomes muC^-1 t^p, then three syllables.  lamC's spelling, 2pq + 1
-syllables and the only one that grows with pq, is built and checked the
-first time it is read; no certify or replay step reads it.
+becomes muC^-1 t^p, then three syllables.  The two words that grow with pq,
+lamC's spelling (2pq + 1 syllables) and the cable relator's word
+(4(q - xy) + 3), are built and checked the first time they are read; no
+certify or replay step reads either.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
 two syllables succeeds when each is a power of its base (so t-syllables
-match the t^p base only when p divides the exponent).
+match the t^p base only when p divides the exponent).  Besides the pairs
+the relation a^x = b^y gives directly, mu commutes with lam and with a^x:
+a^x = b^y is central in the torus-knot group.
 
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
-The one thing set after construction is lamC's spelling, once, on first
-read; every read sees the same value.
+The only things set after construction are lamC's spelling and the cable
+relator's word, each once, on first read; every read sees the same value.
 """
 
 from __future__ import annotations
@@ -85,17 +88,23 @@ def bezout_torus(x: int, y: int) -> TorusBezout:
     return TorusBezout(i, j)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Relator:
     """A presentation relator: `word` == identity in the group.
 
     `named_form` is a compact spelling over defined element names whose full
-    expansion equals `word`; derivation axioms quote it verbatim.
+    expansion equals `word`; derivation axioms quote it verbatim.  `word` is
+    built by ``spell()`` on its first read, as :class:`NamedElement` builds
+    its expansion, and equality sees the name and the named form.
     """
 
     name: str
-    word: Word
     named_form: Word
+    spell: Callable[[], Word] = field(compare=False, repr=False)
+
+    @cached_property
+    def word(self) -> Word:
+        return self.spell()
 
 
 @dataclass(frozen=True)
@@ -247,14 +256,11 @@ def _check_expansion(pres: GroupPresentation, name: str, expansion: Word) -> Non
 
 
 def _check_expansions(pres: GroupPresentation) -> None:
-    # every spelling but lamC's, which is checked when it is built, and the
-    # relators: expanding a named form must reproduce the relator word
+    # every spelling but lamC's, which is checked when it is built; the central
+    # relator is concrete, and the cable relator is checked when it is spelled
     for el in pres.named.values():
         if el.name != LAMC:
             _check_expansion(pres, el.name, el.expansion)
-    for rel in pres.relators:
-        if pres.expand(rel.named_form) != rel.word:
-            raise AssertionError(f"named form mismatch for relator {rel.name}")
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +280,7 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         (Word.single("a", x), Word.single("b")),
         (Word.single("a"), Word.single("b", y)),
         (Word.single(MU), Word.single(LAM)),
+        (Word.single(MU), Word.single("a", x)),  # a^x = b^y is central
     )
     pres = GroupPresentation(
         kind="torus",
@@ -282,7 +289,7 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         p=None,
         q=None,
         alphabet=("a", "b"),
-        relators=(Relator("central", central, central),),
+        relators=(Relator("central", central, partial(_given, central)),),
         named=named,
         whitelist=whitelist,
         torus_bezout=TorusBezout(i, j),
@@ -323,6 +330,24 @@ def _spell_lamc(x: int, y: int, p: int) -> Word:
     return lamc_word
 
 
+def _cable_spelling(mu_word: Word, lam_word: Word, p: int, q: int) -> Word:
+    """The cable relator mu^q lam^p t^-p over a, b, t: 4(q - xy) + 3 syllables."""
+    return concat(power(mu_word, q), power(lam_word, p), Word.single("t", -p))
+
+
+def _spell_cable(x: int, y: int, p: int) -> Word:
+    """The cable relator's word, checked like lamC's spelling; run on its first read.
+
+    No certify or replay step reads it.  The presentation comes from the
+    cache, as in :func:`_spell_lamc`.
+    """
+    pres = _cable_presentation(x, y, p)
+    cable_word = _cable_spelling(pres.named[MU].expansion, pres.named[LAM].expansion, p, pres.q)
+    if pres.expand(pres.relator("cable").named_form) != cable_word:
+        raise AssertionError("named form mismatch for relator cable")
+    return cable_word
+
+
 @lru_cache(maxsize=None)
 def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     base = torus_presentation(x, y)
@@ -333,7 +358,6 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     mu_word = base.named[MU].expansion
     lam_word = base.named[LAM].expansion
     cable_named_form = Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])
-    cable_word = concat(power(mu_word, q), power(lam_word, p), Word.single("t", -p))
 
     muc_def = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
     muc_word = concat(power(mu_word, u), power(lam_word, v), Word.single("t", -v))
@@ -360,7 +384,7 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         alphabet=("a", "b", "t"),
         relators=(
             base.relators[0],
-            Relator("cable", cable_word, cable_named_form),
+            Relator("cable", cable_named_form, partial(_spell_cable, x, y, p)),
         ),
         named=named,
         whitelist=whitelist,

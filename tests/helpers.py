@@ -6,8 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from cable_order.derivations import LHS, Axiom, Context, DerivationScript, Equation, ScriptBuilder
-from cable_order.presentations import LAMC, MUC, GroupPresentation
+from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation, ScriptBuilder
+from cable_order.presentations import LAM, LAMC, MU, MUC, GroupPresentation
 from cable_order.slopes import Slope, cramer
 from cable_order.words import Word, abelianize
 
@@ -188,7 +188,33 @@ def apply_mutation(doc, site, rng: random.Random):
     return doc
 
 
-# -- the interior proof of format v1, kept as a reference for the exponent steps --
+# -- the proofs of format v1, kept as references for the exponent steps ------
+
+def swap_expand_t_power_script(pres: GroupPresentation) -> DerivationScript:
+    """t^p = a^(xp-i) b^(-j) by p - 1 swaps and p expansions of lam: 2p + 6 steps.
+
+    The chain every certificate carried before cable_t_power collected lam^p:
+    pass each lam left over the meridian power, expand every lam, then
+    rewrite what is left like the collected proof does.  It uses only v1
+    step forms.
+    """
+    p, q, x = pres.p, pres.q, pres.x
+    xy = x * pres.y
+    j = pres.torus_bezout.j
+    b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
+    b.multiply("left", Word.from_pairs([(LAM, -p), (MU, -q)]))
+    b.reduce()
+    b.invert_sides()
+    for k in range(1, p):
+        b.swap(RHS, 2 * (k - 1), left=(MU, (p - k) * xy), right=(LAM, 1))
+    for pos in range(2 * p - 1, 0, -2):
+        b.expand(LAM, RHS, pos)
+    b.reduce()
+    b.expand(MU, RHS, 0)
+    b.swap(RHS, 1, left=("b", -j), right=("a", x * p))
+    b.reduce()
+    return b.finish()
+
 
 def swap_expand_interior_script(
     pres: GroupPresentation, slope: Slope, env: dict[str, Equation]

@@ -18,11 +18,12 @@ from cable_order.slopes import Slope
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 V1_FIXTURES = sorted((Path(__file__).resolve().parent / "data" / "v1").glob("*.json"))
+V2_FIXTURES = sorted((Path(__file__).resolve().parent / "data" / "v2").glob("*.json"))
 HUGE = "z" * 1_000_000
 
 
 def corrupted_t_power_doc(pres) -> dict:
-    """The cable_t_power script as JSON, with step 3 (a swap) moved off its operands."""
+    """The cable_t_power script as JSON, with step 3 (the commute of lam^p) moved off its syllable."""
     doc = script_to_json_dict(cable_t_power_script(pres))
     doc["steps"][3]["position"] += 1
     return doc
@@ -99,17 +100,19 @@ class TestPresent:
         out = tmp_path / "pres.json"
         assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--json", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "8ad875552df7ef13af23f51fd0f595763cffdfa19f43aebfd71156ce2de24d21"
+        assert digest == "d047a680094f097a01d1992cbe679a89df5004a1d5f2064d084bbdf438e536a3"
 
     @pytest.mark.parametrize(
         "xyp, digest",
         [
-            ((11, 13, 9), "9ad518a28658720665f5b6c349290c5a3f81dd6645a63e03b05ad9d5ca66b6d9"),
-            ((2, 3, 50), "3efa86ba3155695c2907e2f937afd0cd0faba386412404cbf3e782b91c1b8192"),
+            ((11, 13, 9), "2e33d51744450e3fc3bbe7a45c13588523cafe6bb29b9b5653c451f666d1b5a4"),
+            ((2, 3, 50), "46b2f9ebdd57d136b9ce0a343c49381ae1ab7eef877fcfc984ca6b7e58974cb8"),
         ],
+        ids=["x11_y13_p9", "x2_y3_p50"],
     )
     def test_large_document_bytes_are_stable(self, tmp_path, xyp, digest):
-        # lamC expands to 23,149 syllables at (11, 13, 9) and 29,901 at (2, 3, 50)
+        # lamC expands to 23,149 syllables at (11, 13, 9) and 29,901 at (2, 3, 50),
+        # the cable relator to 4,575 and 1,175
         out = tmp_path / "pres.json"
         x, y, p = (str(v) for v in xyp)
         assert main(["present", "--x", x, "--y", y, "--p", p, "--json", str(out)]) == 0
@@ -152,6 +155,14 @@ class TestCertify:
             "d": 1,
             "slopes": {"s0": "21/1", "s1": "22/1", "s": "43/2"},
         }
+
+    def test_wrong_q_is_error(self, capsys):
+        # cable_presentation holds the rule, so certify and present say the same
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "10", "--beta", "1"]) == 1
+        assert capsys.readouterr().err == "error: q must be p*x*y - 1 = 11, got 10\n"
+        assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--q", "10"]) == 1
+        assert capsys.readouterr().err == "error: q must be p*x*y - 1 = 11, got 10\n"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "11", "--beta", "1"]) == 0
 
     def test_outside_window_is_error(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "1/1"]) == 1
@@ -410,6 +421,24 @@ class TestV1Certificates:
         assert capsys.readouterr().out == "replay ok\n"
 
 
+class TestV2Certificates:
+    # written before cable_t_power collected lam^p: each carries the swap/expand
+    # chain of 2p + 6 steps, at an interior slope, at pq and at pq - 1
+    def test_fixtures_are_present(self):
+        assert [f.stem for f in V2_FIXTURES] == [
+            "x11_y13_p9_slope11573_1", "x2_y3_p2_beta7", "x2_y3_p50_slope14950_1"
+        ]
+
+    @pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda path: path.stem)
+    def test_v2_certificate_replays(self, path, capsys):
+        doc = json.loads(path.read_text())
+        assert doc["version"] == "v2"
+        t_power = next(e for e in doc["equations"] if e["id"] == "cable_t_power")
+        assert len(t_power["script"]["steps"]) == 2 * doc["params"]["p"] + 6
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out == "replay ok\n"
+
+
 class TestFormat:
     def test_grid_certificate_bytes_are_pinned(self, capsys):
         # the acceptance beta grid in x, y, p, beta order, then four window slopes
@@ -429,7 +458,7 @@ class TestFormat:
         text = capsys.readouterr().out
         assert text.count("\n") == 1276
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "fac0af91a1d1b77037ee7981801af7959832737702c5b5f204953c7458b01623"
+        assert digest == "4e01f0ff6088c76f4eacaf210a9a965d6bc3d06a2dc0e83a0a013b662dbe76da"
 
     def test_certificate_is_one_compact_line(self, tmp_path):
         out = tmp_path / "cert.json"

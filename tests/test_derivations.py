@@ -37,7 +37,7 @@ from cable_order.presentations import (
 )
 from cable_order.slopes import Slope
 from cable_order.words import Word, concat
-from helpers import ab_vector, in_integer_span, swap_expand_interior_script
+from helpers import ab_vector, in_integer_span, swap_expand_interior_script, swap_expand_t_power_script
 
 
 def state_of(lhs: str, rhs: str):
@@ -261,7 +261,7 @@ class TestStepValidation:
             Step(kind="multiply", on="left", word=Word.parse(" ".join(["a b"] * 11))),
             Step(kind="definition", name="mu", side="lhs", position=0, direction="expand"),
             Step(kind="commute", side="lhs", position=0, name="mu"),
-            Step(kind="commute", side="lhs", position=1, name="lam"),
+            Step(kind="commute", side="lhs", position=1, name="muC"),
             Step(kind="commute", side="lhs", position=0, name="lamC"),
             Step(kind="commute", side="lhs", position=0),
             Step(kind="commute", side="lhs", position=0, name="lamC", word=Word.parse("mu^11"), n=1),
@@ -426,6 +426,28 @@ class TestExponentForms:
             assert check_script(new, pres, env) == check_script(old, pres, env), (x, y, p, str(slope))
             assert len(new.steps) == 8 and len(old.steps) == 2 * n
 
+    def test_collected_t_power_matches_the_swap_expand_chain(self):
+        pairs = [(x, y) for x in range(2, 11) for y in range(x + 1, 12) if gcd(x, y) == 1]
+        for x, y in pairs:
+            for p in (*range(2, 12), 50, 97):
+                pres = cable_presentation(x, y, p)
+                new, old = cable_t_power_script(pres), swap_expand_t_power_script(pres)
+                assert check_script(new, pres, {}) == check_script(old, pres, {}), (x, y, p)
+                assert len(new.steps) == 8 and len(old.steps) == 2 * p + 6
+
+    def test_step_count_does_not_grow_with_p(self):
+        for x, y, p in ((2, 3, 2), (11, 13, 9), (2, 3, 50), (2, 3, 97)):
+            pq = p * (p * x * y - 1)
+            counts = [
+                sum(len(entry.script.steps) for entry in cert.entries)
+                for cert in (
+                    obstruction.certify_beta(x, y, p, 7),
+                    obstruction.certify_slope(x, y, p, Slope(pq, 1)),
+                    obstruction.certify_slope(x, y, p, Slope(pq - 1, 1)),
+                )
+            ]
+            assert counts == [25, 12, 19], (x, y, p)
+
     def test_run_collapse_needs_the_licence_of_every_pair(self):
         pres = cable_presentation(2, 3, 2)
         ctx = Context("G")
@@ -449,8 +471,8 @@ class TestExponentForms:
 
     def test_side_cap_follows_the_size_of_the_script(self):
         pres = cable_presentation(2, 3, 2)
-        script = cable_t_power_script(pres)  # 10 steps, 2 syllables of words, 3 claimed
-        assert side_cap(script) == 4 * (10 + 2 + 3) + 16
+        script = cable_t_power_script(pres)  # 8 steps, 2 syllables of words, 3 claimed
+        assert side_cap(script) == 4 * (8 + 2 + 3) + 16
         padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 5)
         assert side_cap(padded) == side_cap(script) + 20
 
@@ -468,9 +490,9 @@ class TestExponentForms:
         spelled = Step(kind="multiply", on="left", word=Word.parse("lam^50"))
         expand = Step(kind="definition", name="lam", side="lhs", position=0, direction="expand")
         probe = dataclasses.replace(script, steps=script.steps + (spelled, expand))
-        with pytest.raises(StepError, match="a side of 101 syllables; the cap is 88") as err:
+        with pytest.raises(StepError, match="a side of 101 syllables; the cap is 80") as err:
             check_script(probe, pres, {})
-        assert err.value.index == 11
+        assert err.value.index == 9
 
     def test_builder_is_not_capped(self):
         # factory scripts are trusted code; the shift proofs grow with |k| and
@@ -528,13 +550,13 @@ class TestRebuiltScripts:
     def test_corrupted_json_fails_with_step_index(self):
         pres = cable_presentation(2, 3, 2)
         doc = script_to_json_dict(cable_t_power_script(pres))
-        step = doc["steps"][3]
+        step = doc["steps"][6]
         assert step["kind"] == "swap"
         step["position"] += 1
         script = script_from_json_dict(json.loads(json.dumps(doc)))
-        with pytest.raises(StepError, match=r"step 3: ") as err:
+        with pytest.raises(StepError, match=r"step 6: ") as err:
             admit(script, pres, {})
-        assert err.value.index == 3
+        assert err.value.index == 6
 
     def test_faithful_json_round_trip_is_checked_in_full(self, monkeypatch):
         pres = cable_presentation(2, 3, 2)

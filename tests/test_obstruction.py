@@ -14,6 +14,7 @@ from cable_order.derivations import (
     cable_t_power_script,
     central_relation_script,
     check_script,
+    script_to_json_dict,
 )
 from cable_order.obstruction import (
     NEG,
@@ -35,7 +36,7 @@ from cable_order.obstruction import (
 from cable_order.presentations import cable_presentation
 from cable_order.slopes import Slope, beta_slope
 from cable_order.words import Word
-from helpers import word_strategy
+from helpers import swap_expand_t_power_script, word_strategy
 
 ALL_POS = SignAssignment(POS, POS, POS)
 SIGN_INT = {POS: 1, NEG: -1, ZERO: 0}
@@ -338,9 +339,15 @@ class TestReplay:
         doc["version"] = "v1"
         with pytest.raises(ValueError, match="a v1 certificate uses a step form of v2"):
             certificate_from_json_dict(doc)
-        # an exponent on a v1 relation step is a v2 form too
+        # the endpoint certificate collects lam^p in cable_t_power, a v2 form
         doc = certify_slope(2, 3, 2, Slope(21, 1)).to_json_dict()
         doc["version"] = "v1"
+        with pytest.raises(ValueError, match="a v1 certificate uses a step form of v2"):
+            certificate_from_json_dict(doc)
+        # with the v1 swap/expand chain in its place it is a v1 certificate, and
+        # an exponent on a v1 relation step is a v2 form too
+        t_power = next(e for e in doc["equations"] if e["id"] == "cable_t_power")
+        t_power["script"] = script_to_json_dict(swap_expand_t_power_script(cable_presentation(2, 3, 2)))
         assert replay(certificate_from_json_dict(doc))
         entry = next(e for e in doc["equations"] if e["id"] == "surgery_endpoint_identity")
         entry["script"]["steps"][0]["n"] = 1

@@ -1,11 +1,12 @@
 import json
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from math import gcd
 
 import pytest
 
 from cable_order import derivations, presentations
+from cable_order.normal_form import equal_in_torus_group
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -186,6 +187,37 @@ class TestPresentationCache:
         with pytest.raises(FrozenInstanceError):
             pres.named[LAMC].definition = Word.parse("t")
 
+    def test_cable_relator_is_spelled_and_checked_on_first_read(self, monkeypatch):
+        cable_presentation.cache_clear()
+        try:
+            pres = cable_presentation(11, 13, 9)
+            assert "word" not in vars(pres.relator("cable"))  # where cached_property keeps it
+            mu_w, lam_w = pres.named[MU].expansion, pres.named[LAM].expansion
+            word = pres.relator("cable").word
+            assert word == concat(power(mu_w, 1286), power(lam_w, 9), Word.single("t", -9))
+            assert len(word) == 4575 and pres.relator("cable").word is word
+            real = presentations._cable_spelling
+            monkeypatch.setattr(
+                presentations, "_cable_spelling", lambda *args: real(*args) * Word.single("a")
+            )
+            cable_presentation.cache_clear()
+            pres = cable_presentation(2, 3, 2)  # builds: the relator word is not read
+            for _ in range(2):  # a failed read keeps nothing
+                with pytest.raises(AssertionError, match="named form mismatch for relator cable"):
+                    pres.relator("cable").word
+        finally:
+            cable_presentation.cache_clear()
+
+    def test_unread_cable_relator_pickles_and_compares(self):
+        cable_presentation.cache_clear()
+        pres = cable_presentation(2, 3, 2)
+        again = pickle.loads(pickle.dumps(pres))
+        assert "word" not in vars(again.relator("cable"))
+        assert again == pres and again.relator("cable") == pres.relator("cable")
+        assert again.relator("cable").word == pres.relator("cable").word
+        with pytest.raises(FrozenInstanceError):
+            pres.relator("cable").named_form = Word.parse("t")
+
     def test_pickle_round_trip(self):
         pres = cable_presentation(2, 3, 2)
         again = pickle.loads(pickle.dumps(pres))
@@ -259,9 +291,41 @@ class TestSerialization:
         assert doc["named"]["mu"]["expansion"] == "b^-1 a"
         assert doc["named"]["muC"]["definition"] == "mu^6 lam t^-1"
         assert ["a^2", "b"] in doc["whitelist"]
-        assert len(doc["whitelist"]) == 8
+        assert len(doc["whitelist"]) == 9
 
     def test_byte_stable(self):
         d1 = json.dumps(cable_presentation(3, 5, 2).to_json_dict(), indent=2)
         d2 = json.dumps(cable_presentation(3, 5, 2).to_json_dict(), indent=2)
         assert d1 == d2
+
+
+class TestLicences:
+    def test_whitelist_pairs_commute_in_the_torus_group(self):
+        # the normal form decides each licence: u w and w u are one element
+        for x in range(2, 11):
+            for y in range(x + 1, 12):
+                if gcd(x, y) != 1:
+                    continue
+                pres = torus_presentation(x, y)
+                for u, w in pres.whitelist:
+                    uw, wu = pres.expand(concat(u, w)), pres.expand(concat(w, u))
+                    assert equal_in_torus_group(uw, wu, x, y), (x, y, str(u), str(w))
+
+    def test_t_power_proof_needs_the_meridian_licence(self):
+        pres = cable_presentation(2, 3, 2)
+        licence = (Word.single(MU), Word.single("a", 2))
+        assert licence in pres.whitelist
+        weakened = replace(pres, whitelist=tuple(pair for pair in pres.whitelist if pair != licence))
+        assert len(weakened.whitelist) == len(pres.whitelist) - 1
+        script = derivations.cable_t_power_script(pres)
+        assert derivations.check_script(script, pres, {}).lhs == Word.parse("t^2")
+        with pytest.raises(derivations.StepError, match="not licensed") as err:
+            derivations.check_script(script, weakened, {})
+        assert err.value.index == 3 and script.steps[3].kind == "commute"
+
+    def test_cable_meridian_power_is_not_collected(self):
+        # muC = mu^6 lam t^-1, and t^-1 is no multiple of t^p
+        pres = cable_presentation(2, 3, 2)
+        step = derivations.Step(kind="commute", side="lhs", position=0, name=MUC)
+        with pytest.raises(derivations.StepError, match="not licensed"):
+            derivations.apply_step(([(MUC, 3)], []), step, pres, derivations.Context("G"), {})
