@@ -53,8 +53,8 @@ from .words import Word, concat
 CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
 
 
-def _dump(doc: dict, path: str | Path | None) -> None:
-    """Write `doc` as one compact line of JSON plus a newline, to `path` or to stdout.
+def _dump(doc: dict, path: str | Path | None) -> int:
+    """Write `doc` as one compact line of JSON and a newline, to `path` or stdout; return the exit code.
 
     The separators ``,`` and ``:`` carry no spaces and the keys keep the
     order in which `doc` was built, so the bytes are stable across runs;
@@ -62,9 +62,19 @@ def _dump(doc: dict, path: str | Path | None) -> None:
     """
     text = json.dumps(doc, separators=(",", ":")) + "\n"
     if path:
+        return _write(path, text)
+    sys.stdout.write(text)
+    return CERTIFIED
+
+
+def _write(path: str | Path, text: str) -> int:
+    """Write `text` to `path`: CERTIFIED, or ERROR with a message when the write fails."""
+    try:
         Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return ERROR
+    return CERTIFIED
 
 
 def _print_table(cert: ObstructionCertificate) -> None:
@@ -95,8 +105,7 @@ def cmd_present(args: argparse.Namespace) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
-    _dump(pres.to_json_dict(), args.json)
-    return CERTIFIED
+    return _dump(pres.to_json_dict(), args.json)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -119,14 +128,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return INCONCLUSIVE
     if args.table:
         _print_table(result)
-        if args.json:
-            _dump(result.to_json_dict(), args.json)
-    else:
-        _dump(result.to_json_dict(), args.json)
+    if (args.json or not args.table) and _dump(result.to_json_dict(), args.json) != CERTIFIED:
+        return ERROR
     if args.json:
-        Path(args.json + ".log").write_text(f"certify elapsed={elapsed:.3f}s\n")
-    else:
-        print(f"certified in {elapsed:.3f}s", file=sys.stderr)
+        return _write(args.json + ".log", f"certify elapsed={elapsed:.3f}s\n")
+    print(f"certified in {elapsed:.3f}s", file=sys.stderr)
     return CERTIFIED
 
 
@@ -283,7 +289,9 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
         record.update(status="replay_failed", detail="; ".join(report.problems))
         return record
     path = Path(out_dir) / f"{stem}.json"
-    _dump(result.to_json_dict(), path)
+    if _dump(result.to_json_dict(), path) != CERTIFIED:
+        record.update(status="unwritable", file=path.name)
+        return record
     record.update(status="certified", file=path.name, elapsed=round(time.perf_counter() - started, 4))
     return record
 
@@ -299,7 +307,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: empty grid", file=sys.stderr)
         return ERROR
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot write {out_dir}: {err.strerror or err}", file=sys.stderr)
+        return ERROR
     tasks = [(x, y, p, mode, val, str(out_dir)) for x, y, p, mode, val in points]
     if args.jobs > 1:
         # imported here: it loads about 50 modules that no other command needs
@@ -315,8 +327,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     certified = sum(r["status"] == "certified" for r in records)
     print(f"{certified}/{len(records)} certified")
     summary = {"grid": args.grid, "results": records}
-    _dump(summary, out_dir / "summary.json")
-    return CERTIFIED if certified == len(records) else ERROR
+    wrote = _dump(summary, out_dir / "summary.json")
+    return CERTIFIED if wrote == CERTIFIED and certified == len(records) else ERROR
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     Problems quote certificate values cut to 40 characters.  The rows that
     cite an equation with no verified proof make one problem per id, so a
     failing script is reported once, by its own problem, and counted once.
+    Only the equations that rows cite are expanded, each once.
     """
     problems: list[str] = []
 
@@ -441,7 +442,6 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
 
     # scripts, in order, with citations drawn only from earlier entries
     env: dict[str, Equation] = {}
-    verified: dict[str, Equation] = {}
     for entry in cert.entries:
         if entry.entry_id in env:
             problems.append(f"duplicate equation id {entry.entry_id!r:.40}")
@@ -466,17 +466,12 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             problems.append(f"equation {entry.entry_id!r:.40} does not match its script")
             continue
         env[entry.entry_id] = eq
-        verified[entry.entry_id] = eq
 
     # refutation table: all 27 assignments, each row recomputed
     seen: set[SignAssignment] = set()
-    concrete: dict[str, tuple[Word, Word]] = {}
+    # each cited equation is expanded on its first row; None when it does not expand
+    concrete: dict[str, tuple[Word, Word] | None] = {}
     uncited: dict[str, int] = {}  # rows per cited id without a verified equation
-    for eq_id, eq in verified.items():
-        try:
-            concrete[eq_id] = (pres.expand(eq.lhs), pres.expand(eq.rhs))
-        except ValueError as err:
-            problems.append(f"equation {eq_id!r:.40} does not expand: {err}")
     for row in cert.refutations:
         if row.assignment in seen:
             problems.append(f"duplicate assignment {row.assignment.to_json_dict()}")
@@ -489,7 +484,14 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         if row.assignment.is_all_zero():
             problems.append("the all-zero assignment must cite the nontriviality axiom")
             continue
-        if row.equation_id not in concrete:
+        eq = env.get(row.equation_id)
+        if eq is not None and row.equation_id not in concrete:
+            try:
+                concrete[row.equation_id] = (pres.expand(eq.lhs), pres.expand(eq.rhs))
+            except ValueError as err:
+                problems.append(f"equation {row.equation_id!r:.40} does not expand: {err}")
+                concrete[row.equation_id] = None
+        if concrete.get(row.equation_id) is None:
             uncited[row.equation_id] = uncited.get(row.equation_id, 0) + 1
             continue
         lw, rw = concrete[row.equation_id]

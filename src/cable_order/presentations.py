@@ -10,14 +10,13 @@ The paper's cables have q = p*x*y - 1 with p >= 2, and use the
 normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
 u and v follow from (x, y, p).
 
-Each defined name has a definition over earlier names and a spelling (its
-`expansion`) over the concrete letters.  :meth:`GroupPresentation.expand`
-substitutes the names latest-first and reduces after each name, so powers
-cancel among the names before anything is spelled out: muC^(pq-1) lamC
-becomes muC^-1 t^p, then three syllables.  The two words that grow with pq,
-lamC's spelling (2pq + 1 syllables) and the cable relator's word
-(4(q - xy) + 3), are built and checked the first time they are read; no
-certify or replay step reads either.
+Each defined name means its definition over earlier names, and nothing
+else.  :meth:`GroupPresentation.expand` substitutes the names latest-first
+through their definitions and reduces after each name, so powers cancel
+among the names before anything is spelled out: muC^(pq-1) lamC becomes
+muC^-1 t^p, then t a^-x t^p.  A name's spelling (its `expansion`) and a
+relator's `word` are the expansion of its definition or named form, built
+on first read; no certify or replay step reads one.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
@@ -28,8 +27,8 @@ a^x = b^y is central in the torus-knot group.
 
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
-The only things set after construction are lamC's spelling and the cable
-relator's word, each once, on first read; every read sees the same value.
+The only things set after construction are the spellings and relator words,
+each once, on first read; every read sees the same value.
 """
 
 from __future__ import annotations
@@ -37,20 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from math import gcd
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .slopes import Slope
-from .words import Syllable, Word, _join, concat, power
+from .words import Syllable, Word, _join, power
 
 MU, LAM, MUC, LAMC = "mu", "lam", "muC", "lamC"
-
-# The names `expand` substitutes by their definitions: the longitudes, powers
-# of their meridian times one letter, which cancel against neighbouring powers
-# of the meridian before it is spelled.  The meridians go through their
-# spellings: muC spells as a^x t^-1.
-_THROUGH_DEFINITION = frozenset({LAM, LAMC})
 
 
 class ParameterError(ValueError):
@@ -92,10 +84,10 @@ def bezout_torus(x: int, y: int) -> TorusBezout:
 class Relator:
     """A presentation relator: `word` == identity in the group.
 
-    `named_form` is a compact spelling over defined element names whose full
-    expansion equals `word`; derivation axioms quote it verbatim.  `word` is
-    built by ``spell()`` on its first read, as :class:`NamedElement` builds
-    its expansion, and equality sees the name and the named form.
+    `named_form` is a compact spelling over defined element names, which
+    derivation axioms quote verbatim.  `word` is its expansion, built on the
+    first read as :class:`NamedElement` builds its, and equality sees the
+    name and the named form.
     """
 
     name: str
@@ -111,10 +103,10 @@ class Relator:
 class NamedElement:
     """A defined element: `definition` over earlier names, `expansion` concrete.
 
-    The expansion is built by ``spell()`` the first time it is read and kept
-    from then on; a failed read keeps nothing.  Equality and hashing see the
-    name and the definition, which determine the spelling, so comparing
-    never spells.  ``spell`` must pickle, as it is pickled with the element.
+    The definition is what the name means; the expansion is its expansion,
+    built by ``spell()`` on the first read and kept, and a failed read keeps
+    nothing.  Equality and hashing see the name and the definition, so
+    comparing never spells.  ``spell`` must pickle, as the element does.
     """
 
     name: str
@@ -129,11 +121,6 @@ class NamedElement:
         built = vars(self).get("expansion")  # where cached_property keeps it
         spelled = "<built on first read>" if built is None else repr(built)
         return f"NamedElement(name={self.name!r}, definition={self.definition!r}, expansion={spelled})"
-
-
-def _given(word: Word) -> Word:
-    """``partial(_given, word)`` spells an element whose spelling is built with it."""
-    return word
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ class GroupPresentation:
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # (name, word it stands for, letters of that word), latest name first: see expand
+    # (name, its definition, letters of the definition), latest name first: see expand
     _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -163,8 +150,7 @@ class GroupPresentation:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
         substitutions = []
         for el in reversed(self.named.values()):
-            body = el.definition if el.name in _THROUGH_DEFINITION else el.expansion
-            substitutions.append((el.name, body, frozenset(body.generators())))
+            substitutions.append((el.name, el.definition, frozenset(el.definition.generators())))
         object.__setattr__(self, "_substitutions", tuple(substitutions))
         licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         for u, w in self.whitelist:
@@ -189,17 +175,16 @@ class GroupPresentation:
     def letters(self) -> frozenset[str]:
         return frozenset(self.alphabet) | frozenset(self.named)
 
-    def is_concrete(self, w: Word) -> bool:
-        return set(map(itemgetter(0), w.syllables)).issubset(self.alphabet)
-
     def expand(self, w: Word) -> Word:
         """The reduced concrete word that `w` stands for.
 
-        Defined names are substituted latest first (lamC, muC, lam, mu), lamC
-        and lam by their definitions and mu and muC by their spellings, with
-        cancelling at the junctions after each name: muC^(pq-1) lamC becomes
-        muC^-1 t^p before muC is spelled.  Reduced words are unique, so the
-        result is the full reduction of the spelled-out word.
+        Defined names are substituted latest first (lamC, muC, lam, mu), each
+        by its definition, with cancelling at the junctions after each name:
+        muC^(pq-1) lamC becomes muC^-1 t^p before muC is substituted, and
+        mu^xy lam becomes a^x before mu is.  A power name^e, |e| > 1, becomes
+        the e-th power of the definition's expansion: its copies cancel alike,
+        so they are expanded once.  Reduced words are unique, so the result is
+        the full reduction of the spelled-out word.
         """
         syllables = w.syllables
         present = {g for g, _ in syllables}
@@ -209,12 +194,23 @@ class GroupPresentation:
         for name, body, body_letters in self._substitutions:
             if name not in present:
                 continue
-            out: list[Syllable] = []
-            for g, e in syllables:
-                _join(out, power(body, e).syllables if g == name else ((g, e),))
-            syllables = out
             present.discard(name)
-            present |= body_letters
+            out: list[Syllable] = []
+            expanded = None  # the definition's expansion, built for the first power
+            start = 0  # the syllables from here up to the next name^e are copied as they are
+            for k, (g, e) in enumerate(syllables):
+                if g != name:
+                    continue
+                _join(out, syllables[start:k])
+                start = k + 1
+                if abs(e) == 1:  # its names may still cancel against the neighbours
+                    _join(out, power(body, e).syllables)
+                    present |= body_letters
+                    continue
+                expanded = self.expand(body) if expanded is None else expanded
+                _join(out, power(expanded, e).syllables)
+            _join(out, syllables[start:])
+            syllables = out
         return w if syllables is w.syllables else Word(tuple(syllables))
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
@@ -247,20 +243,15 @@ class GroupPresentation:
         }
 
 
-def _check_expansion(pres: GroupPresentation, name: str, expansion: Word) -> None:
-    # expanding the definition must reproduce the spelling, over the concrete letters
-    if pres.expand(pres.named[name].definition) != expansion:
-        raise AssertionError(f"expansion mismatch for {name}")
-    if not pres.is_concrete(expansion):
-        raise AssertionError(f"expansion of {name} is not concrete")
+def _spell(x: int, y: int, p: int | None, name: str) -> Word:
+    """``spell`` of every name and relator: the expansion of its definition or named form.
 
-
-def _check_expansions(pres: GroupPresentation) -> None:
-    # every spelling but lamC's, which is checked when it is built; the central
-    # relator is concrete, and the cable relator is checked when it is spelled
-    for el in pres.named.values():
-        if el.name != LAMC:
-            _check_expansion(pres, el.name, el.expansion)
+    p is None for the torus.  The presentation comes from the cache (an equal
+    one is built if it was cleared): holding it would make a reference cycle
+    through `named`, and each cold build would wait for the cycle collector.
+    """
+    pres = torus_presentation(x, y) if p is None else _cable_presentation(x, y, p)
+    return pres.expand(pres.named[name].definition if name in pres.named else pres.relator(name).named_form)
 
 
 @lru_cache(maxsize=None)
@@ -268,13 +259,10 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
     """<a, b | a^x = b^y> with named meridian and longitude."""
     TorusParams(x, y)
     i, j = bezout_torus(x, y)
-    mu_word = Word.from_pairs([("b", j), ("a", i)])
-    lam_def = Word.from_pairs([(MU, -x * y), ("a", x)])
-    lam_word = concat(power(mu_word, -x * y), Word.single("a", x))
     central = Word.from_pairs([("a", x), ("b", -y)])
     named = {
-        MU: NamedElement(MU, mu_word, partial(_given, mu_word)),
-        LAM: NamedElement(LAM, lam_def, partial(_given, lam_word)),
+        MU: NamedElement(MU, Word.from_pairs([("b", j), ("a", i)]), partial(_spell, x, y, None, MU)),
+        LAM: NamedElement(LAM, Word.from_pairs([(MU, -x * y), ("a", x)]), partial(_spell, x, y, None, LAM)),
     }
     whitelist = (
         (Word.single("a", x), Word.single("b")),
@@ -282,21 +270,19 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         (Word.single(MU), Word.single(LAM)),
         (Word.single(MU), Word.single("a", x)),  # a^x = b^y is central
     )
-    pres = GroupPresentation(
+    return GroupPresentation(
         kind="torus",
         x=x,
         y=y,
         p=None,
         q=None,
         alphabet=("a", "b"),
-        relators=(Relator("central", central, partial(_given, central)),),
+        relators=(Relator("central", central, partial(_spell, x, y, None, "central")),),
         named=named,
         whitelist=whitelist,
         torus_bezout=TorusBezout(i, j),
         cable_bezout=None,
     )
-    _check_expansions(pres)
-    return pres
 
 
 def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPresentation:
@@ -311,43 +297,6 @@ def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPre
     return _cable_presentation(x, y, p)
 
 
-def _lamc_spelling(muc_word: Word, p: int, q: int) -> Word:
-    """lamC = muC^(-pq) t^p over a, b, t: 2pq + 1 syllables."""
-    return concat(power(muc_word, -p * q), Word.single("t", p))
-
-
-def _spell_lamc(x: int, y: int, p: int) -> Word:
-    """lamC's spelling, checked like the others at build time; run on its first read.
-
-    It takes the presentation from the cache, which holds it unless the
-    cache was cleared, and then builds an equal one.  Holding the
-    presentation itself would make a reference cycle through `named`, and
-    each cold build would wait for the cycle collector.
-    """
-    pres = _cable_presentation(x, y, p)
-    lamc_word = _lamc_spelling(pres.named[MUC].expansion, p, pres.q)
-    _check_expansion(pres, LAMC, lamc_word)
-    return lamc_word
-
-
-def _cable_spelling(mu_word: Word, lam_word: Word, p: int, q: int) -> Word:
-    """The cable relator mu^q lam^p t^-p over a, b, t: 4(q - xy) + 3 syllables."""
-    return concat(power(mu_word, q), power(lam_word, p), Word.single("t", -p))
-
-
-def _spell_cable(x: int, y: int, p: int) -> Word:
-    """The cable relator's word, checked like lamC's spelling; run on its first read.
-
-    No certify or replay step reads it.  The presentation comes from the
-    cache, as in :func:`_spell_lamc`.
-    """
-    pres = _cable_presentation(x, y, p)
-    cable_word = _cable_spelling(pres.named[MU].expansion, pres.named[LAM].expansion, p, pres.q)
-    if pres.expand(pres.relator("cable").named_form) != cable_word:
-        raise AssertionError("named form mismatch for relator cable")
-    return cable_word
-
-
 @lru_cache(maxsize=None)
 def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     base = torus_presentation(x, y)
@@ -355,17 +304,12 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         raise ParameterError(f"cable winding p must be >= 2, got {p}")
     q, u, v = p * x * y - 1, x * y, 1  # p*u - q*v = 1
 
-    mu_word = base.named[MU].expansion
-    lam_word = base.named[LAM].expansion
-    cable_named_form = Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])
-
     muc_def = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
-    muc_word = concat(power(mu_word, u), power(lam_word, v), Word.single("t", -v))
     lamc_def = Word.from_pairs([(MUC, -p * q), ("t", p)])
-
+    cable_named_form = Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])
     named = dict(base.named)
-    named[MUC] = NamedElement(MUC, muc_def, partial(_given, muc_word))
-    named[LAMC] = NamedElement(LAMC, lamc_def, partial(_spell_lamc, x, y, p))
+    named[MUC] = NamedElement(MUC, muc_def, partial(_spell, x, y, p, MUC))
+    named[LAMC] = NamedElement(LAMC, lamc_def, partial(_spell, x, y, p, LAMC))
 
     tp = Word.single("t", p)
     whitelist = base.whitelist + (
@@ -375,7 +319,7 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         (Word.single(MUC), tp),
         (Word.single(LAMC), tp),
     )
-    pres = GroupPresentation(
+    return GroupPresentation(
         kind="cable",
         x=x,
         y=y,
@@ -384,15 +328,13 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         alphabet=("a", "b", "t"),
         relators=(
             base.relators[0],
-            Relator("cable", cable_named_form, partial(_spell_cable, x, y, p)),
+            Relator("cable", cable_named_form, partial(_spell, x, y, p, "cable")),
         ),
         named=named,
         whitelist=whitelist,
         torus_bezout=base.torus_bezout,
         cable_bezout=CableBezout(u, v),
     )
-    _check_expansions(pres)
-    return pres
 
 
 cable_presentation.cache_clear = _cable_presentation.cache_clear  # type: ignore[attr-defined]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation, ScriptBuilder
 from cable_order.presentations import LAM, LAMC, MU, MUC, GroupPresentation
 from cable_order.slopes import Slope, cramer
-from cable_order.words import Word, abelianize
+from cable_order.words import Word, abelianize, concat, power
 
 
 def word_strategy(alphabet=("a", "b", "t"), max_syllables=8, max_exp=6):
@@ -70,6 +70,30 @@ def random_licensed_move(word: Word, x: int, y: int, rng: random.Random) -> Word
         if swapped is not None:
             return swapped
     return insert_relator_move(word, x, y, rng)
+
+
+# -- reference spellings, built with concat and power ------------------------
+
+def reference_spellings(pres: GroupPresentation) -> dict[str, Word]:
+    """Every name's spelling and every relator's word, by concat and power.
+
+    mu = b^j a^i, lam = mu^-xy a^x, muC = mu^u lam^v t^-v,
+    lamC = muC^-pq t^p and the cable relator mu^q lam^p t^-p, each built
+    from the concrete spellings before it, as the builders once did.
+    """
+    x, y = pres.x, pres.y
+    i, j = pres.torus_bezout
+    mu = Word.from_pairs([("b", j), ("a", i)])
+    lam = concat(power(mu, -x * y), Word.single("a", x))
+    out = {MU: mu, LAM: lam, "central": Word.from_pairs([("a", x), ("b", -y)])}
+    if pres.kind == "cable":
+        p, q = pres.p, pres.q
+        u, v = pres.cable_bezout
+        muc = concat(power(mu, u), power(lam, v), Word.single("t", -v))
+        out[MUC] = muc
+        out[LAMC] = concat(power(muc, -p * q), Word.single("t", p))
+        out["cable"] = concat(power(mu, q), power(lam, p), Word.single("t", -p))
+    return out
 
 
 # -- exact integer solvers for abelianization lattice membership -------------

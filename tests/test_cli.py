@@ -134,6 +134,13 @@ class TestPresent:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: --q needs --p")
 
+    def test_unwritable_path_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "pres.json"
+        assert main(["present", "--x", "2", "--y", "3", "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert str(out) in captured.err and "Traceback" not in captured.err
+
 
 class TestCertify:
     def test_beta_exit_zero(self, tmp_path, capsys):
@@ -179,6 +186,13 @@ class TestCertify:
         for path in paths:
             main(["certify", "--x", "3", "--y", "4", "--p", "2", "--beta", "3", "--json", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unwritable_path_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert str(out) in captured.err and not (tmp_path / "absent").exists()
 
     def test_no_script_directory_variable_is_read(self, tmp_path, monkeypatch):
         # a file that once replaced the built cable_t_power proof must change nothing
@@ -550,6 +564,22 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         statuses = {r["p"]: r["status"] for r in summary["results"]}
         assert statuses == {1: "unsupported", 2: "certified"}
+
+    def test_out_on_a_file_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        out.write_text("not a directory\n")
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert out.read_text() == "not a directory\n"
+
+    def test_unwritable_certificate_is_reported_per_point(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        (out / "cert_x2_y3_p2_beta1.json").mkdir(parents=True)
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1..2", "--out", str(out)]) == 1
+        assert "error: cannot write " in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["status"] for r in summary["results"]] == ["unwritable", "certified"]
 
     def test_empty_grid_is_error(self, tmp_path, capsys):
         assert main(["sweep", "--grid", "x=2;y=4;p=2;beta=1", "--out", str(tmp_path)]) == 1

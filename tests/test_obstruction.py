@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cable_order.derivations import (
+    Axiom,
     Context,
     Equation,
+    ScriptBuilder,
     cable_t_power_script,
     central_relation_script,
     check_script,
@@ -21,6 +23,7 @@ from cable_order.obstruction import (
     POS,
     UNKNOWN,
     ZERO,
+    CertEntry,
     Inconclusive,
     ObstructionCertificate,
     SignAssignment,
@@ -33,7 +36,7 @@ from cable_order.obstruction import (
     refute_all,
     replay,
 )
-from cable_order.presentations import cable_presentation
+from cable_order.presentations import LAMC, MUC, GroupPresentation, cable_presentation
 from cable_order.slopes import Slope, beta_slope
 from cable_order.words import Word
 from helpers import swap_expand_t_power_script, word_strategy
@@ -464,6 +467,33 @@ class TestReplay:
                 row["reason"]["equation"] = "no_such_equation"
         report = replay(certificate_from_json_dict(doc))
         assert report.problems == ["26 refutation row(s) cite unknown equation 'no_such_equation'"]
+
+    def test_only_cited_equations_are_expanded(self, monkeypatch):
+        # a work count: an honest certificate never cites the endpoint product,
+        # and an uncited entry carrying muC^N must cost replay nothing per N
+        pres = cable_presentation(2, 3, 2)
+        cert = certify_beta(2, 3, 2, 1)
+        b = ScriptBuilder("padded", pres, Context("G"), Axiom("relator", "central"))
+        b.multiply("right", Word.single("b", 3))
+        b.reduce()
+        b.multiply("left", Word.single(MUC, 10_000))
+        script = b.finish()
+        padded = CertEntry("padded", check_script(script, pres, {}), script)
+        cert = replace(cert, entries=cert.entries + (padded,))
+        endpoint = next(e for e in cert.entries if e.entry_id == "cable_endpoint_product")
+        assert endpoint.equation.lhs.syllables == ((MUC, 21), (LAMC, 1))
+
+        expanded = []
+        real = GroupPresentation.expand
+        monkeypatch.setattr(
+            GroupPresentation, "expand", lambda pres, w: expanded.append(w) or real(pres, w)
+        )
+        assert replay(cert)
+        cited = {row.equation_id for row in cert.refutations} - {None}
+        assert "cable_endpoint_product" not in cited and "padded" not in cited
+        assert endpoint.equation.lhs not in expanded
+        assert all(MUC not in w.generators() for w in expanded)
+        assert len(expanded) == 2 * len(cited)
 
 
 class TestAssignments:

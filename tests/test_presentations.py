@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 
-from cable_order import derivations, presentations
+from cable_order import derivations
 from cable_order.normal_form import equal_in_torus_group
 from cable_order.presentations import (
     LAM,
     LAMC,
     MU,
     MUC,
+    GroupPresentation,
     ParameterError,
     bezout_torus,
     cable_presentation,
@@ -21,6 +22,7 @@ from cable_order.presentations import (
 )
 from cable_order.slopes import Slope
 from cable_order.words import Word, abelianize, concat, invert, power
+from helpers import reference_spellings
 
 
 class TestBezoutTorus:
@@ -113,14 +115,6 @@ class TestCablePresentation:
         assert pres.commutes((MUC, 21), (LAMC, 1))
         assert pres.commutes((LAMC, 2), ("t", 2))
 
-    def test_is_concrete(self):
-        pres = cable_presentation(2, 3, 2)
-        assert pres.is_concrete(Word.identity())
-        assert pres.is_concrete(Word.parse("a^2 b^-1 t a"))
-        assert not pres.is_concrete(Word.parse("a mu"))
-        assert not pres.is_concrete(Word.parse("lamC"))
-        assert not torus_presentation(2, 3).is_concrete(Word.parse("a t"))
-
     def test_licence_index_matches_a_whitelist_scan(self):
         def scanned(pres, s1, s2):
             def matches(syl, base):
@@ -145,6 +139,27 @@ class TestCablePresentation:
                             assert pres.commutes(s1, s2) == scanned(pres, s1, s2), (pres.p, s1, s2)
 
 
+# the acceptance grid of tests/test_acceptance.py
+ACCEPTANCE_TRIPLES = [
+    (x, y, p) for x in range(2, 7) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in (2, 3, 4, 5)
+]
+
+
+@pytest.mark.parametrize(
+    "xyp", ACCEPTANCE_TRIPLES + [(11, 13, 9), (2, 3, 50)], ids=lambda xyp: "x{}_y{}_p{}".format(*xyp)
+)
+def test_spellings_match_the_concat_power_reference(xyp):
+    # a spelling is the expansion of the definition; the reference builds it
+    # from the concrete spellings instead, and both must be one reduced word
+    for pres in (torus_presentation(*xyp[:2]), cable_presentation(*xyp)):
+        reference = reference_spellings(pres)
+        spelled = {n: el.expansion for n, el in pres.named.items()}
+        spelled.update((r.name, r.word) for r in pres.relators)
+        assert spelled == reference
+        for word in spelled.values():
+            assert word.generators() <= set(pres.alphabet)
+
+
 class TestPresentationCache:
     def test_default_q_shares_one_cache_entry(self):
         cable_presentation.cache_clear()
@@ -162,17 +177,47 @@ class TestPresentationCache:
         assert pres.named[MU].expansion == Word.parse("b^-1 a")
         assert cable_presentation(2, 3, 2).named[LAMC].definition == Word.parse("muC^-22 t^2")
 
-    def test_lamc_is_spelled_and_checked_on_first_read(self, monkeypatch):
-        real = presentations._lamc_spelling
-        monkeypatch.setattr(
-            presentations, "_lamc_spelling", lambda muc_word, p, q: real(muc_word, p, q) * Word.single("a")
-        )
+    def test_cold_build_spells_nothing(self):
+        torus_presentation.cache_clear()
         cable_presentation.cache_clear()
         try:
-            pres = cable_presentation(2, 3, 2)  # builds: the spelling is not read
-            for _ in range(2):  # a failed read keeps nothing
-                with pytest.raises(AssertionError, match="expansion mismatch for lamC"):
-                    pres.named[LAMC].expansion
+            pres = cable_presentation(11, 13, 9)
+            for el in pres.named.values():
+                assert "expansion" not in vars(el), el.name  # where cached_property keeps it
+            for rel in pres.relators:
+                assert "word" not in vars(rel), rel.name
+        finally:
+            torus_presentation.cache_clear()
+            cable_presentation.cache_clear()
+
+    @pytest.mark.parametrize(
+        "read, attr",
+        [
+            (lambda pres: pres.named[LAMC], "expansion"),
+            (lambda pres: pres.relator("cable"), "word"),
+        ],
+        ids=["name", "cable_relator"],
+    )
+    def test_a_failed_read_keeps_nothing(self, monkeypatch, read, attr):
+        real = GroupPresentation.expand
+        calls = []
+
+        def failing_once(pres, w):
+            calls.append(w)
+            if len(calls) == 1:
+                raise ValueError("injected")
+            return real(pres, w)
+
+        cable_presentation.cache_clear()
+        try:
+            pres = cable_presentation(2, 3, 2)
+            monkeypatch.setattr(GroupPresentation, "expand", failing_once)
+            with pytest.raises(ValueError, match="injected"):
+                getattr(read(pres), attr)
+            assert attr not in vars(read(pres))
+            name = read(pres).name
+            assert getattr(read(pres), attr) == reference_spellings(pres)[name]
+            assert attr in vars(read(pres))
         finally:
             cable_presentation.cache_clear()
 
@@ -187,7 +232,7 @@ class TestPresentationCache:
         with pytest.raises(FrozenInstanceError):
             pres.named[LAMC].definition = Word.parse("t")
 
-    def test_cable_relator_is_spelled_and_checked_on_first_read(self, monkeypatch):
+    def test_cable_relator_is_spelled_and_checked_on_first_read(self):
         cable_presentation.cache_clear()
         try:
             pres = cable_presentation(11, 13, 9)
@@ -196,15 +241,6 @@ class TestPresentationCache:
             word = pres.relator("cable").word
             assert word == concat(power(mu_w, 1286), power(lam_w, 9), Word.single("t", -9))
             assert len(word) == 4575 and pres.relator("cable").word is word
-            real = presentations._cable_spelling
-            monkeypatch.setattr(
-                presentations, "_cable_spelling", lambda *args: real(*args) * Word.single("a")
-            )
-            cable_presentation.cache_clear()
-            pres = cable_presentation(2, 3, 2)  # builds: the relator word is not read
-            for _ in range(2):  # a failed read keeps nothing
-                with pytest.raises(AssertionError, match="named form mismatch for relator cable"):
-                    pres.relator("cable").word
         finally:
             cable_presentation.cache_clear()
 

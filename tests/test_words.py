@@ -1,9 +1,10 @@
+import functools
 import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cable_order import presentations, words
+from cable_order import derivations, presentations, words
 from cable_order.obstruction import Inconclusive, certify_slope, replay
 from cable_order.presentations import (
     LAM,
@@ -15,7 +16,7 @@ from cable_order.presentations import (
 )
 from cable_order.slopes import Slope
 from cable_order.words import Word, WordSyntaxError, abelianize, concat, invert, power
-from helpers import word_strategy
+from helpers import reference_spellings, word_strategy
 
 
 def W(text: str) -> Word:
@@ -154,11 +155,17 @@ def reference_concat(*ws: Word) -> Word:
     return Word.from_pairs([s for w in ws for s in w.syllables])
 
 
+@functools.cache
+def cached_spellings(x: int, y: int, p: int) -> dict[str, Word]:
+    return reference_spellings(cable_presentation(x, y, p))
+
+
 def reference_expand(pres, w: Word) -> Word:
+    spellings = cached_spellings(pres.x, pres.y, pres.p)
     pairs = []
     for g, e in w.syllables:
         if g in pres.named:
-            pairs.extend(reference_power(pres.named[g].expansion, e).syllables)
+            pairs.extend(reference_power(spellings[g], e).syllables)
         else:
             pairs.append((g, e))
     return Word.from_pairs(pairs)
@@ -254,6 +261,24 @@ class TestJunctionArithmetic:
         assert got == concat(invert(pres.named[MUC].expansion), Word.single("t", pres.p))
         assert is_reduced(got)
 
+    @pytest.mark.parametrize("exponent", [10_000, -10_000])
+    def test_a_power_of_a_name_expands_its_definition_once(self, monkeypatch, exponent):
+        # a work count: muC^N becomes (a^2 t^-1)^N from one expansion of
+        # muC's definition, not from N copies of mu^6 lam t^-1 whose lam is
+        # substituted copy by copy
+        joins = []
+        real_join = presentations._join
+
+        def counting(out, syls):
+            joins.append(len(syls))
+            real_join(out, syls)
+
+        monkeypatch.setattr(presentations, "_join", counting)
+        pres = cable_presentation(2, 3, 2)
+        w = Word.from_pairs([(MUC, exponent), ("t", 3)])
+        assert pres.expand(w) == reference_expand(pres, w)
+        assert len(joins) < 20
+
     def test_cold_build_feeds_the_full_reducer_little(self, monkeypatch):
         # a work count, not a timing: building (11, 13, 9) with full reduction
         # of every power and concatenation feeds _reduce 117,252 syllables
@@ -271,10 +296,12 @@ class TestJunctionArithmetic:
         cable_presentation(11, 13, 9)
         assert 0 < sum(seen) < 1_000
 
-    def test_certify_and_replay_never_spell_lamc(self, monkeypatch):
+    @pytest.mark.parametrize("xyp", [(2, 3, 50), (1000, 1001, 2)], ids=["x2_y3_p50", "x1000_y1001_p2"])
+    def test_certify_and_replay_never_spell_lamc(self, monkeypatch, xyp):
         # a work count, not a timing: lamC's spelling is muC^-pq t^p, 29,901
-        # syllables at (2, 3, 50); a cold build that spelled it, or an expand
-        # that went through it, would make a power at least pq syllables long
+        # syllables at (2, 3, 50), and lam's is mu^-xy a^x, 2,002,001 at
+        # (1000, 1001, 2); a cold build that spelled either, or an expand
+        # that went through one, would make a power at least pq or xy long
         built = []
         real_power = presentations.power
 
@@ -284,12 +311,13 @@ class TestJunctionArithmetic:
             return out
 
         monkeypatch.setattr(presentations, "power", counting)
+        monkeypatch.setattr(derivations, "power", counting)
         torus_presentation.cache_clear()
         cable_presentation.cache_clear()
-        pres = cable_presentation(2, 3, 50)
+        pres = cable_presentation(*xyp)
         pq = pres.p * pres.q
-        cert = certify_slope(2, 3, 50, Slope(2 * pq - 1, 2))
+        cert = certify_slope(*xyp, Slope(2 * pq - 1, 2))
         assert not isinstance(cert, Inconclusive) and replay(cert)
         assert cert.entries[2].equation.lhs.syllables == ((MUC, pq - 1), (LAMC, 1))
         assert max(built) < 1_000 and sum(built) < 5_000
-        assert "<built on first read>" in repr(pres.named[LAMC])
+        assert all("<built on first read>" in repr(pres.named[n]) for n in (LAM, LAMC))
