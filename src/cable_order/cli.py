@@ -9,6 +9,16 @@ sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 Readers parse any JSON layout, so a certificate indented by another tool
 replays the same.
 
+Output files are rewritten in place: the old file is opened without
+``O_TRUNC``, overwritten, and cut only when it is a regular file that held
+more bytes than were written.  ext4 starts writeback when a file truncated
+to zero is closed (its ``auto_da_alloc`` rule), so a truncating rewrite
+took 120-150 us against 8 us in place (median, 11 KB or 23 bytes, 2-vCPU
+VM), and every certify writes twice: the certificate and its ``.log``.  An
+interrupted write can leave new bytes followed by old ones, which the
+loader or ``replay`` rejects, as it rejects the prefix that an interrupted
+truncating write leaves.
+
 The argument parser is built once per process and reused by every
 :func:`main` call; ``concurrent.futures`` is imported only when a sweep runs
 more than one job.
@@ -18,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -68,9 +80,26 @@ def _dump(doc: dict, path: str | Path | None) -> int:
 
 
 def _write(path: str | Path, text: str) -> int:
-    """Write `text` to `path`: CERTIFIED, or ERROR with a message when the write fails."""
+    """Write `text` to `path` in place: CERTIFIED, or ERROR with a message when the write fails.
+
+    The file is opened without ``O_TRUNC``, whose cost the module docstring
+    gives, and cut afterwards only when it is a regular file that held more
+    bytes than `text`: ``ftruncate`` fails on ``/dev/null`` and on FIFOs.
+    An interrupted write may leave new bytes followed by old ones, which the
+    loader or ``replay`` rejects.
+    """
+    data = text.encode()
     try:
-        Path(path).write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as err:
         print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
         return ERROR

@@ -391,7 +391,10 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
             f"slope {slope} is outside the certified window [{pq - 1}, {pq}]"
         )
 
-    rows = refute_all([e.equation for e in entries], pres, slope)
+    # the endpoint product is a lemma of the surgery equation's proof and no
+    # row cites it, so it is neither expanded nor sign-evaluated
+    cited = [e.equation for e in entries if e.entry_id != "cable_endpoint_product"]
+    rows = refute_all(cited, pres, slope)
     if isinstance(rows, Inconclusive):
         return rows
     params = CertParams(x, y, p, q, "slope", None, slope)

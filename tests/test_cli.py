@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from math import gcd
@@ -208,6 +210,46 @@ class TestCertify:
         monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(scripts))
         assert main(argv + [str(tmp_path / "set.json")]) == 0
         assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
+
+
+class TestWrite:
+    """Output files are rewritten in place and cut only when they were longer."""
+
+    def test_shorter_rewrite_matches_a_fresh_write(self, tmp_path, capsys):
+        out, fresh = tmp_path / "cert.json", tmp_path / "fresh.json"
+        argv = ["certify", "--x", "2", "--y", "3", "--p", "2"]
+        assert main(argv + ["--slope", "21001/1000", "--json", str(out)]) == 0
+        long_size = out.stat().st_size
+        assert main(argv + ["--beta", "1", "--json", str(out)]) == 0
+        assert main(argv + ["--beta", "1", "--json", str(fresh)]) == 0
+        assert out.stat().st_size < long_size
+        assert out.read_bytes() == fresh.read_bytes()
+        assert Path(f"{out}.log").read_text().count("\n") == 1
+        assert main(["replay", str(out)]) == 0
+
+    def test_dev_null_is_written(self):
+        assert cli._write(os.devnull, "{}\n") == cli.CERTIFIED
+
+    def test_fifo_is_written(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli._write(fifo, "x" * 100_000 + "\n") == cli.CERTIFIED
+        reader.join(timeout=10)
+        assert got == [b"x" * 100_000 + b"\n"]
+
+    def test_rewrite_never_truncates_on_open(self, tmp_path, monkeypatch, capsys):
+        flags = []
+        real = os.open
+        monkeypatch.setattr(cli.os, "open", lambda path, f, *a: flags.append(f) or real(path, f, *a))
+        out = tmp_path / "cert.json"
+        for beta in ("7", "1", "1"):
+            assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", beta, "--json", str(out)]) == 0
+        assert len(flags) == 6 and not any(f & os.O_TRUNC for f in flags)
+        assert out.read_bytes() == (json.dumps(certify_beta(2, 3, 2, 1).to_json_dict(),
+                                               separators=(",", ":")) + "\n").encode()
 
 
 class TestReplayCommand:

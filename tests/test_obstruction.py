@@ -283,6 +283,22 @@ class TestCertifySlope:
             assert replay(certify_slope(x, y, p, slope)), (x, y, p, str(slope))
         assert replay(certify_beta(x, y, p, 5))
 
+    def test_endpoint_product_is_never_expanded(self, monkeypatch):
+        # the certify-side twin of TestReplay.test_only_cited_equations_are_expanded:
+        # no row cites the endpoint product, so refute_all never sees it
+        expanded = []
+        real = GroupPresentation.expand
+        monkeypatch.setattr(
+            GroupPresentation, "expand", lambda pres, w: expanded.append(w) or real(pres, w)
+        )
+        for slope in (Slope(21, 1), Slope(43, 2)):
+            cert = certify_slope(2, 3, 2, slope)
+            endpoint = next(e for e in cert.entries if e.entry_id == "cable_endpoint_product")
+            assert endpoint.equation.lhs.syllables == ((MUC, 21), (LAMC, 1))
+            assert endpoint.equation.lhs not in expanded and expanded
+            assert "cable_endpoint_product" not in {row.equation_id for row in cert.refutations}
+            expanded.clear()
+
 
 class TestEntriesUsed:
     # a certificate carries only the equations its refutation table reaches,
