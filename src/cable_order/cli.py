@@ -9,15 +9,17 @@ sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 Readers parse any JSON layout, so a certificate indented by another tool
 replays the same.
 
-Output files are rewritten in place: the old file is opened without
+Output files are rewritten in place: an existing file is opened without
 ``O_TRUNC``, overwritten, and cut only when it is a regular file that held
 more bytes than were written.  ext4 starts writeback when a file truncated
 to zero is closed (its ``auto_da_alloc`` rule), so a truncating rewrite
-took 120-150 us against 8 us in place (median, 11 KB or 23 bytes, 2-vCPU
-VM), and every certify writes twice: the certificate and its ``.log``.  An
-interrupted write can leave new bytes followed by old ones, which the
-loader or ``replay`` rejects, as it rejects the prefix that an interrupted
-truncating write leaves.
+took 40-150 us against 8-25 us in place (medians of 400-1,000 rewrites,
+11 KB or 23 bytes, 2-vCPU VM), and every certify writes twice: the
+certificate and its ``.log``.  A write to a new path costs the same either
+way.  A file written when the process or the machine stopped may hold any
+mix of old and new blocks; it may even parse as a certificate that matches
+neither write.  Only ``replay``, which checks every step and sign again,
+vouches for such a file.
 
 The argument parser is built once per process and reused by every
 :func:`main` call; ``concurrent.futures`` is imported only when a sweep runs
@@ -85,21 +87,17 @@ def _write(path: str | Path, text: str) -> int:
     The file is opened without ``O_TRUNC``, whose cost the module docstring
     gives, and cut afterwards only when it is a regular file that held more
     bytes than `text`: ``ftruncate`` fails on ``/dev/null`` and on FIFOs.
-    An interrupted write may leave new bytes followed by old ones, which the
-    loader or ``replay`` rejects.
+    After a crash the file may hold any mix of old and new blocks, and only
+    ``replay`` vouches for it.
     """
     data = text.encode()
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            info = os.fstat(fd)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            info = os.fstat(fh.fileno())
             if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+                fh.truncate()
     except OSError as err:
         print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
         return ERROR

@@ -343,8 +343,10 @@ def _admit(
     env: dict[str, Equation],
     entries: list[CertEntry],
     script: DerivationScript,
-) -> None:
-    entries.append(CertEntry(script.script_id, admit(script, pres, env), script))
+) -> Equation:
+    eq = admit(script, pres, env)
+    entries.append(CertEntry(script.script_id, eq, script))
+    return eq
 
 
 def certify_beta(
@@ -375,25 +377,29 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
     entries: list[CertEntry] = []
     cramer_data: CramerTriple | None = None
 
-    _admit(pres, env, entries, central_relation_script(pres))
-    _admit(pres, env, entries, cable_t_power_script(pres))
+    # the endpoint product is a lemma of the surgery equation's proof and no
+    # row cites it, so it is left out of `cited`: refute_all never expands
+    # or sign-evaluates it
+    cited = [
+        _admit(pres, env, entries, central_relation_script(pres)),
+        _admit(pres, env, entries, cable_t_power_script(pres)),
+    ]
     if slope == low:
         _admit(pres, env, entries, cable_endpoint_product_script(pres, env))
-        _admit(pres, env, entries, surgery_endpoint_identity_script(pres, env))
+        cited.append(_admit(pres, env, entries, surgery_endpoint_identity_script(pres, env)))
     elif slope == high:
-        _admit(pres, env, entries, surgery_t_power_identity_script(pres))
+        cited.append(_admit(pres, env, entries, surgery_t_power_identity_script(pres)))
     elif low < slope < high:
         cramer_data = cramer(low, high, slope)
         _admit(pres, env, entries, cable_endpoint_product_script(pres, env))
-        _admit(pres, env, entries, surgery_interior_combination_script(pres, slope, env))
+        cited.append(
+            _admit(pres, env, entries, surgery_interior_combination_script(pres, slope, env))
+        )
     else:
         raise UnsupportedParameters(
             f"slope {slope} is outside the certified window [{pq - 1}, {pq}]"
         )
 
-    # the endpoint product is a lemma of the surgery equation's proof and no
-    # row cites it, so it is neither expanded nor sign-evaluated
-    cited = [e.equation for e in entries if e.entry_id != "cable_endpoint_product"]
     rows = refute_all(cited, pres, slope)
     if isinstance(rows, Inconclusive):
         return rows
