@@ -38,10 +38,15 @@ steps, whatever the slope and p.
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and the script that
 :meth:`ScriptBuilder.finish` returns carries the equation so derived; that
-equation is admitted without a second pass.  Any other script, whether
-rebuilt from JSON or made by ``dataclasses.replace``, carries no derived
-equation and is checked in full by :func:`check_script`, as is every script
-in a certificate under replay.
+equation is admitted without a second pass.  The slope-free lemmas are
+built and checked once per presentation, which keeps them for every later
+certificate over it.  The derivation holds its presentation only weakly,
+so the presentation and its lemmas make no reference cycle; once the
+presentation is gone, the script is checked in full.  Any other script,
+whether rebuilt from JSON, unpickled (pickling drops the derivation) or
+made by ``dataclasses.replace``, carries no derived equation and is checked
+in full by :func:`check_script`, as is every script in a certificate under
+replay.
 
 Equations proven in the knot group G hold in every surgery quotient H and may
 be cited there; equations proven in some H may only be cited at the same
@@ -50,6 +55,7 @@ surgery slope.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
@@ -230,9 +236,14 @@ class Axiom:
 
 @dataclass(frozen=True)
 class _Derivation:
-    """What :class:`ScriptBuilder` saw while it checked a script step by step."""
+    """What :class:`ScriptBuilder` saw while it checked a script step by step.
 
-    pres: GroupPresentation
+    The presentation is held weakly: it may keep the script among its
+    lemmas, and a strong reference back would make every presentation
+    cyclic garbage.
+    """
+
+    pres: weakref.ref[GroupPresentation]
     cited: tuple[tuple[str, Equation], ...]  # the cited equations it had in hand
     equation: Equation
 
@@ -249,6 +260,10 @@ class DerivationScript:
     # set only by ScriptBuilder.finish(); init=False keeps every other way of
     # making a script, dataclasses.replace included, from carrying one
     _derivation: _Derivation | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # a weak reference does not pickle; an unpickled script is checked in full
+        return {**vars(self), "_derivation": None}
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +684,7 @@ class ScriptBuilder:
             self.cites,
         )
         derived = _Derivation(
-            self.pres,
+            weakref.ref(self.pres),
             tuple(self._cited.items()),
             Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id),
         )
@@ -891,14 +906,14 @@ def admit(script: DerivationScript, pres: GroupPresentation, env: dict[str, Equa
     Each proof is checked exactly once: a script from
     :meth:`ScriptBuilder.finish` was checked as it was emitted, and its
     equation is taken as derived when the builder worked over this
-    presentation from the cited equations that `env` holds now.  Every other
-    script, such as one rebuilt from JSON, is checked in full with
-    :func:`check_script`.
+    presentation, still alive, from the cited equations that `env` holds
+    now.  Every other script, such as one rebuilt from JSON or unpickled, is
+    checked in full with :func:`check_script`.
     """
     derived = script._derivation
     if (
         derived is not None
-        and derived.pres == pres
+        and derived.pres() == pres
         and all(env.get(c) == eq for c, eq in derived.cited)
     ):
         eq = derived.equation

@@ -27,7 +27,7 @@ when it is loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .derivations import (
     Context,
@@ -49,7 +49,7 @@ from .derivations import (
 )
 from .presentations import GroupPresentation, ParameterError, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
-from .words import Word
+from .words import Syllable, Word
 
 POS, NEG, ZERO = "pos", "neg", "zero"
 UNKNOWN = "unknown"
@@ -91,12 +91,14 @@ def all_sign_assignments() -> tuple[SignAssignment, ...]:
     return _ASSIGNMENTS
 
 
-def evaluate_sign(w: Word, assignment: SignAssignment) -> str:
+def evaluate_sign(w: Iterable[Syllable], assignment: SignAssignment) -> str:
     """Sound sign of a concrete word under a generator sign assignment.
 
     Letters on zero generators are deleted; if every surviving letter
     (exponent sign included) carries one sign, that is the word's sign, and
-    a word with nothing left is zero.  Mixed signs give ``unknown``.
+    a word with nothing left is zero.  Mixed signs give ``unknown``.  The
+    verdict reads only which signed letters occur, so it is the same on a
+    word and on its :func:`signed_letters`.
     """
     seen: str | None = None
     for g, e in w:
@@ -112,6 +114,15 @@ def evaluate_sign(w: Word, assignment: SignAssignment) -> str:
         elif seen != s:
             return UNKNOWN
     return ZERO if seen is None else seen
+
+
+def signed_letters(w: Word) -> frozenset[Syllable]:
+    """The distinct (generator, sign of exponent) pairs of `w`: at most 6 on a, b, t.
+
+    A spelled-out power repeats its syllables, so they are deduplicated
+    before anything is read one by one.
+    """
+    return frozenset((g, 1 if e > 0 else -1) for g, e in set(w.syllables))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +317,8 @@ def refute_all(
         ctx = eq.context
         if ctx.kind == "H" and ctx.slope != slope:
             raise ValueError(f"equation {eq.provenance} was proven at slope {ctx.slope}, not {slope}")
-        concrete.append((eq.provenance, pres.expand(eq.lhs), pres.expand(eq.rhs)))
+        lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
+        concrete.append((eq.provenance, signed_letters(lhs), signed_letters(rhs)))
 
     rows: list[RefutationRow] = []
     survivors: list[SignAssignment] = []
@@ -349,6 +361,25 @@ def _admit(
     return eq
 
 
+def _admit_lemma(
+    pres: GroupPresentation,
+    env: dict[str, Equation],
+    entries: list[CertEntry],
+    factory: Callable[..., DerivationScript],
+    *args: object,
+) -> Equation:
+    """Admit the slope-free lemma ``factory(pres, *args)``, built once per presentation.
+
+    The presentation keeps the script, so a later certificate over it admits
+    the same script, which carries its derived equation, without building
+    or checking it again.
+    """
+    script = pres._lemmas.get(factory.__name__)
+    if script is None:
+        script = pres._lemmas[factory.__name__] = factory(pres, *args)
+    return _admit(pres, env, entries, script)
+
+
 def certify_beta(
     x: int, y: int, p: int, beta: int
 ) -> ObstructionCertificate | Inconclusive:
@@ -367,7 +398,15 @@ def certify_beta(
 
 
 def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1."""
+    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1.
+
+    The slope-free lemmas (``central_relation``, ``cable_t_power`` and, below
+    pq, ``cable_endpoint_product``) are built and checked on the first
+    certificate that needs them over the cached presentation, which keeps
+    them; later certificates over it reuse them and build only the surgery
+    script.  Entries and bytes are the same either way, and :func:`replay`
+    re-checks every script a certificate carries.
+    """
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
     q = pres.q
@@ -381,17 +420,17 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
     # row cites it, so it is left out of `cited`: refute_all never expands
     # or sign-evaluates it
     cited = [
-        _admit(pres, env, entries, central_relation_script(pres)),
-        _admit(pres, env, entries, cable_t_power_script(pres)),
+        _admit_lemma(pres, env, entries, central_relation_script),
+        _admit_lemma(pres, env, entries, cable_t_power_script),
     ]
     if slope == low:
-        _admit(pres, env, entries, cable_endpoint_product_script(pres, env))
+        _admit_lemma(pres, env, entries, cable_endpoint_product_script, env)
         cited.append(_admit(pres, env, entries, surgery_endpoint_identity_script(pres, env)))
     elif slope == high:
         cited.append(_admit(pres, env, entries, surgery_t_power_identity_script(pres)))
     elif low < slope < high:
         cramer_data = cramer(low, high, slope)
-        _admit(pres, env, entries, cable_endpoint_product_script(pres, env))
+        _admit_lemma(pres, env, entries, cable_endpoint_product_script, env)
         cited.append(
             _admit(pres, env, entries, surgery_interior_combination_script(pres, slope, env))
         )
@@ -478,8 +517,9 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
 
     # refutation table: all 27 assignments, each row recomputed
     seen: set[SignAssignment] = set()
-    # each cited equation is expanded on its first row; None when it does not expand
-    concrete: dict[str, tuple[Word, Word] | None] = {}
+    # each cited equation is expanded on its first row and kept as the signed
+    # letters of its sides; None when it does not expand
+    concrete: dict[str, tuple[frozenset[Syllable], frozenset[Syllable]] | None] = {}
     uncited: dict[str, int] = {}  # rows per cited id without a verified equation
     for row in cert.refutations:
         if row.assignment in seen:
@@ -496,7 +536,8 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         eq = env.get(row.equation_id)
         if eq is not None and row.equation_id not in concrete:
             try:
-                concrete[row.equation_id] = (pres.expand(eq.lhs), pres.expand(eq.rhs))
+                lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
+                concrete[row.equation_id] = (signed_letters(lhs), signed_letters(rhs))
             except ValueError as err:
                 problems.append(f"equation {row.equation_id!r:.40} does not expand: {err}")
                 concrete[row.equation_id] = None

@@ -28,7 +28,14 @@ a^x = b^y is central in the torus-knot group.
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
 The only things set after construction are the spellings and relator words,
-each once, on first read; every read sees the same value.
+each once, on first read, and the memo of slope-free lemma scripts that
+``obstruction.certify_slope`` builds once per presentation (`_lemmas`);
+every read sees the same value.  The memo lives and dies with its object:
+``dataclasses.replace``, copying and unpickling start it empty, and
+clearing the caches below drops it.  It makes no reference cycle, because a
+script holds the presentation it was built over only weakly (see
+``derivations._Derivation``), so a presentation is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -145,6 +152,8 @@ class GroupPresentation:
     _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
         init=False, repr=False, compare=False
     )
+    # factory name -> the lemma script built over this presentation: see the docstring
+    _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
@@ -159,6 +168,7 @@ class GroupPresentation:
                 licences[g1, g2] = licences.get((g1, g2), ()) + ((k1, k2),)
                 licences[g2, g1] = licences.get((g2, g1), ()) + ((k2, k1),)
         object.__setattr__(self, "_licences", MappingProxyType(licences))
+        object.__setattr__(self, "_lemmas", {})
 
     def __reduce__(self):
         # a mappingproxy does not pickle: rebuild through __init__, which wraps `named` again

@@ -1,18 +1,24 @@
+import functools
+import gc
 import json
 import pickle
 import random
 import time
+import weakref
 from dataclasses import replace
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cable_order import derivations, obstruction
+from cable_order.cli import main
 from cable_order.derivations import (
     Axiom,
     Context,
     Equation,
     ScriptBuilder,
+    admit,
     cable_t_power_script,
     central_relation_script,
     check_script,
@@ -35,8 +41,15 @@ from cable_order.obstruction import (
     evaluate_sign,
     refute_all,
     replay,
+    signed_letters,
 )
-from cable_order.presentations import LAMC, MUC, GroupPresentation, cable_presentation
+from cable_order.presentations import (
+    LAMC,
+    MUC,
+    GroupPresentation,
+    cable_presentation,
+    torus_presentation,
+)
 from cable_order.slopes import Slope, beta_slope
 from cable_order.words import Word
 from helpers import swap_expand_t_power_script, word_strategy
@@ -98,6 +111,14 @@ class TestEvaluateSign:
             assert total < 0 and all(s == -1 for s in surviving)
         elif verdict == ZERO:
             assert not surviving
+
+
+    @given(word_strategy(max_syllables=12))
+    def test_signed_letters_give_the_same_verdict(self, w):
+        letters = signed_letters(w)
+        assert len(letters) <= 6
+        for sigma in all_sign_assignments():
+            assert evaluate_sign(letters, sigma) == evaluate_sign(w, sigma)
 
 
 class TestRefuteAll:
@@ -510,6 +531,138 @@ class TestReplay:
         assert endpoint.equation.lhs not in expanded
         assert all(MUC not in w.generators() for w in expanded)
         assert len(expanded) == 2 * len(cited)
+
+
+    def test_sign_evaluation_reads_letters_not_powers(self, monkeypatch):
+        # a work count: a cited side spelled out to 2N syllables is read once,
+        # to find its signed letters, and every row then reads at most 6
+        pres = cable_presentation(2, 3, 2)
+        cert = certify_beta(2, 3, 2, 1)
+        b = ScriptBuilder("central_relation", pres, Context("G"), Axiom("relator", "central"))
+        b.multiply("right", Word.single("b", 3))
+        b.reduce()
+        b.multiply("left", Word.single(MUC, 10**5))
+        script = b.finish()
+        grown = CertEntry("central_relation", check_script(script, pres, {}), script)
+        cert = replace(cert, entries=(grown,) + cert.entries[1:])
+
+        read = []
+        real = obstruction.evaluate_sign
+        monkeypatch.setattr(
+            obstruction, "evaluate_sign", lambda w, sigma: read.append(len(w)) or real(w, sigma)
+        )
+        report = replay(cert)
+        assert not report
+        assert "recorded signs pos/neg for 'central_relation' recompute as unknown/unknown" in report.problems
+        assert len(read) == 2 * 26 and sum(read) < 1_000
+
+
+@pytest.fixture
+def cold_presentations():
+    """Start and end with empty presentation caches, so no lemma memo leaks between tests."""
+    cable_presentation.cache_clear()
+    torus_presentation.cache_clear()
+    yield
+    cable_presentation.cache_clear()
+    torus_presentation.cache_clear()
+
+
+LEMMA_FACTORIES = ("central_relation_script", "cable_t_power_script", "cable_endpoint_product_script")
+
+
+def count_lemma_builds(monkeypatch) -> dict[str, int]:
+    """Count the calls of each lemma factory, as certify_slope looks them up."""
+    builds = dict.fromkeys(LEMMA_FACTORIES, 0)
+    for name in LEMMA_FACTORIES:
+        real = getattr(obstruction, name)
+
+        def counted(*args, real=real, name=name):
+            builds[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(obstruction, name, functools.wraps(real)(counted))
+    return builds
+
+
+def cert_bytes(cert) -> str:
+    return json.dumps(cert.to_json_dict())
+
+
+@pytest.mark.usefixtures("cold_presentations")
+class TestLemmaMemo:
+    # pq - 1, pq, an interior slope and a beta at (2, 3, 2), where pq = 22
+    SLOPES = (Slope(21, 1), Slope(22, 1), Slope(65, 3), beta_slope(2, 11, 4))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 2, 0, 3), (3, 0, 1, 2)])
+    def test_each_lemma_is_built_once_per_presentation(self, monkeypatch, order):
+        builds = count_lemma_builds(monkeypatch)
+        made = {}
+        for k in order:
+            made[k] = cert_bytes(certify_slope(2, 3, 2, self.SLOPES[k]))
+        made[4] = cert_bytes(certify_beta(2, 3, 2, 4))
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 1)
+        for k, text in made.items():
+            cable_presentation.cache_clear()
+            torus_presentation.cache_clear()
+            fresh = certify_beta(2, 3, 2, 4) if k == 4 else certify_slope(2, 3, 2, self.SLOPES[k])
+            assert cert_bytes(fresh) == text, k
+
+    def test_a_cold_certify_builds_only_the_lemmas_its_slope_cites(self, monkeypatch):
+        builds = count_lemma_builds(monkeypatch)
+        certify_slope(2, 3, 2, Slope(22, 1))
+        assert builds == {"central_relation_script": 1, "cable_t_power_script": 1,
+                          "cable_endpoint_product_script": 0}
+        certify_slope(2, 3, 2, Slope(43, 2))
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 1)
+
+    def test_clearing_the_caches_drops_the_lemmas(self, monkeypatch):
+        builds = count_lemma_builds(monkeypatch)
+        certify_beta(2, 3, 2, 1)
+        certify_beta(2, 3, 2, 1)
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 1)
+        cable_presentation.cache_clear()
+        torus_presentation.cache_clear()
+        certify_beta(2, 3, 2, 1)
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 2)
+
+    def test_a_sweep_builds_the_lemmas_once_per_triple(self, monkeypatch, tmp_path):
+        builds = count_lemma_builds(monkeypatch)
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1..5", "--out", str(tmp_path)]) == 0
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 1)
+
+    def test_a_presentation_with_lemmas_makes_no_reference_cycle(self):
+        pres = cable_presentation(2, 3, 2)
+        cert = certify_beta(2, 3, 2, 3)
+        assert len(pres._lemmas) == 3
+        gone = weakref.ref(pres)
+        gc.disable()
+        try:
+            cable_presentation.cache_clear()
+            torus_presentation.cache_clear()
+            del pres
+            assert gone() is None  # freed by reference counting, without the collector
+        finally:
+            gc.enable()
+        # the certificate outlives its presentation and still replays
+        assert replay(cert)
+
+    def test_unpickled_scripts_are_checked_in_full(self, monkeypatch):
+        cert = certify_beta(2, 3, 2, 3)
+        again = pickle.loads(pickle.dumps(cert))
+        pres = cable_presentation(2, 3, 2)
+        checked = []
+        real = derivations.check_script
+        monkeypatch.setattr(
+            derivations, "check_script", lambda script, *args: checked.append(script.script_id) or real(script, *args)
+        )
+        env = {}
+        for entry in cert.entries:
+            assert admit(entry.script, pres, env) == entry.equation
+        assert checked == []  # as built: each was checked once, by its builder
+        env = {}
+        for entry in again.entries:
+            assert admit(entry.script, pres, env) == entry.equation
+        assert checked == [entry.entry_id for entry in cert.entries]
 
 
 class TestAssignments:
