@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success/certified, 2 inconclusive or failed replay, 1 invalid
-input or any other error.  Certificates are byte-stable across runs: the JSON
-carries no timestamps, and timing goes to a sidecar ``.log`` file (or stderr).
+input or any other error.  A usage error (a missing, unknown or malformed
+argument) is invalid input too, so it exits 1, not argparse's 2; ``--help``
+exits 0.  Certificates are byte-stable across runs: the JSON carries no
+timestamps.  ``certify`` writes its timing to a sidecar ``PATH.log`` when
+``--json PATH`` is a regular file, and to stderr otherwise, so a device or
+FIFO such as ``/dev/null`` gets no file beside it.
 Every JSON document the CLI writes (certificates, ``present --json`` and a
 sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 ``:``, keys in the order the program builds them, and a final newline.
@@ -37,6 +41,7 @@ import time
 from functools import cache
 from math import gcd
 from pathlib import Path
+from typing import NoReturn
 
 from .derivations import (
     Equation,
@@ -124,9 +129,7 @@ def _print_table(cert: ObstructionCertificate) -> None:
 def cmd_present(args: argparse.Namespace) -> int:
     try:
         if args.p is not None:
-            pres = cable_presentation(args.x, args.y, args.p, args.q)
-        elif args.q is not None:
-            raise ParameterError("--q needs --p: a torus knot has no cable parameter q")
+            pres = cable_presentation(args.x, args.y, args.p)
         else:
             pres = torus_presentation(args.x, args.y)
     except ParameterError as err:
@@ -138,8 +141,6 @@ def cmd_present(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        if args.q is not None:  # cable_presentation holds the rule q = pxy - 1
-            cable_presentation(args.x, args.y, args.p, args.q)
         if args.beta is not None:
             result = certify_beta(args.x, args.y, args.p, args.beta)
         else:
@@ -157,7 +158,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         _print_table(result)
     if (args.json or not args.table) and _dump(result.to_json_dict(), args.json) != CERTIFIED:
         return ERROR
-    if args.json:
+    if args.json and os.path.isfile(args.json):
         return _write(args.json + ".log", f"certify elapsed={elapsed:.3f}s\n")
     print(f"certified in {elapsed:.3f}s", file=sys.stderr)
     return CERTIFIED
@@ -183,10 +184,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # identity checks
 
-def identity_report(x: int, y: int, p: int, q: int | None = None) -> list[tuple[str, bool, str]]:
+def identity_report(x: int, y: int, p: int) -> list[tuple[str, bool, str]]:
     """Cross-checks between the derivation checker and the independent oracles."""
     checks: list[tuple[str, bool, str]] = []
-    pres = cable_presentation(x, y, p, q)
+    pres = cable_presentation(x, y, p)
     assert pres.p is not None and pres.q is not None
     i, j = pres.torus_bezout
 
@@ -220,7 +221,7 @@ def identity_report(x: int, y: int, p: int, q: int | None = None) -> list[tuple[
 
     def peripheral_invariance():
         for k in range(-3, 4):
-            if not peripheral_invariance_check(x, y, p, pres.q, k):
+            if not peripheral_invariance_check(x, y, p, k):
                 return False, f"failed at shift k={k}"
         return True, "shifts -3..3 define the same peripherals"
 
@@ -239,7 +240,7 @@ def identity_report(x: int, y: int, p: int, q: int | None = None) -> list[tuple[
 
 def cmd_verify_identities(args: argparse.Namespace) -> int:
     try:
-        checks = identity_report(args.x, args.y, args.p, args.q)
+        checks = identity_report(args.x, args.y, args.p)
     except (ParameterError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
@@ -360,6 +361,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits with ERROR (1) instead of 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
@@ -367,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     Sharing it is safe: ``parse_args`` returns a new namespace per call and
     leaves the parser unchanged.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cable-order",
         description="Build cable-knot group presentations and certify "
         "non-left-orderability of surgery quotients.",
@@ -378,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x", type=int, required=True)
         sp.add_argument("--y", type=int, required=True)
         sp.add_argument("--p", type=int, required=with_p_required, default=None)
-        sp.add_argument("--q", type=int, default=None)
 
     sp = sub.add_parser("present", help="print a presentation document")
     add_params(sp, with_p_required=False)

@@ -144,7 +144,12 @@ _tuple_new = tuple.__new__
 
 
 class Step(NamedTuple):
-    """One step of a script: an immutable record, cheap to build (a tuple)."""
+    """One step of a script: an immutable record, cheap to build (a tuple).
+
+    Every field is one the checker reads.  A step of a v1 or v2 document may
+    also carry ``why``, free text: :meth:`from_json_dict` accepts it when it
+    is a string or null, rejects any other type, and discards it.
+    """
 
     kind: str
     side: str | None = None
@@ -158,7 +163,6 @@ class Step(NamedTuple):
     right: Syllable | None = None
     on: str | None = None  # multiply: attach side, "left" | "right"
     n: int | None = None  # relation: exponent (1 when absent); commute: copies in the run
-    why: str = ""
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -174,8 +178,6 @@ class Step(NamedTuple):
             out["left"] = [self.left[0], self.left[1]]
         if self.right is not None:
             out["right"] = [self.right[0], self.right[1]]
-        if self.why:
-            out["why"] = self.why
         return out
 
     @staticmethod
@@ -183,7 +185,7 @@ class Step(NamedTuple):
         # inline checks: this runs once per step of every certificate loaded
         kind, position, name, n = d["kind"], d.get("position"), d.get("name"), d.get("n")
         side, direction, anchor, on = d.get("side"), d.get("direction"), d.get("anchor"), d.get("on")
-        why = d.get("why")
+        why = d.get("why")  # v1 and v2 commentary: typed, then discarded
         if not ((position is None or type(position) is int) and (n is None or type(n) is int)
                 and (name is None or type(name) is str) and (why is None or type(why) is str)):
             raise ValueError("a step position and n must be integers and a step name and why strings")
@@ -205,7 +207,7 @@ class Step(NamedTuple):
             _json_enum(on, _STEP_ONS, "step on")
         if n is not None and kind not in ("relation", "commute"):
             raise ValueError(f"a {kind} step takes no n")
-        # all thirteen fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
+        # all twelve fields in order, so tuple.__new__ can skip Step.__new__'s Python frame
         return _tuple_new(Step, (
             kind,
             side,
@@ -220,7 +222,6 @@ class Step(NamedTuple):
             _json_syllable(d["right"], "swap operand right") if "right" in d else None,
             on,
             n,
-            why or "",
         ))
 
     def v2_only(self) -> bool:
@@ -387,7 +388,7 @@ def apply_step(
     """
     lhs, rhs = state
     # one unpacking of the record: cheaper than reading each field by name
-    kind, side, pos, word, name, ref, direction, anchor, left, right, on, n, _why = step
+    kind, side, pos, word, name, ref, direction, anchor, left, right, on, n = step
 
     if kind == "invert":
         lhs[:] = _invert_raw(lhs)
@@ -620,55 +621,37 @@ class ScriptBuilder:
         apply_step(self._state, step, self.pres, self.context, self._cited)
         self._steps.append(step)
 
-    def multiply(self, on: str, word: Word, why: str = "") -> None:
-        self._emit(Step(kind="multiply", on=on, word=word, why=why))
+    def multiply(self, on: str, word: Word) -> None:
+        self._emit(Step(kind="multiply", on=on, word=word))
 
-    def invert_sides(self, why: str = "") -> None:
-        self._emit(Step(kind="invert", why=why))
+    def invert_sides(self) -> None:
+        self._emit(Step(kind="invert"))
 
     def reduce(self) -> None:
         self._emit(Step(kind="reduce", side="both"))
 
-    def swap(self, side: str, position: int, left: Syllable, right: Syllable, why: str = "") -> None:
-        self._emit(Step(kind="swap", side=side, position=position, left=left, right=right, why=why))
+    def swap(self, side: str, position: int, left: Syllable, right: Syllable) -> None:
+        self._emit(Step(kind="swap", side=side, position=position, left=left, right=right))
 
-    def expand(self, name: str, side: str, position: int, why: str = "") -> None:
-        self._emit(Step(kind="definition", name=name, side=side, position=position, direction="expand", why=why))
+    def expand(self, name: str, side: str, position: int) -> None:
+        self._emit(Step(kind="definition", name=name, side=side, position=position, direction="expand"))
 
-    def insert_relator(self, name: str, side: str, position: int, inverse: bool = False, why: str = "") -> None:
-        self._emit(
-            Step(
-                kind="relation",
-                ref=("relator", name),
-                side=side,
-                position=position,
-                direction="forward" if inverse else "backward",
-                anchor="before",
-                why=why,
-            )
-        )
+    def insert_relator(self, name: str, side: str, position: int, inverse: bool = False) -> None:
+        direction = "forward" if inverse else "backward"
+        self._emit(Step(kind="relation", ref=("relator", name), side=side, position=position,
+                        direction=direction, anchor="before"))
 
     def insert_equation(
-        self, eq_id: str, side: str, position: int, direction: str, anchor: str, n: int | None = None, why: str = ""
+        self, eq_id: str, side: str, position: int, direction: str, anchor: str, n: int | None = None
     ) -> None:
-        self._emit(
-            Step(
-                kind="relation",
-                ref=("equation", eq_id),
-                side=side,
-                position=position,
-                direction=direction,
-                anchor=anchor,
-                n=n,
-                why=why,
-            )
-        )
+        self._emit(Step(kind="relation", ref=("equation", eq_id), side=side, position=position,
+                        direction=direction, anchor=anchor, n=n))
 
-    def collect(self, name: str, side: str, position: int, why: str = "") -> None:
-        self._emit(Step(kind="commute", name=name, side=side, position=position, why=why))
+    def collect(self, name: str, side: str, position: int) -> None:
+        self._emit(Step(kind="commute", name=name, side=side, position=position))
 
-    def collapse(self, side: str, position: int, block: Word, n: int, why: str = "") -> None:
-        self._emit(Step(kind="commute", side=side, position=position, word=block, n=n, why=why))
+    def collapse(self, side: str, position: int, block: Word, n: int) -> None:
+        self._emit(Step(kind="commute", side=side, position=position, word=block, n=n))
 
     def finish(self) -> DerivationScript:
         lhs, rhs = (tuple(side) for side in self._state)
@@ -695,7 +678,7 @@ class ScriptBuilder:
 def central_relation_script(pres: GroupPresentation) -> DerivationScript:
     """a^x = b^y, read off the central relator."""
     b = ScriptBuilder("central_relation", pres, Context("G"), Axiom("relator", "central"))
-    b.multiply("right", Word.single("b", pres.y), why="move the b-power to the other side")
+    b.multiply("right", Word.single("b", pres.y))
     b.reduce()
     return b.finish()
 
@@ -713,17 +696,13 @@ def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
     x = pres.x
     j = pres.torus_bezout.j
     b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
-    b.multiply(
-        "left",
-        Word.from_pairs([(LAM, -p), (MU, -q)]),
-        why="isolate the t-power",
-    )
+    b.multiply("left", Word.from_pairs([(LAM, -p), (MU, -q)]))
     b.reduce()
-    b.invert_sides(why="orient the equation with the t-power on the left")
-    b.collect(LAM, RHS, 1, why="longitude power, its factors commute")
+    b.invert_sides()
+    b.collect(LAM, RHS, 1)
     b.reduce()  # mu^-1 a^(px)
-    b.expand(MU, RHS, 0, why="meridian definition")
-    b.swap(RHS, 1, left=("b", -j), right=("a", x * p), why="powers of a^x pass every b-power")
+    b.expand(MU, RHS, 0)
+    b.swap(RHS, 1, left=("b", -j), right=("a", x * p))
     b.reduce()
     return b.finish()
 
@@ -742,19 +721,12 @@ def cable_endpoint_product_script(
         cites=("cable_t_power",),
         env=env,
     )
-    b.multiply("left", Word.single(MUC, p * q - 1), why="form the product below the full power")
+    b.multiply("left", Word.single(MUC, p * q - 1))  # muC^(pq-1) lamC = muC^-1 t^p
     b.reduce()
-    b.expand(MUC, RHS, 0, why="cable meridian definition")
-    b.expand(LAM, RHS, 1, why="longitude definition")
+    b.expand(MUC, RHS, 0)
+    b.expand(LAM, RHS, 1)
     b.reduce()
-    b.insert_equation(
-        "cable_t_power",
-        RHS,
-        3,
-        direction="forward",
-        anchor="before",
-        why="rewrite the t-power over a and b",
-    )
+    b.insert_equation("cable_t_power", RHS, 3, direction="forward", anchor="before")  # t^p over a and b
     b.reduce()
     return b.finish()
 
@@ -765,7 +737,7 @@ def surgery_t_power_identity_script(pres: GroupPresentation) -> DerivationScript
     assert p is not None and q is not None
     ctx = Context("H", Slope(p * q, 1))
     b = ScriptBuilder("surgery_t_power_identity", pres, ctx, Axiom("surgery"))
-    b.expand(LAMC, LHS, 1, why="cable longitude definition")
+    b.expand(LAMC, LHS, 1)
     b.reduce()
     return b.finish()
 
@@ -785,14 +757,8 @@ def surgery_endpoint_identity_script(
         cites=("cable_endpoint_product",),
         env=env,
     )
-    b.insert_equation(
-        "cable_endpoint_product",
-        LHS,
-        2,
-        direction="forward",
-        anchor="before",
-        why="the surgered product equals its rewritten form",
-    )
+    # the surgered product muC^(pq-1) lamC equals its rewritten form
+    b.insert_equation("cable_endpoint_product", LHS, 2, direction="forward", anchor="before")
     b.reduce()
     return b.finish()
 
@@ -824,22 +790,14 @@ def surgery_interior_combination_script(
         cites=("cable_endpoint_product",),
         env=env,
     )
-    b.collect(LAMC, LHS, 1, why="cable longitude power, its factors commute")
+    b.collect(LAMC, LHS, 1)
     b.reduce()  # muC^-d0 t^(pn)
-    b.insert_equation(
-        "cable_endpoint_product",
-        LHS,
-        0,
-        direction="forward",
-        anchor="after",
-        n=d0,
-        why="the rewritten endpoint product and its inverse, d0 times",
-    )
+    b.insert_equation("cable_endpoint_product", LHS, 0, direction="forward", anchor="after", n=d0)
     run = len(power(endpoint.rhs, d0))  # (muC^(pq-1) lamC)^-d0 starts here
-    b.collapse(LHS, run, invert(endpoint.lhs), d0, why="cable peripherals commute")
-    b.collect(LAMC, LHS, run, why="cable longitude power, its factors commute")
-    b.swap(LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0), why="t^p is central in the cable")
-    b.swap(LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0), why="t^p is central in the cable")
+    b.collapse(LHS, run, invert(endpoint.lhs), d0)
+    b.collect(LAMC, LHS, run)
+    b.swap(LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0))
+    b.swap(LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0))
     b.reduce()
     return b.finish()
 
@@ -852,17 +810,18 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> DerivationScript:
     b = ScriptBuilder(f"cable_meridian_shift_{k}", pres, Context("G"), Axiom("definition", MUC))
     for c in range(abs(k)):
         if k > 0:
-            b.insert_relator("cable", RHS, 2, inverse=False, why="insert the cable relation")
+            b.insert_relator("cable", RHS, 2, inverse=False)
             cur_v = v + c * p
-            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, q), why="meridian and longitude commute")
+            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, q))
             b.reduce()
         else:
-            b.insert_relator("cable", RHS, 2, inverse=True, why="insert the inverse cable relation")
+            b.insert_relator("cable", RHS, 2, inverse=True)
             cur_v = v - c * p
-            b.swap(RHS, 2, left=("t", p), right=(LAM, -p), why="t^p passes the longitude")
-            b.swap(RHS, 3, left=("t", p), right=(MU, -q), why="t^p passes the meridian")
-            b.swap(RHS, 2, left=(LAM, -p), right=(MU, -q), why="meridian and longitude commute")
-            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, -q), why="meridian and longitude commute")
+            # t^p passes lam and mu, then mu passes lam
+            b.swap(RHS, 2, left=("t", p), right=(LAM, -p))
+            b.swap(RHS, 3, left=("t", p), right=(MU, -q))
+            b.swap(RHS, 2, left=(LAM, -p), right=(MU, -q))
+            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, -q))
             b.reduce()
     return b.finish()
 

@@ -56,18 +56,6 @@ class ParameterError(ValueError):
     """Raised for parameters outside the supported ranges."""
 
 
-@dataclass(frozen=True, slots=True)
-class TorusParams:
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x < 2 or self.y < 2:
-            raise ParameterError(f"torus parameters must be >= 2, got ({self.x}, {self.y})")
-        if gcd(self.x, self.y) != 1:
-            raise ParameterError(f"torus parameters must be coprime, got ({self.x}, {self.y})")
-
-
 class TorusBezout(NamedTuple):
     i: int
     j: int
@@ -79,8 +67,11 @@ class CableBezout(NamedTuple):
 
 
 def bezout_torus(x: int, y: int) -> TorusBezout:
-    """The unique (i, j) with x*j + y*i == 1, 0 < i < x and j < 0."""
-    TorusParams(x, y)
+    """The unique (i, j) with x*j + y*i == 1, 0 < i < x and j < 0; x, y >= 2 must be coprime."""
+    if x < 2 or y < 2:
+        raise ParameterError(f"torus parameters must be >= 2, got ({x}, {y})")
+    if gcd(x, y) != 1:
+        raise ParameterError(f"torus parameters must be coprime, got ({x}, {y})")
     i = pow(y, -1, x)
     j = (1 - y * i) // x
     assert x * j + y * i == 1 and 0 < i < x and j < 0
@@ -267,7 +258,6 @@ def _spell(x: int, y: int, p: int | None, name: str) -> Word:
 @lru_cache(maxsize=None)
 def torus_presentation(x: int, y: int) -> GroupPresentation:
     """<a, b | a^x = b^y> with named meridian and longitude."""
-    TorusParams(x, y)
     i, j = bezout_torus(x, y)
     central = Word.from_pairs([("a", x), ("b", -y)])
     named = {
@@ -363,7 +353,7 @@ def surgery_relator(pres: GroupPresentation, slope: Slope) -> Word:
     return pres.expand(surgery_named_form(pres, slope))
 
 
-def peripheral_invariance_check(x: int, y: int, p: int, q: int | None, k: int) -> bool:
+def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
     """Check that shifting the normalization by k defines the same peripherals.
 
     The meridian variant b^(j-ky) a^(i+kx) must equal b^j a^i in the torus
@@ -374,7 +364,7 @@ def peripheral_invariance_check(x: int, y: int, p: int, q: int | None, k: int) -
     from . import derivations  # deferred: derivations imports this module
     from .normal_form import equal_in_torus_group
 
-    pres = cable_presentation(x, y, p, q)
+    pres = cable_presentation(x, y, p)
     i, j = pres.torus_bezout
     mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
     if not equal_in_torus_group(pres.named[MU].expansion, mu_variant, x, y):

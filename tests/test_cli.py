@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from cable_order import cli
 from cable_order.cli import main, parse_grid
 from cable_order.derivations import cable_t_power_script, script_from_json_dict, script_to_json_dict
-from cable_order.obstruction import certify_beta, certify_slope
+from cable_order.obstruction import certificate_from_json_dict, certify_beta, certify_slope, replay
 from cable_order.presentations import cable_presentation
 from cable_order.slopes import Slope
 
@@ -128,14 +129,6 @@ class TestPresent:
     def test_noncoprime_rejected(self, capsys):
         assert main(["present", "--x", "2", "--y", "4"]) == 1
 
-    def test_wrong_q_rejected(self, capsys):
-        assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--q", "10"]) == 1
-
-    def test_q_without_p_rejected(self, capsys):
-        assert main(["present", "--x", "2", "--y", "3", "--q", "7"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: --q needs --p")
-
     def test_unwritable_path_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "absent" / "pres.json"
         assert main(["present", "--x", "2", "--y", "3", "--json", str(out)]) == 1
@@ -155,6 +148,19 @@ class TestCertify:
         assert doc["params"]["slope"] == "21/1"
         assert (tmp_path / "cert.json.log").exists()
 
+    def test_no_log_beside_a_fifo(self, tmp_path, capsys):
+        # the timing goes to stderr, as without --json, and no file appears
+        fifo = tmp_path / "cert.json"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--json", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert json.loads(got[0]) == certify_beta(2, 3, 2, 1).to_json_dict()
+        assert [f.name for f in tmp_path.iterdir()] == ["cert.json"]
+        assert capsys.readouterr().err.startswith("certified in ")
+
     def test_slope_exit_zero(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "43/2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -164,14 +170,6 @@ class TestCertify:
             "d": 1,
             "slopes": {"s0": "21/1", "s1": "22/1", "s": "43/2"},
         }
-
-    def test_wrong_q_is_error(self, capsys):
-        # cable_presentation holds the rule, so certify and present say the same
-        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "10", "--beta", "1"]) == 1
-        assert capsys.readouterr().err == "error: q must be p*x*y - 1 = 11, got 10\n"
-        assert main(["present", "--x", "2", "--y", "3", "--p", "2", "--q", "10"]) == 1
-        assert capsys.readouterr().err == "error: q must be p*x*y - 1 = 11, got 10\n"
-        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "11", "--beta", "1"]) == 0
 
     def test_outside_window_is_error(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "1/1"]) == 1
@@ -495,6 +493,38 @@ class TestV2Certificates:
         assert capsys.readouterr().out == "replay ok\n"
 
 
+class TestStepWhyIsDiscarded:
+    """A step's `why` never reaches the checker: removing it or setting it to null changes nothing."""
+
+    FIXTURES = {f"{path.parent.name}_{path.stem}": path for path in V1_FIXTURES + V2_FIXTURES}
+
+    @staticmethod
+    def verdict(doc: dict, why: str) -> tuple[bool, list[str]]:
+        doc = copy.deepcopy(doc)
+        for entry in doc["equations"]:
+            for step in entry["script"]["steps"]:
+                if why == "removed":
+                    step.pop("why", None)
+                elif why == "null":
+                    step["why"] = None
+        report = replay(certificate_from_json_dict(doc))
+        return bool(report), report.problems
+
+    @pytest.mark.parametrize("case", [*FIXTURES, "tampered"])
+    def test_same_verdict_and_problems(self, case):
+        if case == "tampered":  # the v2 beta-7 fixture with its first swap's left exponent off by one
+            doc = json.loads(self.FIXTURES["v2_x2_y3_p2_beta7"].read_text())
+            swap = next(s for e in doc["equations"] for s in e["script"]["steps"] if s["kind"] == "swap")
+            swap["left"][1] += 1
+        else:
+            doc = json.loads(self.FIXTURES[case].read_text())
+        assert '"why"' in json.dumps(doc)
+        written = self.verdict(doc, "as written")
+        assert written[0] == (case != "tampered") and bool(written[1]) == (case == "tampered")
+        assert self.verdict(doc, "removed") == written
+        assert self.verdict(doc, "null") == written
+
+
 class TestFormat:
     def test_grid_certificate_bytes_are_pinned(self, capsys):
         # the acceptance beta grid in x, y, p, beta order, then four window slopes
@@ -514,7 +544,7 @@ class TestFormat:
         text = capsys.readouterr().out
         assert text.count("\n") == 1276
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "4e01f0ff6088c76f4eacaf210a9a965d6bc3d06a2dc0e83a0a013b662dbe76da"
+        assert digest == "ab242a0c0679ab1ec367a1644fa9ae3ec293ac5e019f9fb8dbb7cc3d03d91184"
 
     def test_certificate_is_one_compact_line(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -556,7 +586,7 @@ class TestSharedParser:
     def test_rejected_arguments_leave_the_parser_usable(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "2", "--slope", "43/2"])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "43/2"]) == 0
         assert json.loads(capsys.readouterr().out)["params"]["mode"] == "slope"
 
@@ -565,6 +595,38 @@ class TestSharedParser:
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "4", "--json", str(out)]) == 0
         assert main(["replay", str(out)]) == 0
         assert capsys.readouterr().out == "replay ok\n"
+
+
+class TestUsageErrors:
+    """A usage error is invalid input and exits 1, as every other invalid input does; --help exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--x", "2"],
+            ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--zap"],
+            ["replay"],
+            ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--jobs", "x"],
+            ["present", "--x", "2", "--y", "3", "--p", "2", "--q", "11"],
+            ["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "11", "--beta", "1"],
+            ["verify-identities", "--x", "2", "--y", "3", "--p", "2", "--q", "11"],
+        ],
+        ids=["missing", "unknown", "no_path", "bad_type", "present_q", "certify_q", "verify_q"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: cable-order")
+        assert "error: " in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["certify", "--help"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 0
+        assert "usage: cable-order" in capsys.readouterr().out
 
 
 def test_import_loads_no_process_pool():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import random
 from math import gcd
@@ -11,6 +12,7 @@ from cable_order.derivations import (
     Context,
     DerivationScript,
     Equation,
+    ScriptBuilder,
     Step,
     StepError,
     admit,
@@ -535,6 +537,14 @@ class TestSerialization:
         for field in Step._fields:
             with pytest.raises(AttributeError):
                 setattr(step, field, None)
+
+    def test_steps_carry_only_what_the_checker_reads(self):
+        assert len(Step._fields) == 12 and "why" not in Step._fields
+        for name, method in vars(ScriptBuilder).items():
+            if callable(method):
+                assert "why" not in inspect.signature(method).parameters, name
+        doc = obstruction.certify_slope(2, 3, 2, Slope(43, 2)).to_json_dict()
+        assert not any("why" in step for entry in doc["equations"] for step in entry["script"]["steps"])
 
     def test_step_load_checks_hold(self):
         good = {"kind": "swap", "side": "lhs", "position": 0, "left": ["a", 3], "right": ["b", 1]}

@@ -291,22 +291,22 @@ class TestPeripheralInvariance:
         for x, y in [(2, 3), (3, 5)]:
             for p in (2, 3):
                 for k in range(-3, 4):
-                    assert peripheral_invariance_check(x, y, p, None, k), (x, y, p, k)
+                    assert peripheral_invariance_check(x, y, p, k), (x, y, p, k)
 
     def test_trivial_shift(self):
-        assert peripheral_invariance_check(2, 3, 2, 11, 0)
+        assert peripheral_invariance_check(2, 3, 2, 0)
 
     def test_long_shifts(self):
         # the shift proofs take 3 or 6 steps per unit of k, whatever its size
         for k in (-8, 9):
-            assert peripheral_invariance_check(2, 3, 2, None, k), k
+            assert peripheral_invariance_check(2, 3, 2, k), k
 
     def test_derivation_must_prove_the_shifted_meridian(self, monkeypatch):
         # the k = 0 proof replays, but it proves muC = mu^6 lam t^-1, not the k = 1 shift
         real = derivations.meridian_shift_script
         monkeypatch.setattr(derivations, "meridian_shift_script", lambda pres, k: real(pres, 0))
-        assert peripheral_invariance_check(2, 3, 2, None, 0)
-        assert not peripheral_invariance_check(2, 3, 2, None, 1)
+        assert peripheral_invariance_check(2, 3, 2, 0)
+        assert not peripheral_invariance_check(2, 3, 2, 1)
 
     def test_corrupted_variant_detected(self):
         from cable_order.normal_form import equal_in_torus_group
