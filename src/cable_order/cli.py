@@ -27,7 +27,8 @@ vouches for such a file.
 
 The argument parser is built once per process and reused by every
 :func:`main` call; ``concurrent.futures`` is imported only when a sweep runs
-more than one job.
+more than one worker.  ``sweep --jobs N`` runs at most N workers, and never
+more than there are grid points or processors.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import NoReturn
 from .derivations import (
     Equation,
     StepError,
-    admit,
     cable_endpoint_product_script,
     cable_t_power_script,
 )
@@ -203,18 +203,18 @@ def identity_report(x: int, y: int, p: int) -> list[tuple[str, bool, str]]:
         got = eliminate_t(Word.single("t", pres.p), pres)
         return equal_in_torus_group(got, target, x, y), f"t^{p} reduces to {target}"
 
-    # each proof is built and admitted once; the checks run in the order they
-    # are added, so the endpoint check finds cable_t_power already in env
+    # each proof is built once; the checks run in the order they are added,
+    # so the endpoint check finds cable_t_power already in env
     env: dict[str, Equation] = {}
 
     def derivation_vs_normal_form():
-        eq = admit(cable_t_power_script(pres), pres, env)
+        eq = env["cable_t_power"] = cable_t_power_script(pres).equation
         lhs_ab = eliminate_t(pres.expand(eq.lhs), pres)
         ok = equal_in_torus_group(lhs_ab, pres.expand(eq.rhs), x, y)
         return ok, f"checked {eq.lhs} = {eq.rhs}"
 
     def endpoint_tail_vs_normal_form():
-        eq = admit(cable_endpoint_product_script(pres, env), pres, env)
+        eq = cable_endpoint_product_script(pres, env).equation
         tail = Word(eq.rhs.syllables[1:])  # strip the leading t
         lhs_ab = concat(Word.single("a", -x), eliminate_t(Word.single("t", pres.p), pres))
         return equal_in_torus_group(lhs_ab, tail, x, y), f"tail {tail}"
@@ -341,11 +341,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: cannot write {out_dir}: {err.strerror or err}", file=sys.stderr)
         return ERROR
     tasks = [(x, y, p, mode, val, str(out_dir)) for x, y, p, mode, val in points]
-    if args.jobs > 1:
+    # the pool forks all its workers at once, so never more than there are
+    # tasks or processors
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads about 50 modules that no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point, tasks))
     else:
         records = [_sweep_point(t) for t in tasks]
@@ -362,11 +365,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a usage error exits with ERROR (1) instead of 2."""
+    """argparse's parser, but a usage error exits with ERROR (1) instead of 2.
+
+    An option must be spelled in full: with abbreviations, adding an option
+    could change what a command line means.  Subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    """The value of ``sweep --jobs``: an integer of at least 1, or a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r:.40}")
+    return int(text)
 
 
 @cache
@@ -406,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True,
                     help='e.g. "x=2..5;y=2..5;p=2..3;beta=1..5" or ...;slope=21/1|43/2')
     sp.add_argument("--out", default="certs")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify-identities", help="cross-check oracles against derivations")

@@ -36,17 +36,14 @@ quadratic.  The exponent forms keep every proof at a fixed number of
 steps, whatever the slope and p.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
-through :func:`apply_step` as it emits it, and the script that
-:meth:`ScriptBuilder.finish` returns carries the equation so derived; that
-equation is admitted without a second pass.  The slope-free lemmas are
-built and checked once per presentation, which keeps them for every later
-certificate over it.  The derivation holds its presentation only weakly,
-so the presentation and its lemmas make no reference cycle; once the
-presentation is gone, the script is checked in full.  Any other script,
-whether rebuilt from JSON, unpickled (pickling drops the derivation) or
-made by ``dataclasses.replace``, carries no derived equation and is checked
-in full by :func:`check_script`, as is every script in a certificate under
-replay.
+through :func:`apply_step` as it emits it, and :meth:`ScriptBuilder.finish`
+returns a :class:`CertEntry`: the script together with the equation its
+final state proves.  Both come from the same checked state, so the equation
+is used as it stands, never derived again.  The slope-free lemmas are built
+once per presentation, which keeps their entries for every later
+certificate over it.  Any script the program did not build, such as one
+rebuilt from JSON or each script of a certificate under replay, is checked
+in full by :func:`check_script`.
 
 Equations proven in the knot group G hold in every surgery quotient H and may
 be cited there; equations proven in some H may only be cited at the same
@@ -55,8 +52,7 @@ surgery slope.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
 from .presentations import (
@@ -236,20 +232,6 @@ class Axiom:
 
 
 @dataclass(frozen=True)
-class _Derivation:
-    """What :class:`ScriptBuilder` saw while it checked a script step by step.
-
-    The presentation is held weakly: it may keep the script among its
-    lemmas, and a strong reference back would make every presentation
-    cyclic garbage.
-    """
-
-    pres: weakref.ref[GroupPresentation]
-    cited: tuple[tuple[str, Equation], ...]  # the cited equations it had in hand
-    equation: Equation
-
-
-@dataclass(frozen=True)
 class DerivationScript:
     script_id: str
     context: Context
@@ -258,13 +240,26 @@ class DerivationScript:
     claimed_lhs: Word
     claimed_rhs: Word
     cites: tuple[str, ...] = ()
-    # set only by ScriptBuilder.finish(); init=False keeps every other way of
-    # making a script, dataclasses.replace included, from carrying one
-    _derivation: _Derivation | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __getstate__(self) -> dict[str, Any]:
-        # a weak reference does not pickle; an unpickled script is checked in full
-        return {**vars(self), "_derivation": None}
+
+@dataclass(frozen=True, slots=True)
+class CertEntry:
+    """A proven equation and the script that proves it, as a certificate lists them."""
+
+    entry_id: str
+    equation: Equation
+    script: DerivationScript
+
+    def to_json_dict(self) -> dict:
+        ctx = self.equation.context
+        return {
+            "id": self.entry_id,
+            "context": ctx.kind,
+            "slope": str(ctx.slope) if ctx.slope else None,
+            "lhs": str(self.equation.lhs),
+            "rhs": str(self.equation.rhs),
+            "script": script_to_json_dict(self.script),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +562,9 @@ def check_script(
     """Replay a script; on success return its proven equation.
 
     Fails atomically with the index of the first bad step.  The final state
-    must match the claimed equation syllable for syllable.  Scripts that
-    :class:`ScriptBuilder` did not derive, such as scripts rebuilt from JSON
-    and the entries of a certificate under replay, are checked here in full.
+    must match the claimed equation syllable for syllable.  Every script the
+    program did not build itself, such as one rebuilt from JSON or each
+    entry of a certificate under replay, is checked here.
     """
     state = None
     for state in iter_states(script, pres, env):
@@ -592,10 +587,10 @@ class ScriptBuilder:
     """Emit steps while checking them, so positions are always concrete.
 
     Every emitted step goes through :func:`apply_step`, which is the checker
-    itself; :meth:`finish` hands the derived equation on with the script, so
-    :func:`admit` need not replay it.  The factories are trusted code, so
-    their steps are not held to a :func:`side_cap`; a script read back as
-    input, as every script of a certificate is under replay, is.
+    itself, so :meth:`finish` returns the script with the equation its final
+    state proves, and nothing checks it again.  The factories are trusted
+    code, so their steps are not held to a :func:`side_cap`; a script read
+    back as input, as every script of a certificate is under replay, is.
     """
 
     def __init__(
@@ -653,29 +648,19 @@ class ScriptBuilder:
     def collapse(self, side: str, position: int, block: Word, n: int) -> None:
         self._emit(Step(kind="commute", side=side, position=position, word=block, n=n))
 
-    def finish(self) -> DerivationScript:
+    def finish(self) -> CertEntry:
+        """The script emitted so far and the equation its final state proves."""
         lhs, rhs = (tuple(side) for side in self._state)
         if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
             raise AssertionError("script must end on a reduced state")
+        equation = Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id)
         script = DerivationScript(
-            self.script_id,
-            self.context,
-            self.axiom,
-            tuple(self._steps),
-            Word(lhs),
-            Word(rhs),
-            self.cites,
+            self.script_id, self.context, self.axiom, tuple(self._steps), equation.lhs, equation.rhs, self.cites
         )
-        derived = _Derivation(
-            weakref.ref(self.pres),
-            tuple(self._cited.items()),
-            Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id),
-        )
-        object.__setattr__(script, "_derivation", derived)
-        return script
+        return CertEntry(self.script_id, equation, script)
 
 
-def central_relation_script(pres: GroupPresentation) -> DerivationScript:
+def central_relation_script(pres: GroupPresentation) -> CertEntry:
     """a^x = b^y, read off the central relator."""
     b = ScriptBuilder("central_relation", pres, Context("G"), Axiom("relator", "central"))
     b.multiply("right", Word.single("b", pres.y))
@@ -683,7 +668,7 @@ def central_relation_script(pres: GroupPresentation) -> DerivationScript:
     return b.finish()
 
 
-def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
+def cable_t_power_script(pres: GroupPresentation) -> CertEntry:
     """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator.
 
     The relator gives t^p = mu^q lam^p.  Collecting lam^p, whose factors mu
@@ -709,7 +694,7 @@ def cable_t_power_script(pres: GroupPresentation) -> DerivationScript:
 
 def cable_endpoint_product_script(
     pres: GroupPresentation, env: dict[str, Equation]
-) -> DerivationScript:
+) -> CertEntry:
     """muC^(pq-1) lamC = t a^(x(p-1)-i) b^(-j) in the cable group."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
@@ -731,7 +716,7 @@ def cable_endpoint_product_script(
     return b.finish()
 
 
-def surgery_t_power_identity_script(pres: GroupPresentation) -> DerivationScript:
+def surgery_t_power_identity_script(pres: GroupPresentation) -> CertEntry:
     """t^p = 1 in the quotient at the integer slope pq."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
@@ -744,7 +729,7 @@ def surgery_t_power_identity_script(pres: GroupPresentation) -> DerivationScript
 
 def surgery_endpoint_identity_script(
     pres: GroupPresentation, env: dict[str, Equation]
-) -> DerivationScript:
+) -> CertEntry:
     """t a^(x(p-1)-i) b^(-j) = 1 in the quotient at the integer slope pq - 1."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
@@ -765,7 +750,7 @@ def surgery_endpoint_identity_script(
 
 def surgery_interior_combination_script(
     pres: GroupPresentation, slope: Slope, env: dict[str, Equation]
-) -> DerivationScript:
+) -> CertEntry:
     """(t a^.. b^..)^d0 (t^p)^d1 = 1 at an interior slope strictly between pq-1 and pq.
 
     m/n = (d0 (pq-1) + d1 pq)/n with n = d0 + d1, so the surgery relator
@@ -802,7 +787,7 @@ def surgery_interior_combination_script(
     return b.finish()
 
 
-def meridian_shift_script(pres: GroupPresentation, k: int) -> DerivationScript:
+def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
     """muC = mu^(u+kq) lam^(v+kp) t^-(v+kp): the normalization shift is invisible."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None and pres.cable_bezout is not None
@@ -827,7 +812,7 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> DerivationScript:
 
 
 # ---------------------------------------------------------------------------
-# the JSON form of a script and admission
+# the JSON form of a script
 
 def script_to_json_dict(script: DerivationScript) -> dict:
     return {
@@ -857,27 +842,3 @@ def script_from_json_dict(d: dict) -> DerivationScript:
         claimed_rhs=Word.parse(d["claimed"]["rhs"]),
         cites=tuple(_json_typed(c, str, "cited equation id") for c in d.get("cites", ())),
     )
-
-
-def admit(script: DerivationScript, pres: GroupPresentation, env: dict[str, Equation]) -> Equation:
-    """Prove `script`'s equation into `env` and return it.
-
-    Each proof is checked exactly once: a script from
-    :meth:`ScriptBuilder.finish` was checked as it was emitted, and its
-    equation is taken as derived when the builder worked over this
-    presentation, still alive, from the cited equations that `env` holds
-    now.  Every other script, such as one rebuilt from JSON or unpickled, is
-    checked in full with :func:`check_script`.
-    """
-    derived = script._derivation
-    if (
-        derived is not None
-        and derived.pres() == pres
-        and all(env.get(c) == eq for c, eq in derived.cited)
-    ):
-        eq = derived.equation
-    else:
-        eq = check_script(script, pres, env)
-    env[script.script_id] = eq
-    return eq
-

@@ -30,19 +30,17 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .derivations import (
+    CertEntry,
     Context,
-    DerivationScript,
     Equation,
     StepError,
     _json_enum,
     _json_typed,
-    admit,
     cable_endpoint_product_script,
     cable_t_power_script,
     central_relation_script,
     check_script,
     script_from_json_dict,
-    script_to_json_dict,
     surgery_endpoint_identity_script,
     surgery_interior_combination_script,
     surgery_t_power_identity_script,
@@ -173,24 +171,6 @@ class CertParams:
             "mode": self.mode,
             "beta": self.beta,
             "slope": str(self.slope),
-        }
-
-
-@dataclass(frozen=True, slots=True)
-class CertEntry:
-    entry_id: str
-    equation: Equation
-    script: DerivationScript
-
-    def to_json_dict(self) -> dict:
-        ctx = self.equation.context
-        return {
-            "id": self.entry_id,
-            "context": ctx.kind,
-            "slope": str(ctx.slope) if ctx.slope else None,
-            "lhs": str(self.equation.lhs),
-            "rhs": str(self.equation.rhs),
-            "script": script_to_json_dict(self.script),
         }
 
 
@@ -350,34 +330,16 @@ def _theorem_pres(x: int, y: int, p: int) -> GroupPresentation:
         raise UnsupportedParameters(str(err)) from None
 
 
-def _admit(
-    pres: GroupPresentation,
-    env: dict[str, Equation],
-    entries: list[CertEntry],
-    script: DerivationScript,
-) -> Equation:
-    eq = admit(script, pres, env)
-    entries.append(CertEntry(script.script_id, eq, script))
-    return eq
+def _lemma(pres: GroupPresentation, factory: Callable[..., CertEntry], *args: object) -> CertEntry:
+    """The slope-free lemma ``factory(pres, *args)``, built once per presentation.
 
-
-def _admit_lemma(
-    pres: GroupPresentation,
-    env: dict[str, Equation],
-    entries: list[CertEntry],
-    factory: Callable[..., DerivationScript],
-    *args: object,
-) -> Equation:
-    """Admit the slope-free lemma ``factory(pres, *args)``, built once per presentation.
-
-    The presentation keeps the script, so a later certificate over it admits
-    the same script, which carries its derived equation, without building
-    or checking it again.
+    The presentation keeps the entry, so a later certificate over it lists
+    the same script and equation without building anything again.
     """
-    script = pres._lemmas.get(factory.__name__)
-    if script is None:
-        script = pres._lemmas[factory.__name__] = factory(pres, *args)
-    return _admit(pres, env, entries, script)
+    entry = pres._lemmas.get(factory.__name__)
+    if entry is None:
+        entry = pres._lemmas[factory.__name__] = factory(pres, *args)
+    return entry
 
 
 def certify_beta(
@@ -400,45 +362,44 @@ def certify_beta(
 def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
     """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1.
 
-    The slope-free lemmas (``central_relation``, ``cable_t_power`` and, below
-    pq, ``cable_endpoint_product``) are built and checked on the first
-    certificate that needs them over the cached presentation, which keeps
-    them; later certificates over it reuse them and build only the surgery
-    script.  Entries and bytes are the same either way, and :func:`replay`
-    re-checks every script a certificate carries.
+    Every entry comes from a script factory, whose builder checked each step
+    as it emitted it, so nothing here checks a script again.  The slope-free
+    lemmas (``central_relation``, ``cable_t_power`` and, below pq,
+    ``cable_endpoint_product``) are built on the first certificate that needs
+    them over the cached presentation, which keeps them; later certificates
+    over it reuse them and build only the surgery script.  Entries and bytes
+    are the same either way, and :func:`replay` re-checks every script a
+    certificate carries.
     """
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
     q = pres.q
     pq = p * q
     low, high = Slope(pq - 1, 1), Slope(pq, 1)
-    env: dict[str, Equation] = {}
-    entries: list[CertEntry] = []
+    entries = [_lemma(pres, central_relation_script), _lemma(pres, cable_t_power_script)]
+    env = {entry.entry_id: entry.equation for entry in entries}
     cramer_data: CramerTriple | None = None
-
-    # the endpoint product is a lemma of the surgery equation's proof and no
-    # row cites it, so it is left out of `cited`: refute_all never expands
-    # or sign-evaluates it
-    cited = [
-        _admit_lemma(pres, env, entries, central_relation_script),
-        _admit_lemma(pres, env, entries, cable_t_power_script),
-    ]
-    if slope == low:
-        _admit_lemma(pres, env, entries, cable_endpoint_product_script, env)
-        cited.append(_admit(pres, env, entries, surgery_endpoint_identity_script(pres, env)))
-    elif slope == high:
-        cited.append(_admit(pres, env, entries, surgery_t_power_identity_script(pres)))
-    elif low < slope < high:
-        cramer_data = cramer(low, high, slope)
-        _admit_lemma(pres, env, entries, cable_endpoint_product_script, env)
-        cited.append(
-            _admit(pres, env, entries, surgery_interior_combination_script(pres, slope, env))
-        )
+    if slope == high:
+        surgery = surgery_t_power_identity_script(pres)
+    elif low <= slope < high:
+        endpoint = _lemma(pres, cable_endpoint_product_script, env)
+        entries.append(endpoint)
+        env[endpoint.entry_id] = endpoint.equation
+        if slope == low:
+            surgery = surgery_endpoint_identity_script(pres, env)
+        else:
+            cramer_data = cramer(low, high, slope)
+            surgery = surgery_interior_combination_script(pres, slope, env)
     else:
         raise UnsupportedParameters(
             f"slope {slope} is outside the certified window [{pq - 1}, {pq}]"
         )
+    entries.append(surgery)
 
+    # the endpoint product is a lemma of the surgery equation's proof and no
+    # row cites it, so it is left out of `cited`: refute_all never expands
+    # or sign-evaluates it
+    cited = [entries[0].equation, entries[1].equation, surgery.equation]
     rows = refute_all(cited, pres, slope)
     if isinstance(rows, Inconclusive):
         return rows

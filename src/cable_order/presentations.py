@@ -28,14 +28,13 @@ a^x = b^y is central in the torus-knot group.
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
 The only things set after construction are the spellings and relator words,
-each once, on first read, and the memo of slope-free lemma scripts that
+each once, on first read, and the memo of slope-free lemmas that
 ``obstruction.certify_slope`` builds once per presentation (`_lemmas`);
 every read sees the same value.  The memo lives and dies with its object:
 ``dataclasses.replace``, copying and unpickling start it empty, and
-clearing the caches below drops it.  It makes no reference cycle, because a
-script holds the presentation it was built over only weakly (see
-``derivations._Derivation``), so a presentation is freed by reference
-counting alone.
+clearing the caches below drops it.  It holds only scripts and equations,
+which are words and names with no reference back to a presentation, so a
+presentation is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class GroupPresentation:
     _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
         init=False, repr=False, compare=False
     )
-    # factory name -> the lemma script built over this presentation: see the docstring
+    # factory name -> the lemma's CertEntry, built over this presentation: see the docstring
     _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -374,7 +373,7 @@ def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
     v_k = v + k * pres.p
     shifted = Word.from_pairs([(MU, u + k * pres.q), (LAM, v_k), ("t", -v_k)])
     try:
-        eq = derivations.admit(derivations.meridian_shift_script(pres, k), pres, {})
+        eq = derivations.meridian_shift_script(pres, k).equation
     except derivations.StepError:
         return False
     return eq.lhs == Word.single(MUC) and eq.rhs == shifted

@@ -237,7 +237,7 @@ def swap_expand_t_power_script(pres: GroupPresentation) -> DerivationScript:
     b.expand(MU, RHS, 0)
     b.swap(RHS, 1, left=("b", -j), right=("a", x * p))
     b.reduce()
-    return b.finish()
+    return b.finish().script
 
 
 def swap_expand_interior_script(
@@ -271,4 +271,4 @@ def swap_expand_interior_script(
         else:
             b.insert_equation("cable_endpoint_product", LHS, 2 * k + 2, direction="forward", anchor="before")
     b.reduce()
-    return b.finish()
+    return b.finish().script

@@ -186,7 +186,7 @@ def test_criterion_7_soundness_negative_control():
             env = {}
             eqs = []
             for factory in (central_relation_script, cable_t_power_script):
-                s = factory(pres)
+                s = factory(pres).script
                 eq = check_script(s, pres, env)
                 env[s.script_id] = eq
                 eqs.append(eq)

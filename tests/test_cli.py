@@ -14,7 +14,13 @@ import pytest
 
 from cable_order import cli
 from cable_order.cli import main, parse_grid
-from cable_order.derivations import cable_t_power_script, script_from_json_dict, script_to_json_dict
+from cable_order.derivations import (
+    CertEntry,
+    cable_t_power_script,
+    check_script,
+    script_from_json_dict,
+    script_to_json_dict,
+)
 from cable_order.obstruction import certificate_from_json_dict, certify_beta, certify_slope, replay
 from cable_order.presentations import cable_presentation
 from cable_order.slopes import Slope
@@ -27,7 +33,7 @@ HUGE = "z" * 1_000_000
 
 def corrupted_t_power_doc(pres) -> dict:
     """The cable_t_power script as JSON, with step 3 (the commute of lam^p) moved off its syllable."""
-    doc = script_to_json_dict(cable_t_power_script(pres))
+    doc = script_to_json_dict(cable_t_power_script(pres).script)
     doc["steps"][3]["position"] += 1
     return doc
 
@@ -610,16 +616,23 @@ class TestUsageErrors:
             ["present", "--x", "2", "--y", "3", "--p", "2", "--q", "11"],
             ["certify", "--x", "2", "--y", "3", "--p", "2", "--q", "11", "--beta", "1"],
             ["verify-identities", "--x", "2", "--y", "3", "--p", "2", "--q", "11"],
+            ["certify", "--x", "2", "--y", "3", "--p", "2", "--s", "43/2", "--js", "a.json"],
+            ["present", "--x", "2", "--y", "3", "--js", "a.json"],
+            ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--jobs", "0"],
+            ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--jobs", "-3"],
         ],
-        ids=["missing", "unknown", "no_path", "bad_type", "present_q", "certify_q", "verify_q"],
+        ids=["missing", "unknown", "no_path", "bad_type", "present_q", "certify_q", "verify_q",
+             "certify_abbreviated", "present_abbreviated", "no_jobs", "negative_jobs"],
     )
-    def test_usage_error_exits_one(self, capsys, argv):
+    def test_usage_error_exits_one(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: cable-order")
         assert "error: " in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["certify", "--help"]):
@@ -696,6 +709,32 @@ class TestSweep:
         for f in serial.glob("cert_*.json"):
             assert f.read_bytes() == (parallel / f.name).read_bytes()
 
+    def test_jobs_are_bounded_by_the_tasks(self, tmp_path, monkeypatch):
+        # a pool forks all its workers up front; this one runs the map in process
+        import concurrent.futures
+
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        grid = "x=2;y=3;p=2;beta=1..2"
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path), "--jobs", "1000000"]) == 0
+        assert workers == [2]
+        assert len(list(tmp_path.glob("cert_*.json"))) == 2
+
     def test_grid_parsing(self):
         dims = parse_grid("x=2..3;y=3;p=2;beta=1..2")
         assert dims["x"] == [2, 3] and dims["beta"] == [1, 2]
@@ -721,7 +760,11 @@ class TestVerifyIdentities:
     def test_corrupted_script_fixture_fails_with_step_index(self, monkeypatch, capsys):
         pres = cable_presentation(2, 3, 2)
         corrupted = script_from_json_dict(corrupted_t_power_doc(pres))
-        monkeypatch.setattr(cli, "cable_t_power_script", lambda pres: corrupted)
+        # a script from outside the program has its equation derived by check_script
+        monkeypatch.setattr(
+            cli, "cable_t_power_script",
+            lambda pres: CertEntry(corrupted.script_id, check_script(corrupted, pres, {}), corrupted),
+        )
         assert main(["verify-identities", "--x", "2", "--y", "3", "--p", "2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "step 3" in out

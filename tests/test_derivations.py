@@ -15,7 +15,6 @@ from cable_order.derivations import (
     ScriptBuilder,
     Step,
     StepError,
-    admit,
     apply_step,
     cable_endpoint_product_script,
     cable_t_power_script,
@@ -49,7 +48,7 @@ def state_of(lhs: str, rhs: str):
 def prove_chain(pres, *factories):
     env = {}
     for factory in factories:
-        script = factory(pres) if factory.__code__.co_argcount == 1 else factory(pres, env)
+        script = (factory(pres) if factory.__code__.co_argcount == 1 else factory(pres, env)).script
         eq = check_script(script, pres, env)
         env[script.script_id] = eq
     return env
@@ -58,7 +57,7 @@ def prove_chain(pres, *factories):
 class TestBuiltinChains:
     def test_t_power_instance(self):
         pres = cable_presentation(2, 3, 2)
-        eq = check_script(cable_t_power_script(pres), pres, {})
+        eq = check_script(cable_t_power_script(pres).script, pres, {})
         assert (eq.lhs, eq.rhs) == (Word.parse("t^2"), Word.parse("a^3 b"))
         assert eq.context == Context("G")
         assert eq.provenance == "cable_t_power"
@@ -72,7 +71,7 @@ class TestBuiltinChains:
             (Slope(549, 25), "t a b t^48"),
             (Slope(152, 7), "t a b t a b t^10"),
         ]:
-            script = surgery_interior_combination_script(pres, slope, env)
+            script = surgery_interior_combination_script(pres, slope, env).script
             eq = check_script(script, pres, env)
             assert (eq.lhs, eq.rhs) == (Word.parse(lhs), Word.identity())
             assert len(script.steps) == 8
@@ -80,33 +79,33 @@ class TestBuiltinChains:
     def test_endpoint_product_instance(self):
         pres = cable_presentation(2, 3, 2)
         env = prove_chain(pres, central_relation_script, cable_t_power_script)
-        eq = check_script(cable_endpoint_product_script(pres, env), pres, env)
+        eq = check_script(cable_endpoint_product_script(pres, env).script, pres, env)
         assert (eq.lhs, eq.rhs) == (Word.parse("muC^21 lamC"), Word.parse("t a b"))
 
     def test_central_relation(self):
         pres = cable_presentation(3, 5, 2)
-        eq = check_script(central_relation_script(pres), pres, {})
+        eq = check_script(central_relation_script(pres).script, pres, {})
         assert (eq.lhs, eq.rhs) == (Word.parse("a^3"), Word.parse("b^5"))
 
     def test_surgery_axiom_scripts_collapse(self):
         pres = cable_presentation(2, 3, 2)
-        eq = check_script(surgery_t_power_identity_script(pres), pres, {})
+        eq = check_script(surgery_t_power_identity_script(pres).script, pres, {})
         assert (eq.lhs, eq.rhs) == (Word.parse("t^2"), Word.identity())
         env = prove_chain(pres, central_relation_script, cable_t_power_script)
         env["cable_endpoint_product"] = check_script(
-            cable_endpoint_product_script(pres, env), pres, env
+            cable_endpoint_product_script(pres, env).script, pres, env
         )
-        eq = check_script(surgery_endpoint_identity_script(pres, env), pres, env)
+        eq = check_script(surgery_endpoint_identity_script(pres, env).script, pres, env)
         assert (eq.lhs, eq.rhs) == (Word.parse("t a b"), Word.identity())
         eq = check_script(
-            surgery_interior_combination_script(pres, Slope(43, 2), env), pres, env
+            surgery_interior_combination_script(pres, Slope(43, 2), env).script, pres, env
         )
         assert (eq.lhs, eq.rhs) == (Word.parse("t a b t^2"), Word.identity())
 
     def test_replay_determinism(self):
         pres = cable_presentation(3, 4, 3)
         env = prove_chain(pres, central_relation_script, cable_t_power_script, cable_endpoint_product_script)
-        s = surgery_interior_combination_script(pres, Slope(4 * 3 * 35 - 1, 4), env)
+        s = surgery_interior_combination_script(pres, Slope(4 * 3 * 35 - 1, 4), env).script
         assert check_script(s, pres, env) == check_script(s, pres, env)
 
 
@@ -175,7 +174,7 @@ class TestStepValidation:
 
     def test_forged_claim_rejected(self):
         pres = cable_presentation(2, 3, 2)
-        script = cable_t_power_script(pres)
+        script = cable_t_power_script(pres).script
         forged = dataclasses.replace(script, claimed_rhs=Word.parse("a^3 b^2"))
         with pytest.raises(StepError, match="claimed result mismatch") as err:
             check_script(forged, pres, {})
@@ -295,40 +294,19 @@ class TestCheckOnce:
             return check(script, *args)
 
         monkeypatch.setattr(derivations, "check_script", counted)
-        obstruction.certify_slope(2, 5, 3, Slope(2 * 87 - 1, 2))  # p*q = 87
-        cert = obstruction.certify_beta(2, 5, 3, 4)
-        assert calls == []
         monkeypatch.setattr(obstruction, "check_script", counted)
+        first = obstruction.certify_slope(2, 5, 3, Slope(2 * 87 - 1, 2))  # p*q = 87
+        cert = obstruction.certify_beta(2, 5, 3, 4)  # over the lemmas `first` built
+        assert calls == []
+        # each entry's equation is the one its script proves
+        pres = cable_presentation(2, 5, 3)
+        for c in (first, cert):
+            env = {}
+            for entry in c.entries:
+                assert check(entry.script, pres, env) == entry.equation
+                env[entry.entry_id] = entry.equation
         assert obstruction.replay(cert)
         assert calls == [entry.script for entry in cert.entries]
-
-    def test_replaced_built_script_is_checked_in_full(self, monkeypatch):
-        real = obstruction.surgery_interior_combination_script
-
-        def forged(pres, slope, env):
-            return dataclasses.replace(real(pres, slope, env), claimed_rhs=Word.parse("a^5"))
-
-        monkeypatch.setattr(obstruction, "surgery_interior_combination_script", forged)
-        with pytest.raises(StepError, match="claimed result mismatch"):
-            obstruction.certify_beta(2, 3, 2, 3)
-
-    def test_built_script_is_checked_when_its_citations_differ(self):
-        pres = cable_presentation(2, 3, 2)
-        env = {}
-        admit(central_relation_script(pres), pres, env)
-        admit(cable_t_power_script(pres), pres, env)
-        forged = dataclasses.replace(env["cable_t_power"], rhs=Word.parse("a^4 b"))
-        forged_env = dict(env, cable_t_power=forged)
-        script = cable_endpoint_product_script(pres, forged_env)
-        assert script.claimed_rhs == Word.parse("t a^2 b")
-        with pytest.raises(StepError, match="claimed result mismatch"):
-            admit(script, pres, env)
-
-    def test_built_script_is_checked_against_another_presentation(self):
-        script = surgery_t_power_identity_script(cable_presentation(2, 3, 2))
-        other = cable_presentation(2, 5, 2)
-        with pytest.raises(StepError):
-            admit(script, other, {})
 
 
 class TestConservativity:
@@ -337,7 +315,7 @@ class TestConservativity:
         for x, y in [(2, 3), (2, 5), (3, 4), (3, 5)]:
             for p in (2, 3):
                 pres = cable_presentation(x, y, p)
-                eq = check_script(cable_t_power_script(pres), pres, {})
+                eq = check_script(cable_t_power_script(pres).script, pres, {})
                 lhs_ab = eliminate_t(eq.lhs, pres)
                 assert equal_in_torus_group(lhs_ab, eq.rhs, x, y), (x, y, p)
 
@@ -346,7 +324,7 @@ class TestConservativity:
             for p in (2, 3):
                 pres = cable_presentation(x, y, p)
                 env = prove_chain(pres, central_relation_script, cable_t_power_script)
-                eq = check_script(cable_endpoint_product_script(pres, env), pres, env)
+                eq = check_script(cable_endpoint_product_script(pres, env).script, pres, env)
                 assert eq.rhs.syllables[0] == ("t", 1)
                 tail = Word(eq.rhs.syllables[1:])
                 lhs_ab = concat(
@@ -380,7 +358,7 @@ class TestAbelianizationInvariance:
         env = {}
         for entry in obstruction.certify_beta(x, y, p, beta).entries:
             self._check_states(pres, entry.script, env)
-        self._check_states(pres, cable_endpoint_product_script(pres, env), env)
+        self._check_states(pres, cable_endpoint_product_script(pres, env).script, env)
 
 
 class TestExponentForms:
@@ -423,7 +401,7 @@ class TestExponentForms:
             slope = Slope((pq - 1) * n + k, n)
             pres = cable_presentation(x, y, p)
             env = prove_chain(pres, central_relation_script, cable_t_power_script, cable_endpoint_product_script)
-            new = surgery_interior_combination_script(pres, slope, env)
+            new = surgery_interior_combination_script(pres, slope, env).script
             old = swap_expand_interior_script(pres, slope, env)
             assert check_script(new, pres, env) == check_script(old, pres, env), (x, y, p, str(slope))
             assert len(new.steps) == 8 and len(old.steps) == 2 * n
@@ -433,7 +411,7 @@ class TestExponentForms:
         for x, y in pairs:
             for p in (*range(2, 12), 50, 97):
                 pres = cable_presentation(x, y, p)
-                new, old = cable_t_power_script(pres), swap_expand_t_power_script(pres)
+                new, old = cable_t_power_script(pres).script, swap_expand_t_power_script(pres)
                 assert check_script(new, pres, {}) == check_script(old, pres, {}), (x, y, p)
                 assert len(new.steps) == 8 and len(old.steps) == 2 * p + 6
 
@@ -473,7 +451,7 @@ class TestExponentForms:
 
     def test_side_cap_follows_the_size_of_the_script(self):
         pres = cable_presentation(2, 3, 2)
-        script = cable_t_power_script(pres)  # 8 steps, 2 syllables of words, 3 claimed
+        script = cable_t_power_script(pres).script  # 8 steps, 2 syllables of words, 3 claimed
         assert side_cap(script) == 4 * (8 + 2 + 3) + 16
         padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 5)
         assert side_cap(padded) == side_cap(script) + 20
@@ -488,7 +466,7 @@ class TestExponentForms:
 
     def test_checked_script_is_held_to_its_cap(self):
         pres = cable_presentation(2, 3, 2)
-        script = cable_t_power_script(pres)
+        script = cable_t_power_script(pres).script
         spelled = Step(kind="multiply", on="left", word=Word.parse("lam^50"))
         expand = Step(kind="definition", name="lam", side="lhs", position=0, direction="expand")
         probe = dataclasses.replace(script, steps=script.steps + (spelled, expand))
@@ -500,7 +478,7 @@ class TestExponentForms:
         # factory scripts are trusted code; the shift proofs grow with |k| and
         # are never written into a certificate
         pres = cable_presentation(2, 3, 2)
-        script = meridian_shift_script(pres, -8)  # 6 steps per shift
+        script = meridian_shift_script(pres, -8).script  # 6 steps per shift
         assert len(script.steps) == 48
         assert check_script(script, pres, {}).rhs == Word.parse("mu^-82 lam^-15 t^15")
 
@@ -509,7 +487,7 @@ class TestMeridianShift:
     def test_shift_scripts(self):
         pres = cable_presentation(2, 3, 2)
         for k in (-3, -1, 0, 1, 3):
-            eq = check_script(meridian_shift_script(pres, k), pres, {})
+            eq = check_script(meridian_shift_script(pres, k).script, pres, {})
             assert eq.lhs == Word.parse("muC")
             u, v = 6 + 11 * k, 1 + 2 * k
             assert eq.rhs == Word.from_pairs([("mu", u), ("lam", v), ("t", -v)])
@@ -520,20 +498,20 @@ class TestSerialization:
         pres = cable_presentation(2, 3, 2)
         env = prove_chain(pres, central_relation_script, cable_t_power_script)
         scripts = [e.script for e in obstruction.certify_beta(2, 3, 2, 2).entries]
-        for script in scripts + [cable_endpoint_product_script(pres, env)]:
+        for script in scripts + [cable_endpoint_product_script(pres, env).script]:
             doc = script_to_json_dict(script)
             again = script_from_json_dict(json.loads(json.dumps(doc)))
             assert again == script
 
     def test_byte_stable(self):
         pres = cable_presentation(2, 3, 2)
-        s = cable_t_power_script(pres)
+        s = cable_t_power_script(pres).script
         d1 = json.dumps(script_to_json_dict(s), indent=2)
-        d2 = json.dumps(script_to_json_dict(cable_t_power_script(pres)), indent=2)
+        d2 = json.dumps(script_to_json_dict(cable_t_power_script(pres).script), indent=2)
         assert d1 == d2
 
     def test_steps_are_immutable(self):
-        step = cable_t_power_script(cable_presentation(2, 3, 2)).steps[3]
+        step = cable_t_power_script(cable_presentation(2, 3, 2)).script.steps[3]
         for field in Step._fields:
             with pytest.raises(AttributeError):
                 setattr(step, field, None)
@@ -556,32 +534,21 @@ class TestSerialization:
 
 
 class TestRebuiltScripts:
-    # a script rebuilt from JSON carries no derived equation, so admit checks it in full
+    # a script rebuilt from JSON comes without its equation: check_script derives it
     def test_corrupted_json_fails_with_step_index(self):
         pres = cable_presentation(2, 3, 2)
-        doc = script_to_json_dict(cable_t_power_script(pres))
+        doc = script_to_json_dict(cable_t_power_script(pres).script)
         step = doc["steps"][6]
         assert step["kind"] == "swap"
         step["position"] += 1
         script = script_from_json_dict(json.loads(json.dumps(doc)))
         with pytest.raises(StepError, match=r"step 6: ") as err:
-            admit(script, pres, {})
+            check_script(script, pres, {})
         assert err.value.index == 6
 
-    def test_faithful_json_round_trip_is_checked_in_full(self, monkeypatch):
+    def test_faithful_json_round_trip_is_checked_in_full(self):
         pres = cable_presentation(2, 3, 2)
         built = cable_t_power_script(pres)
-        rebuilt = script_from_json_dict(json.loads(json.dumps(script_to_json_dict(built))))
-        calls = []
-        check = derivations.check_script
-
-        def counted(script, *args):
-            calls.append(script)
-            return check(script, *args)
-
-        monkeypatch.setattr(derivations, "check_script", counted)
-        env = {}
-        eq = admit(rebuilt, pres, env)
-        assert calls == [rebuilt]
-        assert eq == admit(built, pres, {}) and env == {"cable_t_power": eq}
-        assert calls == [rebuilt]
+        rebuilt = script_from_json_dict(json.loads(json.dumps(script_to_json_dict(built.script))))
+        assert rebuilt == built.script
+        assert check_script(rebuilt, pres, {}) == built.equation

@@ -353,7 +353,7 @@ class TestLicences:
         assert licence in pres.whitelist
         weakened = replace(pres, whitelist=tuple(pair for pair in pres.whitelist if pair != licence))
         assert len(weakened.whitelist) == len(pres.whitelist) - 1
-        script = derivations.cable_t_power_script(pres)
+        script = derivations.cable_t_power_script(pres).script
         assert derivations.check_script(script, pres, {}).lhs == Word.parse("t^2")
         with pytest.raises(derivations.StepError, match="not licensed") as err:
             derivations.check_script(script, weakened, {})
