@@ -613,7 +613,10 @@ class ScriptBuilder:
         self._state = axiom_state(axiom, context, pres)
 
     def _emit(self, step: Step) -> None:
-        apply_step(self._state, step, self.pres, self.context, self._cited)
+        try:
+            apply_step(self._state, step, self.pres, self.context, self._cited)
+        except StepError as err:  # say where, as check_script would
+            raise StepError(f"{err.reason}, in script {self.script_id!r:.40}", index=len(self._steps)) from None
         self._steps.append(step)
 
     def multiply(self, on: str, word: Word) -> None:

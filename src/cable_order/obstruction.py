@@ -14,6 +14,10 @@ derivation scripts verbatim and are replayable from the JSON alone.  The
 engine never fabricates: if any assignment survives every equation, the
 result is an :class:`Inconclusive` value listing the survivors.
 
+A verdict reads only which of the 6 signed letters of a, b, t a word has, so
+:func:`refute_all` and :func:`replay` look verdicts up in a table of at most
+64 letter sets, each evaluated under all 27 assignments once per process.
+
 One pipeline, :func:`certify_slope`, covers every slope in [pq-1, pq]; its
 surgery proof takes the same number of steps at every slope.
 :func:`certify_beta` is that pipeline at the slope pq - 1/beta, labelled with
@@ -27,7 +31,8 @@ when it is loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .derivations import (
     CertEntry,
@@ -82,6 +87,8 @@ class SignAssignment:
 
 
 _ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
+_POSITIONS = {s: k for k, s in enumerate(_ASSIGNMENTS)}
+_BY_SIGNS = {(s.a, s.b, s.t): s for s in _ASSIGNMENTS}
 
 
 def all_sign_assignments() -> tuple[SignAssignment, ...]:
@@ -123,9 +130,19 @@ def signed_letters(w: Word) -> frozenset[Syllable]:
     return frozenset((g, 1 if e > 0 else -1) for g, e in set(w.syllables))
 
 
-@dataclass(frozen=True, slots=True)
-class RefutationRow:
-    """One refuted assignment: a clashing equation, or the nontriviality axiom."""
+@cache
+def _verdicts(letters: frozenset[Syllable]) -> tuple[str, ...]:
+    """:func:`evaluate_sign` of `letters` under each of :func:`all_sign_assignments`, in order.
+
+    The memo holds at most 64 keys, the subsets of {a, b, t} x {+1, -1}: a
+    set with any other letter raises, since the all-zero assignment reads
+    every letter, and is never stored.
+    """
+    return tuple(evaluate_sign(letters, s) for s in _ASSIGNMENTS)
+
+
+class RefutationRow(NamedTuple):
+    """One refuted assignment: a clashing equation, or the nontriviality axiom (a tuple)."""
 
     assignment: SignAssignment
     equation_id: str | None  # None marks the nontriviality axiom
@@ -234,8 +251,11 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     for e in doc["equations"]:
         ctx = Context(e["context"], Slope.parse(e["slope"]) if e.get("slope") else None)
         entry_id = _json_typed(e["id"], str, "equation id")
-        eq = Equation(Word.parse(e["lhs"]), Word.parse(e["rhs"]), ctx, provenance=entry_id)
-        entries.append(CertEntry(entry_id, eq, script_from_json_dict(e["script"])))
+        script = script_from_json_dict(e["script"])
+        claimed = e["script"]["claimed"]  # certify writes each side as its script claims it
+        lhs = script.claimed_lhs if e["lhs"] == claimed["lhs"] else Word.parse(e["lhs"])
+        rhs = script.claimed_rhs if e["rhs"] == claimed["rhs"] else Word.parse(e["rhs"])
+        entries.append(CertEntry(entry_id, Equation(lhs, rhs, ctx, provenance=entry_id), script))
     version = _json_typed(doc.get("version", ""), str, "version")
     if version == "v1" and any(step.v2_only() for e in entries for step in e.script.steps):
         raise ValueError("a v1 certificate uses a step form of v2 (commute, or a relation exponent)")
@@ -256,7 +276,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         signs = r["assignment"]
         if type(signs) is not dict or signs.keys() != _ASSIGNMENT_KEYS:
             raise ValueError("a refutation assignment must be an object with the keys a, b and t")
-        assignment = SignAssignment(signs["a"], signs["b"], signs["t"])
+        try:
+            assignment = _BY_SIGNS[signs["a"], signs["b"], signs["t"]]
+        except (KeyError, TypeError):  # not a sign, or unhashable: name the first bad one
+            assignment = SignAssignment(signs["a"], signs["b"], signs["t"])
         reason = r["reason"]
         if reason["kind"] == "nontriviality_axiom":
             rows.append(RefutationRow(assignment, None, None, None))
@@ -288,7 +311,8 @@ def refute_all(
 
     `slope` names the quotient under attack: equations must be proven either
     in the knot group or in that same quotient.  Returns the full refutation
-    table, or Inconclusive with the surviving assignments.
+    table, or Inconclusive with the surviving assignments.  Each side's 27
+    verdicts are read from the sign table (at most 64 letter sets).
     """
     concrete = []
     for eq in equations:
@@ -298,18 +322,18 @@ def refute_all(
         if ctx.kind == "H" and ctx.slope != slope:
             raise ValueError(f"equation {eq.provenance} was proven at slope {ctx.slope}, not {slope}")
         lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
-        concrete.append((eq.provenance, signed_letters(lhs), signed_letters(rhs)))
+        concrete.append((eq.provenance, _verdicts(signed_letters(lhs)), _verdicts(signed_letters(rhs))))
 
     rows: list[RefutationRow] = []
     survivors: list[SignAssignment] = []
-    for assignment in all_sign_assignments():
+    for k, assignment in enumerate(_ASSIGNMENTS):
         if assignment.is_all_zero():
             # all generators trivial would make the whole group trivial, and
             # left-orderability is a property of nontrivial groups
             rows.append(RefutationRow(assignment, None, None, None))
             continue
-        for eq_id, lw, rw in concrete:
-            ls, rs = evaluate_sign(lw, assignment), evaluate_sign(rw, assignment)
+        for eq_id, lv, rv in concrete:
+            ls, rs = lv[k], rv[k]
             if ls != UNKNOWN and rs != UNKNOWN and ls != rs:
                 rows.append(RefutationRow(assignment, eq_id, ls, rs))
                 break
@@ -425,7 +449,8 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     Problems quote certificate values cut to 40 characters.  The rows that
     cite an equation with no verified proof make one problem per id, so a
     failing script is reported once, by its own problem, and counted once.
-    Only the equations that rows cite are expanded, each once.
+    Only the equations that rows cite are expanded, each once, and their
+    signs are read from the sign table (at most 64 letter sets).
     """
     problems: list[str] = []
 
@@ -477,16 +502,17 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         env[entry.entry_id] = eq
 
     # refutation table: all 27 assignments, each row recomputed
-    seen: set[SignAssignment] = set()
-    # each cited equation is expanded on its first row and kept as the signed
-    # letters of its sides; None when it does not expand
-    concrete: dict[str, tuple[frozenset[Syllable], frozenset[Syllable]] | None] = {}
+    seen: set[int] = set()  # positions in all_sign_assignments()
+    # each cited equation is expanded on its first row and kept as the sign
+    # verdicts of its sides; None when it does not expand
+    concrete: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {}
     uncited: dict[str, int] = {}  # rows per cited id without a verified equation
     for row in cert.refutations:
-        if row.assignment in seen:
+        k = _POSITIONS[row.assignment]
+        if k in seen:
             problems.append(f"duplicate assignment {row.assignment.to_json_dict()}")
             continue
-        seen.add(row.assignment)
+        seen.add(k)
         if row.equation_id is None:
             if not row.assignment.is_all_zero():
                 problems.append("nontriviality axiom used on a nonzero assignment")
@@ -498,15 +524,15 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         if eq is not None and row.equation_id not in concrete:
             try:
                 lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
-                concrete[row.equation_id] = (signed_letters(lhs), signed_letters(rhs))
+                concrete[row.equation_id] = (_verdicts(signed_letters(lhs)), _verdicts(signed_letters(rhs)))
             except ValueError as err:
                 problems.append(f"equation {row.equation_id!r:.40} does not expand: {err}")
                 concrete[row.equation_id] = None
         if concrete.get(row.equation_id) is None:
             uncited[row.equation_id] = uncited.get(row.equation_id, 0) + 1
             continue
-        lw, rw = concrete[row.equation_id]
-        ls, rs = evaluate_sign(lw, row.assignment), evaluate_sign(rw, row.assignment)
+        lv, rv = concrete[row.equation_id]
+        ls, rs = lv[k], rv[k]
         if (ls, rs) != (row.lhs_sign, row.rhs_sign):
             problems.append(
                 f"recorded signs {row.lhs_sign!s:.40}/{row.rhs_sign!s:.40} for {row.equation_id!r:.40} "

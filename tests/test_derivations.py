@@ -117,6 +117,16 @@ class TestStepValidation:
         with pytest.raises(StepError, match="not licensed"):
             apply_step(state_of("a b", "a b"), step, pres, Context("G"), {})
 
+    def test_builder_step_error_names_its_index_and_script(self):
+        pres = cable_presentation(2, 3, 2)
+        b = ScriptBuilder("x", pres, Context("G"), Axiom("relator", "central"))
+        b.multiply("left", Word.parse("a b"))
+        with pytest.raises(StepError, match="not licensed") as err:
+            b.swap("lhs", 0, ("a", 1), ("b", 1))
+        assert err.value.index == 1
+        assert str(err.value).startswith("step 1: ") and "'x'" in str(err.value)
+        assert len(b.finish().script.steps) == 1  # the rejected step was not kept
+
     def test_licensed_commutation(self):
         pres = cable_presentation(2, 3, 2)
         step = Step(kind="swap", side="lhs", position=0, left=("b", -1), right=("a", 4))

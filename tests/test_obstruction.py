@@ -550,10 +550,14 @@ class TestReplay:
         monkeypatch.setattr(
             obstruction, "evaluate_sign", lambda w, sigma: read.append(len(w)) or real(w, sigma)
         )
+        obstruction._verdicts.cache_clear()
         report = replay(cert)
         assert not report
         assert "recorded signs pos/neg for 'central_relation' recompute as unknown/unknown" in report.problems
-        assert len(read) == 2 * 26 and sum(read) < 1_000
+        # each distinct letter set is evaluated once per assignment, into the sign table
+        assert max(read) <= 6
+        assert len(read) % 27 == 0 and len(read) <= 27 * 6
+        assert sum(read) < 1_000
 
 
 @pytest.fixture
@@ -657,3 +661,74 @@ class TestAssignments:
     def test_validation(self):
         with pytest.raises(ValueError):
             SignAssignment("up", POS, NEG)
+
+
+SIGNED_LETTERS = [(g, e) for g in "abt" for e in (1, -1)]
+
+
+class TestSignTable:
+    def test_table_matches_evaluate_sign_on_every_letter_set(self):
+        assignments = all_sign_assignments()
+        for bits in range(64):
+            letters = frozenset(s for i, s in enumerate(SIGNED_LETTERS) if bits >> i & 1)
+            verdicts = obstruction._verdicts(letters)
+            assert len(verdicts) == 27
+            for k, sigma in enumerate(assignments):
+                assert verdicts[k] == evaluate_sign(letters, sigma), (sorted(letters), sigma)
+
+    def test_a_letter_off_the_generators_raises_and_is_not_stored(self):
+        before = obstruction._verdicts.cache_info().currsize
+        with pytest.raises(ValueError, match="concrete word"):
+            obstruction._verdicts(frozenset({("a", 1), ("mu", 1)}))
+        assert obstruction._verdicts.cache_info().currsize == before
+
+    def test_the_table_stays_within_64_letter_sets(self):
+        for x, y, p in ((2, 3, 2), (2, 5, 3), (3, 4, 2), (3, 7, 3)):
+            for beta in (1, 2, 9):
+                cert = certify_beta(x, y, p, beta)
+                assert replay(certificate_from_json_dict(cert.to_json_dict()))
+        assert obstruction._verdicts.cache_info().currsize <= 64
+
+
+class TestRowLoader:
+    def beta_doc(self):
+        return json.loads(json.dumps(certify_beta(2, 3, 2, 7).to_json_dict()))
+
+    def test_loaded_assignments_are_the_prebuilt_ones(self):
+        cert = certificate_from_json_dict(self.beta_doc())
+        assert [row.assignment for row in cert.refutations] == list(all_sign_assignments())
+        for row in cert.refutations:
+            assert any(row.assignment is sigma for sigma in all_sign_assignments())
+
+    @pytest.mark.parametrize("bad", ["up", [], {}, "x" * 10_000], ids=["string", "list", "object", "long"])
+    def test_a_value_that_is_not_a_sign_is_a_load_error(self, bad):
+        doc = self.beta_doc()
+        doc["refutations"][3]["assignment"]["b"] = bad
+        with pytest.raises(ValueError) as err:
+            certificate_from_json_dict(doc)
+        assert str(err.value) == f"bad sign {bad!r:.40}"
+
+    def test_a_missing_sign_is_a_load_error(self):
+        doc = self.beta_doc()
+        del doc["refutations"][3]["assignment"]["t"]
+        with pytest.raises(ValueError, match="keys a, b and t"):
+            certificate_from_json_dict(doc)
+
+    def test_rows_are_records_with_the_same_json(self):
+        cert = certify_beta(2, 3, 2, 7)
+        loaded = certificate_from_json_dict(cert.to_json_dict())
+        assert loaded.refutations == cert.refutations
+        row = loaded.refutations[0]
+        assert row._fields == ("assignment", "equation_id", "lhs_sign", "rhs_sign")
+        assert [r.to_json_dict() for r in loaded.refutations] == cert.to_json_dict()["refutations"]
+
+    def test_entry_sides_reuse_the_claimed_words_only_when_the_texts_match(self):
+        doc = self.beta_doc()
+        doc["equations"][1]["lhs"] = "a b"
+        cert = certificate_from_json_dict(doc)
+        same, differs = cert.entries[0], cert.entries[1]
+        assert same.equation.lhs is same.script.claimed_lhs
+        assert differs.equation.lhs == Word.parse(doc["equations"][1]["lhs"])
+        assert differs.equation.lhs != differs.script.claimed_lhs
+        assert differs.equation.rhs is differs.script.claimed_rhs
+        assert not replay(cert)
