@@ -32,12 +32,22 @@ from .presentations import (
     ParameterError,
     bezout_torus,
     cable_presentation,
-    peripheral_invariance_check,
     surgery_relator,
     torus_presentation,
 )
 from .slopes import CramerTriple, Slope, beta_slope, cramer, genus, lspace_window_check
 from .words import Word, abelianize, concat, invert, power
+
+
+
+def __getattr__(name: str):
+    # from the CLI on first use: `python -m cable_order.cli` warns if the package loaded it
+    if name == "peripheral_invariance_check":
+        from .cli import peripheral_invariance_check
+
+        return peripheral_invariance_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Axiom",

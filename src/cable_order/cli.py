@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success/certified, 2 inconclusive or failed replay, 1 invalid
-input or any other error.  A usage error (a missing, unknown or malformed
-argument) is invalid input too, so it exits 1, not argparse's 2; ``--help``
-exits 0.  Certificates are byte-stable across runs: the JSON carries no
-timestamps.  ``certify`` writes its timing to a sidecar ``PATH.log`` when
-``--json PATH`` is a regular file, and to stderr otherwise, so a device or
-FIFO such as ``/dev/null`` gets no file beside it.
+input or any other error, such as a certificate that does not load because its
+JSON is malformed or wrongly typed or two copies of one fact disagree.  A
+usage error (a missing, unknown or malformed argument) is invalid input too,
+so it exits 1, not argparse's 2; ``--help`` exits 0.  Certificates are
+byte-stable across runs: the JSON carries no timestamps.  ``certify`` writes
+its timing to a sidecar ``PATH.log`` when ``--json PATH`` is a regular file,
+and to stderr otherwise, so a device or FIFO such as ``/dev/null`` gets no
+file beside it.
 Every JSON document the CLI writes (certificates, ``present --json`` and a
 sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 ``:``, keys in the order the program builds them, and a final newline.
@@ -49,6 +51,7 @@ from .derivations import (
     StepError,
     cable_endpoint_product_script,
     cable_t_power_script,
+    meridian_shift_script,
 )
 from .normal_form import eliminate_t, equal_in_torus_group
 from .obstruction import (
@@ -61,9 +64,11 @@ from .obstruction import (
     replay,
 )
 from .presentations import (
+    LAM,
+    MU,
+    MUC,
     ParameterError,
     cable_presentation,
-    peripheral_invariance_check,
     torus_presentation,
 )
 from .slopes import Slope, lspace_window_check
@@ -183,6 +188,30 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # identity checks
+
+def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
+    """Check that shifting the normalization by k defines the same peripherals.
+
+    The meridian variant b^(j-ky) a^(i+kx) must equal b^j a^i in the torus
+    group (decided by the normal form), and the k-shift derivation, which
+    inserts the cable relation k times, must prove exactly
+    muC = mu^(u+kq) lam^(v+kp) t^-(v+kp).
+    """
+    pres = cable_presentation(x, y, p)
+    i, j = pres.torus_bezout
+    mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
+    if not equal_in_torus_group(pres.named[MU].expansion, mu_variant, x, y):
+        return False
+    assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
+    u, v = pres.cable_bezout
+    v_k = v + k * pres.p
+    shifted = Word.from_pairs([(MU, u + k * pres.q), (LAM, v_k), ("t", -v_k)])
+    try:
+        eq = meridian_shift_script(pres, k).equation
+    except StepError:
+        return False
+    return eq.lhs == Word.single(MUC) and eq.rhs == shifted
+
 
 def identity_report(x: int, y: int, p: int) -> list[tuple[str, bool, str]]:
     """Cross-checks between the derivation checker and the independent oracles."""

@@ -37,9 +37,10 @@ steps, whatever the slope and p.
 
 Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
 through :func:`apply_step` as it emits it, and :meth:`ScriptBuilder.finish`
-returns a :class:`CertEntry`: the script together with the equation its
-final state proves.  Both come from the same checked state, so the equation
-is used as it stands, never derived again.  The slope-free lemmas are built
+returns a :class:`CertEntry` holding only the script, whose claimed sides are
+its checked final state.  The entry's id and equation are read from the
+script, so the equation is used as it stands, never derived again, and an
+entry cannot disagree with its script.  The slope-free lemmas are built
 once per presentation, which keeps their entries for every later
 certificate over it.  Any script the program did not build, such as one
 rebuilt from JSON or each script of a certificate under replay, is checked
@@ -52,7 +53,7 @@ surgery slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 from .presentations import (
@@ -244,22 +245,24 @@ class DerivationScript:
 
 @dataclass(frozen=True, slots=True)
 class CertEntry:
-    """A proven equation and the script that proves it, as a certificate lists them."""
+    """A script, as a certificate lists it; its id and equation (built once, here) are read from the script."""
 
-    entry_id: str
-    equation: Equation
     script: DerivationScript
+    equation: Equation = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        s = self.script
+        object.__setattr__(self, "equation", Equation(s.claimed_lhs, s.claimed_rhs, s.context, s.script_id))
+
+    @property
+    def entry_id(self) -> str:
+        return self.script.script_id
 
     def to_json_dict(self) -> dict:
-        ctx = self.equation.context
-        return {
-            "id": self.entry_id,
-            "context": ctx.kind,
-            "slope": str(ctx.slope) if ctx.slope else None,
-            "lhs": str(self.equation.lhs),
-            "rhs": str(self.equation.rhs),
-            "script": script_to_json_dict(self.script),
-        }
+        doc = script_to_json_dict(self.script)
+        c = doc["claimed"]
+        return {"id": doc["id"], "context": doc["context"], "slope": doc["slope"],
+                "lhs": c["lhs"], "rhs": c["rhs"], "script": doc}
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +590,8 @@ class ScriptBuilder:
     """Emit steps while checking them, so positions are always concrete.
 
     Every emitted step goes through :func:`apply_step`, which is the checker
-    itself, so :meth:`finish` returns the script with the equation its final
-    state proves, and nothing checks it again.  The factories are trusted
+    itself, so :meth:`finish` returns the entry of a script that claims its
+    final state, and nothing checks it again.  The factories are trusted
     code, so their steps are not held to a :func:`side_cap`; a script read
     back as input, as every script of a certificate is under replay, is.
     """
@@ -652,15 +655,13 @@ class ScriptBuilder:
         self._emit(Step(kind="commute", side=side, position=position, word=block, n=n))
 
     def finish(self) -> CertEntry:
-        """The script emitted so far and the equation its final state proves."""
+        """The entry of the script emitted so far, which claims its final state."""
         lhs, rhs = (tuple(side) for side in self._state)
         if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
             raise AssertionError("script must end on a reduced state")
-        equation = Equation(Word(lhs), Word(rhs), self.context, provenance=self.script_id)
-        script = DerivationScript(
-            self.script_id, self.context, self.axiom, tuple(self._steps), equation.lhs, equation.rhs, self.cites
-        )
-        return CertEntry(self.script_id, equation, script)
+        return CertEntry(DerivationScript(
+            self.script_id, self.context, self.axiom, tuple(self._steps), Word(lhs), Word(rhs), self.cites
+        ))
 
 
 def central_relation_script(pres: GroupPresentation) -> CertEntry:
@@ -832,7 +833,7 @@ def script_to_json_dict(script: DerivationScript) -> dict:
 def script_from_json_dict(d: dict) -> DerivationScript:
     if type(d) is not dict:
         raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
-    slope = Slope.parse(d["slope"]) if d.get("slope") else None
+    slope = None if d.get("slope") is None else Slope.parse(d["slope"])  # only null or absent is no slope
     return DerivationScript(
         script_id=_json_typed(d["id"], str, "script id"),
         context=Context(d["context"], slope),

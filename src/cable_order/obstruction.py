@@ -14,6 +14,11 @@ derivation scripts verbatim and are replayable from the JSON alone.  The
 engine never fabricates: if any assignment survives every equation, the
 result is an :class:`Inconclusive` value listing the survivors.
 
+A certificate holds each fact once: an entry is its script, and q, the mode
+and :func:`determinant_data` follow from (x, y, p, slope, beta).  The loader
+checks each copy that the JSON form repeats; :func:`replay` checks only the
+proofs and the rows.
+
 A verdict reads only which of the 6 signed letters of a, b, t a word has, so
 :func:`refute_all` and :func:`replay` look verdicts up in a table of at most
 64 letter sets, each evaluated under all 27 assignments once per process.
@@ -36,7 +41,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .derivations import (
     CertEntry,
-    Context,
     Equation,
     StepError,
     _json_enum,
@@ -171,13 +175,21 @@ class Inconclusive:
 
 @dataclass(frozen=True, slots=True)
 class CertParams:
+    """(x, y, p), the slope and its beta label, if any; q and the mode are derived."""
+
     x: int
     y: int
     p: int
-    q: int
-    mode: str  # "beta" | "slope"
-    beta: int | None
     slope: Slope
+    beta: int | None = None
+
+    @property
+    def q(self) -> int:
+        return self.p * self.x * self.y - 1
+
+    @property
+    def mode(self) -> str:
+        return "slope" if self.beta is None else "beta"
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,30 +203,36 @@ class CertParams:
         }
 
 
+def determinant_data(params: CertParams, version: str) -> CramerTriple | None:
+    """The determinants tying an interior slope to pq - 1 and pq.
+
+    None at or outside the endpoints, and in a v1 beta certificate, which carried none.
+    """
+    pq = params.p * params.q
+    low, high = Slope(pq - 1, 1), Slope(pq, 1)
+    if low < params.slope < high and (version != "v1" or params.beta is None):
+        return cramer(low, high, params.slope)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class ObstructionCertificate:
     params: CertParams
     entries: tuple[CertEntry, ...]
-    cramer_data: CramerTriple | None
     refutations: tuple[RefutationRow, ...]
     version: str = VERSION
 
+    @property
+    def cramer_data(self) -> CramerTriple | None:
+        return determinant_data(self.params, self.version)
+
     def to_json_dict(self) -> dict:
-        if self.cramer_data is None:
-            cramer_doc = None
-        else:
-            c = self.cramer_data
-            cramer_doc = {
-                "d0": c.d0,
-                "d1": c.d1,
-                "d": c.d,
-                "slopes": {"s0": str(c.s0), "s1": str(c.s1), "s": str(c.s)},
-            }
+        c = self.cramer_data
         return {
             "version": self.version,
             "params": self.params.to_json_dict(),
             "equations": [e.to_json_dict() for e in self.entries],
-            "cramer": cramer_doc,
+            "cramer": None if c is None else c.to_json_dict(),
             "refutations": [r.to_json_dict() for r in self.refutations],
         }
 
@@ -225,52 +243,54 @@ _RECORDED_SIGNS = frozenset({POS, NEG, ZERO, UNKNOWN})  # what evaluate_sign ret
 
 
 def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
-    """Rebuild a certificate from its JSON form.
+    """Rebuild a certificate from its JSON form, and check every copy that the form repeats.
 
-    A wrongly typed version, integer, word, slope, id, name, `why` or
-    equation reference, a script that is not an object, or an enumerated
-    field (step `kind`, `side`, `direction`, `anchor` and `on`, the axiom
-    `kind`, `params.mode`, the recorded signs) outside its values raises
-    ValueError here, at load time (`script_from_json_dict` and the parsers
-    check theirs), so that `replay` never meets a value of the wrong JSON
-    type.  So does a v1 document with a step of a form that v2 added.  Like
-    `replay`'s problems, load errors cut the values they quote to 40
-    characters.
+    An entry's id, context, slope and sides must be its script's texts, and
+    `params.q`, `params.mode`, a beta's slope and `cramer` the values that
+    (x, y, p, slope, beta) give.  A copy that differs, a wrongly typed
+    version, integer, word, slope, id, name, `why` or equation reference, a
+    script that is not an object, an enumerated field (step `kind`, `side`,
+    `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`, the
+    recorded signs) outside its values, or a v1 document with a step of a
+    form that v2 added raises ValueError here, so that `replay` checks only
+    proofs and rows, of the right JSON types.  Load errors cut the values
+    they quote to 40 characters.
     """
     par = doc["params"]
     params = CertParams(
         x=_json_typed(par["x"], int, "params.x"),
         y=_json_typed(par["y"], int, "params.y"),
         p=_json_typed(par["p"], int, "params.p"),
-        q=_json_typed(par["q"], int, "params.q"),
-        mode=_json_enum(par["mode"], _MODES, "params.mode"),
-        beta=_json_typed(par["beta"], int, "params.beta", optional=True),
         slope=Slope.parse(par["slope"]),
+        beta=_json_typed(par["beta"], int, "params.beta", optional=True),
     )
+    if _json_typed(par["q"], int, "params.q") != params.q:
+        raise ValueError("params.q is not p*x*y - 1")
+    if _json_enum(par["mode"], _MODES, "params.mode") != params.mode:
+        raise ValueError("params.mode must be beta exactly when params.beta is set")
+    beta = params.beta
+    if beta is not None and (beta < 1 or params.slope != beta_slope(params.p, params.q, beta)):
+        raise ValueError("params.slope is not pq - 1/beta for a beta of at least 1")
     entries = []
     for e in doc["equations"]:
-        ctx = Context(e["context"], Slope.parse(e["slope"]) if e.get("slope") else None)
-        entry_id = _json_typed(e["id"], str, "equation id")
-        script = script_from_json_dict(e["script"])
-        claimed = e["script"]["claimed"]  # certify writes each side as its script claims it
-        lhs = script.claimed_lhs if e["lhs"] == claimed["lhs"] else Word.parse(e["lhs"])
-        rhs = script.claimed_rhs if e["rhs"] == claimed["rhs"] else Word.parse(e["rhs"])
-        entries.append(CertEntry(entry_id, Equation(lhs, rhs, ctx, provenance=entry_id), script))
+        s = e["script"]  # first: raises unless the entry is an object
+        script = script_from_json_dict(s)
+        claimed = s["claimed"]
+        repeated = {"id": s["id"], "context": s["context"], "slope": s.get("slope"),
+                    "lhs": claimed["lhs"], "rhs": claimed["rhs"]}
+        for key, value in repeated.items():  # each the script's text, checked by the parse above
+            if e.get(key) != value:
+                raise ValueError(f"the {key} of equation {script.script_id!r:.40} differs from its script's")
+        entries.append(CertEntry(script))
     version = _json_typed(doc.get("version", ""), str, "version")
     if version == "v1" and any(step.v2_only() for e in entries for step in e.script.steps):
         raise ValueError("a v1 certificate uses a step form of v2 (commute, or a relation exponent)")
-    if doc.get("cramer") is None:
-        cramer_data = None
-    else:
-        c = doc["cramer"]
-        cramer_data = CramerTriple(
-            _json_typed(c["d0"], int, "cramer.d0"),
-            _json_typed(c["d1"], int, "cramer.d1"),
-            _json_typed(c["d"], int, "cramer.d"),
-            Slope.parse(c["slopes"]["s0"]),
-            Slope.parse(c["slopes"]["s1"]),
-            Slope.parse(c["slopes"]["s"]),
-        )
+    c, derived = doc.get("cramer"), determinant_data(params, version)
+    if c is not None:  # typed first: true and 1.0 compare equal to 1
+        for key in ("d0", "d1", "d"):
+            _json_typed(c[key], int, f"cramer.{key}")
+    if c != (None if derived is None else derived.to_json_dict()):
+        raise ValueError("the determinant data is not the one the parameters and version give")
     rows = []
     for r in doc["refutations"]:
         signs = r["assignment"]
@@ -290,13 +310,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
             rows.append(RefutationRow(assignment, eq_id, lhs_sign, rhs_sign))
         else:
             raise ValueError(f"bad refutation reason {reason!r:.40}")
-    return ObstructionCertificate(
-        params=params,
-        entries=tuple(entries),
-        cramer_data=cramer_data,
-        refutations=tuple(rows),
-        version=version,
-    )
+    return ObstructionCertificate(params, tuple(entries), tuple(rows), version)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,7 @@ def certify_beta(
     """Certificate for the surgery at slope pq - 1/beta, q = p*x*y - 1.
 
     This is :func:`certify_slope` at ``beta_slope(p, q, beta)`` with the
-    parameters labelled ``mode = "beta"``: beta = 1 is the endpoint pq - 1,
+    parameters labelled with beta: beta = 1 is the endpoint pq - 1,
     and every larger beta an interior slope.
     """
     if beta < 1:
@@ -380,7 +394,7 @@ def certify_beta(
     cert = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
     if isinstance(cert, Inconclusive):
         return cert
-    return replace(cert, params=replace(cert.params, mode="beta", beta=beta))
+    return replace(cert, params=replace(cert.params, beta=beta))
 
 
 def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
@@ -402,7 +416,6 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
     low, high = Slope(pq - 1, 1), Slope(pq, 1)
     entries = [_lemma(pres, central_relation_script), _lemma(pres, cable_t_power_script)]
     env = {entry.entry_id: entry.equation for entry in entries}
-    cramer_data: CramerTriple | None = None
     if slope == high:
         surgery = surgery_t_power_identity_script(pres)
     elif low <= slope < high:
@@ -412,7 +425,6 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
         if slope == low:
             surgery = surgery_endpoint_identity_script(pres, env)
         else:
-            cramer_data = cramer(low, high, slope)
             surgery = surgery_interior_combination_script(pres, slope, env)
     else:
         raise UnsupportedParameters(
@@ -427,8 +439,7 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
     rows = refute_all(cited, pres, slope)
     if isinstance(rows, Inconclusive):
         return rows
-    params = CertParams(x, y, p, q, "slope", None, slope)
-    return ObstructionCertificate(params, tuple(entries), cramer_data, rows)
+    return ObstructionCertificate(CertParams(x, y, p, slope), tuple(entries), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +457,14 @@ class ReplayReport:
 def replay(cert: ObstructionCertificate) -> ReplayReport:
     """Re-check every embedded script and every refutation row from scratch.
 
-    Problems quote certificate values cut to 40 characters.  The rows that
-    cite an equation with no verified proof make one problem per id, so a
-    failing script is reported once, by its own problem, and counted once.
-    Only the equations that rows cite are expanded, each once, and their
-    signs are read from the sign table (at most 64 letter sets).
+    It checks the version, the rebuild of the presentation, unique ids, the
+    slope of each surgery-quotient script, each script and each row, and
+    compares no copies of a fact: the loader checks those.  Problems quote
+    certificate values cut to 40 characters.  The rows that cite an equation
+    with no verified proof make one problem per id, so a failing script is
+    reported once, by its own problem, and counted once.  Only the equations
+    that rows cite are expanded, each once, and their signs are read from
+    the sign table (at most 64 letter sets).
     """
     problems: list[str] = []
 
@@ -459,47 +473,24 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
 
     p_ = cert.params
     try:
-        pres = cable_presentation(p_.x, p_.y, p_.p, p_.q)
+        pres = cable_presentation(p_.x, p_.y, p_.p)
     except (ParameterError, ValueError) as err:
         return ReplayReport(False, [f"parameters do not rebuild: {err}"])
-
-    if p_.mode == "beta":
-        if p_.beta is None or p_.beta < 1:
-            problems.append("beta mode without a valid beta")
-        elif p_.slope != beta_slope(p_.p, p_.q, p_.beta):
-            problems.append("slope does not match beta")
-    elif p_.mode == "slope":
-        if p_.beta is not None:
-            problems.append("slope mode must not carry beta")
-    else:
-        problems.append(f"unknown mode {p_.mode!r:.40}")
 
     # scripts, in order, with citations drawn only from earlier entries
     env: dict[str, Equation] = {}
     for entry in cert.entries:
-        if entry.entry_id in env:
-            problems.append(f"duplicate equation id {entry.entry_id!r:.40}")
-            continue
         script = entry.script
-        if script.script_id != entry.entry_id:
-            problems.append(f"entry {entry.entry_id!r:.40} embeds script {script.script_id!r:.40}")
+        if script.script_id in env:
+            problems.append(f"duplicate equation id {script.script_id!r:.40}")
             continue
-        ctx = entry.equation.context
-        if ctx.kind == "H" and ctx.slope != p_.slope:
-            problems.append(f"equation {entry.entry_id!r:.40} proven at a different slope")
-            continue
-        if script.context != ctx:
-            problems.append(f"equation {entry.entry_id!r:.40} context differs from its script")
+        if script.context.kind == "H" and script.context.slope != p_.slope:
+            problems.append(f"equation {script.script_id!r:.40} proven at a different slope")
             continue
         try:
-            eq = check_script(script, pres, env)
+            env[script.script_id] = check_script(script, pres, env)
         except (StepError, ValueError) as err:
-            problems.append(f"script {entry.entry_id!r:.40} fails: {err}")
-            continue
-        if eq.lhs != entry.equation.lhs or eq.rhs != entry.equation.rhs:
-            problems.append(f"equation {entry.entry_id!r:.40} does not match its script")
-            continue
-        env[entry.entry_id] = eq
+            problems.append(f"script {script.script_id!r:.40} fails: {err}")
 
     # refutation table: all 27 assignments, each row recomputed
     seen: set[int] = set()  # positions in all_sign_assignments()
@@ -551,20 +542,5 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     missing = len(all_sign_assignments()) - len(seen)  # every valid assignment is one of them
     if missing:
         problems.append(f"{missing} assignments are not refuted")
-
-    # determinant data must match an exact recomputation; v1 beta certificates carried none
-    pq = p_.p * p_.q
-    low, high = Slope(pq - 1, 1), Slope(pq, 1)
-    if low < p_.slope < high and (cert.version != "v1" or p_.mode == "slope"):
-        if cert.cramer_data is None:
-            problems.append("interior slope certificate lacks determinant data")
-        else:
-            expected = cramer(low, high, p_.slope)
-            if cert.cramer_data != expected:
-                problems.append("determinant data does not recompute")
-            elif not (expected.d0 > 0 and expected.d1 > 0 and expected.d > 0):
-                problems.append("interior determinants are not all positive")
-    elif cert.cramer_data is not None:
-        problems.append("unexpected determinant data")
 
     return ReplayReport(not problems, problems)

@@ -32,9 +32,10 @@ each once, on first read, and the memo of slope-free lemmas that
 ``obstruction.certify_slope`` builds once per presentation (`_lemmas`);
 every read sees the same value.  The memo lives and dies with its object:
 ``dataclasses.replace``, copying and unpickling start it empty, and
-clearing the caches below drops it.  It holds only scripts and equations,
-which are words and names with no reference back to a presentation, so a
-presentation is freed by reference counting alone.
+clearing the caches below drops it.  It holds only certificate entries,
+each a script and the equation read from it: words and names with no
+reference back to a presentation, so a presentation is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ class GroupPresentation:
     _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
         init=False, repr=False, compare=False
     )
-    # factory name -> the lemma's CertEntry, built over this presentation: see the docstring
+    # factory name -> the lemma's CertEntry (its script, and the equation read from
+    # the script once), built over this presentation: see the docstring
     _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -289,7 +291,9 @@ def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPre
 
     q is p*x*y - 1, and any other `q` is a ParameterError; (u, v) is
     (x*y, 1).  The cache is keyed on (x, y, p), so passing q or not returns
-    one cached object.
+    one cached object.  `q` stays for four-argument callers such as
+    ``bench/harness.py``; ``replay`` no longer passes it, since a
+    certificate's q is derived from (x, y, p).
     """
     if q is not None and q != p * x * y - 1:
         raise ParameterError(f"q must be p*x*y - 1 = {p * x * y - 1}, got {q}")
@@ -350,30 +354,3 @@ def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:
 def surgery_relator(pres: GroupPresentation, slope: Slope) -> Word:
     """Reduced expansion of muC^m lamC^n over the letters a, b, t."""
     return pres.expand(surgery_named_form(pres, slope))
-
-
-def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
-    """Check that shifting the normalization by k defines the same peripherals.
-
-    The meridian variant b^(j-ky) a^(i+kx) must equal b^j a^i in the torus
-    group (decided by the normal form), and the k-shift derivation, which
-    inserts the cable relation k times, must prove exactly
-    muC = mu^(u+kq) lam^(v+kp) t^-(v+kp).
-    """
-    from . import derivations  # deferred: derivations imports this module
-    from .normal_form import equal_in_torus_group
-
-    pres = cable_presentation(x, y, p)
-    i, j = pres.torus_bezout
-    mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
-    if not equal_in_torus_group(pres.named[MU].expansion, mu_variant, x, y):
-        return False
-    assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
-    u, v = pres.cable_bezout
-    v_k = v + k * pres.p
-    shifted = Word.from_pairs([(MU, u + k * pres.q), (LAM, v_k), ("t", -v_k)])
-    try:
-        eq = derivations.meridian_shift_script(pres, k).equation
-    except derivations.StepError:
-        return False
-    return eq.lhs == Word.single(MUC) and eq.rhs == shifted

@@ -73,6 +73,10 @@ class CramerTriple:
     s1: Slope
     s: Slope
 
+    def to_json_dict(self) -> dict:
+        return {"d0": self.d0, "d1": self.d1, "d": self.d,
+                "slopes": {"s0": str(self.s0), "s1": str(self.s1), "s": str(self.s)}}
+
 
 def cramer(s0: Slope, s1: Slope, s: Slope) -> CramerTriple:
     """2x2 determinants expressing s as a positive combination of s0, s1."""

@@ -94,6 +94,12 @@ def huge_value(doc: dict, probe: str) -> None:
         doc["params"]["slope"] = "2" + "0" * 4000 + "/2"
     elif probe == "word":
         doc["equations"][1]["lhs"] = "!" + HUGE
+    elif probe == "entry_rhs":  # a well-formed word, repeated differently
+        doc["equations"][1]["rhs"] = "a " * 500_000
+    elif probe == "entry_slope":
+        doc["equations"][1]["slope"] = HUGE
+    elif probe == "cramer_slope":
+        doc["cramer"]["slopes"]["s"] = HUGE
     else:
         raise ValueError(probe)
 
@@ -268,7 +274,10 @@ class TestReplayCommand:
         doc = json.loads(out.read_text())
         doc["equations"][0]["rhs"] = "b^4"
         out.write_text(json.dumps(doc))
-        assert main(["replay", str(out)]) == 2
+        assert main(["replay", str(out)]) == 1  # the entry's copy differs from its script's
+        doc["equations"][0]["script"]["claimed"]["rhs"] = "b^4"
+        out.write_text(json.dumps(doc))
+        assert main(["replay", str(out)]) == 2  # both copies agree; the checker rejects them
 
     def test_malformed_json_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -384,10 +393,70 @@ class TestReplayCommand:
         code = main(["replay", str(out)])  # raises nothing
         err = capsys.readouterr().err
         optional = site in ("step_name", "axiom_name") and value is None
-        if site != "script" and (value == "x" or optional):
+        # an entry id is a copy of its script's, so any other value is a load error
+        if site not in ("script", "entry_id") and (value == "x" or optional):
             assert code == 2 and "replay problem" in err  # well typed; the checker rejects it
         else:
             assert code == 1 and "error: cannot load certificate" in err
+
+    @pytest.mark.parametrize("value", [0, "", False, [], {}], ids=repr)
+    def test_a_knot_group_script_slope_other_than_null_is_a_load_error(self, tmp_path, capsys, value):
+        # only null or absent means no slope; anything else is parsed, and fails
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        entry = doc["equations"][0]  # central_relation, in the knot group
+        entry["slope"] = entry["script"]["slope"] = value  # both copies, so they agree
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load certificate: ") and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "site, value",
+        [
+            ("entry_id", "central_relation"),
+            ("entry_context", "H"),
+            ("entry_slope", "153/7"),
+            ("entry_lhs", "a b"),
+            ("entry_rhs", "t^2"),
+            ("params_q", 12),
+            ("params_mode", "slope"),
+            ("params_beta", 8),
+            ("params_beta", 0),
+            ("params_beta", None),
+            ("cramer_d0", 2),
+            ("cramer_d1", 7),
+            ("cramer_d", 2),
+            ("cramer_s0", "20/1"),
+            ("cramer_s1", "23/1"),
+            ("cramer_s", "155/7"),
+            ("cramer", None),
+        ],
+        ids=repr,
+    )
+    def test_a_copy_that_disagrees_is_a_load_error(self, tmp_path, capsys, site, value):
+        # each repeated copy alone, well typed, in the beta 7 certificate (slope 153/7)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        part, _, field = site.partition("_")
+        if part == "entry":
+            doc["equations"][1][field] = value  # cable_t_power, in the knot group
+        elif part == "params":
+            doc["params"][field] = value
+        elif field in ("d0", "d1", "d"):
+            doc["cramer"][field] = value
+        elif field:
+            doc["cramer"]["slopes"][field] = value
+        else:
+            doc["cramer"] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load certificate: ") and len(err.encode()) < 1024
 
     def test_power_step_probe_is_rejected_fast(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -443,7 +512,7 @@ class TestReplayCommand:
         [
             ("refutation_equation", 2),
             ("params_mode", 1),
-            ("entry_id", 2),
+            ("entry_id", 1),
             ("reason_kind", 1),
             ("recorded_sign", 1),
             ("version", 2),
@@ -453,6 +522,9 @@ class TestReplayCommand:
             ("slope", 1),
             ("unreduced_slope", 1),
             ("word", 1),
+            ("entry_rhs", 1),
+            ("entry_slope", 1),
+            ("cramer_slope", 1),
         ],
     )
     def test_quoted_values_are_bounded(self, tmp_path, capsys, probe, code):
@@ -479,6 +551,25 @@ class TestV1Certificates:
         assert json.loads(path.read_text())["version"] == "v1"
         assert main(["replay", str(path)]) == 0
         assert capsys.readouterr().out == "replay ok\n"
+
+
+    @pytest.mark.parametrize(
+        "stem, cramer",
+        [("x2_y3_p2_beta7", "derived"), ("x2_y3_p2_slope43_2", None)],
+        ids=["beta_with_determinants", "slope_without_determinants"],
+    )
+    def test_determinant_data_is_the_one_v1_wrote(self, tmp_path, capsys, stem, cramer):
+        # a v1 beta certificate carried none, and a v1 slope certificate carried them
+        doc = json.loads(next(f for f in V1_FIXTURES if f.stem == stem).read_text())
+        if cramer == "derived":
+            cramer = certify_beta(2, 3, 2, 7).to_json_dict()["cramer"]
+            assert cramer is not None
+        doc["cramer"] = cramer
+        out = tmp_path / "cert.json"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load certificate: the determinant data")
 
 
 class TestV2Certificates:
@@ -652,6 +743,18 @@ def test_import_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_the_package_import_leaves_the_cli_unloaded():
+    # `python -m cable_order.cli` warns when the package import has already
+    # loaded the module; the package reads `peripheral_invariance_check` lazily
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cable_order; "
+        "print('cable_order.cli' in sys.modules, cable_order.peripheral_invariance_check.__module__)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "False cable_order.cli\n"
+
+
 class TestSweep:
     def test_small_grid(self, tmp_path, capsys):
         out = tmp_path / "certs"
@@ -760,11 +863,12 @@ class TestVerifyIdentities:
     def test_corrupted_script_fixture_fails_with_step_index(self, monkeypatch, capsys):
         pres = cable_presentation(2, 3, 2)
         corrupted = script_from_json_dict(corrupted_t_power_doc(pres))
-        # a script from outside the program has its equation derived by check_script
-        monkeypatch.setattr(
-            cli, "cable_t_power_script",
-            lambda pres: CertEntry(corrupted.script_id, check_script(corrupted, pres, {}), corrupted),
-        )
+
+        def checked_entry(pres):
+            check_script(corrupted, pres, {})  # a script from outside the program is checked before use
+            return CertEntry(corrupted)
+
+        monkeypatch.setattr(cli, "cable_t_power_script", checked_entry)
         assert main(["verify-identities", "--x", "2", "--y", "3", "--p", "2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "step 3" in out

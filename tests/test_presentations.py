@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from cable_order import derivations
+from cable_order import cli, derivations
+from cable_order.cli import peripheral_invariance_check
 from cable_order.normal_form import equal_in_torus_group
 from cable_order.presentations import (
     LAM,
@@ -16,7 +17,6 @@ from cable_order.presentations import (
     ParameterError,
     bezout_torus,
     cable_presentation,
-    peripheral_invariance_check,
     surgery_relator,
     torus_presentation,
 )
@@ -303,8 +303,8 @@ class TestPeripheralInvariance:
 
     def test_derivation_must_prove_the_shifted_meridian(self, monkeypatch):
         # the k = 0 proof replays, but it proves muC = mu^6 lam t^-1, not the k = 1 shift
-        real = derivations.meridian_shift_script
-        monkeypatch.setattr(derivations, "meridian_shift_script", lambda pres, k: real(pres, 0))
+        real = cli.meridian_shift_script
+        monkeypatch.setattr(cli, "meridian_shift_script", lambda pres, k: real(pres, 0))
         assert peripheral_invariance_check(2, 3, 2, 0)
         assert not peripheral_invariance_check(2, 3, 2, 1)
 
