@@ -3,6 +3,10 @@
 The package builds the group presentations involved, replays rewriting
 derivations through a checked proof verifier, and emits self-contained JSON
 certificates refuting every generator sign assignment.
+
+`replay` runs only the trusted core: `words`, `slopes`, `presentations`,
+`derivations` (the checker) and `obstruction` (the loader and replay).
+`proofs` generates the certificates, outside it, as do `normal_form` and `cli`.
 """
 
 from .derivations import (
@@ -19,10 +23,7 @@ from .obstruction import (
     Inconclusive,
     ObstructionCertificate,
     SignAssignment,
-    UnsupportedParameters,
     certificate_from_json_dict,
-    certify_beta,
-    certify_slope,
     evaluate_sign,
     refute_all,
     replay,
@@ -35,18 +36,9 @@ from .presentations import (
     surgery_relator,
     torus_presentation,
 )
+from .proofs import UnsupportedParameters, certify_beta, certify_slope, peripheral_invariance_check
 from .slopes import CramerTriple, Slope, beta_slope, cramer, genus, lspace_window_check
 from .words import Word, abelianize, concat, invert, power
-
-
-
-def __getattr__(name: str):
-    # from the CLI on first use: `python -m cable_order.cli` warns if the package loaded it
-    if name == "peripheral_invariance_check":
-        from .cli import peripheral_invariance_check
-
-        return peripheral_invariance_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

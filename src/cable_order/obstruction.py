@@ -23,37 +23,20 @@ A verdict reads only which of the 6 signed letters of a, b, t a word has, so
 :func:`refute_all` and :func:`replay` look verdicts up in a table of at most
 64 letter sets, each evaluated under all 27 assignments once per process.
 
-One pipeline, :func:`certify_slope`, covers every slope in [pq-1, pq]; its
-surgery proof takes the same number of steps at every slope.
-:func:`certify_beta` is that pipeline at the slope pq - 1/beta, labelled with
-beta.  Certificates are written in format v2, whose scripts may use the
-exponent steps ``commute`` and ``relation`` with `n`; :func:`replay` also
-accepts format v1, whose beta certificates carried longer, beta-only proofs
-and no determinant data, and rejects a v1 document that uses a v2 step form
-when it is loaded.
+Certificates are written in format v2, whose scripts may use the exponent
+steps ``commute`` and ``relation`` with `n`; :func:`replay` also accepts
+format v1, whose beta certificates carried longer, beta-only proofs and no
+determinant data, and rejects a v1 document that uses a v2 step form when it
+is loaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .derivations import (
-    CertEntry,
-    Equation,
-    StepError,
-    _json_enum,
-    _json_typed,
-    cable_endpoint_product_script,
-    cable_t_power_script,
-    central_relation_script,
-    check_script,
-    script_from_json_dict,
-    surgery_endpoint_identity_script,
-    surgery_interior_combination_script,
-    surgery_t_power_identity_script,
-)
+from .derivations import CertEntry, Equation, StepError, _json_enum, _json_typed, check_script, script_from_json_dict
 from .presentations import GroupPresentation, ParameterError, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
 from .words import Syllable, Word
@@ -63,10 +46,6 @@ UNKNOWN = "unknown"
 SIGNS = (POS, NEG, ZERO)
 VERSION = "v2"  # the format certify writes
 _VERSIONS = frozenset({"v1", VERSION})  # the formats replay reads
-
-
-class UnsupportedParameters(ParameterError):
-    """Parameters outside the range the certified theorems cover."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,90 +335,6 @@ def refute_all(
     if survivors:
         return Inconclusive(tuple(survivors))
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# certification pipelines
-
-def _theorem_pres(x: int, y: int, p: int) -> GroupPresentation:
-    try:
-        return cable_presentation(x, y, p)
-    except ParameterError as err:
-        raise UnsupportedParameters(str(err)) from None
-
-
-def _lemma(pres: GroupPresentation, factory: Callable[..., CertEntry], *args: object) -> CertEntry:
-    """The slope-free lemma ``factory(pres, *args)``, built once per presentation.
-
-    The presentation keeps the entry, so a later certificate over it lists
-    the same script and equation without building anything again.
-    """
-    entry = pres._lemmas.get(factory.__name__)
-    if entry is None:
-        entry = pres._lemmas[factory.__name__] = factory(pres, *args)
-    return entry
-
-
-def certify_beta(
-    x: int, y: int, p: int, beta: int
-) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at slope pq - 1/beta, q = p*x*y - 1.
-
-    This is :func:`certify_slope` at ``beta_slope(p, q, beta)`` with the
-    parameters labelled with beta: beta = 1 is the endpoint pq - 1,
-    and every larger beta an interior slope.
-    """
-    if beta < 1:
-        raise UnsupportedParameters(f"beta must be >= 1, got {beta}")
-    cert = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
-    if isinstance(cert, Inconclusive):
-        return cert
-    return replace(cert, params=replace(cert.params, beta=beta))
-
-
-def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1.
-
-    Every entry comes from a script factory, whose builder checked each step
-    as it emitted it, so nothing here checks a script again.  The slope-free
-    lemmas (``central_relation``, ``cable_t_power`` and, below pq,
-    ``cable_endpoint_product``) are built on the first certificate that needs
-    them over the cached presentation, which keeps them; later certificates
-    over it reuse them and build only the surgery script.  Entries and bytes
-    are the same either way, and :func:`replay` re-checks every script a
-    certificate carries.
-    """
-    pres = _theorem_pres(x, y, p)
-    assert pres.q is not None
-    q = pres.q
-    pq = p * q
-    low, high = Slope(pq - 1, 1), Slope(pq, 1)
-    entries = [_lemma(pres, central_relation_script), _lemma(pres, cable_t_power_script)]
-    env = {entry.entry_id: entry.equation for entry in entries}
-    if slope == high:
-        surgery = surgery_t_power_identity_script(pres)
-    elif low <= slope < high:
-        endpoint = _lemma(pres, cable_endpoint_product_script, env)
-        entries.append(endpoint)
-        env[endpoint.entry_id] = endpoint.equation
-        if slope == low:
-            surgery = surgery_endpoint_identity_script(pres, env)
-        else:
-            surgery = surgery_interior_combination_script(pres, slope, env)
-    else:
-        raise UnsupportedParameters(
-            f"slope {slope} is outside the certified window [{pq - 1}, {pq}]"
-        )
-    entries.append(surgery)
-
-    # the endpoint product is a lemma of the surgery equation's proof and no
-    # row cites it, so it is left out of `cited`: refute_all never expands
-    # or sign-evaluates it
-    cited = [entries[0].equation, entries[1].equation, surgery.equation]
-    rows = refute_all(cited, pres, slope)
-    if isinstance(rows, Inconclusive):
-        return rows
-    return ObstructionCertificate(CertParams(x, y, p, slope), tuple(entries), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,14 @@ Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
 The only things set after construction are the spellings and relator words,
 each once, on first read, and the memo of slope-free lemmas that
-``obstruction.certify_slope`` builds once per presentation (`_lemmas`);
-every read sees the same value.  The memo lives and dies with its object:
-``dataclasses.replace``, copying and unpickling start it empty, and
-clearing the caches below drops it.  It holds only certificate entries,
-each a script and the equation read from it: words and names with no
-reference back to a presentation, so a presentation is freed by reference
-counting alone.
+``proofs.certify_slope`` fills once per presentation (`_lemmas`); every
+read sees the same value, and no module of the trusted core reads the
+memo, so `replay` never takes a proof from it.  The memo lives and dies
+with its object: ``dataclasses.replace``, copying and unpickling start it
+empty, and clearing the caches below drops it.  It holds only certificate
+entries, each a script and the equation read from it: words and names with
+no reference back to a presentation, so a presentation is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class CableBezout(NamedTuple):
 def bezout_torus(x: int, y: int) -> TorusBezout:
     """The unique (i, j) with x*j + y*i == 1, 0 < i < x and j < 0; x, y >= 2 must be coprime."""
     if x < 2 or y < 2:
-        raise ParameterError(f"torus parameters must be >= 2, got ({x}, {y})")
+        raise ParameterError(f"torus parameters must be >= 2, got ({x!s:.40}, {y!s:.40})")
     if gcd(x, y) != 1:
-        raise ParameterError(f"torus parameters must be coprime, got ({x}, {y})")
+        raise ParameterError(f"torus parameters must be coprime, got ({x!s:.40}, {y!s:.40})")
     i = pow(y, -1, x)
     j = (1 - y * i) // x
     assert x * j + y * i == 1 and 0 < i < x and j < 0
@@ -296,7 +297,7 @@ def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPre
     certificate's q is derived from (x, y, p).
     """
     if q is not None and q != p * x * y - 1:
-        raise ParameterError(f"q must be p*x*y - 1 = {p * x * y - 1}, got {q}")
+        raise ParameterError(f"q must be p*x*y - 1 = {p * x * y - 1!s:.40}, got {q!s:.40}")
     return _cable_presentation(x, y, p)
 
 
@@ -304,7 +305,7 @@ def cable_presentation(x: int, y: int, p: int, q: int | None = None) -> GroupPre
 def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     base = torus_presentation(x, y)
     if p < 2:
-        raise ParameterError(f"cable winding p must be >= 2, got {p}")
+        raise ParameterError(f"cable winding p must be >= 2, got {p!s:.40}")
     q, u, v = p * x * y - 1, x * y, 1  # p*u - q*v = 1
 
     muc_def = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])

@@ -96,7 +96,7 @@ def cramer(s0: Slope, s1: Slope, s: Slope) -> CramerTriple:
 def beta_slope(p: int, q: int, beta: int) -> Slope:
     """The slope (p*q*beta - 1)/beta, whose value is pq - 1/beta."""
     if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+        raise ValueError(f"beta must be >= 1, got {beta!s:.40}")
     # gcd(pq*beta - 1, beta) divides 1, so the fraction is already reduced
     return Slope(p * q * beta - 1, beta)
 

@@ -23,6 +23,7 @@ identity.  The parser and printer round-trip bit-exactly on canonical forms.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -156,7 +157,9 @@ def power(w: Word, n: int) -> Word:
     c is what is left after peeling mutually inverse end syllables off w, so
     copies of c meet without cancelling: they only merge when c begins and
     ends on the same generator, and then the two end syllables are glued
-    into one syllable between copies.
+    into one syllable between copies.  A power whose spelling could not fit
+    in memory on any machine (more than ``sys.maxsize`` syllables) is a
+    ValueError, raised before anything is allocated.
     """
     if n == 0 or not w.syllables:
         return Word()
@@ -168,6 +171,8 @@ def power(w: Word, n: int) -> Word:
         k += 1
     head, core, tail = syls[:k], syls[k : last - k + 1], syls[last - k + 1 :]
     (g0, e0), (g1, e1) = core[0], core[-1]
+    if len(core) > 1 and n > sys.maxsize // len(core):
+        raise ValueError(f"a power with |exponent| {n!s:.40} is too long to spell out")
     if len(core) == 1:
         core_n = ((g0, e0 * n),)
     elif g0 != g1:

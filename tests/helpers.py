@@ -6,8 +6,9 @@ import random
 
 from hypothesis import strategies as st
 
-from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation, ScriptBuilder
+from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation
 from cable_order.presentations import LAM, LAMC, MU, MUC, GroupPresentation
+from cable_order.proofs import ScriptBuilder
 from cable_order.slopes import Slope, cramer
 from cable_order.words import Word, abelianize, concat, power
 

@@ -12,18 +12,18 @@ from contextlib import contextmanager
 from math import gcd
 
 from cable_order.cli import main
-from cable_order.derivations import cable_t_power_script, central_relation_script, check_script
+from cable_order.derivations import check_script
 from cable_order.normal_form import eliminate_t, equal_in_torus_group, normal_form
 from cable_order.obstruction import (
     Inconclusive,
     ObstructionCertificate,
     SignAssignment,
     certificate_from_json_dict,
-    certify_slope,
     refute_all,
     replay,
 )
 from cable_order.presentations import bezout_torus, cable_presentation
+from cable_order.proofs import cable_t_power_script, central_relation_script, certify_slope
 from cable_order.slopes import Slope, beta_slope, cramer, genus, lspace_window_check
 from cable_order.words import Word
 from helpers import (
@@ -198,7 +198,7 @@ def test_criterion_7_soundness_negative_control():
 def test_criterion_8_tamper_resistance():
     desc = "every single-field certificate mutation is detected on replay (>=100 trials)"
     with criterion(8, desc):
-        from cable_order.obstruction import certify_beta
+        from cable_order.proofs import certify_beta
 
         rng = random.Random(8)
         docs = [

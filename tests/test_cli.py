@@ -14,15 +14,10 @@ import pytest
 
 from cable_order import cli
 from cable_order.cli import main, parse_grid
-from cable_order.derivations import (
-    CertEntry,
-    cable_t_power_script,
-    check_script,
-    script_from_json_dict,
-    script_to_json_dict,
-)
-from cable_order.obstruction import certificate_from_json_dict, certify_beta, certify_slope, replay
+from cable_order.derivations import CertEntry, check_script, script_from_json_dict, script_to_json_dict
+from cable_order.obstruction import certificate_from_json_dict, replay
 from cable_order.presentations import cable_presentation
+from cable_order.proofs import cable_t_power_script, certify_beta, certify_slope
 from cable_order.slopes import Slope
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -68,9 +63,15 @@ def type_swap(doc: dict, probe: str) -> None:
 
 
 def huge_value(doc: dict, probe: str) -> None:
-    """Set one field of a beta certificate document to a 1,000,000-character string."""
+    """Set one field of a beta certificate document to a 1,000,000-character string, or x or p to -10^1000."""
     clash = next(r for r in doc["refutations"] if r["reason"]["kind"] == "clash")
-    if probe == "refutation_equation":
+    if probe in ("params_x", "params_p"):  # with q, the slope and the mode made to agree, so it loads
+        par = doc["params"]
+        par[probe.removeprefix("params_")] = -(10**1000)
+        par["q"] = par["p"] * par["x"] * par["y"] - 1
+        par.update(beta=None, mode="slope", slope=f"{par['p'] * par['q']}/1")
+        doc["cramer"] = None
+    elif probe == "refutation_equation":
         clash["reason"]["equation"] = HUGE
     elif probe == "params_mode":
         doc["params"]["mode"] = HUGE
@@ -141,6 +142,14 @@ class TestPresent:
     def test_noncoprime_rejected(self, capsys):
         assert main(["present", "--x", "2", "--y", "4"]) == 1
 
+    def test_a_name_too_long_to_spell_is_a_clean_error(self, capsys):
+        # lam = mu^-(xy) a^x spells mu out 3 * 10^1000 times
+        assert main(["present", "--x", str(10**1000), "--y", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "too long to spell out" in captured.err and "Traceback" not in captured.err
+        assert len(captured.err.encode()) < 1024
+
     def test_unwritable_path_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "absent" / "pres.json"
         assert main(["present", "--x", "2", "--y", "3", "--json", str(out)]) == 1
@@ -187,6 +196,21 @@ class TestCertify:
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "1/1"]) == 1
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "19/1"]) == 1
         assert "outside the certified window [21, 22]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", str(-(10**999)), "--beta", "1"],
+            ["--p", "2", "--beta", str(-(10**999))],
+            ["--p", "2", "--slope", str(10**999)],
+        ],
+        ids=["p", "beta", "slope"],
+    )
+    def test_quoted_arguments_are_bounded(self, capsys, argv):
+        # as TestReplayCommand.test_quoted_values_are_bounded: a 1,000-digit argument is cut
+        assert main(["certify", "--x", "2", "--y", "3"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 1024
 
     def test_table_output(self, capsys):
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--table"]) == 0
@@ -525,6 +549,8 @@ class TestReplayCommand:
             ("entry_rhs", 1),
             ("entry_slope", 1),
             ("cramer_slope", 1),
+            ("params_x", 2),
+            ("params_p", 2),
         ],
     )
     def test_quoted_values_are_bounded(self, tmp_path, capsys, probe, code):
@@ -536,6 +562,23 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", str(out)]) == code
         assert len(capsys.readouterr().err.encode()) < 1024
+
+    def test_a_cited_power_too_long_to_spell_is_a_replay_problem(self, tmp_path, capsys):
+        # the script checks (one multiply step), but the row loop cannot spell its sides out
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        entry = doc["equations"][0]  # central_relation, cited by rows
+        entry["script"]["steps"].append({"kind": "multiply", "on": "right", "word": "muC^" + str(10**30)})
+        for sides in (entry, entry["script"]["claimed"]):
+            sides["lhs"] += " muC^" + str(10**30)
+            sides["rhs"] += " muC^" + str(10**30)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 2  # raises nothing
+        err = capsys.readouterr().err
+        assert "replay problem: equation 'central_relation' does not expand" in err
+        assert "Traceback" not in err and len(err.encode()) < 1024
 
 
 class TestV1Certificates:
@@ -745,14 +788,14 @@ def test_import_loads_no_process_pool():
 
 def test_the_package_import_leaves_the_cli_unloaded():
     # `python -m cable_order.cli` warns when the package import has already
-    # loaded the module; the package reads `peripheral_invariance_check` lazily
+    # loaded the module; `peripheral_invariance_check` comes from `proofs`
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cable_order; "
         "print('cable_order.cli' in sys.modules, cable_order.peripheral_invariance_check.__module__)"
     )
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "False cable_order.cli\n"
+    assert done.stdout == "False cable_order.proofs\n"
 
 
 class TestSweep:
@@ -859,6 +902,13 @@ class TestVerifyIdentities:
     def test_larger_parameters(self, capsys):
         assert main(["verify-identities", "--x", "3", "--y", "5", "--p", "2"]) == 0
         assert "2g-1 = 43" in capsys.readouterr().out
+
+    def test_a_word_too_long_to_spell_is_a_fail_line(self, capsys):
+        # eliminating t^p spells mu out q = 6 * 10^32 + 5 times
+        assert main(["verify-identities", "--x", str(10**32 + 1), "--y", "3", "--p", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL t-power elimination matches the normal form: a power with" in captured.out
+        assert "Traceback" not in captured.err and len(captured.err.encode()) < 1024
 
     def test_corrupted_script_fixture_fails_with_step_index(self, monkeypatch, capsys):
         pres = cable_presentation(2, 3, 2)

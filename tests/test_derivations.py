@@ -6,28 +6,20 @@ from math import gcd
 
 import pytest
 
-from cable_order import derivations, obstruction
+from cable_order import derivations, obstruction, proofs
 from cable_order.derivations import (
     Axiom,
     Context,
     DerivationScript,
     Equation,
-    ScriptBuilder,
     Step,
     StepError,
     apply_step,
-    cable_endpoint_product_script,
-    cable_t_power_script,
-    central_relation_script,
     check_script,
     iter_states,
-    meridian_shift_script,
     side_cap,
     script_from_json_dict,
     script_to_json_dict,
-    surgery_interior_combination_script,
-    surgery_t_power_identity_script,
-    surgery_endpoint_identity_script,
 )
 from cable_order.normal_form import eliminate_t, equal_in_torus_group
 from cable_order.presentations import (
@@ -35,6 +27,16 @@ from cable_order.presentations import (
     MUC,
     cable_presentation,
     surgery_relator,
+)
+from cable_order.proofs import (
+    ScriptBuilder,
+    cable_endpoint_product_script,
+    cable_t_power_script,
+    central_relation_script,
+    meridian_shift_script,
+    surgery_interior_combination_script,
+    surgery_t_power_identity_script,
+    surgery_endpoint_identity_script,
 )
 from cable_order.slopes import Slope
 from cable_order.words import Word, concat
@@ -305,8 +307,8 @@ class TestCheckOnce:
 
         monkeypatch.setattr(derivations, "check_script", counted)
         monkeypatch.setattr(obstruction, "check_script", counted)
-        first = obstruction.certify_slope(2, 5, 3, Slope(2 * 87 - 1, 2))  # p*q = 87
-        cert = obstruction.certify_beta(2, 5, 3, 4)  # over the lemmas `first` built
+        first = proofs.certify_slope(2, 5, 3, Slope(2 * 87 - 1, 2))  # p*q = 87
+        cert = proofs.certify_beta(2, 5, 3, 4)  # over the lemmas `first` built
         assert calls == []
         # each entry's equation is the one its script proves
         pres = cable_presentation(2, 5, 3)
@@ -366,7 +368,7 @@ class TestAbelianizationInvariance:
     def test_every_state_stays_in_lattice(self, x, y, p, beta):
         pres = cable_presentation(x, y, p)
         env = {}
-        for entry in obstruction.certify_beta(x, y, p, beta).entries:
+        for entry in proofs.certify_beta(x, y, p, beta).entries:
             self._check_states(pres, entry.script, env)
         self._check_states(pres, cable_endpoint_product_script(pres, env).script, env)
 
@@ -431,9 +433,9 @@ class TestExponentForms:
             counts = [
                 sum(len(entry.script.steps) for entry in cert.entries)
                 for cert in (
-                    obstruction.certify_beta(x, y, p, 7),
-                    obstruction.certify_slope(x, y, p, Slope(pq, 1)),
-                    obstruction.certify_slope(x, y, p, Slope(pq - 1, 1)),
+                    proofs.certify_beta(x, y, p, 7),
+                    proofs.certify_slope(x, y, p, Slope(pq, 1)),
+                    proofs.certify_slope(x, y, p, Slope(pq - 1, 1)),
                 )
             ]
             assert counts == [25, 12, 19], (x, y, p)
@@ -469,7 +471,7 @@ class TestExponentForms:
     def test_side_cap_does_not_follow_the_claimed_slope(self):
         # a certificate names its own slope: at d0 = 1, beta 7 and beta 10^9 have the same caps
         caps = [
-            [side_cap(entry.script) for entry in obstruction.certify_beta(2, 3, 2, beta).entries]
+            [side_cap(entry.script) for entry in proofs.certify_beta(2, 3, 2, beta).entries]
             for beta in (7, 10**9)
         ]
         assert caps[0] == caps[1] and max(caps[0]) < 100
@@ -507,7 +509,7 @@ class TestSerialization:
     def test_round_trip(self):
         pres = cable_presentation(2, 3, 2)
         env = prove_chain(pres, central_relation_script, cable_t_power_script)
-        scripts = [e.script for e in obstruction.certify_beta(2, 3, 2, 2).entries]
+        scripts = [e.script for e in proofs.certify_beta(2, 3, 2, 2).entries]
         for script in scripts + [cable_endpoint_product_script(pres, env).script]:
             doc = script_to_json_dict(script)
             again = script_from_json_dict(json.loads(json.dumps(doc)))
@@ -531,7 +533,7 @@ class TestSerialization:
         for name, method in vars(ScriptBuilder).items():
             if callable(method):
                 assert "why" not in inspect.signature(method).parameters, name
-        doc = obstruction.certify_slope(2, 3, 2, Slope(43, 2)).to_json_dict()
+        doc = proofs.certify_slope(2, 3, 2, Slope(43, 2)).to_json_dict()
         assert not any("why" in step for entry in doc["equations"] for step in entry["script"]["steps"])
 
     def test_step_load_checks_hold(self):

@@ -11,18 +11,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cable_order import obstruction
+from cable_order import obstruction, proofs
 from cable_order.cli import main
-from cable_order.derivations import (
-    Axiom,
-    Context,
-    Equation,
-    ScriptBuilder,
-    cable_t_power_script,
-    central_relation_script,
-    check_script,
-    script_to_json_dict,
-)
+from cable_order.derivations import Axiom, Context, Equation, check_script, script_to_json_dict
 from cable_order.obstruction import (
     NEG,
     POS,
@@ -31,11 +22,8 @@ from cable_order.obstruction import (
     Inconclusive,
     ObstructionCertificate,
     SignAssignment,
-    UnsupportedParameters,
     all_sign_assignments,
     certificate_from_json_dict,
-    certify_beta,
-    certify_slope,
     evaluate_sign,
     refute_all,
     replay,
@@ -47,6 +35,14 @@ from cable_order.presentations import (
     GroupPresentation,
     cable_presentation,
     torus_presentation,
+)
+from cable_order.proofs import (
+    ScriptBuilder,
+    UnsupportedParameters,
+    cable_t_power_script,
+    central_relation_script,
+    certify_beta,
+    certify_slope,
 )
 from cable_order.slopes import Slope, beta_slope, cramer
 from cable_order.words import Word
@@ -578,13 +574,13 @@ def count_lemma_builds(monkeypatch) -> dict[str, int]:
     """Count the calls of each lemma factory, as certify_slope looks them up."""
     builds = dict.fromkeys(LEMMA_FACTORIES, 0)
     for name in LEMMA_FACTORIES:
-        real = getattr(obstruction, name)
+        real = getattr(proofs, name)
 
         def counted(*args, real=real, name=name):
             builds[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(obstruction, name, functools.wraps(real)(counted))
+        monkeypatch.setattr(proofs, name, functools.wraps(real)(counted))
     return builds
 
 

@@ -5,9 +5,9 @@ from math import gcd
 
 import pytest
 
-from cable_order import cli, derivations
-from cable_order.cli import peripheral_invariance_check
+from cable_order import derivations, proofs
 from cable_order.normal_form import equal_in_torus_group
+from cable_order.proofs import peripheral_invariance_check
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -303,8 +303,8 @@ class TestPeripheralInvariance:
 
     def test_derivation_must_prove_the_shifted_meridian(self, monkeypatch):
         # the k = 0 proof replays, but it proves muC = mu^6 lam t^-1, not the k = 1 shift
-        real = cli.meridian_shift_script
-        monkeypatch.setattr(cli, "meridian_shift_script", lambda pres, k: real(pres, 0))
+        real = proofs.meridian_shift_script
+        monkeypatch.setattr(proofs, "meridian_shift_script", lambda pres, k: real(pres, 0))
         assert peripheral_invariance_check(2, 3, 2, 0)
         assert not peripheral_invariance_check(2, 3, 2, 1)
 
@@ -353,7 +353,7 @@ class TestLicences:
         assert licence in pres.whitelist
         weakened = replace(pres, whitelist=tuple(pair for pair in pres.whitelist if pair != licence))
         assert len(weakened.whitelist) == len(pres.whitelist) - 1
-        script = derivations.cable_t_power_script(pres).script
+        script = proofs.cable_t_power_script(pres).script
         assert derivations.check_script(script, pres, {}).lhs == Word.parse("t^2")
         with pytest.raises(derivations.StepError, match="not licensed") as err:
             derivations.check_script(script, weakened, {})

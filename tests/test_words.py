@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cable_order import derivations, presentations, words
-from cable_order.obstruction import Inconclusive, certify_slope, replay
+from cable_order.obstruction import Inconclusive, replay
 from cable_order.presentations import (
     LAM,
     LAMC,
@@ -14,6 +14,7 @@ from cable_order.presentations import (
     cable_presentation,
     torus_presentation,
 )
+from cable_order.proofs import certify_slope
 from cable_order.slopes import Slope
 from cable_order.words import Word, WordSyntaxError, abelianize, concat, invert, power
 from helpers import reference_spellings, word_strategy
@@ -57,6 +58,14 @@ class TestPower:
         w = W("a^2 b^-1")
         assert power(w, 0) == Word.identity()
         assert power(w, -3) == invert(power(w, 3))
+
+    def test_a_power_too_long_to_spell_is_a_value_error(self):
+        # more syllables than any list can hold; one syllable's power is only an exponent
+        with pytest.raises(ValueError, match="too long to spell out"):
+            power(W("a b"), 10**30)
+        with pytest.raises(ValueError, match="too long to spell out"):
+            power(W("a b a"), -(10**30))  # the core a^2 b repeats
+        assert power(W("b a b^-1"), 10**30) == Word.from_pairs([("b", 1), ("a", 10**30), ("b", -1)])
 
 
 class TestAbelianize:
