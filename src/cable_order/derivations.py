@@ -48,8 +48,9 @@ surgery slope.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
 
 from .presentations import GroupPresentation, surgery_named_form
 from .slopes import Slope
@@ -72,7 +73,9 @@ class StepError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Context:
-    kind: str  # "G" (knot group) or "H" (surgery quotient)
+    """Where an equation holds: kind "G", the knot group, or "H", the quotient at `slope`."""
+
+    kind: str
     slope: Slope | None = None
 
     def __post_init__(self) -> None:
@@ -84,22 +87,20 @@ class Context:
             raise ValueError(f"unknown context {self.kind!r:.40}")
 
 
-@dataclass(frozen=True, slots=True)
-class Equation:
-    lhs: Word
-    rhs: Word
-    context: Context
-    provenance: str = ""
+class Equation(namedtuple("Equation", "lhs rhs context provenance", defaults=("",))):
+    """lhs = rhs in `context`; `provenance` is the id of the script that proves it (a tuple)."""
+
+    __slots__ = ()
 
 
-def _json_typed(value: object, typ: type, what: str, optional: bool = False) -> Any:
+def _json_typed(value: object, typ: type, what: str, optional: bool = False) -> object:
     """`value` if its type is exactly `typ` (a bool is no int), else ValueError; None passes when `optional`."""
     if type(value) is typ or (optional and value is None):
         return value
     raise ValueError(f"{what} must be {typ.__name__}, got {type(value).__name__}")
 
 
-def _json_enum(value: object, allowed: frozenset, what: str) -> Any:
+def _json_enum(value: object, allowed: frozenset, what: str) -> object:
     """`value` if it is one of `allowed`, else ValueError naming `what`."""
     try:
         if value in allowed:
@@ -127,26 +128,20 @@ _AXIOM_KINDS = frozenset({"relator", "definition", "surgery"})
 _tuple_new = tuple.__new__
 
 
-class Step(NamedTuple):
+class Step(namedtuple("Step", "kind side position word name ref direction anchor left right on n",
+                      defaults=(None,) * 11)):
     """One step of a script: an immutable record, cheap to build (a tuple).
 
-    Every field is one the checker reads.  A step of a v1 or v2 document may
-    also carry ``why``, free text: :meth:`from_json_dict` accepts it when it
-    is a string or null, rejects any other type, and discards it.
+    Every field is one the checker reads, and every field but `kind` is
+    None when absent.  `ref` is ("relator" | "equation", name); `on` is the
+    side a multiply attaches to, "left" or "right"; `n` is a relation's
+    exponent (1 when absent) or the number of copies in a commute's run.
+    A step of a v1 or v2 document may also carry ``why``, free text:
+    :meth:`from_json_dict` accepts it when it is a string or null, rejects
+    any other type, and discards it.
     """
 
-    kind: str
-    side: str | None = None
-    position: int | None = None
-    word: Word | None = None
-    name: str | None = None
-    ref: tuple[str, str] | None = None  # ("relator" | "equation", name)
-    direction: str | None = None
-    anchor: str | None = None
-    left: Syllable | None = None
-    right: Syllable | None = None
-    on: str | None = None  # multiply: attach side, "left" | "right"
-    n: int | None = None  # relation: exponent (1 when absent); commute: copies in the run
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -213,14 +208,16 @@ class Step(NamedTuple):
         return self.kind == "commute" or self.n is not None
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
-    kind: str  # "relator" | "definition" | "surgery"
-    name: str | None = None
+class Axiom(namedtuple("Axiom", "kind name", defaults=(None,))):
+    """A script's starting equation: `kind` "relator", "definition" or "surgery", and a `name` (a tuple)."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class DerivationScript:
+    """A derivation: an axiom, then steps, ending at the claimed equation; `cites` names earlier equations."""
+
     script_id: str
     context: Context
     axiom: Axiom

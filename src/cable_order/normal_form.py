@@ -15,7 +15,7 @@ round-trips through :meth:`TorusNormalForm.parse`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .presentations import MU, LAM, GroupPresentation
 from .words import Syllable, Word, power
@@ -27,10 +27,10 @@ class NonEliminable(ValueError):
     """A t-exponent is not a multiple of p, so the substitution is invalid."""
 
 
-@dataclass(frozen=True, slots=True)
-class TorusNormalForm:
-    central_exponent: int
-    syllables: tuple[Syllable, ...]
+class TorusNormalForm(namedtuple("TorusNormalForm", "central_exponent syllables")):
+    """c^central_exponent times the alternating a/b `syllables`, the canonical spelling (a tuple)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         head = f"c^{self.central_exponent}"

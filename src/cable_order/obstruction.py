@@ -32,9 +32,10 @@ is loaded.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
 
 from .derivations import CertEntry, Equation, StepError, _json_enum, _json_typed, check_script, script_from_json_dict
 from .presentations import GroupPresentation, ParameterError, cable_presentation
@@ -50,6 +51,8 @@ _VERSIONS = frozenset({"v1", VERSION})  # the formats replay reads
 
 @dataclass(frozen=True, slots=True)
 class SignAssignment:
+    """A sign, "pos", "neg" or "zero", for each generator a, b and t."""
+
     a: str
     b: str
     t: str
@@ -124,13 +127,14 @@ def _verdicts(letters: frozenset[Syllable]) -> tuple[str, ...]:
     return tuple(evaluate_sign(letters, s) for s in _ASSIGNMENTS)
 
 
-class RefutationRow(NamedTuple):
-    """One refuted assignment: a clashing equation, or the nontriviality axiom (a tuple)."""
+class RefutationRow(namedtuple("RefutationRow", "assignment equation_id lhs_sign rhs_sign")):
+    """One refuted assignment: a clashing equation, or the nontriviality axiom (a tuple).
 
-    assignment: SignAssignment
-    equation_id: str | None  # None marks the nontriviality axiom
-    lhs_sign: str | None
-    rhs_sign: str | None
+    `equation_id` names the equation whose sides' signs `lhs_sign` and
+    `rhs_sign` clash; all three are None for the nontriviality axiom.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         if self.equation_id is None:
@@ -145,11 +149,10 @@ class RefutationRow(NamedTuple):
         return {"assignment": self.assignment.to_json_dict(), "reason": reason}
 
 
-@dataclass(frozen=True, slots=True)
-class Inconclusive:
-    """The sign atoms could not refute every assignment; never a certificate."""
+class Inconclusive(namedtuple("Inconclusive", "survivors")):
+    """The sign atoms could not refute the assignments in `survivors`; never a certificate (a tuple)."""
 
-    survivors: tuple[SignAssignment, ...]
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,6 +199,8 @@ def determinant_data(params: CertParams, version: str) -> CramerTriple | None:
 
 @dataclass(frozen=True, slots=True)
 class ObstructionCertificate:
+    """The entries, each a checked script, and the row that refutes each of the 27 assignments."""
+
     params: CertParams
     entries: tuple[CertEntry, ...]
     refutations: tuple[RefutationRow, ...]
@@ -340,10 +345,10 @@ def refute_all(
 # ---------------------------------------------------------------------------
 # independent replay
 
-@dataclass
-class ReplayReport:
-    ok: bool
-    problems: list[str]
+class ReplayReport(namedtuple("ReplayReport", "ok problems")):
+    """What :func:`replay` found (a tuple): true exactly when `ok`, and `problems` is the list of reasons."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -356,10 +361,11 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     slope of each surgery-quotient script, each script and each row, and
     compares no copies of a fact: the loader checks those.  Problems quote
     certificate values cut to 40 characters.  The rows that cite an equation
-    with no verified proof make one problem per id, so a failing script is
-    reported once, by its own problem, and counted once.  Only the equations
-    that rows cite are expanded, each once, and their signs are read from
-    the sign table (at most 64 letter sets).
+    with no verified proof, or whose sides do not expand, make one problem
+    per id that says which, so a failing script or expansion is reported
+    once, by its own problem, and counted once.  Only the equations that
+    rows cite are expanded, each once, and their signs are read from the
+    sign table (at most 64 letter sets).
     """
     problems: list[str] = []
 
@@ -392,7 +398,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     # each cited equation is expanded on its first row and kept as the sign
     # verdicts of its sides; None when it does not expand
     concrete: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {}
-    uncited: dict[str, int] = {}  # rows per cited id without a verified equation
+    uncited: dict[str, int] = {}  # rows per cited id with no verified equation or no expansion
     for row in cert.refutations:
         k = _POSITIONS[row.assignment]
         if k in seen:
@@ -427,10 +433,12 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             continue
         if ls == UNKNOWN or rs == UNKNOWN or ls == rs:
             problems.append(f"row for {row.equation_id!r:.40} is not a clash")
-    # one problem per id: a failed script has already said why it failed
+    # one problem per id: a failed script or expansion has already said why it failed
     entry_ids = {entry.entry_id for entry in cert.entries}
     for eq_id, rows in uncited.items():
-        if eq_id in entry_ids:
+        if eq_id in env:
+            problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which does not expand")
+        elif eq_id in entry_ids:
             problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which did not verify")
         else:
             problems.append(f"{rows} refutation row(s) cite unknown equation {eq_id!r:.40}")

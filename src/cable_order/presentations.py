@@ -41,11 +41,12 @@ reference counting alone.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from math import gcd
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
 
 from .slopes import Slope
 from .words import Syllable, Word, _join, power
@@ -57,14 +58,16 @@ class ParameterError(ValueError):
     """Raised for parameters outside the supported ranges."""
 
 
-class TorusBezout(NamedTuple):
-    i: int
-    j: int
+class TorusBezout(namedtuple("TorusBezout", "i j")):
+    """(i, j) with x*j + y*i == 1, 0 < i < x and j < 0 (a tuple)."""
+
+    __slots__ = ()
 
 
-class CableBezout(NamedTuple):
-    u: int
-    v: int
+class CableBezout(namedtuple("CableBezout", "u v")):
+    """(u, v) with p*u - q*v == 1 (a tuple)."""
+
+    __slots__ = ()
 
 
 def bezout_torus(x: int, y: int) -> TorusBezout:
@@ -124,6 +127,8 @@ class NamedElement:
 
 @dataclass(frozen=True)
 class GroupPresentation:
+    """A torus-knot or cable group: generators, relators, defined names and the commutation whitelist."""
+
     kind: str  # "torus" | "cable"
     x: int
     y: int

@@ -23,8 +23,8 @@ beta.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
-from typing import Callable
 
 from . import obstruction
 from .derivations import (

@@ -9,8 +9,8 @@ directly into certificate soundness.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -55,9 +55,8 @@ class Slope:
         return other <= self
 
 
-@dataclass(frozen=True, slots=True)
-class CramerTriple:
-    """Determinant data tying a slope s to two bracketing slopes s0, s1.
+class CramerTriple(namedtuple("CramerTriple", "d0 d1 d s0 s1 s")):
+    """Determinant data tying a slope s to two bracketing slopes s0, s1 (a tuple).
 
     The defining exact identities are
         n0*d0 + n1*d1 == n*d   and   m0*d0 + m1*d1 == m*d,
@@ -66,12 +65,7 @@ class CramerTriple:
     All three determinants are positive exactly when s0 < s < s1.
     """
 
-    d0: int
-    d1: int
-    d: int
-    s0: Slope
-    s1: Slope
-    s: Slope
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"d0": self.d0, "d1": self.d1, "d": self.d,
@@ -102,19 +96,25 @@ def beta_slope(p: int, q: int, beta: int) -> Slope:
 
 
 def genus(x: int, y: int, p: int, q: int) -> Fraction:
-    """Genus of the (p,q)-cable of the (x,y)-torus knot, as an exact rational."""
+    """Genus of the (p,q)-cable of the (x,y)-torus knot, as an exact rational.
+
+    The result is a ``fractions.Fraction``.  That module is imported on the
+    first call, not with this module: it brings in ``decimal`` and
+    ``numbers``, about 3 ms that no certify or replay needs.
+    """
+    from fractions import Fraction
+
     return Fraction((p - 1) * (q - 1) + p * (x - 1) * (y - 1), 2)
 
 
-@dataclass(frozen=True, slots=True)
-class WindowReport:
-    x: int
-    y: int
-    p: int
-    q: int
-    two_g_minus_1: int
-    window_low_gap: int  # p*(x+y) - 2, the distance from pq-1 down to 2g-1
-    ok: bool
+class WindowReport(namedtuple("WindowReport", "x y p q two_g_minus_1 window_low_gap ok")):
+    """The window check at (x, y, p) with q = pxy - 1 (a tuple).
+
+    `window_low_gap` is p(x + y) - 2, the distance from pq - 1 down to
+    2g - 1, and `ok` says that the identity and the gap's sign hold.
+    """
+
+    __slots__ = ()
 
 
 def lspace_window_check(x: int, y: int, p: int) -> WindowReport:

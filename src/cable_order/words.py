@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[str, int]
 

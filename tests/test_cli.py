@@ -786,6 +786,18 @@ def test_import_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_import_loads_neither_typing_nor_fractions():
+    # a presence check, not a timing: each module costs a few ms of every CLI start
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cable_order.cli; "
+        "print(sorted(m for m in ('typing', 'fractions') if m in sys.modules)); "
+        "from cable_order.slopes import genus; print(genus(2, 3, 2, 11), 'fractions' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n7 True\n"
+
+
 def test_the_package_import_leaves_the_cli_unloaded():
     # `python -m cable_order.cli` warns when the package import has already
     # loaded the module; `peripheral_invariance_check` comes from `proofs`

@@ -495,6 +495,23 @@ class TestReplay:
         (folded,) = [p for p in rest if "surgery_interior_combination" in p]
         assert folded == "2 refutation row(s) cite equation 'surgery_interior_combination', which did not verify"
 
+    def test_a_verified_equation_that_does_not_expand_is_not_called_unverified(self):
+        # the script checks (one multiply step), but its sides cannot be spelled out
+        doc = certify_beta(2, 3, 2, 1).to_json_dict()
+        entry = doc["equations"][0]
+        assert entry["id"] == "central_relation"
+        entry["script"]["steps"].append({"kind": "multiply", "on": "right", "word": f"muC^{10**30}"})
+        for sides in (entry, entry["script"]["claimed"]):
+            sides["lhs"] += f" muC^{10**30}"
+            sides["rhs"] += f" muC^{10**30}"
+        cert = certificate_from_json_dict(doc)
+        rows = sum(row.equation_id == "central_relation" for row in cert.refutations)
+        report = replay(cert)
+        assert not report
+        first, second = report.problems
+        assert first.startswith("equation 'central_relation' does not expand: ")
+        assert second == f"{rows} refutation row(s) cite equation 'central_relation', which does not expand"
+
     def test_rows_citing_an_unknown_id_make_one_problem(self):
         doc = certify_beta(2, 3, 2, 7).to_json_dict()
         for row in doc["refutations"]:
