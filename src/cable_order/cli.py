@@ -276,6 +276,8 @@ def parse_grid(spec: str) -> dict:
         key = key.strip()
         if not sep or key not in ("x", "y", "p", "beta", "slope"):
             raise ValueError(f"bad grid dimension {part!r}")
+        if key in dims:
+            raise ValueError(f"repeated grid dimension {key!r}")
         if key == "slope":
             dims[key] = [s.strip() for s in val.split("|")]
         else:
@@ -450,7 +452,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run :func:`main` and exit with its code; a reader that closed stdout early makes it ERROR, quietly."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at /dev/null so that the exit's own flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

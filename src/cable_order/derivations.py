@@ -36,7 +36,7 @@ quadratic.  The exponent forms keep every proof at a fixed number of
 steps, whatever the slope and p.
 
 This module is the checker, part of the trusted core that replay runs; the
-script builder and the factories live in :mod:`proofs`, outside it.  Any
+proof factories and `prove` live in :mod:`proofs`, outside it.  Any
 script the program did not build, such as one rebuilt from JSON or each
 script of a certificate under replay, is checked in full by
 :func:`check_script`.

@@ -1,4 +1,4 @@
-"""Everything that generates a certificate: the script builder, the proof factories and certify.
+"""Everything that generates a certificate: the proofs, written as checker steps, and certify.
 
 This module is untrusted: :func:`obstruction.replay` checks every script
 and every row of a certificate again, with the checker of
@@ -6,25 +6,24 @@ and every row of a certificate again, with the checker of
 trusted core (`words`, `slopes`, `presentations`, `derivations` and
 `obstruction`) imports this one.
 
-Every proof is checked exactly once.  :class:`ScriptBuilder` runs each step
-through :func:`derivations.apply_step` as it emits it, and
-:meth:`ScriptBuilder.finish` returns a :class:`CertEntry` holding only the
-script, whose claimed sides are its checked final state.  The entry's id
-and equation are read from the script, so the equation is used as it
-stands, never derived again, and an entry cannot disagree with its script.
-The slope-free lemmas are built once per presentation, which keeps their
-entries for every later certificate over it.
+Each proof factory is a list of :class:`Step` records in the vocabulary of
+:func:`derivations.apply_step`, which documents every kind.  Every proof is
+checked exactly once: :func:`prove` runs each step through the checker and
+returns a :class:`CertEntry` holding only the script, whose claimed sides
+are its checked final state.  The entry's id and equation are read from the
+script, so the equation is used as it stands, never derived again, and an
+entry cannot disagree with its script.  The slope-free lemmas are built
+once per presentation, which keeps their entries for every later
+certificate over it.
 
-One pipeline, :func:`certify_slope`, covers every slope in [pq-1, pq]; its
-surgery proof takes the same number of steps at every slope.
-:func:`certify_beta` is that pipeline at the slope pq - 1/beta, labelled with
-beta.
+One pipeline covers every slope in [pq-1, pq]; its surgery proof takes the
+same number of steps at every slope.  :func:`certify_slope` runs it at a
+slope and :func:`certify_beta` at the slope pq - 1/beta, labelled with beta.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import replace
+from collections.abc import Callable, Sequence
 
 from . import obstruction
 from .derivations import (
@@ -34,7 +33,7 @@ from .normal_form import equal_in_torus_group
 from .obstruction import CertParams, Inconclusive, ObstructionCertificate
 from .presentations import LAM, LAMC, MU, MUC, GroupPresentation, ParameterError, cable_presentation
 from .slopes import Slope, beta_slope, cramer
-from .words import Syllable, Word, _reduce, invert, power
+from .words import Word, _reduce, invert, power
 
 
 class UnsupportedParameters(ParameterError):
@@ -42,116 +41,73 @@ class UnsupportedParameters(ParameterError):
 
 
 # ---------------------------------------------------------------------------
-# script construction
+# proofs
 
-class ScriptBuilder:
-    """Emit steps while checking them, so positions are always concrete.
+REDUCE = Step("reduce", "both")
 
-    Every emitted step goes through :func:`apply_step`, which is the checker
-    itself, so :meth:`finish` returns the entry of a script that claims its
-    final state, and nothing checks it again before it is written.  Its
-    steps are not held to a :func:`derivations.side_cap`; a script read back
-    as input, as every script of a certificate is under replay, is.
+
+def prove(
+    script_id: str,
+    pres: GroupPresentation,
+    context: Context,
+    axiom: Axiom,
+    steps: Sequence[Step],
+    cites: tuple[str, ...] = (),
+    env: dict[str, Equation] | None = None,
+) -> CertEntry:
+    """The entry of the script `steps`, which claims the final state the checker reaches.
+
+    Each step goes through :func:`apply_step`, which is the checker itself,
+    so nothing checks the script again before it is written.  A rejected
+    step raises StepError with its index and the script id, as
+    :func:`derivations.check_script` would.  The steps are not held to a
+    :func:`derivations.side_cap`; a script read back as input, as every
+    script of a certificate is under replay, is.
     """
-
-    def __init__(
-        self,
-        script_id: str,
-        pres: GroupPresentation,
-        context: Context,
-        axiom: Axiom,
-        cites: tuple[str, ...] = (),
-        env: dict[str, Equation] | None = None,
-    ):
-        self.script_id = script_id
-        self.pres = pres
-        self.context = context
-        self.axiom = axiom
-        self.cites = cites
-        env = env or {}
-        self._cited = {c: env[c] for c in cites if c in env}
-        self._steps: list[Step] = []
-        self._state = axiom_state(axiom, context, pres)
-
-    def _emit(self, step: Step) -> None:
+    env = env or {}
+    cited = {c: env[c] for c in cites if c in env}
+    state = axiom_state(axiom, context, pres)
+    for index, step in enumerate(steps):
         try:
-            apply_step(self._state, step, self.pres, self.context, self._cited)
-        except StepError as err:  # say where, as check_script would
-            raise StepError(f"{err.reason}, in script {self.script_id!r:.40}", index=len(self._steps)) from None
-        self._steps.append(step)
-
-    def multiply(self, on: str, word: Word) -> None:
-        self._emit(Step(kind="multiply", on=on, word=word))
-
-    def invert_sides(self) -> None:
-        self._emit(Step(kind="invert"))
-
-    def reduce(self) -> None:
-        self._emit(Step(kind="reduce", side="both"))
-
-    def swap(self, side: str, position: int, left: Syllable, right: Syllable) -> None:
-        self._emit(Step(kind="swap", side=side, position=position, left=left, right=right))
-
-    def expand(self, name: str, side: str, position: int) -> None:
-        self._emit(Step(kind="definition", name=name, side=side, position=position, direction="expand"))
-
-    def insert_relator(self, name: str, side: str, position: int, inverse: bool = False) -> None:
-        direction = "forward" if inverse else "backward"
-        self._emit(Step(kind="relation", ref=("relator", name), side=side, position=position,
-                        direction=direction, anchor="before"))
-
-    def insert_equation(
-        self, eq_id: str, side: str, position: int, direction: str, anchor: str, n: int | None = None
-    ) -> None:
-        self._emit(Step(kind="relation", ref=("equation", eq_id), side=side, position=position,
-                        direction=direction, anchor=anchor, n=n))
-
-    def collect(self, name: str, side: str, position: int) -> None:
-        self._emit(Step(kind="commute", name=name, side=side, position=position))
-
-    def collapse(self, side: str, position: int, block: Word, n: int) -> None:
-        self._emit(Step(kind="commute", side=side, position=position, word=block, n=n))
-
-    def finish(self) -> CertEntry:
-        """The entry of the script emitted so far, which claims its final state."""
-        lhs, rhs = (tuple(side) for side in self._state)
-        if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
-            raise AssertionError("script must end on a reduced state")
-        return CertEntry(DerivationScript(
-            self.script_id, self.context, self.axiom, tuple(self._steps), Word(lhs), Word(rhs), self.cites
-        ))
+            apply_step(state, step, pres, context, cited)
+        except StepError as err:
+            raise StepError(f"{err.reason}, in script {script_id!r:.40}", index=index) from None
+    lhs, rhs = (tuple(side) for side in state)
+    if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
+        raise AssertionError("script must end on a reduced state")
+    return CertEntry(DerivationScript(script_id, context, axiom, tuple(steps), Word(lhs), Word(rhs), cites))
 
 
 def central_relation_script(pres: GroupPresentation) -> CertEntry:
     """a^x = b^y, read off the central relator."""
-    b = ScriptBuilder("central_relation", pres, Context("G"), Axiom("relator", "central"))
-    b.multiply("right", Word.single("b", pres.y))
-    b.reduce()
-    return b.finish()
+    return prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+        Step("multiply", word=Word.single("b", pres.y), on="right"),
+        REDUCE,
+    ])
 
 
 def cable_t_power_script(pres: GroupPresentation) -> CertEntry:
     """t^p = a^(xp-i) b^(-j) in the cable group, rewritten from the cable relator.
 
-    The relator gives t^p = mu^q lam^p.  Collecting lam^p, whose factors mu
-    and a^x commute, makes it mu^(-pxy) a^(px), which leaves mu^-1 a^(px)
-    since q = pxy - 1; spelling mu and passing a^(px) over b^-j ends it.
-    Eight steps, whatever p.
+    The relator gives t^p = mu^q lam^p.  Commuting lam^p into the powers of
+    its factors mu and a^x makes it mu^(-pxy) a^(px), which leaves
+    mu^-1 a^(px) since q = pxy - 1; expanding mu and passing a^(px) over
+    b^-j ends it.  Eight steps, whatever p.
     """
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     x = pres.x
     j = pres.torus_bezout.j
-    b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
-    b.multiply("left", Word.from_pairs([(LAM, -p), (MU, -q)]))
-    b.reduce()
-    b.invert_sides()
-    b.collect(LAM, RHS, 1)
-    b.reduce()  # mu^-1 a^(px)
-    b.expand(MU, RHS, 0)
-    b.swap(RHS, 1, left=("b", -j), right=("a", x * p))
-    b.reduce()
-    return b.finish()
+    return prove("cable_t_power", pres, Context("G"), Axiom("relator", "cable"), [
+        Step("multiply", word=Word.from_pairs([(LAM, -p), (MU, -q)]), on="left"),
+        REDUCE,
+        Step("invert"),
+        Step("commute", RHS, 1, name=LAM),
+        REDUCE,  # mu^-1 a^(px)
+        Step("definition", RHS, 0, name=MU, direction="expand"),
+        Step("swap", RHS, 1, left=("b", -j), right=("a", x * p)),
+        REDUCE,
+    ])
 
 
 def cable_endpoint_product_script(
@@ -160,33 +116,27 @@ def cable_endpoint_product_script(
     """muC^(pq-1) lamC = t a^(x(p-1)-i) b^(-j) in the cable group."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
-    b = ScriptBuilder(
-        "cable_endpoint_product",
-        pres,
-        Context("G"),
-        Axiom("definition", LAMC),
-        cites=("cable_t_power",),
-        env=env,
-    )
-    b.multiply("left", Word.single(MUC, p * q - 1))  # muC^(pq-1) lamC = muC^-1 t^p
-    b.reduce()
-    b.expand(MUC, RHS, 0)
-    b.expand(LAM, RHS, 1)
-    b.reduce()
-    b.insert_equation("cable_t_power", RHS, 3, direction="forward", anchor="before")  # t^p over a and b
-    b.reduce()
-    return b.finish()
+    cites = ("cable_t_power",)
+    return prove("cable_endpoint_product", pres, Context("G"), Axiom("definition", LAMC), [
+        Step("multiply", word=Word.single(MUC, p * q - 1), on="left"),  # muC^(pq-1) lamC = muC^-1 t^p
+        REDUCE,
+        Step("definition", RHS, 0, name=MUC, direction="expand"),
+        Step("definition", RHS, 1, name=LAM, direction="expand"),
+        REDUCE,
+        # t^p over a and b
+        Step("relation", RHS, 3, ref=("equation", "cable_t_power"), direction="forward", anchor="before"),
+        REDUCE,
+    ], cites, env)
 
 
 def surgery_t_power_identity_script(pres: GroupPresentation) -> CertEntry:
     """t^p = 1 in the quotient at the integer slope pq."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
-    ctx = Context("H", Slope(p * q, 1))
-    b = ScriptBuilder("surgery_t_power_identity", pres, ctx, Axiom("surgery"))
-    b.expand(LAMC, LHS, 1)
-    b.reduce()
-    return b.finish()
+    return prove("surgery_t_power_identity", pres, Context("H", Slope(p * q, 1)), Axiom("surgery"), [
+        Step("definition", LHS, 1, name=LAMC, direction="expand"),
+        REDUCE,
+    ])
 
 
 def surgery_endpoint_identity_script(
@@ -196,18 +146,12 @@ def surgery_endpoint_identity_script(
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     ctx = Context("H", Slope(p * q - 1, 1))
-    b = ScriptBuilder(
-        "surgery_endpoint_identity",
-        pres,
-        ctx,
-        Axiom("surgery"),
-        cites=("cable_endpoint_product",),
-        env=env,
-    )
-    # the surgered product muC^(pq-1) lamC equals its rewritten form
-    b.insert_equation("cable_endpoint_product", LHS, 2, direction="forward", anchor="before")
-    b.reduce()
-    return b.finish()
+    cites = ("cable_endpoint_product",)
+    return prove("surgery_endpoint_identity", pres, ctx, Axiom("surgery"), [
+        # the surgered product muC^(pq-1) lamC equals its rewritten form
+        Step("relation", LHS, 2, ref=("equation", "cable_endpoint_product"), direction="forward", anchor="before"),
+        REDUCE,
+    ], cites, env)
 
 
 def surgery_interior_combination_script(
@@ -216,7 +160,7 @@ def surgery_interior_combination_script(
     """(t a^.. b^..)^d0 (t^p)^d1 = 1 at an interior slope strictly between pq-1 and pq.
 
     m/n = (d0 (pq-1) + d1 pq)/n with n = d0 + d1, so the surgery relator
-    muC^m lamC^n is muC^-d0 t^(pn) once lamC^n is collected, and inserting
+    muC^m lamC^n is muC^-d0 t^(pn) once lamC^n is commuted, and inserting
     E^d0 E^-d0 for the endpoint product E = muC^(pq-1) lamC leaves only
     commuting powers to gather.  Eight steps, whatever the slope.
     """
@@ -229,24 +173,19 @@ def surgery_interior_combination_script(
     assert triple.d == 1  # integer endpoints one apart
     d0 = triple.d0
     endpoint = env["cable_endpoint_product"]
-    b = ScriptBuilder(
-        "surgery_interior_combination",
-        pres,
-        Context("H", slope),
-        Axiom("surgery"),
-        cites=("cable_endpoint_product",),
-        env=env,
-    )
-    b.collect(LAMC, LHS, 1)
-    b.reduce()  # muC^-d0 t^(pn)
-    b.insert_equation("cable_endpoint_product", LHS, 0, direction="forward", anchor="after", n=d0)
     run = len(power(endpoint.rhs, d0))  # (muC^(pq-1) lamC)^-d0 starts here
-    b.collapse(LHS, run, invert(endpoint.lhs), d0)
-    b.collect(LAMC, LHS, run)
-    b.swap(LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0))
-    b.swap(LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0))
-    b.reduce()
-    return b.finish()
+    cites = ("cable_endpoint_product",)
+    return prove("surgery_interior_combination", pres, Context("H", slope), Axiom("surgery"), [
+        Step("commute", LHS, 1, name=LAMC),
+        REDUCE,  # muC^-d0 t^(pn)
+        Step("relation", LHS, 0, ref=("equation", "cable_endpoint_product"), direction="forward",
+             anchor="after", n=d0),
+        Step("commute", LHS, run, word=invert(endpoint.lhs), n=d0),
+        Step("commute", LHS, run, name=LAMC),
+        Step("swap", LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0)),
+        Step("swap", LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0)),
+        REDUCE,
+    ], cites, env)
 
 
 def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
@@ -254,23 +193,26 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
     p, q = pres.p, pres.q
     assert p is not None and q is not None and pres.cable_bezout is not None
     u, v = pres.cable_bezout
-    b = ScriptBuilder(f"cable_meridian_shift_{k}", pres, Context("G"), Axiom("definition", MUC))
+    cable = ("relator", "cable")
+    steps = []
     for c in range(abs(k)):
         if k > 0:
-            b.insert_relator("cable", RHS, 2, inverse=False)
-            cur_v = v + c * p
-            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, q))
-            b.reduce()
+            steps += [
+                Step("relation", RHS, 2, ref=cable, direction="backward", anchor="before"),
+                Step("swap", RHS, 1, left=(LAM, v + c * p), right=(MU, q)),
+                REDUCE,
+            ]
         else:
-            b.insert_relator("cable", RHS, 2, inverse=True)
-            cur_v = v - c * p
             # t^p passes lam and mu, then mu passes lam
-            b.swap(RHS, 2, left=("t", p), right=(LAM, -p))
-            b.swap(RHS, 3, left=("t", p), right=(MU, -q))
-            b.swap(RHS, 2, left=(LAM, -p), right=(MU, -q))
-            b.swap(RHS, 1, left=(LAM, cur_v), right=(MU, -q))
-            b.reduce()
-    return b.finish()
+            steps += [
+                Step("relation", RHS, 2, ref=cable, direction="forward", anchor="before"),
+                Step("swap", RHS, 2, left=("t", p), right=(LAM, -p)),
+                Step("swap", RHS, 3, left=("t", p), right=(MU, -q)),
+                Step("swap", RHS, 2, left=(LAM, -p), right=(MU, -q)),
+                Step("swap", RHS, 1, left=(LAM, v - c * p), right=(MU, -q)),
+                REDUCE,
+            ]
+    return prove(f"cable_meridian_shift_{k}", pres, Context("G"), Axiom("definition", MUC), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +248,25 @@ def certify_beta(
     """
     if beta < 1:
         raise UnsupportedParameters(f"beta must be >= 1, got {beta!s:.40}")
-    cert = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
-    if isinstance(cert, Inconclusive):
-        return cert
-    return replace(cert, params=replace(cert.params, beta=beta))
+    return _certify(x, y, p, beta_slope(p, p * x * y - 1, beta), beta)
 
 
 def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificate | Inconclusive:
-    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1.
+    """Certificate for the surgery at a slope in [pq-1, pq], q = p*x*y - 1."""
+    return _certify(x, y, p, slope, None)
 
-    Every entry comes from a script factory, whose builder checked each step
-    as it emitted it, so nothing here checks a script again.  The slope-free
-    lemmas (``central_relation``, ``cable_t_power`` and, below pq,
-    ``cable_endpoint_product``) are built on the first certificate that needs
-    them over the cached presentation, which keeps them; later certificates
-    over it reuse them and build only the surgery script.  Entries and bytes
-    are the same either way, and :func:`replay` re-checks every script a
-    certificate carries.
+
+def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> ObstructionCertificate | Inconclusive:
+    """The certificate at `slope`, whose parameters carry the label `beta`.
+
+    Every entry comes from a proof factory, whose steps :func:`prove`
+    checked as it applied them, so nothing here checks a script again.  The
+    slope-free lemmas (``central_relation``, ``cable_t_power`` and, below
+    pq, ``cable_endpoint_product``) are built on the first certificate that
+    needs them over the cached presentation, which keeps them; later
+    certificates over it reuse them and build only the surgery script.
+    Entries and bytes are the same either way, and :func:`replay` re-checks
+    every script a certificate carries.
     """
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
@@ -354,7 +298,7 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
     rows = obstruction.refute_all(cited, pres, slope)  # looked up on the module, where a caller may wrap it
     if isinstance(rows, Inconclusive):
         return rows
-    return ObstructionCertificate(CertParams(x, y, p, slope), tuple(entries), rows)
+    return ObstructionCertificate(CertParams(x, y, p, slope, beta), tuple(entries), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import random
 
 from hypothesis import strategies as st
 
-from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation
+from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation, Step
 from cable_order.presentations import LAM, LAMC, MU, MUC, GroupPresentation
-from cable_order.proofs import ScriptBuilder
+from cable_order.proofs import REDUCE, prove
 from cable_order.slopes import Slope, cramer
 from cable_order.words import Word, abelianize, concat, power
 
@@ -226,19 +226,20 @@ def swap_expand_t_power_script(pres: GroupPresentation) -> DerivationScript:
     p, q, x = pres.p, pres.q, pres.x
     xy = x * pres.y
     j = pres.torus_bezout.j
-    b = ScriptBuilder("cable_t_power", pres, Context("G"), Axiom("relator", "cable"))
-    b.multiply("left", Word.from_pairs([(LAM, -p), (MU, -q)]))
-    b.reduce()
-    b.invert_sides()
-    for k in range(1, p):
-        b.swap(RHS, 2 * (k - 1), left=(MU, (p - k) * xy), right=(LAM, 1))
-    for pos in range(2 * p - 1, 0, -2):
-        b.expand(LAM, RHS, pos)
-    b.reduce()
-    b.expand(MU, RHS, 0)
-    b.swap(RHS, 1, left=("b", -j), right=("a", x * p))
-    b.reduce()
-    return b.finish().script
+    steps = [
+        Step("multiply", word=Word.from_pairs([(LAM, -p), (MU, -q)]), on="left"),
+        REDUCE,
+        Step("invert"),
+    ]
+    steps += [Step("swap", RHS, 2 * (k - 1), left=(MU, (p - k) * xy), right=(LAM, 1)) for k in range(1, p)]
+    steps += [Step("definition", RHS, pos, name=LAM, direction="expand") for pos in range(2 * p - 1, 0, -2)]
+    steps += [
+        REDUCE,
+        Step("definition", RHS, 0, name=MU, direction="expand"),
+        Step("swap", RHS, 1, left=("b", -j), right=("a", x * p)),
+        REDUCE,
+    ]
+    return prove("cable_t_power", pres, Context("G"), Axiom("relator", "cable"), steps).script
 
 
 def swap_expand_interior_script(
@@ -254,22 +255,17 @@ def swap_expand_interior_script(
     triple = cramer(Slope(pq - 1, 1), Slope(pq, 1), slope)
     assert triple.d0 > 0 and triple.d1 > 0 and triple.d == 1
     group_exps = [pq - 1] * triple.d0 + [pq] * triple.d1
-    b = ScriptBuilder(
-        "surgery_interior_combination",
-        pres,
-        Context("H", slope),
-        Axiom("surgery"),
-        cites=("cable_endpoint_product",),
-        env=env,
-    )
+    steps = []
     consumed = 0
     for k in range(1, slope.n):
         consumed += group_exps[k - 1]
-        b.swap(LHS, 2 * (k - 1), left=(MUC, slope.m - consumed), right=(LAMC, 1))
+        steps.append(Step("swap", LHS, 2 * (k - 1), left=(MUC, slope.m - consumed), right=(LAMC, 1)))
     for k in range(slope.n - 1, -1, -1):
         if group_exps[k] == pq:
-            b.expand(LAMC, LHS, 2 * k + 1)
+            steps.append(Step("definition", LHS, 2 * k + 1, name=LAMC, direction="expand"))
         else:
-            b.insert_equation("cable_endpoint_product", LHS, 2 * k + 2, direction="forward", anchor="before")
-    b.reduce()
-    return b.finish().script
+            steps.append(Step("relation", LHS, 2 * k + 2, ref=("equation", "cable_endpoint_product"),
+                              direction="forward", anchor="before"))
+    steps.append(REDUCE)
+    return prove("surgery_interior_combination", pres, Context("H", slope), Axiom("surgery"), steps,
+                 ("cable_endpoint_product",), env).script

@@ -798,6 +798,24 @@ def test_import_loads_neither_typing_nor_fractions():
     assert done.stdout == "[]\n7 True\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "21", "--table"],
+    ["present", "--x", "2", "--y", "3", "--p", "2"],
+], ids=["certify_table", "present"])
+def test_a_closed_stdout_exits_one_without_a_traceback(argv):
+    # the read end is closed before the child starts, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cable_order.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
 def test_the_package_import_leaves_the_cli_unloaded():
     # `python -m cable_order.cli` warns when the package import has already
     # loaded the module; `peripheral_invariance_check` comes from `proofs`
@@ -892,6 +910,13 @@ class TestSweep:
         assert main(["sweep", "--grid", grid, "--out", str(tmp_path), "--jobs", "1000000"]) == 0
         assert workers == [2]
         assert len(list(tmp_path.glob("cert_*.json"))) == 2
+
+    def test_a_repeated_dimension_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1;beta=2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: repeated grid dimension 'beta'\n"
+        assert not out.exists()
 
     def test_grid_parsing(self):
         dims = parse_grid("x=2..3;y=3;p=2;beta=1..2")

@@ -1,5 +1,5 @@
 import dataclasses
-import inspect
+import hashlib
 import json
 import random
 from math import gcd
@@ -29,11 +29,11 @@ from cable_order.presentations import (
     surgery_relator,
 )
 from cable_order.proofs import (
-    ScriptBuilder,
     cable_endpoint_product_script,
     cable_t_power_script,
     central_relation_script,
     meridian_shift_script,
+    prove,
     surgery_interior_combination_script,
     surgery_t_power_identity_script,
     surgery_endpoint_identity_script,
@@ -121,13 +121,12 @@ class TestStepValidation:
 
     def test_builder_step_error_names_its_index_and_script(self):
         pres = cable_presentation(2, 3, 2)
-        b = ScriptBuilder("x", pres, Context("G"), Axiom("relator", "central"))
-        b.multiply("left", Word.parse("a b"))
+        steps = [Step("multiply", word=Word.parse("a b"), on="left"),
+                 Step("swap", "lhs", 0, left=("a", 1), right=("b", 1))]
         with pytest.raises(StepError, match="not licensed") as err:
-            b.swap("lhs", 0, ("a", 1), ("b", 1))
+            prove("x", pres, Context("G"), Axiom("relator", "central"), steps)
         assert err.value.index == 1
         assert str(err.value).startswith("step 1: ") and "'x'" in str(err.value)
-        assert len(b.finish().script.steps) == 1  # the rejected step was not kept
 
     def test_licensed_commutation(self):
         pres = cable_presentation(2, 3, 2)
@@ -504,6 +503,17 @@ class TestMeridianShift:
             u, v = 6 + 11 * k, 1 + 2 * k
             assert eq.rhs == Word.from_pairs([("mu", u), ("lam", v), ("t", -v)])
 
+    def test_shift_script_steps_are_pinned(self):
+        # no certificate carries a shift script, so no certificate pin covers these steps
+        text = "".join(
+            json.dumps(script_to_json_dict(meridian_shift_script(cable_presentation(*xyp), k).script),
+                       separators=(",", ":"))
+            for xyp in ((2, 3, 2), (3, 5, 3))
+            for k in range(-3, 4)
+        )
+        digest = "87ff0ec4f30da14ea9b49d591ab1d289a1f350d5804570e84fedc6c3e6663f49"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -530,9 +540,6 @@ class TestSerialization:
 
     def test_steps_carry_only_what_the_checker_reads(self):
         assert len(Step._fields) == 12 and "why" not in Step._fields
-        for name, method in vars(ScriptBuilder).items():
-            if callable(method):
-                assert "why" not in inspect.signature(method).parameters, name
         doc = proofs.certify_slope(2, 3, 2, Slope(43, 2)).to_json_dict()
         assert not any("why" in step for entry in doc["equations"] for step in entry["script"]["steps"])
 

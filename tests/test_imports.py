@@ -9,6 +9,9 @@ proof generators, the CLI or the normal-form oracle, at module level or
 inside a function, so the fence below reads every import statement of
 theirs and allows only the core.  Each module of the package is on exactly
 one side, so a new module has to pick one.
+
+Every source file of the package, its tests and the benchmark must also
+parse as Python 3.10, the oldest version `pyproject.toml` supports.
 """
 
 import ast
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cable_order"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cable_order"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -45,6 +49,19 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+SOURCES = sorted(path for tree in ("src", "tests", "bench") for path in (ROOT / tree).rglob("*.py"))
+
+
+def test_the_tree_has_sources():
+    assert len(SOURCES) >= len(MODULES) + 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_source_parses_as_the_oldest_supported_python(path):
+    # the interpreter running the tests may be newer, and would accept syntax that 3.10 rejects
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 TRUSTED = {"words", "slopes", "presentations", "derivations", "obstruction"}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cable_order import obstruction, proofs
 from cable_order.cli import main
-from cable_order.derivations import Axiom, Context, Equation, check_script, script_to_json_dict
+from cable_order.derivations import Axiom, Context, Equation, Step, check_script, script_to_json_dict
 from cable_order.obstruction import (
     NEG,
     POS,
@@ -37,12 +37,13 @@ from cable_order.presentations import (
     torus_presentation,
 )
 from cable_order.proofs import (
-    ScriptBuilder,
+    REDUCE,
     UnsupportedParameters,
     cable_t_power_script,
     central_relation_script,
     certify_beta,
     certify_slope,
+    prove,
 )
 from cable_order.slopes import Slope, beta_slope, cramer
 from cable_order.words import Word
@@ -525,11 +526,11 @@ class TestReplay:
         # and an uncited entry carrying muC^N must cost replay nothing per N
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 1)
-        b = ScriptBuilder("padded", pres, Context("G"), Axiom("relator", "central"))
-        b.multiply("right", Word.single("b", 3))
-        b.reduce()
-        b.multiply("left", Word.single(MUC, 10_000))
-        padded = b.finish()
+        padded = prove("padded", pres, Context("G"), Axiom("relator", "central"), [
+            Step("multiply", word=Word.single("b", 3), on="right"),
+            REDUCE,
+            Step("multiply", word=Word.single(MUC, 10_000), on="left"),
+        ])
         cert = replace(cert, entries=cert.entries + (padded,))
         endpoint = next(e for e in cert.entries if e.entry_id == "cable_endpoint_product")
         assert endpoint.equation.lhs.syllables == ((MUC, 21), (LAMC, 1))
@@ -552,11 +553,11 @@ class TestReplay:
         # to find its signed letters, and every row then reads at most 6
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 1)
-        b = ScriptBuilder("central_relation", pres, Context("G"), Axiom("relator", "central"))
-        b.multiply("right", Word.single("b", 3))
-        b.reduce()
-        b.multiply("left", Word.single(MUC, 10**5))
-        grown = b.finish()
+        grown = prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+            Step("multiply", word=Word.single("b", 3), on="right"),
+            REDUCE,
+            Step("multiply", word=Word.single(MUC, 10**5), on="left"),
+        ])
         cert = replace(cert, entries=(grown,) + cert.entries[1:])
 
         read = []
