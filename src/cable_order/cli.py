@@ -4,7 +4,8 @@ Exit codes: 0 success/certified, 2 inconclusive or failed replay, 1 invalid
 input or any other error, such as a certificate that does not load because its
 JSON is malformed or wrongly typed or two copies of one fact disagree.  A
 usage error (a missing, unknown or malformed argument) is invalid input too,
-so it exits 1, not argparse's 2; ``--help`` exits 0.  Certificates are
+so it exits 1, not argparse's 2; ``--help`` exits 0, or 1 when stdout is
+closed, as every command does.  Certificates are
 byte-stable across runs: the JSON carries no timestamps.  ``certify`` writes
 its timing to a sidecar ``PATH.log`` when ``--json PATH`` is a regular file,
 and to stderr otherwise, so a device or FIFO such as ``/dev/null`` gets no
@@ -13,7 +14,12 @@ Every JSON document the CLI writes (certificates, ``present --json`` and a
 sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 ``:``, keys in the order the program builds them, and a final newline.
 Readers parse any JSON layout, so a certificate indented by another tool
-replays the same.
+replays the same.  ``certify`` and ``sweep`` write a certificate with
+``proofs.certificate_text``, which gives the bytes of the compact dump of
+its ``to_json_dict`` but reuses the text of each lemma and each refutation
+row it has encoded before.  ``sweep`` loads that text back and replays it,
+and writes the file only when the replay is ok: what it checks is what it
+writes.
 
 Output files are rewritten in place: an existing file is opened without
 ``O_TRUNC``, overwritten, and cut only when it is a regular file that held
@@ -69,6 +75,7 @@ from .proofs import (
     cable_t_power_script,
     certify_beta,
     certify_slope,
+    certificate_text,
     peripheral_invariance_check,
 )
 from .slopes import Slope, lspace_window_check
@@ -86,15 +93,11 @@ def _dump(doc: dict, path: str | Path | None) -> int:
     Every document is a fresh tree built by a ``to_json_dict`` or a command,
     so it holds no cycles, and the encoder does not look for any.
     """
-    text = json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"
-    if path:
-        return _write(path, text)
-    sys.stdout.write(text)
-    return CERTIFIED
+    return _write(path, json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n")
 
 
-def _write(path: str | Path, text: str) -> int:
-    """Write `text` to `path` in place: CERTIFIED, or ERROR with a message when the write fails.
+def _write(path: str | Path | None, text: str) -> int:
+    """Write `text` to `path` in place, or to stdout without a path: CERTIFIED, or ERROR with a message.
 
     The file is opened without ``O_TRUNC``, whose cost the module docstring
     gives, and cut afterwards only when it is a regular file that held more
@@ -102,6 +105,9 @@ def _write(path: str | Path, text: str) -> int:
     After a crash the file may hold any mix of old and new blocks, and only
     ``replay`` vouches for it.
     """
+    if not path:
+        sys.stdout.write(text)
+        return CERTIFIED
     data = text.encode()
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
@@ -164,7 +170,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return INCONCLUSIVE
     if args.table:
         _print_table(result)
-    if (args.json or not args.table) and _dump(result.to_json_dict(), args.json) != CERTIFIED:
+    if (args.json or not args.table) and _write(args.json, certificate_text(result) + "\n") != CERTIFIED:
         return ERROR
     if args.json and os.path.isfile(args.json):
         return _write(args.json + ".log", f"certify elapsed={elapsed:.3f}s\n")
@@ -322,12 +328,18 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
     if isinstance(result, Inconclusive):
         record.update(status="inconclusive", survivors=len(result.survivors))
         return record
-    report = replay(result)
+    # the bytes to be written are what is checked: loaded back, then replayed
+    text = certificate_text(result)
+    try:
+        report = replay(certificate_from_json_dict(json.loads(text)))
+    except (ValueError, KeyError, TypeError) as err:
+        record.update(status="replay_failed", detail=f"the certificate text does not load: {err}")
+        return record
     if not report:
         record.update(status="replay_failed", detail="; ".join(report.problems))
         return record
     path = Path(out_dir) / f"{stem}.json"
-    if _dump(result.to_json_dict(), path) != CERTIFIED:
+    if _write(path, text + "\n") != CERTIFIED:
         record.update(status="unwritable", file=path.name)
         return record
     record.update(status="certified", file=path.name, elapsed=round(time.perf_counter() - started, 4))
@@ -387,6 +399,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None) -> None:
+        # argparse's own writer swallows OSError, so --help into a closed stdout would exit 0
+        (file or sys.stdout).write(self.format_help())
 
 
 def _jobs(text: str) -> int:
@@ -454,7 +470,10 @@ def main(argv: list[str] | None = None) -> int:
 def console_main() -> None:
     """Run :func:`main` and exit with its code; a reader that closed stdout early makes it ERROR, quietly."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as done:  # argparse exits by itself after --help or a usage error
+            code = done.code
         sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at /dev/null so that the exit's own flush has nowhere to fail

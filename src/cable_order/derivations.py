@@ -165,7 +165,8 @@ class Step(namedtuple("Step", "kind side position word name ref direction anchor
         kind, position, name, n = d["kind"], d.get("position"), d.get("name"), d.get("n")
         side, direction, anchor, on = d.get("side"), d.get("direction"), d.get("anchor"), d.get("on")
         why = d.get("why")  # v1 and v2 commentary: typed, then discarded
-        if not ((position is None or type(position) is int) and (n is None or type(n) is int)
+        # an `n` given must be an integer: null is not a second spelling of an absent n
+        if not ((position is None or type(position) is int) and (type(n) is int or "n" not in d)
                 and (name is None or type(name) is str) and (why is None or type(why) is str)):
             raise ValueError("a step position and n must be integers and a step name and why strings")
         try:
@@ -586,13 +587,16 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     if type(d) is not dict:
         raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
     slope = None if d.get("slope") is None else Slope.parse(d["slope"])  # only null or absent is no slope
+    axiom = Axiom(
+        _json_enum(d["axiom"]["kind"], _AXIOM_KINDS, "axiom kind"),
+        _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True),
+    )
+    if axiom.kind == "surgery" and axiom.name is not None:  # the checker reads no name there
+        raise ValueError("a surgery axiom's name must be null")
     return DerivationScript(
         script_id=_json_typed(d["id"], str, "script id"),
         context=Context(d["context"], slope),
-        axiom=Axiom(
-            _json_enum(d["axiom"]["kind"], _AXIOM_KINDS, "axiom kind"),
-            _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True),
-        ),
+        axiom=axiom,
         steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
         claimed_lhs=Word.parse(d["claimed"]["lhs"]),
         claimed_rhs=Word.parse(d["claimed"]["rhs"]),

@@ -33,10 +33,12 @@ each once, on first read, and the memo of slope-free lemmas that
 read sees the same value, and no module of the trusted core reads the
 memo, so `replay` never takes a proof from it.  The memo lives and dies
 with its object: ``dataclasses.replace``, copying and unpickling start it
-empty, and clearing the caches below drops it.  It holds only certificate
-entries, each a script and the equation read from it: words and names with
-no reference back to a presentation, so a presentation is freed by
-reference counting alone.
+empty, and clearing the caches below drops it.  It holds, per lemma, the
+certificate entry (a script and the equation read from it) and the entry's
+compact JSON text, a ``str`` that ``proofs.certificate_text`` writes in
+place of encoding the entry again: words, names and text with no reference
+back to a presentation, so a presentation is freed by reference counting
+alone.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ class GroupPresentation:
     _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
         init=False, repr=False, compare=False
     )
-    # factory name -> the lemma's CertEntry (its script, and the equation read from
-    # the script once), built over this presentation: see the docstring
+    # factory name -> (the lemma's CertEntry, its compact JSON text), built over
+    # this presentation: see the docstring
     _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -375,6 +375,32 @@ class TestReplayCommand:
         assert main(["replay", str(out)]) == 1  # raises nothing
         assert "error: cannot load certificate" in capsys.readouterr().err
 
+    def test_a_surgery_axiom_name_must_be_null(self, tmp_path, capsys):
+        # the checker reads no name for a surgery axiom, so a name would be a second spelling
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        surgery = next(e["script"] for e in doc["equations"] if e["script"]["axiom"]["kind"] == "surgery")
+        assert surgery["axiom"]["name"] is None
+        surgery["axiom"]["name"] = "cable"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cannot load certificate: a surgery axiom's name must be null\n"
+
+    def test_a_step_n_of_null_is_a_load_error(self, tmp_path, capsys):
+        # an absent n and n = null would otherwise be two spellings of one step
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        steps = [s for e in doc["equations"] for s in e["script"]["steps"] if "n" in s]
+        assert steps and all(type(s["n"]) is int for s in steps)
+        steps[0]["n"] = None
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load certificate: a step position and n ")
+
     @pytest.mark.parametrize("value", ["any text", None, 5, True, [], {}], ids=repr)
     def test_step_why_is_an_optional_string(self, tmp_path, capsys, value):
         out = tmp_path / "cert.json"
@@ -801,7 +827,9 @@ def test_import_loads_neither_typing_nor_fractions():
 @pytest.mark.parametrize("argv", [
     ["certify", "--x", "2", "--y", "3", "--p", "2", "--slope", "21", "--table"],
     ["present", "--x", "2", "--y", "3", "--p", "2"],
-], ids=["certify_table", "present"])
+    ["--help"],
+    ["certify", "--help"],
+], ids=["certify_table", "present", "help", "certify_help"])
 def test_a_closed_stdout_exits_one_without_a_traceback(argv):
     # the read end is closed before the child starts, so every write to stdout fails
     read_end, write_end = os.pipe()
@@ -873,6 +901,23 @@ class TestSweep:
         assert "error: cannot write " in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert [r["status"] for r in summary["results"]] == ["unwritable", "certified"]
+
+    def test_a_point_whose_written_bytes_do_not_replay_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # the writer is made to flip one recorded sign in its text: the in-memory
+        # certificate is sound, so only a replay of the text catches it
+        real = cli.certificate_text
+
+        def flipped(cert):
+            text = real(cert)
+            assert '"lhs_sign":"neg"' in text
+            return text.replace('"lhs_sign":"neg"', '"lhs_sign":"pos"', 1)
+
+        monkeypatch.setattr(cli, "certificate_text", flipped)
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", str(out)]) == 1
+        (record,) = json.loads((out / "summary.json").read_text())["results"]
+        assert record["status"] == "replay_failed" and "recorded signs pos/" in record["detail"]
+        assert not list(out.glob("cert_*.json"))
 
     def test_empty_grid_is_error(self, tmp_path, capsys):
         assert main(["sweep", "--grid", "x=2;y=4;p=2;beta=1", "--out", str(tmp_path)]) == 1

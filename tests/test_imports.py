@@ -8,7 +8,10 @@ derivation-checker and certificate modules.  They must never reach the
 proof generators, the CLI or the normal-form oracle, at module level or
 inside a function, so the fence below reads every import statement of
 theirs and allows only the core.  Each module of the package is on exactly
-one side, so a new module has to pick one.
+one side, so a new module has to pick one.  Of the core, only
+`presentations`, which declares it, names the memo of lemmas and their
+texts that the proofs fill, and the certificate writer is defined outside
+the core.
 
 Every source file of the package, its tests and the benchmark must also
 parse as Python 3.10, the oldest version `pyproject.toml` supports.
@@ -101,3 +104,22 @@ def test_every_module_is_trusted_or_untrusted():
 @pytest.mark.parametrize("name", sorted(f"{module}.py" for module in TRUSTED))
 def test_trusted_modules_import_no_untrusted_code(name):
     assert package_imports((PACKAGE / name).read_text()) <= TRUSTED
+
+
+@pytest.mark.parametrize("name", sorted(f"{module}.py" for module in TRUSTED - {"presentations"}))
+def test_no_other_trusted_module_reads_the_lemma_memo(name):
+    # presentations declares the memo; the proofs fill it and the writer reads it, so
+    # a replay can never take a proof, or a proof's text, from it
+    assert "_lemmas" not in (PACKAGE / name).read_text()
+
+
+def defined_names(source: str) -> set[str]:
+    """The functions and classes that `source` defines, at any depth."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)}
+
+
+def test_the_certificate_writer_is_defined_outside_the_core():
+    assert "certificate_text" in defined_names((PACKAGE / "proofs.py").read_text())
+    for module in TRUSTED:
+        assert "certificate_text" not in defined_names((PACKAGE / f"{module}.py").read_text()), module

@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import json
 import pickle
 import random
@@ -7,13 +8,16 @@ import time
 import weakref
 from dataclasses import replace
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cable_order import obstruction, proofs
 from cable_order.cli import main
-from cable_order.derivations import Axiom, Context, Equation, Step, check_script, script_to_json_dict
+from cable_order.derivations import (
+    Axiom, CertEntry, Context, Equation, Step, check_script, script_from_json_dict, script_to_json_dict,
+)
 from cable_order.obstruction import (
     NEG,
     POS,
@@ -38,9 +42,12 @@ from cable_order.presentations import (
 )
 from cable_order.proofs import (
     REDUCE,
+    ROW_TEXTS,
     UnsupportedParameters,
+    _row_text,
     cable_t_power_script,
     central_relation_script,
+    certificate_text,
     certify_beta,
     certify_slope,
     prove,
@@ -50,6 +57,8 @@ from cable_order.words import Word
 from helpers import swap_expand_t_power_script, word_strategy
 
 ALL_POS = SignAssignment(POS, POS, POS)
+DATA = Path(__file__).resolve().parent / "data"
+FIXTURES = sorted(DATA.glob("v*/*.json"))
 SIGN_INT = {POS: 1, NEG: -1, ZERO: 0}
 
 
@@ -663,6 +672,71 @@ class TestLemmaMemo:
             gc.enable()
         # the certificate outlives its presentation and still replays
         assert replay(cert)
+
+
+class TestCertificateText:
+    """`certificate_text` writes exactly the compact dump of `to_json_dict`, from parts encoded once."""
+
+    @staticmethod
+    def reference(cert) -> str:
+        return json.dumps(cert.to_json_dict(), separators=(",", ":"))
+
+    def test_grid_certificate_bytes_are_pinned(self):
+        # the acceptance grid of test_cli.py::TestFormat, written by the writer itself
+        triples = [
+            (x, y, p) for x in range(2, 8) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in range(2, 6)
+        ]
+        texts = []
+        for x, y, p in triples:
+            for beta in range(1, 26):
+                texts.append(certificate_text(certify_beta(x, y, p, beta)) + "\n")
+        for x, y, p in triples:
+            pq = p * (p * x * y - 1)
+            for slope in (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2), Slope(3 * pq - 2, 3)):
+                texts.append(certificate_text(certify_slope(x, y, p, slope)) + "\n")
+        assert len(texts) == 1276
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "ab242a0c0679ab1ec367a1644fa9ae3ec293ac5e019f9fb8dbb7cc3d03d91184"
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: f"{path.parent.name}_{path.stem}")
+    def test_a_loaded_certificate_is_written_as_its_dict(self, path):
+        cert = certificate_from_json_dict(json.loads(path.read_text()))
+        assert certificate_text(cert) == self.reference(cert)
+
+    @pytest.mark.usefixtures("cold_presentations")
+    def test_no_stale_lemma_text_after_the_caches_are_cleared(self):
+        kept = [certify_beta(2, 3, 2, 4), certify_slope(2, 3, 2, Slope(22, 1))]
+        for cert in kept:
+            assert certificate_text(cert) == self.reference(cert)
+        cable_presentation.cache_clear()
+        torus_presentation.cache_clear()
+        # the new presentation's memo holds other entries, which the kept certificates do not list
+        fresh = certify_beta(2, 3, 2, 5)
+        for cert in [*kept, fresh]:
+            assert certificate_text(cert) == self.reference(cert)
+
+    @pytest.mark.usefixtures("cold_presentations")
+    def test_a_lemma_text_is_used_only_for_its_own_entry(self):
+        cert = certify_beta(2, 3, 2, 2)
+        entries = tuple(CertEntry(script_from_json_dict(script_to_json_dict(e.script))) for e in cert.entries)
+        copy_ = replace(cert, entries=entries)  # equal entries, none of them the memo's object
+        assert certificate_text(copy_) == certificate_text(cert) == self.reference(cert)
+        # a marked memo text shows which of the two took it
+        memo = cable_presentation(2, 3, 2)._lemmas
+        entry, _ = memo["central_relation_script"]
+        memo["central_relation_script"] = (entry, '"marked"')
+        assert '"equations":["marked",' in certificate_text(cert)
+        assert certificate_text(copy_) == self.reference(cert)
+
+    def test_the_row_cache_stays_within_its_bound(self):
+        cert = certify_beta(2, 3, 2, 2)
+        rows = list(cert.refutations)
+        for k in range(ROW_TEXTS // len(rows) + 2):  # more distinct rows than the cache keeps
+            renamed = tuple(row if row.equation_id is None else row._replace(equation_id=f"e{k}") for row in rows)
+            copy_ = replace(cert, refutations=renamed)
+            assert certificate_text(copy_) == self.reference(copy_)
+        info = _row_text.cache_info()
+        assert info.maxsize == ROW_TEXTS and info.currsize <= ROW_TEXTS
 
 
 class TestAssignments:
