@@ -23,35 +23,19 @@ writes.
 
 Output files are rewritten in place: an existing file is opened without
 ``O_TRUNC``, overwritten, and cut only when it is a regular file that held
-more bytes than were written.  ext4 starts writeback when a file truncated
-to zero is closed (its ``auto_da_alloc`` rule), so a truncating rewrite
-took 40-150 us against 8-25 us in place (medians of 400-1,000 rewrites,
-11 KB or 23 bytes, 2-vCPU VM), and every certify writes twice: the
-certificate and its ``.log``.  A write to a new path costs the same either
-way.  A file written when the process or the machine stopped may hold any
-mix of old and new blocks; it may even parse as a certificate that matches
-neither write.  Only ``replay``, which checks every step and sign again,
-vouches for such a file.
+more bytes than were written, since ext4 starts writeback when a file
+truncated to zero is closed (its ``auto_da_alloc`` rule).  A file written
+when the process or the machine stopped may hold any mix of old and new
+blocks; it may even parse as a certificate that matches neither write.
+Only ``replay``, which checks every step and sign again, vouches for such a
+file.
 
 The argument parser is built once per process and reused by every
-:func:`main` call; ``concurrent.futures`` is imported only when a sweep runs
-more than one worker.  ``sweep --jobs N`` runs at most N workers, and never
-more than there are grid points or processors.
-
-Each command is a fresh process whose own work on a small certificate is
-about 0.5 ms, so the import in front of it is most of a start.  A start
-imports the package, ``argparse``, ``json``, ``pathlib`` and, for the
-dataclasses, ``inspect``.  What a single command needs waits until it runs:
-``concurrent.futures`` (about 50 modules) until a sweep runs more than one
-worker, and ``fractions`` (with ``decimal`` and ``numbers``, about 3 ms)
-until ``verify-identities`` asks for a genus.  No module imports ``typing``
-(4-5 ms): annotations name ``collections.abc``.  The plain records are
-named tuples, since ``@dataclass`` compiles about six methods per class
-(about 0.7 ms each), and each remaining dataclass has a docstring, without
-which ``@dataclass`` calls ``inspect.signature`` to write one.  Together
-these took the package's own import from about 41 to 22 ms (medians of 30
-fresh ``python -S -E`` interpreters with the standard library already
-imported, 2-vCPU VM).
+:func:`main` call.  What a single command needs is imported when it runs:
+``concurrent.futures`` when a sweep runs more than one worker, and
+``fractions`` when ``verify-identities`` asks for a genus.  ``sweep --jobs
+N`` runs at most N workers, and never more than there are grid points or
+processors.
 """
 
 from __future__ import annotations
@@ -99,8 +83,8 @@ def _dump(doc: dict, path: str | Path | None) -> int:
 def _write(path: str | Path | None, text: str) -> int:
     """Write `text` to `path` in place, or to stdout without a path: CERTIFIED, or ERROR with a message.
 
-    The file is opened without ``O_TRUNC``, whose cost the module docstring
-    gives, and cut afterwards only when it is a regular file that held more
+    The file is opened without ``O_TRUNC``, for the reason the module
+    docstring gives, and cut afterwards only when it is a regular file that held more
     bytes than `text`: ``ftruncate`` fails on ``/dev/null`` and on FIFOs.
     After a crash the file may hold any mix of old and new blocks, and only
     ``replay`` vouches for it.

@@ -147,20 +147,12 @@ class GroupPresentation:
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # (name, its definition, letters of the definition), latest name first: see expand
-    _substitutions: tuple[tuple[str, Word, frozenset[str]], ...] = field(
-        init=False, repr=False, compare=False
-    )
     # factory name -> (the lemma's CertEntry, its compact JSON text), built over
     # this presentation: see the docstring
     _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
-        substitutions = []
-        for el in reversed(self.named.values()):
-            substitutions.append((el.name, el.definition, frozenset(el.definition.generators())))
-        object.__setattr__(self, "_substitutions", tuple(substitutions))
         licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         for u, w in self.whitelist:
             if len(u.syllables) == 1 and len(w.syllables) == 1:
@@ -201,10 +193,11 @@ class GroupPresentation:
         if not all(g in self.named or g in self.alphabet for g in present):
             g = next(g for g, _ in syllables if g not in self.named and g not in self.alphabet)
             raise ValueError(f"unknown generator {g!r:.40}")
-        for name, body, body_letters in self._substitutions:
+        for name, el in reversed(self.named.items()):  # latest first
             if name not in present:
                 continue
             present.discard(name)
+            body = el.definition
             out: list[Syllable] = []
             expanded = None  # the definition's expansion, built for the first power
             start = 0  # the syllables from here up to the next name^e are copied as they are
@@ -215,7 +208,7 @@ class GroupPresentation:
                 start = k + 1
                 if abs(e) == 1:  # its names may still cancel against the neighbours
                     _join(out, power(body, e).syllables)
-                    present |= body_letters
+                    present |= body.generators()
                     continue
                 expanded = self.expand(body) if expanded is None else expanded
                 _join(out, power(expanded, e).syllables)

@@ -336,13 +336,11 @@ def certificate_text(cert: ObstructionCertificate) -> str:
     surgery script, an entry of a loaded certificate or a lemma built again
     after the caches were cleared, is encoded here.  Each distinct row is
     encoded once per process (at most :data:`ROW_TEXTS` are kept), and the
-    parameters and the determinant data are encoded per certificate.
+    parameters and the determinant data are encoded per certificate.  The
+    parameters must build a presentation, as every certified one's do.
     """
     par = cert.params
-    try:
-        lemmas = tuple(cable_presentation(par.x, par.y, par.p)._lemmas.values())
-    except ValueError:  # a loaded certificate whose parameters build no presentation
-        lemmas = ()
+    lemmas = tuple(cable_presentation(par.x, par.y, par.p)._lemmas.values())
     equations = [
         next((text for lemma, text in lemmas if lemma is entry), None) or _compact(entry.to_json_dict())
         for entry in cert.entries

@@ -41,18 +41,17 @@ class Slope:
     def __str__(self) -> str:
         return f"{self.m}/{self.n}"
 
-    # exact cross-multiplied comparisons (denominators are positive)
-    def __lt__(self, other: "Slope") -> bool:
+    # exact cross-multiplied comparisons (denominators are positive); Python
+    # answers a > b with b < a, and any other operand type is a TypeError
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Slope):
+            return NotImplemented
         return self.m * other.n < other.m * self.n
 
-    def __le__(self, other: "Slope") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Slope):
+            return NotImplemented
         return self.m * other.n <= other.m * self.n
-
-    def __gt__(self, other: "Slope") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Slope") -> bool:
-        return other <= self
 
 
 class CramerTriple(namedtuple("CramerTriple", "d0 d1 d s0 s1 s")):

@@ -130,12 +130,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
 
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, n: int) -> "Word":
-        return power(self, n)
-
     def generators(self) -> set[str]:
         return {g for g, _ in self.syllables}
 

@@ -15,7 +15,7 @@ import pytest
 from cable_order import cli
 from cable_order.cli import main, parse_grid
 from cable_order.derivations import CertEntry, check_script, script_from_json_dict, script_to_json_dict
-from cable_order.obstruction import certificate_from_json_dict, replay
+from cable_order.obstruction import Inconclusive, all_sign_assignments, certificate_from_json_dict, replay
 from cable_order.presentations import cable_presentation
 from cable_order.proofs import cable_t_power_script, certify_beta, certify_slope
 from cable_order.slopes import Slope
@@ -244,6 +244,18 @@ class TestCertify:
         monkeypatch.setenv("CABLE_ORDER_SCRIPT_DIR", str(scripts))
         assert main(argv + [str(tmp_path / "set.json")]) == 0
         assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
+
+    def test_an_inconclusive_result_exits_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        survivors = all_sign_assignments()[:2]
+        monkeypatch.setattr(cli, "certify_beta", lambda x, y, p, beta: Inconclusive(survivors))
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inconclusive: surviving sign assignments:\n  a=pos b=pos t=pos\n  a=pos b=pos t=neg\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 class TestWrite:
@@ -607,6 +619,110 @@ class TestReplayCommand:
         assert "Traceback" not in err and len(err.encode()) < 1024
 
 
+def _entry(doc: dict, entry_id: str) -> dict:
+    return next(e for e in doc["equations"] if e["id"] == entry_id)
+
+
+def _steps(doc: dict, entry_id: str) -> list:
+    return _entry(doc, entry_id)["script"]["steps"]
+
+
+def _set_both_copies(doc: dict, entry_id: str, key: str, value) -> None:
+    entry = _entry(doc, entry_id)
+    entry[key] = entry["script"][key] = value  # the entry's copy and its script's, so they agree
+
+
+SURGERY = "surgery_interior_combination"  # at the slope 65/3 of beta 3, in H
+CLASH_CENTRAL_POS_POS = {"kind": "clash", "equation": "central_relation", "lhs_sign": "pos", "rhs_sign": "pos"}
+
+# one tamper each, of the (2, 3, 2) beta-3 certificate: the exit code and the
+# load error, or the first replay problem, it must give
+CORE_REJECTIONS = {
+    # Context, at load
+    "knot_group_script_with_a_slope": (
+        lambda d: _set_both_copies(d, "central_relation", "slope", "65/3"), 1,
+        "knot-group context carries no slope"),
+    "surgery_script_with_a_null_slope": (
+        lambda d: _set_both_copies(d, SURGERY, "slope", None), 1,
+        "surgery context requires a slope"),
+    "unknown_context": (
+        lambda d: _set_both_copies(d, "central_relation", "context", "K"), 1,
+        "unknown context 'K'"),
+    # the checker
+    "unknown_reference_type": (
+        lambda d: _steps(d, SURGERY)[2]["ref"].update(type="lemma"), 2,
+        f"script '{SURGERY}' fails: step 2: unknown reference kind 'lemma'"),
+    "swap_on_both_sides": (
+        lambda d: _steps(d, "cable_t_power")[6].update(side="both"), 2,
+        "script 'cable_t_power' fails: step 6: bad side 'both'"),
+    "commute_block_repeating_a_generator": (
+        lambda d: _steps(d, "cable_t_power").__setitem__(
+            6, {"kind": "commute", "side": "rhs", "position": 0, "word": "a^-1 b a^4", "n": 1}), 2,
+        "script 'cable_t_power' fails: step 6: commuting factors must be on distinct generators"),
+    "multiply_without_a_side": (
+        lambda d: _steps(d, "central_relation")[0].pop("on"), 2,
+        "script 'central_relation' fails: step 0: bad multiplication side None"),
+    "multiply_by_an_unknown_generator": (
+        lambda d: _steps(d, "central_relation")[0].update(word="b^3 z"), 2,
+        "script 'central_relation' fails: step 0: unknown generators ['z'] in multiplier"),
+    "step_without_a_position": (
+        lambda d: _steps(d, "cable_t_power")[6].pop("position"), 2,
+        "script 'cable_t_power' fails: step 6: step requires a position"),
+    "swap_missing_an_operand": (
+        lambda d: _steps(d, "cable_t_power")[6].pop("left"), 2,
+        "script 'cable_t_power' fails: step 6: swap requires both operands"),
+    "swap_with_exponent_zero": (
+        lambda d: _steps(d, "cable_t_power")[6].update(left=["b", 0]), 2,
+        "script 'cable_t_power' fails: step 6: swap operands must be distinct generators with nonzero exponents"),
+    "unknown_defined_name": (
+        lambda d: _steps(d, "cable_t_power")[5].update(name="nu"), 2,
+        "script 'cable_t_power' fails: step 5: unknown defined element 'nu'"),
+    "relation_direction_expand": (
+        lambda d: _steps(d, "cable_endpoint_product")[5].update(direction="expand"), 2,
+        "script 'cable_endpoint_product' fails: step 5: bad relation direction 'expand'"),
+    "definition_axiom_naming_no_defined_element": (
+        lambda d: _entry(d, "cable_endpoint_product")["script"]["axiom"].update(name="lamD"), 2,
+        "script 'cable_endpoint_product' fails: no defined element 'lamD'"),
+    "surgery_axiom_in_the_knot_group": (
+        lambda d: _entry(d, "central_relation")["script"].update(axiom={"kind": "surgery", "name": None}), 2,
+        "script 'central_relation' fails: the surgery relator is only an axiom in a surgery quotient"),
+    # replay itself
+    "duplicated_entry_id": (
+        lambda d: d["equations"].insert(1, copy.deepcopy(d["equations"][0])), 2,
+        "duplicate equation id 'central_relation'"),
+    "surgery_script_at_another_slope": (
+        lambda d: _set_both_copies(d, SURGERY, "slope", "43/2"), 2,
+        f"equation '{SURGERY}' proven at a different slope"),
+    "nontriviality_axiom_on_a_nonzero_assignment": (
+        lambda d: d["refutations"][0].update(reason={"kind": "nontriviality_axiom"}), 2,
+        "nontriviality axiom used on a nonzero assignment"),
+    "all_zero_assignment_citing_an_equation": (
+        lambda d: d["refutations"][-1].update(reason=CLASH_CENTRAL_POS_POS), 2,
+        "the all-zero assignment must cite the nontriviality axiom"),
+    "recorded_signs_that_do_not_clash": (
+        lambda d: d["refutations"][0].update(reason=CLASH_CENTRAL_POS_POS), 2,
+        "row for 'central_relation' is not a clash"),
+}
+
+
+@pytest.mark.parametrize("case", CORE_REJECTIONS)
+def test_each_trusted_core_rejection_gives_its_message(tmp_path, capsys, case):
+    tamper, code, message = CORE_REJECTIONS[case]
+    doc = json.loads(cli.certificate_text(certify_beta(2, 3, 2, 3)))
+    assert doc["params"]["slope"] == "65/3"
+    assert doc["refutations"][0]["assignment"] == {"a": "pos", "b": "pos", "t": "pos"}
+    tamper(doc)
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == code  # raises nothing
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err == f"error: cannot load certificate: {message}\n"
+    else:
+        assert err.splitlines()[0] == f"replay problem: {message}"
+
+
 class TestV1Certificates:
     # written by the release before format v2: beta certificates with the beta-only
     # proofs and no determinant data, and a slope certificate with the swap/expand chain
@@ -917,6 +1033,39 @@ class TestSweep:
         assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", str(out)]) == 1
         (record,) = json.loads((out / "summary.json").read_text())["results"]
         assert record["status"] == "replay_failed" and "recorded signs pos/" in record["detail"]
+        assert not list(out.glob("cert_*.json"))
+
+    def test_an_inconclusive_point_is_recorded_and_not_written(self, tmp_path, capsys, monkeypatch):
+        real = cli.certify_beta
+
+        def inconclusive_at_beta_2(x, y, p, beta):
+            return Inconclusive(all_sign_assignments()[:3]) if beta == 2 else real(x, y, p, beta)
+
+        monkeypatch.setattr(cli, "certify_beta", inconclusive_at_beta_2)
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1..2", "--out", str(out)]) == 1
+        assert "x=2 y=3 p=2 beta=2: inconclusive\n1/2 certified\n" in capsys.readouterr().out
+        records = json.loads((out / "summary.json").read_text())["results"]
+        assert records[1] == {"x": 2, "y": 3, "p": 2, "beta": "2", "status": "inconclusive", "survivors": 3}
+        assert [f.name for f in out.glob("cert_*.json")] == ["cert_x2_y3_p2_beta1.json"]
+
+    def test_a_point_whose_written_bytes_do_not_load_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # the writer is made to change the mode, which the loader checks against beta
+        real = cli.certificate_text
+
+        def relabelled(cert):
+            text = real(cert)
+            assert '"mode":"beta"' in text
+            return text.replace('"mode":"beta"', '"mode":"slope"', 1)
+
+        monkeypatch.setattr(cli, "certificate_text", relabelled)
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", str(out)]) == 1
+        (record,) = json.loads((out / "summary.json").read_text())["results"]
+        assert record["status"] == "replay_failed"
+        assert record["detail"] == (
+            "the certificate text does not load: params.mode must be beta exactly when params.beta is set"
+        )
         assert not list(out.glob("cert_*.json"))
 
     def test_empty_grid_is_error(self, tmp_path, capsys):

@@ -674,6 +674,24 @@ class TestLemmaMemo:
         assert replay(cert)
 
 
+def assert_cited_sides_over_a_b_t(cert):
+    # certify and replay expand only the equations that rows cite, and
+    # `expand` returns a word with no defined name as it is: a proof that
+    # cited a named equation would put both on the substitution path
+    cited = {row.equation_id for row in cert.refutations} - {None}
+    for entry in cert.entries:
+        if entry.entry_id in cited:
+            eq = entry.equation
+            assert eq.lhs.generators() | eq.rhs.generators() <= {"a", "b", "t"}, (cert.params, eq)
+            cited.remove(entry.entry_id)
+    assert not cited  # every cited id is an entry
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: f"{path.parent.name}_{path.stem}")
+def test_every_fixture_cites_equations_over_a_b_and_t(path):
+    assert_cited_sides_over_a_b_t(certificate_from_json_dict(json.loads(path.read_text())))
+
+
 class TestCertificateText:
     """`certificate_text` writes exactly the compact dump of `to_json_dict`, from parts encoded once."""
 
@@ -687,13 +705,18 @@ class TestCertificateText:
             (x, y, p) for x in range(2, 8) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in range(2, 6)
         ]
         texts = []
+
+        def write(cert):
+            assert_cited_sides_over_a_b_t(cert)
+            texts.append(certificate_text(cert) + "\n")
+
         for x, y, p in triples:
             for beta in range(1, 26):
-                texts.append(certificate_text(certify_beta(x, y, p, beta)) + "\n")
+                write(certify_beta(x, y, p, beta))
         for x, y, p in triples:
             pq = p * (p * x * y - 1)
             for slope in (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2), Slope(3 * pq - 2, 3)):
-                texts.append(certificate_text(certify_slope(x, y, p, slope)) + "\n")
+                write(certify_slope(x, y, p, slope))
         assert len(texts) == 1276
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest == "ab242a0c0679ab1ec367a1644fa9ae3ec293ac5e019f9fb8dbb7cc3d03d91184"

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -34,6 +35,21 @@ class TestSlope:
     def test_exact_comparison(self):
         assert Slope(21, 1) < Slope(43, 2) < Slope(22, 1)
         assert Slope(2166666663, 10**8) < Slope(65, 3) < Slope(2166666667, 10**8)
+
+    @given(st.integers(-50, 50), st.integers(1, 9), st.integers(-50, 50), st.integers(1, 9))
+    def test_every_order_operator_agrees_with_fractions(self, m1, n1, m2, n2):
+        f, g = Fraction(m1, n1), Fraction(m2, n2)
+        s, t = Slope(f.numerator, f.denominator), Slope(g.numerator, g.denominator)
+        assert (s < t, s <= t, s > t, s >= t) == (f < g, f <= g, f > g, f >= g)
+
+    @pytest.mark.parametrize("other", [5, 5.0, Fraction(5), "5", None], ids=repr)
+    @pytest.mark.parametrize(
+        "compare", [operator.lt, operator.le, operator.gt, operator.ge], ids=lambda f: f.__name__
+    )
+    def test_ordering_against_a_non_slope_is_a_type_error(self, compare, other):
+        for left, right in ((Slope(1), other), (other, Slope(1))):  # both directions
+            with pytest.raises(TypeError):
+                compare(left, right)
 
 
 class TestCramer:

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -329,4 +330,37 @@ class TestJunctionArithmetic:
         assert not isinstance(cert, Inconclusive) and replay(cert)
         assert cert.entries[2].equation.lhs.syllables == ((MUC, pq - 1), (LAMC, 1))
         assert max(built) < 1_000 and sum(built) < 5_000
+        assert all("<built on first read>" in repr(pres.named[n]) for n in (LAM, LAMC))
+
+    @pytest.mark.parametrize("xyp", [(2, 3, 50), (1000, 1001, 2)], ids=["x2_y3_p50", "x1000_y1001_p2"])
+    def test_replay_spells_no_name_when_a_row_cites_the_endpoint_product(self, monkeypatch, xyp):
+        # a work count, not a timing: replay expands the side muC^(pq-1) lamC
+        # of a row retargeted to it down to muC^-1 t^p before muC is spelled;
+        # spelling the names one by one would build lamC's and lam's
+        # spellings, powers at least pq or xy long
+        built = []
+        real_power = presentations.power
+
+        def counting(w, n):
+            out = real_power(w, n)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(presentations, "power", counting)
+        monkeypatch.setattr(derivations, "power", counting)
+        torus_presentation.cache_clear()
+        cable_presentation.cache_clear()
+        pres = cable_presentation(*xyp)
+        pq = pres.p * pres.q
+        cert = certify_slope(*xyp, Slope(2 * pq - 1, 2))
+        assert not isinstance(cert, Inconclusive)
+        endpoint = cert.entries[2].equation
+        assert endpoint.provenance == "cable_endpoint_product"
+        assert endpoint.lhs.syllables == ((MUC, pq - 1), (LAMC, 1))
+        rows = list(cert.refutations)
+        k = next(k for k, row in enumerate(rows) if row.equation_id is not None)
+        rows[k] = rows[k]._replace(equation_id="cable_endpoint_product")
+        report = replay(replace(cert, refutations=tuple(rows)))
+        assert max(built) < 1_000 and sum(built) < 5_000
+        assert report.problems == ["recorded signs pos/zero for 'cable_endpoint_product' recompute as unknown/pos"]
         assert all("<built on first read>" in repr(pres.named[n]) for n in (LAM, LAMC))
