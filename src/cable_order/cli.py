@@ -270,6 +270,15 @@ def parse_grid(spec: str) -> dict:
             raise ValueError(f"repeated grid dimension {key!r}")
         if key == "slope":
             dims[key] = [s.strip() for s in val.split("|")]
+            seen: set = set()  # each slope once, in any spelling
+            for text in dims[key]:
+                try:
+                    value = Slope.parse(text)
+                except ValueError:  # a bad slope stays its own point's error
+                    value = text
+                if value in seen:
+                    raise ValueError(f"repeated grid slope {str(value)!r:.40}")
+                seen.add(value)
         else:
             dims[key] = _parse_range(val.strip())
     for required in ("x", "y", "p"):

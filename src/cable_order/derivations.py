@@ -111,6 +111,14 @@ def _json_enum(value: object, allowed: frozenset, what: str) -> object:
     raise ValueError(f"unknown {what} {shown}")
 
 
+def _json_printed(parse, text: object, what: str):
+    """``parse(text)``, a word or a slope, which must print as `text`: one text per value."""
+    value = parse(text)
+    if str(value) != text:
+        raise ValueError(f"{what} {text!r:.40} is not written as {str(value)!r:.40}")
+    return value
+
+
 def _json_syllable(pair: list, what: str) -> Syllable:
     gen, exp = pair  # raises unless there are exactly two
     if type(gen) is not str or type(exp) is not int:
@@ -192,7 +200,7 @@ class Step(namedtuple("Step", "kind side position word name ref direction anchor
             kind,
             side,
             position,
-            Word.parse(d["word"]) if "word" in d else None,
+            _json_printed(Word.parse, d["word"], "step word") if "word" in d else None,
             name,
             tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
             if "ref" in d else None,
@@ -586,7 +594,8 @@ def script_to_json_dict(script: DerivationScript) -> dict:
 def script_from_json_dict(d: dict) -> DerivationScript:
     if type(d) is not dict:
         raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
-    slope = None if d.get("slope") is None else Slope.parse(d["slope"])  # only null or absent is no slope
+    # only null or absent is no slope
+    slope = None if d.get("slope") is None else _json_printed(Slope.parse, d["slope"], "script slope")
     axiom = Axiom(
         _json_enum(d["axiom"]["kind"], _AXIOM_KINDS, "axiom kind"),
         _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True),
@@ -598,7 +607,7 @@ def script_from_json_dict(d: dict) -> DerivationScript:
         context=Context(d["context"], slope),
         axiom=axiom,
         steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
-        claimed_lhs=Word.parse(d["claimed"]["lhs"]),
-        claimed_rhs=Word.parse(d["claimed"]["rhs"]),
+        claimed_lhs=_json_printed(Word.parse, d["claimed"]["lhs"], "claimed lhs"),
+        claimed_rhs=_json_printed(Word.parse, d["claimed"]["rhs"], "claimed rhs"),
         cites=tuple(_json_typed(c, str, "cited equation id") for c in d.get("cites", ())),
     )

@@ -37,7 +37,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .derivations import CertEntry, Equation, StepError, _json_enum, _json_typed, check_script, script_from_json_dict
+from .derivations import (
+    CertEntry, Equation, StepError, _json_enum, _json_printed, _json_typed, check_script, script_from_json_dict,
+)
 from .presentations import GroupPresentation, ParameterError, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
 from .words import Syllable, Word
@@ -75,6 +77,7 @@ class SignAssignment:
 _ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
 _POSITIONS = {s: k for k, s in enumerate(_ASSIGNMENTS)}
 _BY_SIGNS = {(s.a, s.b, s.t): s for s in _ASSIGNMENTS}
+_SIGNED_LETTERS = frozenset((g, e) for g in ("a", "b", "t") for e in (1, -1))  # the 6 signed letters
 
 
 def all_sign_assignments() -> tuple[SignAssignment, ...]:
@@ -108,12 +111,17 @@ def evaluate_sign(w: Iterable[Syllable], assignment: SignAssignment) -> str:
 
 
 def signed_letters(w: Word) -> frozenset[Syllable]:
-    """The distinct (generator, sign of exponent) pairs of `w`: at most 6 on a, b, t.
+    """The distinct (generator, sign of exponent) pairs of `w`, a word over a, b and t: at most 6.
 
-    A spelled-out power repeats its syllables, so they are deduplicated
-    before anything is read one by one.
+    A repeated block repeats its syllables, so they are deduplicated before
+    anything is read one by one.  Any other letter is a ValueError that
+    names the first one in `w`.
     """
-    return frozenset((g, 1 if e > 0 else -1) for g, e in set(w.syllables))
+    letters = frozenset((g, 1 if e > 0 else -1) for g, e in set(w.syllables))
+    if letters <= _SIGNED_LETTERS:
+        return letters
+    g = next(g for g, _ in w.syllables if g not in ("a", "b", "t"))
+    raise ValueError(f"the letter {g!r:.40} is not a, b or t")
 
 
 @cache
@@ -233,7 +241,8 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     `params.q`, `params.mode`, a beta's slope and `cramer` the values that
     (x, y, p, slope, beta) give.  A copy that differs, a wrongly typed
     version, integer, word, slope, id, name, `why` or equation reference, a
-    script that is not an object, an enumerated field (step `kind`, `side`,
+    word or slope not written as it prints (one text per value), a script
+    that is not an object, an enumerated field (step `kind`, `side`,
     `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`, the
     recorded signs) outside its values, or a v1 document with a step of a
     form that v2 added raises ValueError here, so that `replay` checks only
@@ -245,7 +254,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         x=_json_typed(par["x"], int, "params.x"),
         y=_json_typed(par["y"], int, "params.y"),
         p=_json_typed(par["p"], int, "params.p"),
-        slope=Slope.parse(par["slope"]),
+        slope=_json_printed(Slope.parse, par["slope"], "params.slope"),
         beta=_json_typed(par["beta"], int, "params.beta", optional=True),
     )
     if _json_typed(par["q"], int, "params.q") != params.q:
@@ -309,8 +318,10 @@ def refute_all(
 
     `slope` names the quotient under attack: equations must be proven either
     in the knot group or in that same quotient.  Returns the full refutation
-    table, or Inconclusive with the surviving assignments.  Each side's 27
-    verdicts are read from the sign table (at most 64 letter sets).
+    table, or Inconclusive with the surviving assignments.  Each side is
+    expanded over a, b and t, and its 27 verdicts are read from the sign
+    table (at most 64 letter sets).  :func:`replay` reads the sides as
+    written, so a row may cite only an equation over a, b and t.
     """
     concrete = []
     for eq in equations:
@@ -360,12 +371,12 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     It checks the version, the rebuild of the presentation, unique ids, the
     slope of each surgery-quotient script, each script and each row, and
     compares no copies of a fact: the loader checks those.  Problems quote
-    certificate values cut to 40 characters.  The rows that cite an equation
-    with no verified proof, or whose sides do not expand, make one problem
-    per id that says which, so a failing script or expansion is reported
-    once, by its own problem, and counted once.  Only the equations that
-    rows cite are expanded, each once, and their signs are read from the
-    sign table (at most 64 letter sets).
+    certificate values cut to 40 characters.  A row may cite only an
+    equation over a, b and t, whose sides are read as written, once, into
+    the sign table (at most 64 letter sets).  The rows that cite an equation
+    with no verified proof, or with another letter, make one problem per id
+    that says which, so a failing script or a bad letter is reported once,
+    by its own problem, and counted once.
     """
     problems: list[str] = []
 
@@ -395,10 +406,10 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
 
     # refutation table: all 27 assignments, each row recomputed
     seen: set[int] = set()  # positions in all_sign_assignments()
-    # each cited equation is expanded on its first row and kept as the sign
-    # verdicts of its sides; None when it does not expand
+    # each cited equation is read on its first row and kept as the sign
+    # verdicts of its sides; None when it is not over a, b and t
     concrete: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {}
-    uncited: dict[str, int] = {}  # rows per cited id with no verified equation or no expansion
+    uncited: dict[str, int] = {}  # rows per cited id with no verified equation over a, b and t
     for row in cert.refutations:
         k = _POSITIONS[row.assignment]
         if k in seen:
@@ -415,10 +426,9 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         eq = env.get(row.equation_id)
         if eq is not None and row.equation_id not in concrete:
             try:
-                lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
-                concrete[row.equation_id] = (_verdicts(signed_letters(lhs)), _verdicts(signed_letters(rhs)))
+                concrete[row.equation_id] = (_verdicts(signed_letters(eq.lhs)), _verdicts(signed_letters(eq.rhs)))
             except ValueError as err:
-                problems.append(f"equation {row.equation_id!r:.40} does not expand: {err}")
+                problems.append(f"equation {row.equation_id!r:.40} is not over a, b and t: {err}")
                 concrete[row.equation_id] = None
         if concrete.get(row.equation_id) is None:
             uncited[row.equation_id] = uncited.get(row.equation_id, 0) + 1
@@ -433,11 +443,11 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             continue
         if ls == UNKNOWN or rs == UNKNOWN or ls == rs:
             problems.append(f"row for {row.equation_id!r:.40} is not a clash")
-    # one problem per id: a failed script or expansion has already said why it failed
+    # one problem per id: a failed script or a bad letter has already said why
     entry_ids = {entry.entry_id for entry in cert.entries}
     for eq_id, rows in uncited.items():
         if eq_id in env:
-            problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which does not expand")
+            problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which is not over a, b and t")
         elif eq_id in entry_ids:
             problems.append(f"{rows} refutation row(s) cite equation {eq_id!r:.40}, which did not verify")
         else:

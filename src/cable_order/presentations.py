@@ -11,12 +11,10 @@ normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
 u and v follow from (x, y, p).
 
 Each defined name means its definition over earlier names, and nothing
-else.  :meth:`GroupPresentation.expand` substitutes the names latest-first
-through their definitions and reduces after each name, so powers cancel
-among the names before anything is spelled out: muC^(pq-1) lamC becomes
-muC^-1 t^p, then t a^-x t^p.  A name's spelling (its `expansion`) and a
-relator's `word` are the expansion of its definition or named form, built
-on first read; no certify or replay step reads one.
+else.  A name's spelling (its `expansion`) and a relator's `word` are the
+:meth:`GroupPresentation.expand` of its definition or named form, which
+replaces each name^e by the e-th power of the name's spelling and reduces.
+They are built on first read, and no certify or replay step reads one.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
@@ -178,43 +176,22 @@ class GroupPresentation:
         return frozenset(self.alphabet) | frozenset(self.named)
 
     def expand(self, w: Word) -> Word:
-        """The reduced concrete word that `w` stands for.
+        """The reduced word over the alphabet that `w` stands for: `w` itself if it is over the alphabet.
 
-        Defined names are substituted latest first (lamC, muC, lam, mu), each
-        by its definition, with cancelling at the junctions after each name:
-        muC^(pq-1) lamC becomes muC^-1 t^p before muC is substituted, and
-        mu^xy lam becomes a^x before mu is.  A power name^e, |e| > 1, becomes
-        the e-th power of the definition's expansion: its copies cancel alike,
-        so they are expanded once.  Reduced words are unique, so the result is
-        the full reduction of the spelled-out word.
+        Each name^e becomes the e-th power of the name's spelling, joined with
+        cancelling at the junctions.  A letter that is neither a generator nor
+        a name is a ValueError, raised before anything is spelled.
         """
-        syllables = w.syllables
-        present = {g for g, _ in syllables}
-        if not all(g in self.named or g in self.alphabet for g in present):
-            g = next(g for g, _ in syllables if g not in self.named and g not in self.alphabet)
+        letters = w.generators()
+        if letters.issubset(self.alphabet):
+            return w
+        if not letters.issubset(self.letters()):
+            g = next(g for g, _ in w.syllables if g not in self.named and g not in self.alphabet)
             raise ValueError(f"unknown generator {g!r:.40}")
-        for name, el in reversed(self.named.items()):  # latest first
-            if name not in present:
-                continue
-            present.discard(name)
-            body = el.definition
-            out: list[Syllable] = []
-            expanded = None  # the definition's expansion, built for the first power
-            start = 0  # the syllables from here up to the next name^e are copied as they are
-            for k, (g, e) in enumerate(syllables):
-                if g != name:
-                    continue
-                _join(out, syllables[start:k])
-                start = k + 1
-                if abs(e) == 1:  # its names may still cancel against the neighbours
-                    _join(out, power(body, e).syllables)
-                    present |= body.generators()
-                    continue
-                expanded = self.expand(body) if expanded is None else expanded
-                _join(out, power(expanded, e).syllables)
-            _join(out, syllables[start:])
-            syllables = out
-        return w if syllables is w.syllables else Word(tuple(syllables))
+        out: list[Syllable] = []
+        for g, e in w.syllables:
+            _join(out, power(self.named[g].expansion, e).syllables if g in self.named else ((g, e),))
+        return Word(tuple(out))
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""

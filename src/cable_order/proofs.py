@@ -22,9 +22,7 @@ slope and :func:`certify_beta` at the slope pq - 1/beta, labelled with beta.
 
 :func:`certificate_text` writes a certificate from parts each encoded
 once: a lemma's text is kept beside its entry, and a refutation row's once
-per process.  It encodes a certificate of the acceptance grid in about
-0.06 ms against 0.20 ms for a dump of its ``to_json_dict`` (in process,
-1,276 certificates, 2-vCPU VM).
+per process.
 """
 
 from __future__ import annotations

@@ -9,11 +9,7 @@ reduced word, so they can be shared freely across concurrent sweeps.
 (text, raw pairs) goes through :meth:`Word.from_pairs`, the one full reducer.
 :func:`concat`, :func:`power` and ``GroupPresentation.expand`` rely on that
 invariant: they cancel and merge syllables only where two reduced words meet
-(:func:`_join`), so the cost of :func:`concat` and :func:`power` is linear
-in the length of their result.  ``expand`` substitutes one defined name at a
-time and reduces in between, so its cost is linear in the words it passes
-between names, not in the fully spelled-out input: muC^(pq-1) lamC costs a
-few syllables, not the 2pq + 1 of lamC's spelling.
+(:func:`_join`), so their cost is linear in the length of what they join.
 
 Text syntax: syllables are whitespace-separated, ``a^3 b^-1 t^2``; an
 exponent of 1 is left implicit (``a``); ``1`` or the empty string denotes the

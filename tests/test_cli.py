@@ -602,7 +602,7 @@ class TestReplayCommand:
         assert len(capsys.readouterr().err.encode()) < 1024
 
     def test_a_cited_power_too_long_to_spell_is_a_replay_problem(self, tmp_path, capsys):
-        # the script checks (one multiply step), but the row loop cannot spell its sides out
+        # the script checks (one multiply step), but the rows cite a side that has a name
         out = tmp_path / "cert.json"
         assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -615,7 +615,7 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", str(out)]) == 2  # raises nothing
         err = capsys.readouterr().err
-        assert "replay problem: equation 'central_relation' does not expand" in err
+        assert "replay problem: equation 'central_relation' is not over a, b and t" in err
         assert "Traceback" not in err and len(err.encode()) < 1024
 
 
@@ -648,6 +648,28 @@ CORE_REJECTIONS = {
     "unknown_context": (
         lambda d: _set_both_copies(d, "central_relation", "context", "K"), 1,
         "unknown context 'K'"),
+    # one text per value, at load: a word or slope must be written as it
+    # prints, so two byte strings never replay as one proof
+    "params_slope_with_an_underscore": (
+        lambda d: d["params"].update(slope="6_5/3"), 1, "params.slope '6_5/3' is not written as '65/3'"),
+    "params_slope_in_arabic_indic_digits": (
+        lambda d: d["params"].update(slope="+\u0666\u0665/3"), 1,
+        "params.slope '+\u0666\u0665/3' is not written as '65/3'"),
+    "params_slope_padded": (
+        lambda d: d["params"].update(slope=" 65/3 "), 1, "params.slope ' 65/3 ' is not written as '65/3'"),
+    "script_slope_padded": (
+        lambda d: _set_both_copies(d, SURGERY, "slope", "65/3 "), 1,
+        "script slope '65/3 ' is not written as '65/3'"),
+    "claimed_side_in_arabic_indic_digits": (  # the entry's copy and its script's, so they agree
+        lambda d: [c.update(lhs="a^\u0662") for c in (_entry(d, "central_relation"),
+                                                      _entry(d, "central_relation")["script"]["claimed"])], 1,
+        "claimed lhs 'a^\u0662' is not written as 'a^2'"),
+    "step_word_with_a_leading_zero": (
+        lambda d: _steps(d, "central_relation")[0].update(word="b^03"), 1,
+        "step word 'b^03' is not written as 'b^3'"),
+    "step_word_unreduced": (
+        lambda d: _steps(d, "central_relation")[0].update(word="b b^2"), 1,
+        "step word 'b b^2' is not written as 'b^3'"),
     # the checker
     "unknown_reference_type": (
         lambda d: _steps(d, SURGERY)[2]["ref"].update(type="lemma"), 2,
@@ -1111,6 +1133,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: repeated grid dimension 'beta'\n"
         assert not out.exists()
+
+    def test_a_slope_listed_twice_is_a_usage_error(self, tmp_path, capsys):
+        # three spellings of 21/1 would make three records of one file
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;slope=21|21/1| 21", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: repeated grid slope '21/1'\n"
+        assert not out.exists()
+        assert parse_grid("x=2;y=3;p=2;slope=21| 43/2")["slope"] == ["21", "43/2"]
 
     def test_grid_parsing(self):
         dims = parse_grid("x=2..3;y=3;p=2;beta=1..2")

@@ -2,9 +2,13 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from math import gcd
@@ -13,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cable_order import obstruction, proofs
+from cable_order import obstruction, presentations, proofs
 from cable_order.cli import main
 from cable_order.derivations import (
     Axiom, CertEntry, Context, Equation, Step, check_script, script_from_json_dict, script_to_json_dict,
@@ -58,6 +62,7 @@ from helpers import swap_expand_t_power_script, word_strategy
 
 ALL_POS = SignAssignment(POS, POS, POS)
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = sorted(DATA.glob("v*/*.json"))
 SIGN_INT = {POS: 1, NEG: -1, ZERO: 0}
 
@@ -506,7 +511,7 @@ class TestReplay:
         assert folded == "2 refutation row(s) cite equation 'surgery_interior_combination', which did not verify"
 
     def test_a_verified_equation_that_does_not_expand_is_not_called_unverified(self):
-        # the script checks (one multiply step), but its sides cannot be spelled out
+        # the script checks (one multiply step), but its sides are not over a, b and t
         doc = certify_beta(2, 3, 2, 1).to_json_dict()
         entry = doc["equations"][0]
         assert entry["id"] == "central_relation"
@@ -519,8 +524,8 @@ class TestReplay:
         report = replay(cert)
         assert not report
         first, second = report.problems
-        assert first.startswith("equation 'central_relation' does not expand: ")
-        assert second == f"{rows} refutation row(s) cite equation 'central_relation', which does not expand"
+        assert first == "equation 'central_relation' is not over a, b and t: the letter 'muC' is not a, b or t"
+        assert second == f"{rows} refutation row(s) cite equation 'central_relation', which is not over a, b and t"
 
     def test_rows_citing_an_unknown_id_make_one_problem(self):
         doc = certify_beta(2, 3, 2, 7).to_json_dict()
@@ -554,12 +559,12 @@ class TestReplay:
         assert "cable_endpoint_product" not in cited and "padded" not in cited
         assert endpoint.equation.lhs not in expanded
         assert all(MUC not in w.generators() for w in expanded)
-        assert len(expanded) == 2 * len(cited)
+        assert expanded == []
 
 
     def test_sign_evaluation_reads_letters_not_powers(self, monkeypatch):
-        # a work count: a cited side spelled out to 2N syllables is read once,
-        # to find its signed letters, and every row then reads at most 6
+        # a work count: a cited side with muC^N is refused by its letters, not
+        # spelled out, and every row then reads at most 6
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 1)
         grown = prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
@@ -577,7 +582,8 @@ class TestReplay:
         obstruction._verdicts.cache_clear()
         report = replay(cert)
         assert not report
-        assert "recorded signs pos/neg for 'central_relation' recompute as unknown/unknown" in report.problems
+        problem = "equation 'central_relation' is not over a, b and t: the letter 'muC' is not a, b or t"
+        assert problem in report.problems
         # each distinct letter set is evaluated once per assignment, into the sign table
         assert max(read) <= 6
         assert len(read) % 27 == 0 and len(read) <= 27 * 6
@@ -675,9 +681,8 @@ class TestLemmaMemo:
 
 
 def assert_cited_sides_over_a_b_t(cert):
-    # certify and replay expand only the equations that rows cite, and
-    # `expand` returns a word with no defined name as it is: a proof that
-    # cited a named equation would put both on the substitution path
+    # replay reads the equations that rows cite as written, and refuses one
+    # with a defined name: a certificate that cited one would not replay
     cited = {row.equation_id for row in cert.refutations} - {None}
     for entry in cert.entries:
         if entry.entry_id in cited:
@@ -690,6 +695,85 @@ def assert_cited_sides_over_a_b_t(cert):
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: f"{path.parent.name}_{path.stem}")
 def test_every_fixture_cites_equations_over_a_b_and_t(path):
     assert_cited_sides_over_a_b_t(certificate_from_json_dict(json.loads(path.read_text())))
+
+
+def muc_power_tamper(n: int) -> ObstructionCertificate:
+    """The (2, 3, 2) beta-1 certificate with muC^n multiplied onto both sides of its cited central relation."""
+    pres = cable_presentation(2, 3, 2)
+    grown = prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+        Step("multiply", word=Word.single("b", 3), on="right"),
+        REDUCE,
+        Step("multiply", word=Word.single(MUC, n), on="left"),
+    ])
+    cert = certify_beta(2, 3, 2, 1)
+    return replace(cert, entries=(grown,) + cert.entries[1:])
+
+
+def endpoint_product_tamper() -> dict:
+    """A (2, 3, 2) slope-43/2 certificate whose first row cites muC^21 lamC = t a b, as JSON."""
+    doc = json.loads(certificate_text(certify_slope(2, 3, 2, Slope(43, 2))))
+    assert next(e["lhs"] for e in doc["equations"] if e["id"] == "cable_endpoint_product") == "muC^21 lamC"
+    doc["refutations"][0]["reason"]["equation"] = "cable_endpoint_product"
+    return doc
+
+
+class TestCitedSidesAsWritten:
+    """A row may cite only an equation over a, b and t, and replay reads its sides as written."""
+
+    def test_the_first_other_letter_is_named(self):
+        word = Word.parse("a t lamC^3 muC b")
+        with pytest.raises(ValueError, match="^the letter 'lamC' is not a, b or t$"):
+            signed_letters(word)
+        assert signed_letters(Word.parse("a^3 t^-1 a")) == {("a", 1), ("t", -1)}
+
+    def test_replay_problem_text_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # the endpoint product's side has two names, muC and lamC; a set of
+        # letters would name either, by the process's string hash
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(endpoint_product_tamper()))
+        errs = set()
+        for seed in range(4):
+            done = subprocess.run([sys.executable, "-m", "cable_order.cli", "replay", str(path)],
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)})
+            assert done.returncode == 2
+            errs.add(done.stderr)
+        (err,) = errs
+        assert err == (
+            "replay problem: equation 'cable_endpoint_product' is not over a, b and t: "
+            "the letter 'muC' is not a, b or t\n"
+            "replay problem: 1 refutation row(s) cite equation 'cable_endpoint_product', "
+            "which is not over a, b and t\n"
+        )
+
+    def test_replay_memory_does_not_grow_with_a_cited_power(self):
+        # a cited muC^N is refused by its letters: nothing of length N is built
+        peaks, reports = {}, {}
+        for n in (10**4, 10**4, 10**6):  # the first run fills the caches
+            cert = muc_power_tamper(n)
+            tracemalloc.start()
+            try:
+                reports[n] = replay(cert)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6] - peaks[10**4] < 2**20
+        for report in reports.values():
+            assert report.problems[0].startswith("equation 'central_relation' is not over a, b and t: ")
+
+    @pytest.mark.usefixtures("cold_presentations")
+    def test_load_and_replay_spell_nothing(self, monkeypatch):
+        tampered = [json.loads(certificate_text(muc_power_tamper(10**4))), endpoint_product_tamper()]
+        docs = [json.loads(path.read_text()) for path in FIXTURES] + tampered
+        cable_presentation.cache_clear()  # new presentations bind the `_spell` patched below
+        torus_presentation.cache_clear()
+        calls = []
+        expand, spell = GroupPresentation.expand, presentations._spell
+        monkeypatch.setattr(GroupPresentation, "expand", lambda pres, w: calls.append(w) or expand(pres, w))
+        monkeypatch.setattr(presentations, "_spell", lambda *args: calls.append(args) or spell(*args))
+        reports = [replay(certificate_from_json_dict(doc)) for doc in docs]
+        assert calls == []
+        assert [report.ok for report in reports] == [True] * len(FIXTURES) + [False, False]
 
 
 class TestCertificateText:

@@ -334,10 +334,10 @@ class TestJunctionArithmetic:
 
     @pytest.mark.parametrize("xyp", [(2, 3, 50), (1000, 1001, 2)], ids=["x2_y3_p50", "x1000_y1001_p2"])
     def test_replay_spells_no_name_when_a_row_cites_the_endpoint_product(self, monkeypatch, xyp):
-        # a work count, not a timing: replay expands the side muC^(pq-1) lamC
-        # of a row retargeted to it down to muC^-1 t^p before muC is spelled;
-        # spelling the names one by one would build lamC's and lam's
-        # spellings, powers at least pq or xy long
+        # a work count, not a timing: replay reads the side muC^(pq-1) lamC
+        # of a row retargeted to it as written and refuses it for its names;
+        # spelling the names would build lamC's and lam's spellings, powers
+        # at least pq or xy long
         built = []
         real_power = presentations.power
 
@@ -362,5 +362,8 @@ class TestJunctionArithmetic:
         rows[k] = rows[k]._replace(equation_id="cable_endpoint_product")
         report = replay(replace(cert, refutations=tuple(rows)))
         assert max(built) < 1_000 and sum(built) < 5_000
-        assert report.problems == ["recorded signs pos/zero for 'cable_endpoint_product' recompute as unknown/pos"]
+        assert report.problems == [
+            "equation 'cable_endpoint_product' is not over a, b and t: the letter 'muC' is not a, b or t",
+            "1 refutation row(s) cite equation 'cable_endpoint_product', which is not over a, b and t",
+        ]
         assert all("<built on first read>" in repr(pres.named[n]) for n in (LAM, LAMC))
