@@ -16,10 +16,10 @@ sweep's ``summary.json``) is compact: one line with no spaces after ``,`` or
 Readers parse any JSON layout, so a certificate indented by another tool
 replays the same.  ``certify`` and ``sweep`` write a certificate with
 ``proofs.certificate_text``, which gives the bytes of the compact dump of
-its ``to_json_dict`` but reuses the text of each lemma and each refutation
-row it has encoded before.  ``sweep`` loads that text back and replays it,
-and writes the file only when the replay is ok: what it checks is what it
-writes.
+its ``to_json_dict`` but reuses the text that certify keeps beside each
+lemma and each refutation table of the presentation.  ``sweep`` loads that
+text back and replays it, and writes the file only when the replay is ok:
+what it checks is what it writes.
 
 Output files are rewritten in place: an existing file is opened without
 ``O_TRUNC``, overwritten, and cut only when it is a regular file that held
@@ -252,11 +252,12 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(key: str, text: str) -> list[int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    except ValueError:
+        raise ValueError(f"bad grid {key} {text!r:.40}: expected N or A..B with integers N, A and B") from None
 
 
 def parse_grid(spec: str) -> dict:
@@ -280,7 +281,7 @@ def parse_grid(spec: str) -> dict:
                     raise ValueError(f"repeated grid slope {str(value)!r:.40}")
                 seen.add(value)
         else:
-            dims[key] = _parse_range(val.strip())
+            dims[key] = _parse_range(key, val.strip())
     for required in ("x", "y", "p"):
         if required not in dims:
             raise ValueError(f"grid is missing {required!r}")

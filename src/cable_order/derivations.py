@@ -152,19 +152,31 @@ class Step(namedtuple("Step", "kind side position word name ref direction anchor
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for key in ("side", "position", "name", "direction", "anchor", "on", "n"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.word is not None:
-            out["word"] = str(self.word)
-        if self.ref is not None:
-            out["ref"] = {"type": self.ref[0], "name": self.ref[1]}
-        if self.left is not None:
-            out["left"] = [self.left[0], self.left[1]]
-        if self.right is not None:
-            out["right"] = [self.right[0], self.right[1]]
+        # one unpacking of the record, as in apply_step; the keys keep the order certificates are written in
+        kind, side, position, word, name, ref, direction, anchor, left, right, on, n = self
+        out: dict = {"kind": kind}
+        if side is not None:
+            out["side"] = side
+        if position is not None:
+            out["position"] = position
+        if name is not None:
+            out["name"] = name
+        if direction is not None:
+            out["direction"] = direction
+        if anchor is not None:
+            out["anchor"] = anchor
+        if on is not None:
+            out["on"] = on
+        if n is not None:
+            out["n"] = n
+        if word is not None:
+            out["word"] = str(word)
+        if ref is not None:
+            out["ref"] = {"type": ref[0], "name": ref[1]}
+        if left is not None:
+            out["left"] = [left[0], left[1]]
+        if right is not None:
+            out["right"] = [right[0], right[1]]
         return out
 
     @staticmethod

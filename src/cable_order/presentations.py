@@ -26,17 +26,18 @@ a^x = b^y is central in the torus-knot group.
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
 The only things set after construction are the spellings and relator words,
-each once, on first read, and the memo of slope-free lemmas that
-``proofs.certify_slope`` fills once per presentation (`_lemmas`); every
-read sees the same value, and no module of the trusted core reads the
-memo, so `replay` never takes a proof from it.  The memo lives and dies
-with its object: ``dataclasses.replace``, copying and unpickling start it
-empty, and clearing the caches below drops it.  It holds, per lemma, the
-certificate entry (a script and the equation read from it) and the entry's
-compact JSON text, a ``str`` that ``proofs.certificate_text`` writes in
-place of encoding the entry again: words, names and text with no reference
-back to a presentation, so a presentation is freed by reference counting
-alone.
+each once, on first read, and the memo of slope-free lemmas and
+refutation tables that ``proofs.certify_slope`` fills once per
+presentation (`_lemmas`); every read sees the same value, and no module of
+the trusted core reads the memo, so `replay` never takes a proof or a row
+from it.  The memo lives and dies with its object:
+``dataclasses.replace``, copying and unpickling start it empty, and
+clearing the caches below drops it.  It holds, per lemma, the certificate
+entry (a script and the equation read from it) and, per table, the tuple
+of refutation rows, each beside its compact JSON text, a ``str`` that
+``proofs.certificate_text`` writes in place of encoding it again: words,
+names, rows and text with no reference back to a presentation, so a
+presentation is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -145,9 +146,10 @@ class GroupPresentation:
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # factory name -> (the lemma's CertEntry, its compact JSON text), built over
-    # this presentation: see the docstring
-    _lemmas: dict[str, object] = field(init=False, repr=False, compare=False)
+    # factory name -> (the lemma's CertEntry, its compact JSON text), and the
+    # surgery equation's (id, lhs letters, rhs letters) -> (its refutation rows,
+    # their compact JSON text), built over this presentation: see the docstring
+    _lemmas: dict[object, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))

@@ -20,23 +20,29 @@ One pipeline covers every slope in [pq-1, pq]; its surgery proof takes the
 same number of steps at every slope.  :func:`certify_slope` runs it at a
 slope and :func:`certify_beta` at the slope pq - 1/beta, labelled with beta.
 
+A refutation table depends only on each cited equation's id and the
+signed letters of its two sides.  Over one presentation the cited lemmas
+are fixed, so the surgery equation's id and letter sets pick the table:
+:func:`_certify` searches for each one once per presentation, and encodes
+each distinct table once per process.
+
 :func:`certificate_text` writes a certificate from parts each encoded
-once: a lemma's text is kept beside its entry, and a refutation row's once
-per process.
+once: a lemma's text is kept beside its entry, and a table's beside its
+rows.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from functools import lru_cache
+from functools import cache
 
 from . import obstruction
 from .derivations import (
     LHS, RHS, Axiom, CertEntry, Context, DerivationScript, Equation, Step, StepError, apply_step, axiom_state,
 )
 from .normal_form import equal_in_torus_group
-from .obstruction import CertParams, Inconclusive, ObstructionCertificate, RefutationRow, SignAssignment
+from .obstruction import CertParams, Inconclusive, ObstructionCertificate, RefutationRow, signed_letters
 from .presentations import LAM, LAMC, MU, MUC, GroupPresentation, ParameterError, cable_presentation
 from .slopes import Slope, beta_slope, cramer
 from .words import Word, _reduce, invert, power
@@ -274,8 +280,14 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
     pq, ``cable_endpoint_product``) are built on the first certificate that
     needs them over the cached presentation, which keeps them; later
     certificates over it reuse them and build only the surgery script.
-    Entries and bytes are the same either way, and :func:`replay` re-checks
-    every script a certificate carries.
+    The refutation table is kept in the same memo, keyed by the surgery
+    equation's id and the signed letters of its sides, which with the
+    presentation's lemmas are all ``obstruction.refute_all`` reads of the
+    cited equations; so a surgery equation over the same letters as an
+    earlier one reuses its rows and their text, which :func:`_table` shares
+    between presentations.  Entries and bytes are the same either way, and
+    :func:`replay` re-checks every script and every row a certificate
+    carries.
     """
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
@@ -300,14 +312,20 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
         )
     entries.append(surgery)
 
-    # the endpoint product is a lemma of the surgery equation's proof and no
-    # row cites it, so it is left out of `cited`: refute_all never expands
-    # or sign-evaluates it
-    cited = [entries[0].equation, entries[1].equation, surgery.equation]
-    rows = obstruction.refute_all(cited, pres, slope)  # looked up on the module, where a caller may wrap it
-    if isinstance(rows, Inconclusive):
-        return rows
-    return ObstructionCertificate(CertParams(x, y, p, slope, beta), tuple(entries), rows)
+    # the key is what refute_all reads of `cited` that can change over one
+    # presentation (the surgery equation is proven at `slope`, as its check
+    # requires); the endpoint product is a lemma that no row cites, so nothing
+    # here spells or sign-evaluates its sides, which hold muC and lamC
+    eq = surgery.equation
+    key = (surgery.entry_id, signed_letters(eq.lhs), signed_letters(eq.rhs))
+    table = pres._lemmas.get(key)
+    if table is None:
+        cited = [entries[0].equation, entries[1].equation, eq]
+        rows = obstruction.refute_all(cited, pres, slope)  # looked up on the module, where a caller may wrap it
+        if isinstance(rows, Inconclusive):
+            return rows
+        table = pres._lemmas[key] = _table(rows)
+    return ObstructionCertificate(CertParams(x, y, p, slope, beta), tuple(entries), table[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +333,16 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
 
 # json.dumps(doc, separators=(",", ":"), check_circular=False), with one encoder for every call
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-ROW_TEXTS = 1024  # the most distinct rows whose text is kept; a certificate certify writes has 27
 
 
-@lru_cache(maxsize=ROW_TEXTS)
-def _row_text(a: str, b: str, t: str, equation_id: str | None, lhs_sign: str | None, rhs_sign: str | None) -> str:
-    """The compact JSON text of one refutation row, encoded once per process."""
-    return _compact(RefutationRow(SignAssignment(a, b, t), equation_id, lhs_sign, rhs_sign).to_json_dict())
+@cache
+def _table(rows: tuple[RefutationRow, ...]) -> tuple[tuple[RefutationRow, ...], str]:
+    """The first table equal to `rows` met in this process, beside its compact JSON text.
+
+    Bounded by construction: the theorem's ranges fix the letter signs of
+    every equation certify cites, so there is one table per surgery factory.
+    """
+    return rows, ",".join(_compact(row.to_json_dict()) for row in rows)
 
 
 def certificate_text(cert: ObstructionCertificate) -> str:
@@ -332,26 +353,27 @@ def certificate_text(cert: ObstructionCertificate) -> str:
     certificate's: the test is identity on two live objects, so no freed
     object's reused address can stand in.  Any other entry, such as the
     surgery script, an entry of a loaded certificate or a lemma built again
-    after the caches were cleared, is encoded here.  Each distinct row is
-    encoded once per process (at most :data:`ROW_TEXTS` are kept), and the
-    parameters and the determinant data are encoded per certificate.  The
-    parameters must build a presentation, as every certified one's do.
+    after the caches were cleared, is encoded here.  The refutation table
+    follows the same rule: it takes the text the memo keeps beside a table
+    only when that table *is* the certificate's, and otherwise its rows are
+    encoded here.  The parameters and the determinant data are encoded per
+    certificate.  The parameters must build a presentation, as every
+    certified one's do.
     """
     par = cert.params
-    lemmas = tuple(cable_presentation(par.x, par.y, par.p)._lemmas.values())
+    memo = tuple(cable_presentation(par.x, par.y, par.p)._lemmas.values())
     equations = [
-        next((text for lemma, text in lemmas if lemma is entry), None) or _compact(entry.to_json_dict())
+        next((text for part, text in memo if part is entry), None) or _compact(entry.to_json_dict())
         for entry in cert.entries
     ]
-    rows = [
-        _row_text(r.assignment.a, r.assignment.b, r.assignment.t, r.equation_id, r.lhs_sign, r.rhs_sign)
-        for r in cert.refutations
-    ]
+    rows = next((text for part, text in memo if part is cert.refutations), None) or ",".join(
+        _compact(row.to_json_dict()) for row in cert.refutations
+    )
     c = cert.cramer_data
     head = _compact({"version": cert.version, "params": par.to_json_dict()})
     return "".join((
         head[:-1], ',"equations":[', ",".join(equations), '],"cramer":',
-        _compact(None if c is None else c.to_json_dict()), ',"refutations":[', ",".join(rows), "]}",
+        _compact(None if c is None else c.to_json_dict()), ',"refutations":[', rows, "]}",
     ))
 
 

@@ -31,12 +31,13 @@ class Slope:
     def parse(text: str) -> "Slope":
         if not isinstance(text, str):
             raise ValueError(f"slope text must be a string, got {type(text).__name__}")
-        parts = text.strip().split("/")
-        if len(parts) == 1:
-            return Slope(int(parts[0]), 1)
-        if len(parts) == 2:
-            return Slope(int(parts[0]), int(parts[1]))
-        raise ValueError(f"bad slope {text!r:.40}")
+        try:
+            numbers = [int(part) for part in text.strip().split("/")]
+        except ValueError:
+            numbers = []
+        if not 1 <= len(numbers) <= 2:
+            raise ValueError(f"bad slope {text!r:.40}: expected M or M/N with integers M and N")
+        return Slope(*numbers)
 
     def __str__(self) -> str:
         return f"{self.m}/{self.n}"

@@ -1153,6 +1153,34 @@ class TestSweep:
         with pytest.raises(ValueError):
             parse_grid("x=2;y=3;p=2;beta=1;zap=3")
 
+    RANGE = ": expected N or A..B with integers N, A and B\n"
+    SLOPE = ": expected M or M/N with integers M and N\n"
+    CERTIFY = ["certify", "--x", "2", "--y", "3", "--p", "2", "--slope"]
+
+    @pytest.mark.parametrize("argv,err", [
+        (["sweep", "--grid", "x=2;y=3;p=2;beta=1|2"], "error: bad grid beta '1|2'" + RANGE),
+        (["sweep", "--grid", "x=2..3..4;y=3;p=2;beta=1"], "error: bad grid x '2..3..4'" + RANGE),
+        (["sweep", "--grid", "x=2;y=3;p= 2..q ;beta=1"], "error: bad grid p '2..q'" + RANGE),
+        (["sweep", "--grid", "x=2;y=3;p=2;beta=" + "7" * 59 + "x"], "error: bad grid beta '" + "7" * 39 + RANGE),
+        ([*CERTIFY, "abc"], "error: bad slope 'abc'" + SLOPE),
+        ([*CERTIFY, "21/1/1"], "error: bad slope '21/1/1'" + SLOPE),
+        ([*CERTIFY, "4" * 59 + "x"], "error: bad slope '" + "4" * 39 + SLOPE),
+    ], ids=["beta-list", "x-two-ranges", "p-range-end", "beta-cut", "slope-word", "slope-three-parts", "slope-cut"])
+    def test_a_malformed_number_names_its_dimension_or_slope_and_the_forms(self, argv, err, tmp_path, capsys):
+        out = tmp_path / "certs"
+        argv += ["--out", str(out)] if argv[0] == "sweep" else ["--json", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+        assert not out.exists()
+
+    def test_a_malformed_grid_slope_stays_its_points_record(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "x=2;y=3;p=2;slope=abc|21", "--out", str(out)]) == 1
+        records = json.loads((out / "summary.json").read_text())["results"]
+        assert [(r["slope"], r["status"]) for r in records] == [("abc", "unsupported"), ("21", "certified")]
+        assert records[0]["detail"] == "bad slope 'abc'" + self.SLOPE.rstrip("\n")
+
 
 class TestVerifyIdentities:
     def test_all_pass(self, capsys):

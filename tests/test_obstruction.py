@@ -46,9 +46,7 @@ from cable_order.presentations import (
 )
 from cable_order.proofs import (
     REDUCE,
-    ROW_TEXTS,
     UnsupportedParameters,
-    _row_text,
     cable_t_power_script,
     central_relation_script,
     certificate_text,
@@ -57,7 +55,7 @@ from cable_order.proofs import (
     prove,
 )
 from cable_order.slopes import Slope, beta_slope, cramer
-from cable_order.words import Word
+from cable_order.words import Word, invert
 from helpers import swap_expand_t_power_script, word_strategy
 
 ALL_POS = SignAssignment(POS, POS, POS)
@@ -313,6 +311,7 @@ class TestCertifySlope:
             assert replay(certify_slope(x, y, p, slope)), (x, y, p, str(slope))
         assert replay(certify_beta(x, y, p, 5))
 
+    @pytest.mark.usefixtures("cold_presentations")  # so each refutation table is searched, not reused
     def test_endpoint_product_is_never_expanded(self, monkeypatch):
         # the certify-side twin of TestReplay.test_only_cited_equations_are_expanded:
         # no row cites the endpoint product, so refute_all never sees it
@@ -666,7 +665,7 @@ class TestLemmaMemo:
     def test_a_presentation_with_lemmas_makes_no_reference_cycle(self):
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 3)
-        assert len(pres._lemmas) == 3
+        assert len(pres._lemmas) == 4  # three lemmas and one refutation table
         gone = weakref.ref(pres)
         gc.disable()
         try:
@@ -678,6 +677,106 @@ class TestLemmaMemo:
             gc.enable()
         # the certificate outlives its presentation and still replays
         assert replay(cert)
+
+
+def table_key(pres, cert):
+    """The key under which the presentation's memo keeps `cert`'s refutation table."""
+    return next(key for key, (part, _) in pres._lemmas.items() if part is cert.refutations)
+
+
+def count_searches(monkeypatch) -> list:
+    """The slopes of the refute_all calls certify makes, looked up on the module as certify does."""
+    calls = []
+    real = obstruction.refute_all
+
+    def counted(equations, pres, slope=None):
+        calls.append(slope)
+        return real(equations, pres, slope)
+
+    monkeypatch.setattr(obstruction, "refute_all", counted)
+    return calls
+
+
+@pytest.mark.usefixtures("cold_presentations")
+class TestTableMemo:
+    # the refutation table is kept beside the lemmas, keyed by the surgery
+    # equation's id and the signed letters of its sides, and each distinct
+    # table is encoded once per process
+
+    @staticmethod
+    def certificates(x, y, p):
+        """One certificate of each slope kind: pq - 1, pq, an interior slope and a beta >= 2."""
+        pq = p * (p * x * y - 1)
+        return [
+            certify_slope(x, y, p, Slope(pq - 1)), certify_slope(x, y, p, Slope(pq)),
+            certify_slope(x, y, p, Slope(3 * pq - 1, 3)), certify_beta(x, y, p, 4),
+        ]
+
+    @pytest.mark.parametrize("x,y,p", [(2, 3, 2), (3, 5, 4), (6, 7, 5), (2, 3, 50)])
+    def test_kept_rows_match_a_fresh_search(self, x, y, p):
+        self.certificates(x, y, p)  # fill the memo
+        pres = cable_presentation(x, y, p)
+        for cert in self.certificates(x, y, p):
+            surgery = cert.entries[-1].equation
+            cited = [cert.entries[0].equation, cert.entries[1].equation, surgery]
+            assert cert.refutations is pres._lemmas[table_key(pres, cert)][0]
+            assert cert.refutations == refute_all(cited, pres, cert.params.slope), surgery.provenance
+
+    def test_each_table_is_searched_once_per_presentation(self, monkeypatch):
+        calls = count_searches(monkeypatch)
+        for beta in range(1, 7):
+            certify_beta(2, 3, 2, beta)
+        assert calls == [Slope(21), beta_slope(2, 11, 2)]  # the endpoint table, then the interior one
+        self.certificates(2, 3, 2)
+        assert calls[2:] == [Slope(22)]  # only the integer slope's table is new
+        self.certificates(2, 3, 2)
+        for beta in range(1, 7):
+            certify_beta(2, 3, 2, beta)
+        assert len(calls) == 3
+        encoded = proofs._table.cache_info().misses
+        other = certify_beta(2, 5, 3, 2)  # another presentation searches its own table
+        assert len(calls) == 4
+        # but takes the rows and the text of the equal table, encoded once per process
+        assert other.refutations is certify_beta(2, 3, 2, 2).refutations
+        cable_presentation.cache_clear()
+        torus_presentation.cache_clear()
+        assert certify_beta(2, 3, 2, 2).refutations is other.refutations and len(calls) == 5
+        assert proofs._table.cache_info().misses == encoded
+
+    def test_another_id_or_other_letters_get_another_table(self, monkeypatch):
+        calls = count_searches(monkeypatch)
+        real = proofs.surgery_t_power_identity_script
+        kept = certify_slope(2, 3, 2, Slope(22))  # t^2 = 1
+        variants = (
+            lambda script: replace(script, script_id="renamed"),
+            lambda script: replace(script, claimed_lhs=invert(script.claimed_lhs)),  # t^-2 = 1
+        )
+        tables = [kept.refutations]
+        for change in variants:
+            def changed(pres, change=change):
+                return CertEntry(change(real(pres).script))
+
+            monkeypatch.setattr(proofs, "surgery_t_power_identity_script", changed)
+            tables.append(certify_slope(2, 3, 2, Slope(22)).refutations)
+        assert len(calls) == 3
+        assert len(set(tables)) == 3
+        assert {row.equation_id for row in tables[1]} >= {"renamed"}
+        assert [row.lhs_sign for row in tables[2] if row.equation_id == "surgery_t_power_identity"] == [
+            {POS: NEG, NEG: POS}[row.lhs_sign] for row in tables[0] if row.equation_id == "surgery_t_power_identity"
+        ]
+
+    def test_a_table_text_is_used_only_for_its_own_rows(self):
+        cert = certify_beta(2, 3, 2, 2)
+        copy_ = replace(cert, refutations=tuple(list(cert.refutations)))  # equal rows, not the memo's tuple
+        assert copy_.refutations is not cert.refutations
+        reference = TestCertificateText.reference(cert)
+        assert certificate_text(copy_) == certificate_text(cert) == reference
+        # a marked memo text shows which of the two took it
+        pres = cable_presentation(2, 3, 2)
+        key = table_key(pres, cert)
+        pres._lemmas[key] = (cert.refutations, '"marked"')
+        assert certificate_text(cert).endswith(',"refutations":["marked"]}')
+        assert certificate_text(copy_) == reference
 
 
 def assert_cited_sides_over_a_b_t(cert):
@@ -835,15 +934,13 @@ class TestCertificateText:
         assert '"equations":["marked",' in certificate_text(cert)
         assert certificate_text(copy_) == self.reference(cert)
 
-    def test_the_row_cache_stays_within_its_bound(self):
+    def test_renamed_rows_are_written_as_their_dicts(self):
         cert = certify_beta(2, 3, 2, 2)
         rows = list(cert.refutations)
-        for k in range(ROW_TEXTS // len(rows) + 2):  # more distinct rows than the cache keeps
+        for k in range(40):  # over a thousand distinct rows, none of them a memo's
             renamed = tuple(row if row.equation_id is None else row._replace(equation_id=f"e{k}") for row in rows)
             copy_ = replace(cert, refutations=renamed)
             assert certificate_text(copy_) == self.reference(copy_)
-        info = _row_text.cache_info()
-        assert info.maxsize == ROW_TEXTS and info.currsize <= ROW_TEXTS
 
 
 class TestAssignments:
