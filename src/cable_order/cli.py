@@ -62,7 +62,7 @@ from .proofs import (
     certificate_text,
     peripheral_invariance_check,
 )
-from .slopes import Slope, lspace_window_check
+from .slopes import Slope, lspace_window_check, over_digit_limit
 from .words import Word, concat
 
 CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
@@ -257,7 +257,8 @@ def _parse_range(key: str, text: str) -> list[int]:
     try:
         return list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
     except ValueError:
-        raise ValueError(f"bad grid {key} {text!r:.40}: expected N or A..B with integers N, A and B") from None
+        why = over_digit_limit(lo, hi) or "expected N or A..B with integers N, A and B"
+        raise ValueError(f"bad grid {key} {text!r:.40}: {why}") from None
 
 
 def parse_grid(spec: str) -> dict:
@@ -406,6 +407,15 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """``--x``, ``--y``, ``--p`` and ``--beta``: an integer, or a usage error quoting at most 40 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        why = over_digit_limit(text) or "must be an integer"
+        raise argparse.ArgumentTypeError(f"{why}, got {text!r:.40}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
@@ -421,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(sp: argparse.ArgumentParser, with_p_required: bool) -> None:
-        sp.add_argument("--x", type=int, required=True)
-        sp.add_argument("--y", type=int, required=True)
-        sp.add_argument("--p", type=int, required=with_p_required, default=None)
+        sp.add_argument("--x", type=_integer, required=True)
+        sp.add_argument("--y", type=_integer, required=True)
+        sp.add_argument("--p", type=_integer, required=with_p_required, default=None)
 
     sp = sub.add_parser("present", help="print a presentation document")
     add_params(sp, with_p_required=False)
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="emit a non-left-orderability certificate")
     add_params(sp, with_p_required=True)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta", type=int, default=None)
+    group.add_argument("--beta", type=_integer, default=None)
     group.add_argument("--slope", type=str, default=None)
     sp.add_argument("--json", metavar="PATH", default=None)
     sp.add_argument("--table", action="store_true", help="print the 27-row table instead of JSON")

@@ -614,6 +614,7 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     )
     if axiom.kind == "surgery" and axiom.name is not None:  # the checker reads no name there
         raise ValueError("a surgery axiom's name must be null")
+    cites = _json_typed(d.get("cites", []), list, "cites")  # absent is none; a string is no list of ids
     return DerivationScript(
         script_id=_json_typed(d["id"], str, "script id"),
         context=Context(d["context"], slope),
@@ -621,5 +622,5 @@ def script_from_json_dict(d: dict) -> DerivationScript:
         steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
         claimed_lhs=_json_printed(Word.parse, d["claimed"]["lhs"], "claimed lhs"),
         claimed_rhs=_json_printed(Word.parse, d["claimed"]["rhs"], "claimed rhs"),
-        cites=tuple(_json_typed(c, str, "cited equation id") for c in d.get("cites", ())),
+        cites=tuple(_json_typed(c, str, "cited equation id") for c in cites),
     )

@@ -11,10 +11,9 @@ normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
 u and v follow from (x, y, p).
 
 Each defined name means its definition over earlier names, and nothing
-else.  A name's spelling (its `expansion`) and a relator's `word` are the
-:meth:`GroupPresentation.expand` of its definition or named form, which
-replaces each name^e by the e-th power of the name's spelling and reduces.
-They are built on first read, and no certify or replay step reads one.
+else: a presentation keeps no word over the alphabet for a name or a
+relator.  :meth:`GroupPresentation.expand` writes one out on demand, and no
+certify or replay step asks it to.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
@@ -25,27 +24,23 @@ a^x = b^y is central in the torus-knot group.
 
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
-The only things set after construction are the spellings and relator words,
-each once, on first read, and the memo of slope-free lemmas and
-refutation tables that ``proofs.certify_slope`` fills once per
-presentation (`_lemmas`); every read sees the same value, and no module of
-the trusted core reads the memo, so `replay` never takes a proof or a row
-from it.  The memo lives and dies with its object:
-``dataclasses.replace``, copying and unpickling start it empty, and
-clearing the caches below drops it.  It holds, per lemma, the certificate
-entry (a script and the equation read from it) and, per table, the tuple
-of refutation rows, each beside its compact JSON text, a ``str`` that
-``proofs.certificate_text`` writes in place of encoding it again: words,
-names, rows and text with no reference back to a presentation, so a
+The only state set after construction is `_lemmas`, the memo of
+slope-free lemmas and refutation tables that ``proofs.certify_slope``
+fills once per presentation; no module of the trusted core reads it, so
+`replay` never takes a proof or a row from it.  ``dataclasses.replace``,
+copying and unpickling start it empty, and clearing the caches below drops
+it.  It holds certificate entries and refutation rows, each beside the
+compact JSON text that ``proofs.certificate_text`` writes in place of
+encoding it again, with no reference back to a presentation, so a
 presentation is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
@@ -83,47 +78,16 @@ def bezout_torus(x: int, y: int) -> TorusBezout:
     return TorusBezout(i, j)
 
 
-@dataclass(frozen=True)
-class Relator:
-    """A presentation relator: `word` == identity in the group.
+class Relator(namedtuple("Relator", "name named_form")):
+    """A relator (a tuple): `named_form`, over defined names and quoted verbatim by axioms, is the identity."""
 
-    `named_form` is a compact spelling over defined element names, which
-    derivation axioms quote verbatim.  `word` is its expansion, built on the
-    first read as :class:`NamedElement` builds its, and equality sees the
-    name and the named form.
-    """
-
-    name: str
-    named_form: Word
-    spell: Callable[[], Word] = field(compare=False, repr=False)
-
-    @cached_property
-    def word(self) -> Word:
-        return self.spell()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NamedElement:
-    """A defined element: `definition` over earlier names, `expansion` concrete.
+class NamedElement(namedtuple("NamedElement", "name definition")):
+    """A defined element: `definition` over earlier names is what `name` means (a tuple)."""
 
-    The definition is what the name means; the expansion is its expansion,
-    built by ``spell()`` on the first read and kept, and a failed read keeps
-    nothing.  Equality and hashing see the name and the definition, so
-    comparing never spells.  ``spell`` must pickle, as the element does.
-    """
-
-    name: str
-    definition: Word
-    spell: Callable[[], Word] = field(compare=False, repr=False)
-
-    @cached_property
-    def expansion(self) -> Word:
-        return self.spell()
-
-    def __repr__(self) -> str:
-        built = vars(self).get("expansion")  # where cached_property keeps it
-        spelled = "<built on first read>" if built is None else repr(built)
-        return f"NamedElement(name={self.name!r}, definition={self.definition!r}, expansion={spelled})"
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -180,9 +144,10 @@ class GroupPresentation:
     def expand(self, w: Word) -> Word:
         """The reduced word over the alphabet that `w` stands for: `w` itself if it is over the alphabet.
 
-        Each name^e becomes the e-th power of the name's spelling, joined with
-        cancelling at the junctions.  A letter that is neither a generator nor
-        a name is a ValueError, raised before anything is spelled.
+        Each name^e becomes the e-th power of the expansion of the name's
+        definition, joined with cancelling at the junctions; nothing is kept,
+        so every call builds its words anew.  A letter that is neither a
+        generator nor a name is a ValueError, raised before anything is built.
         """
         letters = w.generators()
         if letters.issubset(self.alphabet):
@@ -192,7 +157,7 @@ class GroupPresentation:
             raise ValueError(f"unknown generator {g!r:.40}")
         out: list[Syllable] = []
         for g, e in w.syllables:
-            _join(out, power(self.named[g].expansion, e).syllables if g in self.named else ((g, e),))
+            _join(out, power(self.expand(self.named[g].definition), e).syllables if g in self.named else ((g, e),))
         return Word(tuple(out))
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
@@ -214,26 +179,15 @@ class GroupPresentation:
             "params": params,
             "alphabet": list(self.alphabet),
             "relators": [
-                {"name": r.name, "word": str(r.word), "named_form": str(r.named_form)}
+                {"name": r.name, "word": str(self.expand(r.named_form)), "named_form": str(r.named_form)}
                 for r in self.relators
             ],
             "named": {
-                n: {"definition": str(el.definition), "expansion": str(el.expansion)}
+                n: {"definition": str(el.definition), "expansion": str(self.expand(el.definition))}
                 for n, el in self.named.items()
             },
             "whitelist": [[str(u), str(w)] for u, w in self.whitelist],
         }
-
-
-def _spell(x: int, y: int, p: int | None, name: str) -> Word:
-    """``spell`` of every name and relator: the expansion of its definition or named form.
-
-    p is None for the torus.  The presentation comes from the cache (an equal
-    one is built if it was cleared): holding it would make a reference cycle
-    through `named`, and each cold build would wait for the cycle collector.
-    """
-    pres = torus_presentation(x, y) if p is None else _cable_presentation(x, y, p)
-    return pres.expand(pres.named[name].definition if name in pres.named else pres.relator(name).named_form)
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +196,8 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
     i, j = bezout_torus(x, y)
     central = Word.from_pairs([("a", x), ("b", -y)])
     named = {
-        MU: NamedElement(MU, Word.from_pairs([("b", j), ("a", i)]), partial(_spell, x, y, None, MU)),
-        LAM: NamedElement(LAM, Word.from_pairs([(MU, -x * y), ("a", x)]), partial(_spell, x, y, None, LAM)),
+        MU: NamedElement(MU, Word.from_pairs([("b", j), ("a", i)])),
+        LAM: NamedElement(LAM, Word.from_pairs([(MU, -x * y), ("a", x)])),
     }
     whitelist = (
         (Word.single("a", x), Word.single("b")),
@@ -258,7 +212,7 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         p=None,
         q=None,
         alphabet=("a", "b"),
-        relators=(Relator("central", central, partial(_spell, x, y, None, "central")),),
+        relators=(Relator("central", central),),
         named=named,
         whitelist=whitelist,
         torus_bezout=TorusBezout(i, j),
@@ -291,8 +245,8 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     lamc_def = Word.from_pairs([(MUC, -p * q), ("t", p)])
     cable_named_form = Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])
     named = dict(base.named)
-    named[MUC] = NamedElement(MUC, muc_def, partial(_spell, x, y, p, MUC))
-    named[LAMC] = NamedElement(LAMC, lamc_def, partial(_spell, x, y, p, LAMC))
+    named[MUC] = NamedElement(MUC, muc_def)
+    named[LAMC] = NamedElement(LAMC, lamc_def)
 
     tp = Word.single("t", p)
     whitelist = base.whitelist + (
@@ -311,7 +265,7 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         alphabet=("a", "b", "t"),
         relators=(
             base.relators[0],
-            Relator("cable", cable_named_form, partial(_spell, x, y, p, "cable")),
+            Relator("cable", cable_named_form),
         ),
         named=named,
         whitelist=whitelist,
@@ -325,7 +279,7 @@ cable_presentation.cache_info = _cable_presentation.cache_info  # type: ignore[a
 
 
 def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:
-    """The surgery relator muC^m lamC^n spelled over the peripheral names."""
+    """The surgery relator muC^m lamC^n over the peripheral names."""
     if pres.kind != "cable":
         raise ParameterError("surgery relators require a cable presentation")
     return Word.from_pairs([(MUC, slope.m), (LAMC, slope.n)])

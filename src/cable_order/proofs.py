@@ -391,7 +391,7 @@ def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
     pres = cable_presentation(x, y, p)
     i, j = pres.torus_bezout
     mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
-    if not equal_in_torus_group(pres.named[MU].expansion, mu_variant, x, y):
+    if not equal_in_torus_group(pres.expand(pres.named[MU].definition), mu_variant, x, y):
         return False
     assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
     u, v = pres.cable_bezout

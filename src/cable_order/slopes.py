@@ -9,9 +9,19 @@ directly into certificate soundness.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
+
+
+def over_digit_limit(*texts: str) -> str | None:
+    """Why ``int`` refused one of `texts` when it is a decimal integer over Python's digit limit, else None."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, no limit, before Python 3.10.7
+    for text in map(str.strip, texts):
+        if 0 < limit < len(text) and (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+            return f"an integer longer than Python's {limit:,}-digit limit"
+    return None
 
 
 @dataclass(frozen=True, slots=True, order=False)
@@ -31,12 +41,14 @@ class Slope:
     def parse(text: str) -> "Slope":
         if not isinstance(text, str):
             raise ValueError(f"slope text must be a string, got {type(text).__name__}")
+        parts = text.strip().split("/")
         try:
-            numbers = [int(part) for part in text.strip().split("/")]
+            numbers = [int(part) for part in parts]
         except ValueError:
             numbers = []
         if not 1 <= len(numbers) <= 2:
-            raise ValueError(f"bad slope {text!r:.40}: expected M or M/N with integers M and N")
+            why = over_digit_limit(*parts) or "expected M or M/N with integers M and N"
+            raise ValueError(f"bad slope {text!r:.40}: {why}")
         return Slope(*numbers)
 
     def __str__(self) -> str:

@@ -670,6 +670,14 @@ CORE_REJECTIONS = {
     "step_word_unreduced": (
         lambda d: _steps(d, "central_relation")[0].update(word="b b^2"), 1,
         "step word 'b b^2' is not written as 'b^3'"),
+    # a script's cites is a list: a string or an object would load as the
+    # ids its characters or keys spell, and a script that uses none replays
+    "cites_as_a_string": (
+        lambda d: _entry(d, "central_relation")["script"].update(cites="xyz"), 1,
+        "cites must be list, got str"),
+    "cites_as_an_object": (
+        lambda d: _entry(d, "central_relation")["script"].update(cites={"k": 1}), 1,
+        "cites must be list, got dict"),
     # the checker
     "unknown_reference_type": (
         lambda d: _steps(d, SURGERY)[2]["ref"].update(type="lemma"), 2,
@@ -983,15 +991,26 @@ def test_a_closed_stdout_exits_one_without_a_traceback(argv):
 
 
 def test_the_package_import_leaves_the_cli_unloaded():
-    # `python -m cable_order.cli` warns when the package import has already
-    # loaded the module; `peripheral_invariance_check` comes from `proofs`
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import cable_order; "
-        "print('cable_order.cli' in sys.modules, cable_order.peripheral_invariance_check.__module__)"
-    )
+    # `python -m cable_order.cli` warns when the package import has already loaded the module
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import cable_order; print('cable_order.cli' in sys.modules)"
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "False cable_order.proofs\n"
+    assert done.stdout == "False\n"
+
+
+def test_loading_and_replaying_a_fixture_loads_only_the_trusted_core():
+    # the package root imports nothing, so replay through `obstruction` loads no generator
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); from pathlib import Path; "
+        "from cable_order.obstruction import certificate_from_json_dict, replay; "
+        "print(bool(replay(certificate_from_json_dict(json.loads(Path(sys.argv[2]).read_text()))))); "
+        "print(sorted(m for m in sys.modules if m.startswith('cable_order.')))"
+    )
+    fixture = V1_FIXTURES[0]
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC), str(fixture)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    core = ["derivations", "obstruction", "presentations", "slopes", "words"]
+    assert done.stdout == f"True\n{['cable_order.' + m for m in core]}\n"
 
 
 class TestSweep:
@@ -1172,6 +1191,36 @@ class TestSweep:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == err
+        assert not out.exists()
+
+    LONG = "7" * 5000  # more digits than Python's default limit of 4,300 for integer text
+    CERTIFY_23 = ["certify", "--x", "2", "--y", "3"]
+
+    @pytest.mark.parametrize("argv,err", [
+        (["certify", "--x", LONG, "--y", "3", "--p", "2", "--beta", "1"], "argument --x: {limit}, got '{cut}"),
+        (["present", "--x", "2", "--y", LONG], "argument --y: {limit}, got '{cut}"),
+        ([*CERTIFY_23, "--p", "-" + LONG, "--beta", "1"], "argument --p: {limit}, got '-" + "7" * 38),
+        ([*CERTIFY_23, "--p", "2", "--beta", LONG], "argument --beta: {limit}, got '{cut}"),
+        ([*CERTIFY_23, "--p", "2", "--beta", "7" * 59 + "x"], "argument --beta: must be an integer, got '{cut}"),
+        ([*CERTIFY_23, "--p", "2", "--slope", LONG + "/2"], "error: bad slope '{cut}: {limit}"),
+        ([*CERTIFY_23, "--p", "2", "--slope", "21/" + LONG], "error: bad slope '21/" + "7" * 36 + ": {limit}"),
+        (["sweep", "--grid", f"x={LONG};y=3;p=2;beta=1"], "error: bad grid x '{cut}: {limit}"),
+        (["sweep", "--grid", f"x=2;y=3;p=2;beta=1..{LONG}"], "error: bad grid beta '1.." + "7" * 36 + ": {limit}"),
+    ], ids=["x", "y", "p", "beta", "beta-malformed", "slope-m", "slope-n", "grid-x", "grid-range-end"])
+    def test_a_number_over_the_digit_limit_is_named_and_cut(self, argv, err, tmp_path, capsys):
+        # argparse reports a bad --x, --y, --p or --beta as a usage error, and quotes at most 40 characters
+        out = tmp_path / "certs"
+        argv += ["--out", str(out)] if argv[0] == "sweep" else ["--json", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as usage_error:
+            code = usage_error.code
+        assert code == 1
+        captured = capsys.readouterr()
+        limit = f"an integer longer than Python's {sys.get_int_max_str_digits():,}-digit limit"
+        last = captured.err.splitlines()[-1]
+        assert last.endswith(err.format(limit=limit, cut="7" * 39)), last
+        assert captured.out == "" and len(captured.err) < 1024
         assert not out.exists()
 
     def test_a_malformed_grid_slope_stays_its_points_record(self, tmp_path, capsys):

@@ -347,8 +347,8 @@ class TestConservativity:
 class TestAbelianizationInvariance:
     def _lattice(self, pres, slope):
         cols = [
-            ab_vector(pres.relator("central").word),
-            ab_vector(pres.relator("cable").word),
+            ab_vector(pres.expand(pres.relator("central").named_form)),
+            ab_vector(pres.expand(pres.relator("cable").named_form)),
         ]
         if slope is not None:
             cols.append(ab_vector(surgery_relator(pres, slope)))

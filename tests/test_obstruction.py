@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cable_order import obstruction, presentations, proofs
+from cable_order import obstruction, proofs
 from cable_order.cli import main
 from cable_order.derivations import (
     Axiom, CertEntry, Context, Equation, Step, check_script, script_from_json_dict, script_to_json_dict,
@@ -864,15 +864,30 @@ class TestCitedSidesAsWritten:
     def test_load_and_replay_spell_nothing(self, monkeypatch):
         tampered = [json.loads(certificate_text(muc_power_tamper(10**4))), endpoint_product_tamper()]
         docs = [json.loads(path.read_text()) for path in FIXTURES] + tampered
-        cable_presentation.cache_clear()  # new presentations bind the `_spell` patched below
+        cable_presentation.cache_clear()  # so replay builds its presentations under the spy below
         torus_presentation.cache_clear()
         calls = []
-        expand, spell = GroupPresentation.expand, presentations._spell
+        expand = GroupPresentation.expand  # the only place a name is written out over a, b and t
         monkeypatch.setattr(GroupPresentation, "expand", lambda pres, w: calls.append(w) or expand(pres, w))
-        monkeypatch.setattr(presentations, "_spell", lambda *args: calls.append(args) or spell(*args))
         reports = [replay(certificate_from_json_dict(doc)) for doc in docs]
         assert calls == []
         assert [report.ok for report in reports] == [True] * len(FIXTURES) + [False, False]
+
+    @pytest.mark.usefixtures("cold_presentations")
+    @pytest.mark.parametrize("xyp", [(2, 3, 2), (3, 5, 3)], ids=lambda xyp: "x{}_y{}_p{}".format(*xyp))
+    def test_certify_expands_only_words_over_a_b_t(self, monkeypatch, xyp):
+        # at the four slope kinds: pq - 1, pq and two interior slopes; a named
+        # word would make expand write out a name's definition, and the
+        # wrapper of expand in bench/spans.py reads `pres.named[g].expansion`,
+        # which a name does not have
+        calls = []
+        expand = GroupPresentation.expand
+        monkeypatch.setattr(GroupPresentation, "expand", lambda pres, w: calls.append(w) or expand(pres, w))
+        pq = xyp[2] * (xyp[2] * xyp[0] * xyp[1] - 1)
+        slopes = (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2), Slope(3 * pq - 2, 3))
+        certs = [certify_slope(*xyp, slope) for slope in slopes] + [certify_beta(*xyp, 5)]
+        assert all(isinstance(cert, ObstructionCertificate) for cert in certs)
+        assert calls and all(w.generators() <= {"a", "b", "t"} for w in calls)
 
 
 class TestCertificateText:

@@ -1,11 +1,11 @@
 import json
 import pickle
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
-from cable_order import derivations, proofs
+from cable_order import derivations, presentations, proofs
 from cable_order.normal_form import equal_in_torus_group
 from cable_order.proofs import peripheral_invariance_check
 from cable_order.presentations import (
@@ -13,7 +13,6 @@ from cable_order.presentations import (
     LAMC,
     MU,
     MUC,
-    GroupPresentation,
     ParameterError,
     bezout_torus,
     cable_presentation,
@@ -52,15 +51,15 @@ class TestBezoutTorus:
 class TestTorusPresentation:
     def test_meridian_and_longitude(self):
         pres = torus_presentation(2, 3)
-        assert pres.named[MU].expansion == Word.parse("b^-1 a")
-        assert pres.named[LAM].expansion == power(Word.parse("a^-1 b"), 6) * Word.parse("a^2")
-        assert abelianize(pres.named[LAM].expansion) == {"a": -4, "b": 6}
+        assert pres.expand(Word.single(MU)) == Word.parse("b^-1 a")
+        assert pres.expand(Word.single(LAM)) == power(Word.parse("a^-1 b"), 6) * Word.parse("a^2")
+        assert abelianize(pres.expand(Word.single(LAM))) == {"a": -4, "b": 6}
 
     def test_longitude_abelianization_identity(self):
         for x, y in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 7), (5, 6)]:
             pres = torus_presentation(x, y)
-            ab_mu = abelianize(pres.named[MU].expansion)
-            ab_lam = abelianize(pres.named[LAM].expansion)
+            ab_mu = abelianize(pres.expand(Word.single(MU)))
+            ab_lam = abelianize(pres.expand(Word.single(LAM)))
             for g in ("a", "b"):
                 expected = -x * y * ab_mu.get(g, 0) + (x if g == "a" else 0)
                 assert ab_lam.get(g, 0) == expected
@@ -80,21 +79,20 @@ class TestCablePresentation:
         assert pres.q == 11
         assert pres.cable_bezout == (6, 1)
         # muC = mu^6 lam t^-1 reduces to a^2 t^-1
-        assert pres.named[MUC].expansion == Word.parse("a^2 t^-1")
-        mu_w, lam_w = pres.named[MU].expansion, pres.named[LAM].expansion
-        assert pres.named[MUC].expansion == concat(
+        assert pres.expand(Word.single(MUC)) == Word.parse("a^2 t^-1")
+        mu_w, lam_w = pres.expand(Word.single(MU)), pres.expand(Word.single(LAM))
+        assert pres.expand(Word.single(MUC)) == concat(
             power(mu_w, 6), lam_w, Word.single("t", -1)
         )
-        assert pres.named[LAMC].expansion == concat(
+        assert pres.expand(Word.single(LAMC)) == concat(
             power(invert(Word.parse("a^2 t^-1")), 22), Word.single("t", 2)
         )
 
     def test_relator_abelianization(self):
         pres = cable_presentation(2, 3, 2)
-        rel = pres.relator("cable")
-        ab = abelianize(rel.word)
-        ab_mu = abelianize(pres.named[MU].expansion)
-        ab_lam = abelianize(pres.named[LAM].expansion)
+        ab = abelianize(pres.expand(pres.relator("cable").named_form))
+        ab_mu = abelianize(pres.expand(Word.single(MU)))
+        ab_lam = abelianize(pres.expand(Word.single(LAM)))
         for g in ("a", "b", "t"):
             expected = 11 * ab_mu.get(g, 0) + 2 * ab_lam.get(g, 0) - (2 if g == "t" else 0)
             assert ab.get(g, 0) == expected
@@ -153,8 +151,8 @@ def test_spellings_match_the_concat_power_reference(xyp):
     # from the concrete spellings instead, and both must be one reduced word
     for pres in (torus_presentation(*xyp[:2]), cable_presentation(*xyp)):
         reference = reference_spellings(pres)
-        spelled = {n: el.expansion for n, el in pres.named.items()}
-        spelled.update((r.name, r.word) for r in pres.relators)
+        spelled = {n: pres.expand(el.definition) for n, el in pres.named.items()}
+        spelled.update((r.name, pres.expand(r.named_form)) for r in pres.relators)
         assert spelled == reference
         for word in spelled.values():
             assert word.generators() <= set(pres.alphabet)
@@ -174,90 +172,53 @@ class TestPresentationCache:
             pres.named[MU] = pres.named[LAM]
         with pytest.raises(TypeError):
             del pres.named[LAMC]
-        assert pres.named[MU].expansion == Word.parse("b^-1 a")
+        assert pres.expand(Word.single(MU)) == Word.parse("b^-1 a")
         assert cable_presentation(2, 3, 2).named[LAMC].definition == Word.parse("muC^-22 t^2")
 
-    def test_cold_build_spells_nothing(self):
+    def test_cold_build_spells_nothing(self, monkeypatch):
+        # a work count, not a timing: a build keeps definitions only, so it
+        # takes no power of a word; the first expand of the cable relator
+        # takes powers of mu's and lam's expansions, one of them 4,575 syllables long
+        built = []
+        real_power = presentations.power
+
+        def counting(w, n):
+            out = real_power(w, n)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(presentations, "power", counting)
         torus_presentation.cache_clear()
         cable_presentation.cache_clear()
         try:
             pres = cable_presentation(11, 13, 9)
-            for el in pres.named.values():
-                assert "expansion" not in vars(el), el.name  # where cached_property keeps it
-            for rel in pres.relators:
-                assert "word" not in vars(rel), rel.name
+            assert built == []
+            pres.expand(pres.relator("cable").named_form)
+            assert max(built) >= 1_000
         finally:
             torus_presentation.cache_clear()
             cable_presentation.cache_clear()
-
-    @pytest.mark.parametrize(
-        "read, attr",
-        [
-            (lambda pres: pres.named[LAMC], "expansion"),
-            (lambda pres: pres.relator("cable"), "word"),
-        ],
-        ids=["name", "cable_relator"],
-    )
-    def test_a_failed_read_keeps_nothing(self, monkeypatch, read, attr):
-        real = GroupPresentation.expand
-        calls = []
-
-        def failing_once(pres, w):
-            calls.append(w)
-            if len(calls) == 1:
-                raise ValueError("injected")
-            return real(pres, w)
-
-        cable_presentation.cache_clear()
-        try:
-            pres = cable_presentation(2, 3, 2)
-            monkeypatch.setattr(GroupPresentation, "expand", failing_once)
-            with pytest.raises(ValueError, match="injected"):
-                getattr(read(pres), attr)
-            assert attr not in vars(read(pres))
-            name = read(pres).name
-            assert getattr(read(pres), attr) == reference_spellings(pres)[name]
-            assert attr in vars(read(pres))
-        finally:
-            cable_presentation.cache_clear()
-
-    def test_unread_lamc_pickles_and_compares(self):
-        cable_presentation.cache_clear()
-        pres = cable_presentation(2, 3, 2)
-        assert "<built on first read>" in repr(pres.named[LAMC])
-        again = pickle.loads(pickle.dumps(pres))
-        assert "<built on first read>" in repr(again.named[LAMC])
-        assert again == pres and again.named[LAMC].expansion == pres.named[LAMC].expansion
-        assert again.expand(Word.parse("muC^21 lamC")) == Word.parse("t a^-2 t^2")
-        with pytest.raises(FrozenInstanceError):
-            pres.named[LAMC].definition = Word.parse("t")
 
     def test_cable_relator_is_spelled_and_checked_on_first_read(self):
         cable_presentation.cache_clear()
         try:
             pres = cable_presentation(11, 13, 9)
-            assert "word" not in vars(pres.relator("cable"))  # where cached_property keeps it
-            mu_w, lam_w = pres.named[MU].expansion, pres.named[LAM].expansion
-            word = pres.relator("cable").word
+            mu_w, lam_w = pres.expand(Word.single(MU)), pres.expand(Word.single(LAM))
+            word = pres.expand(pres.relator("cable").named_form)
             assert word == concat(power(mu_w, 1286), power(lam_w, 9), Word.single("t", -9))
-            assert len(word) == 4575 and pres.relator("cable").word is word
+            assert len(word) == 4575
+            again = pres.expand(pres.relator("cable").named_form)
+            assert again == word and again is not word  # built anew: the presentation keeps no word
         finally:
             cable_presentation.cache_clear()
-
-    def test_unread_cable_relator_pickles_and_compares(self):
-        cable_presentation.cache_clear()
-        pres = cable_presentation(2, 3, 2)
-        again = pickle.loads(pickle.dumps(pres))
-        assert "word" not in vars(again.relator("cable"))
-        assert again == pres and again.relator("cable") == pres.relator("cable")
-        assert again.relator("cable").word == pres.relator("cable").word
-        with pytest.raises(FrozenInstanceError):
-            pres.relator("cable").named_form = Word.parse("t")
 
     def test_pickle_round_trip(self):
         pres = cable_presentation(2, 3, 2)
         again = pickle.loads(pickle.dumps(pres))
         assert again == pres and again.to_json_dict() == pres.to_json_dict()
+        # a name and a relator are two-field records: the definition or named form, and nothing built from it
+        assert again.named[LAMC] == (LAMC, Word.parse("muC^-22 t^2")) == pres.named[LAMC]
+        assert again.relator("cable") == ("cable", Word.parse("mu^11 lam^2 t^-2")) == pres.relator("cable")
         assert again.commutes((MUC, 21), (LAMC, 1)) and not again.commutes((MU, 3), ("t", 3))
         with pytest.raises(TypeError):
             again.named[MU] = again.named[LAM]
@@ -270,14 +231,14 @@ class TestSurgeryRelator:
 
     def test_zero_slope_gives_longitude(self):
         pres = cable_presentation(2, 3, 2)
-        assert surgery_relator(pres, Slope(0, 1)) == pres.named[LAMC].expansion
+        assert surgery_relator(pres, Slope(0, 1)) == pres.expand(Word.single(LAMC))
 
     def test_abelianization_oracle(self):
         pres = cable_presentation(2, 3, 2)
         w = surgery_relator(pres, Slope(21, 1))
         ab = abelianize(w)
-        ab_muc = abelianize(pres.named[MUC].expansion)
-        ab_lamc = abelianize(pres.named[LAMC].expansion)
+        ab_muc = abelianize(pres.expand(Word.single(MUC)))
+        ab_lamc = abelianize(pres.expand(Word.single(LAMC)))
         for g in ("a", "b", "t"):
             assert ab.get(g, 0) == 21 * ab_muc.get(g, 0) + ab_lamc.get(g, 0)
 
@@ -311,7 +272,7 @@ class TestPeripheralInvariance:
     def test_corrupted_variant_detected(self):
         from cable_order.normal_form import equal_in_torus_group
 
-        mu = torus_presentation(2, 3).named[MU].expansion
+        mu = torus_presentation(2, 3).expand(Word.single(MU))
         good = Word.parse("b^-4 a^3")
         bad = Word.parse("b^-4 a^2")
         assert equal_in_torus_group(mu, good, 2, 3)
