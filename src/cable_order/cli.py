@@ -463,11 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("replay", help="independently re-check a certificate file")
     sp.add_argument("path")
     sp.set_defaults(fn=cmd_replay)
+    parser.commands = sub.choices  # each command's subparser, for main
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command `argv` names (``sys.argv[1:]`` by default) and return its exit code.
+
+    A command's own arguments are parsed by its subparser alone, which is
+    what the top-level parser would hand them to, and so give the same
+    namespace, output and exit code; with no command, an unknown one or
+    ``-h``, the top-level parser reports it.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # the top-level parser names what no parser took
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.fn(args)
 
 

@@ -111,12 +111,15 @@ def _json_enum(value: object, allowed: frozenset, what: str) -> object:
     raise ValueError(f"unknown {what} {shown}")
 
 
-def _json_printed(parse, text: object, what: str):
-    """``parse(text)``, a word or a slope, which must print as `text`: one text per value."""
-    value = parse(text)
-    if str(value) != text:
-        raise ValueError(f"{what} {text!r:.40} is not written as {str(value)!r:.40}")
-    return value
+def _json_ref(ref: dict) -> tuple[str, str]:
+    """A step's (type, name) reference; each must be a string."""
+    kind = ref["type"]
+    if type(kind) is not str:
+        _json_typed(kind, str, "step ref type")
+    name = ref["name"]
+    if type(name) is not str:
+        _json_typed(name, str, "step ref name")
+    return (kind, name)
 
 
 def _json_syllable(pair: list, what: str) -> Syllable:
@@ -212,10 +215,9 @@ class Step(namedtuple("Step", "kind side position word name ref direction anchor
             kind,
             side,
             position,
-            _json_printed(Word.parse, d["word"], "step word") if "word" in d else None,
+            Word.parse_printed(d["word"], "step word") if "word" in d else None,
             name,
-            tuple(_json_typed(d["ref"][k], str, f"step ref {k}") for k in ("type", "name"))
-            if "ref" in d else None,
+            _json_ref(d["ref"]) if "ref" in d else None,
             direction,
             anchor,
             _json_syllable(d["left"], "swap operand left") if "left" in d else None,
@@ -257,7 +259,8 @@ class CertEntry:
 
     def __post_init__(self) -> None:
         s = self.script
-        object.__setattr__(self, "equation", Equation(s.claimed_lhs, s.claimed_rhs, s.context, s.script_id))
+        equation = _tuple_new(Equation, (s.claimed_lhs, s.claimed_rhs, s.context, s.script_id))
+        object.__setattr__(self, "equation", equation)
 
     @property
     def entry_id(self) -> str:
@@ -585,7 +588,7 @@ def check_script(
             f"claimed {_brief(lhs)} = {_brief(rhs)}",
             index=len(script.steps),
         )
-    return Equation(script.claimed_lhs, script.claimed_rhs, script.context, provenance=script.script_id)
+    return _tuple_new(Equation, (script.claimed_lhs, script.claimed_rhs, script.context, script.script_id))
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +607,33 @@ def script_to_json_dict(script: DerivationScript) -> dict:
 
 
 def script_from_json_dict(d: dict) -> DerivationScript:
+    # inline checks, in the order of the faults they name: this runs once per entry
+    # of every certificate loaded, and the helpers are called only to name a fault
     if type(d) is not dict:
         raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
-    # only null or absent is no slope
-    slope = None if d.get("slope") is None else _json_printed(Slope.parse, d["slope"], "script slope")
-    axiom = Axiom(
-        _json_enum(d["axiom"]["kind"], _AXIOM_KINDS, "axiom kind"),
-        _json_typed(d["axiom"].get("name"), str, "axiom name", optional=True),
-    )
-    if axiom.kind == "surgery" and axiom.name is not None:  # the checker reads no name there
+    slope = d.get("slope")
+    if slope is not None:  # only null or absent is no slope
+        slope = Slope.parse_printed(slope, "script slope")
+    axiom = d["axiom"]
+    kind = axiom["kind"]
+    if type(kind) is not str or kind not in _AXIOM_KINDS:
+        _json_enum(kind, _AXIOM_KINDS, "axiom kind")
+    name = axiom.get("name")
+    if name is not None and type(name) is not str:
+        _json_typed(name, str, "axiom name")
+    if kind == "surgery" and name is not None:  # the checker reads no name there
         raise ValueError("a surgery axiom's name must be null")
-    cites = _json_typed(d.get("cites", []), list, "cites")  # absent is none; a string is no list of ids
-    return DerivationScript(
-        script_id=_json_typed(d["id"], str, "script id"),
-        context=Context(d["context"], slope),
-        axiom=axiom,
-        steps=tuple(Step.from_json_dict(s) for s in d["steps"]),
-        claimed_lhs=_json_printed(Word.parse, d["claimed"]["lhs"], "claimed lhs"),
-        claimed_rhs=_json_printed(Word.parse, d["claimed"]["rhs"], "claimed rhs"),
-        cites=tuple(_json_typed(c, str, "cited equation id") for c in cites),
-    )
+    cites = d.get("cites", [])
+    if type(cites) is not list:  # absent is none; a string is no list of ids
+        _json_typed(cites, list, "cites")
+    script_id = d["id"]
+    if type(script_id) is not str:
+        _json_typed(script_id, str, "script id")
+    context = Context(d["context"], slope)
+    steps = tuple([Step.from_json_dict(s) for s in d["steps"]])
+    lhs = Word.parse_printed(d["claimed"]["lhs"], "claimed lhs")
+    rhs = Word.parse_printed(d["claimed"]["rhs"], "claimed rhs")
+    for c in cites:
+        if type(c) is not str:
+            _json_typed(c, str, "cited equation id")
+    return DerivationScript(script_id, context, _tuple_new(Axiom, (kind, name)), steps, lhs, rhs, tuple(cites))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .derivations import (
-    CertEntry, Equation, StepError, _json_enum, _json_printed, _json_typed, check_script, script_from_json_dict,
+    CertEntry, Equation, StepError, _json_enum, _json_typed, _tuple_new, check_script, script_from_json_dict,
 )
 from .presentations import GroupPresentation, ParameterError, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
@@ -75,8 +75,10 @@ class SignAssignment:
 
 
 _ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
-_POSITIONS = {s: k for k, s in enumerate(_ASSIGNMENTS)}
 _BY_SIGNS = {(s.a, s.b, s.t): s for s in _ASSIGNMENTS}
+# the signs (a, b, t) -> position: a tuple hashes in C, a SignAssignment through a Python __hash__
+_POSITIONS = {signs: k for k, signs in enumerate(_BY_SIGNS)}
+_ALL_ZERO = _POSITIONS[ZERO, ZERO, ZERO]
 _SIGNED_LETTERS = frozenset((g, e) for g in ("a", "b", "t") for e in (1, -1))  # the 6 signed letters
 
 
@@ -254,7 +256,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         x=_json_typed(par["x"], int, "params.x"),
         y=_json_typed(par["y"], int, "params.y"),
         p=_json_typed(par["p"], int, "params.p"),
-        slope=_json_printed(Slope.parse, par["slope"], "params.slope"),
+        slope=Slope.parse_printed(par["slope"], "params.slope"),
         beta=_json_typed(par["beta"], int, "params.beta", optional=True),
     )
     if _json_typed(par["q"], int, "params.q") != params.q:
@@ -284,6 +286,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
             _json_typed(c[key], int, f"cramer.{key}")
     if c != (None if derived is None else derived.to_json_dict()):
         raise ValueError("the determinant data is not the one the parameters and version give")
+    # inline checks, in the order of the faults they name; the helpers only name one
     rows = []
     for r in doc["refutations"]:
         signs = r["assignment"]
@@ -294,13 +297,20 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         except (KeyError, TypeError):  # not a sign, or unhashable: name the first bad one
             assignment = SignAssignment(signs["a"], signs["b"], signs["t"])
         reason = r["reason"]
-        if reason["kind"] == "nontriviality_axiom":
-            rows.append(RefutationRow(assignment, None, None, None))
-        elif reason["kind"] == "clash":
-            eq_id = _json_typed(reason["equation"], str, "refutation equation")
-            lhs_sign = _json_enum(reason["lhs_sign"], _RECORDED_SIGNS, "recorded lhs_sign")
-            rhs_sign = _json_enum(reason["rhs_sign"], _RECORDED_SIGNS, "recorded rhs_sign")
-            rows.append(RefutationRow(assignment, eq_id, lhs_sign, rhs_sign))
+        kind = reason["kind"]
+        if kind == "clash":
+            eq_id = reason["equation"]
+            if type(eq_id) is not str:
+                _json_typed(eq_id, str, "refutation equation")
+            lhs_sign = reason["lhs_sign"]
+            if type(lhs_sign) is not str or lhs_sign not in _RECORDED_SIGNS:
+                _json_enum(lhs_sign, _RECORDED_SIGNS, "recorded lhs_sign")
+            rhs_sign = reason["rhs_sign"]
+            if type(rhs_sign) is not str or rhs_sign not in _RECORDED_SIGNS:
+                _json_enum(rhs_sign, _RECORDED_SIGNS, "recorded rhs_sign")
+            rows.append(_tuple_new(RefutationRow, (assignment, eq_id, lhs_sign, rhs_sign)))
+        elif kind == "nontriviality_axiom":
+            rows.append(_tuple_new(RefutationRow, (assignment, None, None, None)))
         else:
             raise ValueError(f"bad refutation reason {reason!r:.40}")
     return ObstructionCertificate(params, tuple(entries), tuple(rows), version)
@@ -410,39 +420,39 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     # verdicts of its sides; None when it is not over a, b and t
     concrete: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {}
     uncited: dict[str, int] = {}  # rows per cited id with no verified equation over a, b and t
-    for row in cert.refutations:
-        k = _POSITIONS[row.assignment]
+    for assignment, eq_id, lhs_sign, rhs_sign in cert.refutations:
+        k = _POSITIONS[assignment.a, assignment.b, assignment.t]
         if k in seen:
-            problems.append(f"duplicate assignment {row.assignment.to_json_dict()}")
+            problems.append(f"duplicate assignment {assignment.to_json_dict()}")
             continue
         seen.add(k)
-        if row.equation_id is None:
-            if not row.assignment.is_all_zero():
+        if eq_id is None:
+            if k != _ALL_ZERO:
                 problems.append("nontriviality axiom used on a nonzero assignment")
             continue
-        if row.assignment.is_all_zero():
+        if k == _ALL_ZERO:
             problems.append("the all-zero assignment must cite the nontriviality axiom")
             continue
-        eq = env.get(row.equation_id)
-        if eq is not None and row.equation_id not in concrete:
-            try:
-                concrete[row.equation_id] = (_verdicts(signed_letters(eq.lhs)), _verdicts(signed_letters(eq.rhs)))
-            except ValueError as err:
-                problems.append(f"equation {row.equation_id!r:.40} is not over a, b and t: {err}")
-                concrete[row.equation_id] = None
-        if concrete.get(row.equation_id) is None:
-            uncited[row.equation_id] = uncited.get(row.equation_id, 0) + 1
+        if eq_id not in concrete:
+            eq = env.get(eq_id)
+            if eq is not None:
+                try:
+                    concrete[eq_id] = (_verdicts(signed_letters(eq.lhs)), _verdicts(signed_letters(eq.rhs)))
+                except ValueError as err:
+                    problems.append(f"equation {eq_id!r:.40} is not over a, b and t: {err}")
+                    concrete[eq_id] = None
+        verdicts = concrete.get(eq_id)
+        if verdicts is None:
+            uncited[eq_id] = uncited.get(eq_id, 0) + 1
             continue
-        lv, rv = concrete[row.equation_id]
-        ls, rs = lv[k], rv[k]
-        if (ls, rs) != (row.lhs_sign, row.rhs_sign):
+        ls, rs = verdicts[0][k], verdicts[1][k]
+        if ls != lhs_sign or rs != rhs_sign:
             problems.append(
-                f"recorded signs {row.lhs_sign!s:.40}/{row.rhs_sign!s:.40} for {row.equation_id!r:.40} "
-                f"recompute as {ls}/{rs}"
+                f"recorded signs {lhs_sign!s:.40}/{rhs_sign!s:.40} for {eq_id!r:.40} recompute as {ls}/{rs}"
             )
             continue
         if ls == UNKNOWN or rs == UNKNOWN or ls == rs:
-            problems.append(f"row for {row.equation_id!r:.40} is not a clash")
+            problems.append(f"row for {eq_id!r:.40} is not a clash")
     # one problem per id: a failed script or a bad letter has already said why
     entry_ids = {entry.entry_id for entry in cert.entries}
     for eq_id, rows in uncited.items():

@@ -110,6 +110,7 @@ class GroupPresentation:
     _licences: Mapping[tuple[str, str], tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
+    _letters: frozenset[str] = field(init=False, repr=False, compare=False)  # see letters()
     # factory name -> (the lemma's CertEntry, its compact JSON text), and the
     # surgery equation's (id, lhs letters, rhs letters) -> (its refutation rows,
     # their compact JSON text), built over this presentation: see the docstring
@@ -124,6 +125,7 @@ class GroupPresentation:
                 licences[g1, g2] = licences.get((g1, g2), ()) + ((k1, k2),)
                 licences[g2, g1] = licences.get((g2, g1), ()) + ((k2, k1),)
         object.__setattr__(self, "_licences", MappingProxyType(licences))
+        object.__setattr__(self, "_letters", frozenset(self.alphabet) | frozenset(self.named))
         object.__setattr__(self, "_lemmas", {})
 
     def __reduce__(self):
@@ -139,26 +141,38 @@ class GroupPresentation:
         raise KeyError(f"no relator named {name!r}")
 
     def letters(self) -> frozenset[str]:
-        return frozenset(self.alphabet) | frozenset(self.named)
+        """The generators and the defined names (built with the presentation)."""
+        return self._letters
 
     def expand(self, w: Word) -> Word:
         """The reduced word over the alphabet that `w` stands for: `w` itself if it is over the alphabet.
 
-        Each name^e becomes the e-th power of the expansion of the name's
-        definition, joined with cancelling at the junctions; nothing is kept,
-        so every call builds its words anew.  A letter that is neither a
-        generator nor a name is a ValueError, raised before anything is built.
+        Each name^e becomes the e-th power of the name's definition written
+        out, joined with cancelling at the junctions.  A call writes each
+        name out once and keeps nothing, so every call builds its words anew.
+        A letter that is neither a generator nor a name is a ValueError,
+        raised before anything is built.
         """
         letters = w.generators()
         if letters.issubset(self.alphabet):
             return w
-        if not letters.issubset(self.letters()):
+        if not letters.issubset(self._letters):
             g = next(g for g, _ in w.syllables if g not in self.named and g not in self.alphabet)
             raise ValueError(f"unknown generator {g!r:.40}")
+        return self._spell(w, {})
+
+    def _spell(self, w: Word, spelled: dict[str, Word]) -> Word:
+        """`w` written out over the alphabet; `spelled` maps the names written out so far to their words."""
         out: list[Syllable] = []
         for g, e in w.syllables:
-            _join(out, power(self.expand(self.named[g].definition), e).syllables if g in self.named else ((g, e),))
+            _join(out, power(self._spelling(g, spelled), e).syllables if g in self.named else ((g, e),))
         return Word(tuple(out))
+
+    def _spelling(self, name: str, spelled: dict[str, Word]) -> Word:
+        """The word over the alphabet that `name` stands for, written out on its first use per `spelled`."""
+        if name not in spelled:
+            spelled[name] = self._spell(self.named[name].definition, spelled)
+        return spelled[name]
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""
@@ -173,17 +187,18 @@ class GroupPresentation:
         params["bezout"] = {"i": self.torus_bezout.i, "j": self.torus_bezout.j}
         if self.cable_bezout is not None:
             params["bezout"].update(u=self.cable_bezout.u, v=self.cable_bezout.v)
+        spelled: dict[str, Word] = {}  # each name is written out once per document
         return {
             "version": "v1",
             "kind": self.kind,
             "params": params,
             "alphabet": list(self.alphabet),
             "relators": [
-                {"name": r.name, "word": str(self.expand(r.named_form)), "named_form": str(r.named_form)}
+                {"name": r.name, "word": str(self._spell(r.named_form, spelled)), "named_form": str(r.named_form)}
                 for r in self.relators
             ],
             "named": {
-                n: {"definition": str(el.definition), "expansion": str(self.expand(el.definition))}
+                n: {"definition": str(el.definition), "expansion": str(self._spelling(n, spelled))}
                 for n, el in self.named.items()
             },
             "whitelist": [[str(u), str(w)] for u, w in self.whitelist],

@@ -9,10 +9,15 @@ directly into certificate soundness.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
+
+
+# the texts __str__ prints: m/n, integers with no leading zero or plus, no -0, n >= 1
+_PRINTED = re.compile(r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*")
 
 
 def over_digit_limit(*texts: str) -> str | None:
@@ -50,6 +55,26 @@ class Slope:
             why = over_digit_limit(*parts) or "expected M or M/N with integers M and N"
             raise ValueError(f"bad slope {text!r:.40}: {why}")
         return Slope(*numbers)
+
+    @staticmethod
+    def parse_printed(text: str, what: str = "slope") -> "Slope":
+        """The slope `text` is, which must be written as that slope prints: one text per slope.
+
+        A reduced m/n in the printed grammar, within Python's digit limit, is
+        built at once; any other text is read by :meth:`parse` and printed
+        back, and a text that is not the printed one is a ValueError naming
+        `what`.
+        """
+        if type(text) is str and _PRINTED.fullmatch(text):
+            m, _, n = text.partition("/")
+            try:
+                return Slope(int(m), int(n))
+            except ValueError:  # not reduced, or over the digit limit
+                pass
+        slope = Slope.parse(text)
+        if str(slope) != text:
+            raise ValueError(f"{what} {text!r:.40} is not written as {str(slope)!r:.40}")
+        return slope
 
     def __str__(self) -> str:
         return f"{self.m}/{self.n}"

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 Syllable = tuple[str, int]
 
 _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+# the texts __str__ prints, all ASCII: 1, or syllables g or g^e joined by
+# single spaces, e an integer other than 0 and 1 with no leading zero or plus
+_PRINTED_SYLLABLE = r"[A-Za-z][A-Za-z0-9_]*(?:\^(?:-?[1-9][0-9]+|-?[2-9]|-1))?"
+_PRINTED = re.compile(rf"1|{_PRINTED_SYLLABLE}(?: {_PRINTED_SYLLABLE})*")
 
 
 class WordSyntaxError(ValueError):
@@ -108,6 +112,34 @@ class Word:
                 raise WordSyntaxError(f"zero exponent in {tok!r:.40}")
             pairs.append((m.group(1), exp))
         return Word.from_pairs(pairs)
+
+    @staticmethod
+    def parse_printed(text: str, what: str = "word") -> "Word":
+        """The word `text` is, which must be written as that word prints: one text per word.
+
+        A text the printed grammar matches, with no two adjacent syllables on
+        one generator and no exponent over Python's digit limit, is built in
+        one pass; any other is read by :meth:`parse` and printed back, and a
+        text that is not the printed one is a ValueError naming `what`.
+        """
+        if type(text) is str and _PRINTED.fullmatch(text):
+            if text == "1":
+                return Word()
+            syllables: list[Syllable] = []
+            for token in text.split(" "):
+                g, _, e = token.partition("^")
+                if syllables and syllables[-1][0] == g:
+                    break  # two syllables on one generator: not reduced
+                try:
+                    syllables.append((g, int(e) if e else 1))
+                except ValueError:  # an exponent over the digit limit
+                    break
+            else:
+                return Word(tuple(syllables))
+        word = Word.parse(text)
+        if str(word) != text:
+            raise ValueError(f"{what} {text!r:.40} is not written as {str(word)!r:.40}")
+        return word
 
     def __str__(self) -> str:
         if not self.syllables:

@@ -909,6 +909,69 @@ class TestSharedParser:
         assert capsys.readouterr().out == "replay ok\n"
 
 
+COMMANDS = ("present", "certify", "sweep", "verify-identities", "replay")
+
+
+class TestDispatch:
+    """main parses a command's arguments with its subparser alone, as the top-level parser would."""
+
+    ARGVS = [
+        [], ["nope"], ["-h"], ["--help"], ["--x", "2"], ["-h", "replay"],
+        *([command, "--help"] for command in COMMANDS),
+        *([command] for command in COMMANDS),
+        *([command, "--beta", "x"] for command in COMMANDS),
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "x"],
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "9" * 5000],
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--slope", "43/2"],
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--zap", "-q"],
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--bet", "2"],
+        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--table", "--json", "a.json"],
+        ["present", "--x", "2", "--y", "3"],
+        ["present", "--x", "2", "--y", "3", "--p", "2", "--json", "--"],
+        ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--jobs", "0"],
+        ["sweep", "--grid", "x=2;y=3;p=2;beta=1"],
+        ["verify-identities", "--x", "2", "--y", "3", "--p", "2"],
+        ["replay", "a.json"], ["replay", "a.json", "b.json"], ["replay", "--", "-a.json"], ["replay", "-a.json"],
+        ["replay", "--help", "a.json"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result, code = parse(argv), None
+        except SystemExit as done:
+            result, code = None, done.code
+        captured = capsys.readouterr()
+        return result, code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_main_parses_as_the_top_level_parser(self, argv, capsys):
+        commands = cli.build_parser().commands
+        saved = {name: sp.get_default("fn") for name, sp in commands.items()}
+
+        def namespace_of(args):
+            return vars(args)  # main returns what the command would be given
+
+        try:
+            for sp in commands.values():
+                sp.set_defaults(fn=namespace_of)
+            direct = self.outcome(lambda a: vars(cli.build_parser().parse_args(a)), argv, capsys)
+            dispatched = self.outcome(main, argv, capsys)
+        finally:
+            for name, sp in commands.items():
+                sp.set_defaults(fn=saved[name])
+        assert dispatched == direct
+        if direct[0] is not None:
+            assert direct[0]["command"] == argv[0]
+
+    def test_main_reads_sys_argv_by_default(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cable-order", "replay", "a.json", "b.json"])
+        with pytest.raises(SystemExit) as err:
+            main()
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith("cable-order: error: unrecognized arguments: b.json\n")
+
+
 class TestUsageErrors:
     """A usage error is invalid input and exits 1, as every other invalid input does; --help exits 0."""
 

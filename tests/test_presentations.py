@@ -13,6 +13,7 @@ from cable_order.presentations import (
     LAMC,
     MU,
     MUC,
+    GroupPresentation,
     ParameterError,
     bezout_torus,
     cable_presentation,
@@ -212,6 +213,14 @@ class TestPresentationCache:
         finally:
             cable_presentation.cache_clear()
 
+    def test_letters_are_built_with_the_presentation(self):
+        pres = cable_presentation(2, 3, 2)
+        assert pres.letters() is pres.letters()
+        assert pres.letters() == {"a", "b", "t", MU, LAM, MUC, LAMC}
+        assert torus_presentation(2, 3).letters() == {"a", "b", MU, LAM}
+        assert replace(pres, alphabet=("a", "b")).letters() == {"a", "b", MU, LAM, MUC, LAMC}
+        assert pickle.loads(pickle.dumps(pres)).letters() == pres.letters()
+
     def test_pickle_round_trip(self):
         pres = cable_presentation(2, 3, 2)
         again = pickle.loads(pickle.dumps(pres))
@@ -294,6 +303,28 @@ class TestSerialization:
         d1 = json.dumps(cable_presentation(3, 5, 2).to_json_dict(), indent=2)
         d2 = json.dumps(cable_presentation(3, 5, 2).to_json_dict(), indent=2)
         assert d1 == d2
+
+    @pytest.mark.parametrize("xyp", [(2, 3, 2), (11, 13, 9)], ids=["x2_y3_p2", "x11_y13_p9"])
+    def test_a_document_writes_each_name_out_once(self, monkeypatch, xyp):
+        # a work count: each definition and each relator's named form is
+        # written out once per document, and the names' words are reused
+        pres = cable_presentation(*xyp)
+        reference = {n: str(pres.expand(el.definition)) for n, el in pres.named.items()}
+        spelled = []
+        real_spell = GroupPresentation._spell
+
+        def counting(self, w, done):
+            spelled.append(w)
+            return real_spell(self, w, done)
+
+        monkeypatch.setattr(GroupPresentation, "_spell", counting)
+        doc = pres.to_json_dict()
+        assert sorted(map(str, spelled)) == sorted(
+            [str(el.definition) for el in pres.named.values()] + [str(r.named_form) for r in pres.relators]
+        )
+        assert {n: entry["expansion"] for n, entry in doc["named"].items()} == reference
+        spelled.clear()
+        assert pres.to_json_dict() == doc and len(spelled) == 6  # nothing kept between documents
 
 
 class TestLicences:
