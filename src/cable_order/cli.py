@@ -32,10 +32,10 @@ file.
 
 The argument parser is built once per process and reused by every
 :func:`main` call.  What a single command needs is imported when it runs:
-``concurrent.futures`` when a sweep runs more than one worker, and
-``fractions`` when ``verify-identities`` asks for a genus.  ``sweep --jobs
-N`` runs at most N workers, and never more than there are grid points or
-processors.
+``concurrent.futures`` when a sweep runs more than one worker.  ``sweep
+--jobs N`` runs at most N workers, and never more than there are grid
+points or processors.  ``verify-identities`` runs the checks of
+:mod:`normal_form`.
 """
 
 from __future__ import annotations
@@ -50,20 +50,13 @@ from functools import cache
 from math import gcd
 from pathlib import Path
 
-from .derivations import Equation, StepError
-from .normal_form import eliminate_t, equal_in_torus_group
+from .derivations import StepError
+from .normal_form import identity_report
 from .obstruction import Inconclusive, ObstructionCertificate, certificate_from_json_dict, replay
-from .presentations import cable_presentation, torus_presentation
-from .proofs import (
-    cable_endpoint_product_script,
-    cable_t_power_script,
-    certify_beta,
-    certify_slope,
-    certificate_text,
-    peripheral_invariance_check,
-)
-from .slopes import Slope, lspace_window_check, over_digit_limit
-from .words import Word, concat
+from .presentations import GroupPresentation, cable_presentation, torus_presentation
+from .proofs import certify_beta, certify_slope, certificate_text
+from .slopes import Slope, over_digit_limit
+from .words import Word
 
 CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
 
@@ -123,13 +116,45 @@ def _print_table(cert: ObstructionCertificate) -> None:
         print(f"{s.a:>5} {s.b:>5} {s.t:>5}  {why}")
 
 
+def presentation_to_json_dict(pres: GroupPresentation) -> dict:
+    """The ``present --json`` document: each relator and name both as defined and written out over the alphabet.
+
+    Each name is written out once per document: every relator and name is
+    spelled through one `spelled` memo (see
+    :meth:`GroupPresentation.spell`), and nothing is kept between documents.
+    """
+    params: dict = {"x": pres.x, "y": pres.y}
+    if pres.kind == "cable":
+        # every cable built is the paper's; the key keeps the document's bytes
+        params.update(p=pres.p, q=pres.q, theorem_mode=True)
+    params["bezout"] = {"i": pres.torus_bezout.i, "j": pres.torus_bezout.j}
+    if pres.cable_bezout is not None:
+        params["bezout"].update(u=pres.cable_bezout.u, v=pres.cable_bezout.v)
+    spelled: dict[str, Word] = {}
+    return {
+        "version": "v1",
+        "kind": pres.kind,
+        "params": params,
+        "alphabet": list(pres.alphabet),
+        "relators": [
+            {"name": r.name, "word": str(pres.spell(r.named_form, spelled)), "named_form": str(r.named_form)}
+            for r in pres.relators
+        ],
+        "named": {
+            n: {"definition": str(el.definition), "expansion": str(pres._spelling(n, spelled))}
+            for n, el in pres.named.items()
+        },
+        "whitelist": [[str(u), str(w)] for u, w in pres.whitelist],
+    }
+
+
 def cmd_present(args: argparse.Namespace) -> int:
     try:
         if args.p is not None:
             pres = cable_presentation(args.x, args.y, args.p)
         else:
             pres = torus_presentation(args.x, args.y)
-        doc = pres.to_json_dict()
+        doc = presentation_to_json_dict(pres)
     except ValueError as err:  # a ParameterError, or a name too long to spell out
         print(f"error: {err}", file=sys.stderr)
         return ERROR
@@ -179,63 +204,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return INCONCLUSIVE
 
 
-# ---------------------------------------------------------------------------
-# identity checks
-
-def identity_report(x: int, y: int, p: int) -> list[tuple[str, bool, str]]:
-    """Cross-checks between the derivation checker and the independent oracles."""
-    checks: list[tuple[str, bool, str]] = []
-    pres = cable_presentation(x, y, p)
-    assert pres.p is not None and pres.q is not None
-    i, j = pres.torus_bezout
-
-    def add(name: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except (StepError, ValueError) as err:
-            ok, detail = False, str(err)
-        checks.append((name, ok, detail))
-
-    def t_power_vs_normal_form():
-        target = Word.from_pairs([("a", x * p - i), ("b", -j)])
-        got = eliminate_t(Word.single("t", pres.p), pres)
-        return equal_in_torus_group(got, target, x, y), f"t^{p} reduces to {target}"
-
-    # each proof is built once; the checks run in the order they are added,
-    # so the endpoint check finds cable_t_power already in env
-    env: dict[str, Equation] = {}
-
-    def derivation_vs_normal_form():
-        eq = env["cable_t_power"] = cable_t_power_script(pres).equation
-        lhs_ab = eliminate_t(pres.expand(eq.lhs), pres)
-        ok = equal_in_torus_group(lhs_ab, pres.expand(eq.rhs), x, y)
-        return ok, f"checked {eq.lhs} = {eq.rhs}"
-
-    def endpoint_tail_vs_normal_form():
-        eq = cable_endpoint_product_script(pres, env).equation
-        tail = Word(eq.rhs.syllables[1:])  # strip the leading t
-        lhs_ab = concat(Word.single("a", -x), eliminate_t(Word.single("t", pres.p), pres))
-        return equal_in_torus_group(lhs_ab, tail, x, y), f"tail {tail}"
-
-    def peripheral_invariance():
-        for k in range(-3, 4):
-            if not peripheral_invariance_check(x, y, p, k):
-                return False, f"failed at shift k={k}"
-        return True, "shifts -3..3 define the same peripherals"
-
-    def window_identity():
-        report = lspace_window_check(x, y, p)
-        detail = f"2g-1 = {report.two_g_minus_1} = (pq-1) - {report.window_low_gap}"
-        return report.ok, detail
-
-    add("t-power elimination matches the normal form", t_power_vs_normal_form)
-    add("t-power derivation confirmed by the normal form", derivation_vs_normal_form)
-    add("endpoint product tail confirmed by the normal form", endpoint_tail_vs_normal_form)
-    add("peripheral elements independent of normalization shifts", peripheral_invariance)
-    add("surgery window sits above the 2g-1 threshold", window_identity)
-    return checks
-
-
 def cmd_verify_identities(args: argparse.Namespace) -> int:
     try:
         checks = identity_report(args.x, args.y, args.p)
@@ -267,7 +235,7 @@ def parse_grid(spec: str) -> dict:
         key, sep, val = part.partition("=")
         key = key.strip()
         if not sep or key not in ("x", "y", "p", "beta", "slope"):
-            raise ValueError(f"bad grid dimension {part!r}")
+            raise ValueError(f"bad grid dimension {part!r:.40}")
         if key in dims:
             raise ValueError(f"repeated grid dimension {key!r}")
         if key == "slope":

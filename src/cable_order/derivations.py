@@ -41,9 +41,12 @@ script the program did not build, such as one rebuilt from JSON or each
 script of a certificate under replay, is checked in full by
 :func:`check_script`.
 
-Equations proven in the knot group G hold in every surgery quotient H and may
-be cited there; equations proven in some H may only be cited at the same
-surgery slope.
+A script and its equation carry where they hold as a slope: None for the
+knot group G, and the surgery slope for the quotient H there.  Equations
+proven in G hold in every H and may be cited there; equations proven in
+some H may only be cited at the same slope.  The JSON form of a script
+spells this as ``"context": "G"`` or ``"H"`` beside ``"slope"``, and the
+loader checks that the two agree.
 """
 
 from __future__ import annotations
@@ -71,24 +74,8 @@ class StepError(Exception):
         super().__init__(reason if index is None else f"step {index}: {reason}")
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
-    """Where an equation holds: kind "G", the knot group, or "H", the quotient at `slope`."""
-
-    kind: str
-    slope: Slope | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "G" and self.slope is not None:
-            raise ValueError("knot-group context carries no slope")
-        if self.kind == "H" and self.slope is None:
-            raise ValueError("surgery context requires a slope")
-        if self.kind not in ("G", "H"):
-            raise ValueError(f"unknown context {self.kind!r:.40}")
-
-
-class Equation(namedtuple("Equation", "lhs rhs context provenance", defaults=("",))):
-    """lhs = rhs in `context`; `provenance` is the id of the script that proves it (a tuple)."""
+class Equation(namedtuple("Equation", "lhs rhs slope provenance", defaults=("",))):
+    """lhs = rhs at `slope`, None in the knot group; `provenance` is the id of the script that proves it (a tuple)."""
 
     __slots__ = ()
 
@@ -239,10 +226,13 @@ class Axiom(namedtuple("Axiom", "kind name", defaults=(None,))):
 
 @dataclass(frozen=True)
 class DerivationScript:
-    """A derivation: an axiom, then steps, ending at the claimed equation; `cites` names earlier equations."""
+    """A derivation: an axiom, then steps, ending at the claimed equation; `cites` names earlier equations.
+
+    `slope` is None in the knot group G, and the surgery slope in a quotient H.
+    """
 
     script_id: str
-    context: Context
+    slope: Slope | None
     axiom: Axiom
     steps: tuple[Step, ...]
     claimed_lhs: Word
@@ -259,7 +249,7 @@ class CertEntry:
 
     def __post_init__(self) -> None:
         s = self.script
-        equation = _tuple_new(Equation, (s.claimed_lhs, s.claimed_rhs, s.context, s.script_id))
+        equation = _tuple_new(Equation, (s.claimed_lhs, s.claimed_rhs, s.slope, s.script_id))
         object.__setattr__(self, "equation", equation)
 
     @property
@@ -284,7 +274,7 @@ def _invert_raw(syls: Sequence[Syllable]) -> list[Syllable]:
 
 
 def _resolve_ref(
-    ref: tuple[str, str] | None, pres: GroupPresentation, context: Context, cited: dict[str, Equation]
+    ref: tuple[str, str] | None, pres: GroupPresentation, slope: Slope | None, cited: dict[str, Equation]
 ) -> tuple[Word, Word]:
     if ref is None:
         raise StepError("relation requires a reference")
@@ -299,7 +289,7 @@ def _resolve_ref(
         if name not in cited:
             raise StepError(f"equation {name!r:.40} is not cited by the script, or not proven")
         eq = cited[name]
-        if eq.context.kind == "H" and eq.context != context:
+        if eq.slope is not None and eq.slope != slope:
             raise StepError(f"equation {name!r:.40} was proven in a different quotient")
         return eq.lhs, eq.rhs
     raise StepError(f"unknown reference kind {kind!r:.40}")
@@ -319,8 +309,8 @@ def side_cap(script: DerivationScript) -> int:
     4 (s + w + c) + 16, with s the script's steps, w the syllables of its
     step words and c the syllables of its claimed equation: every proof the
     factories emit, and every proof of format v1, peaks below 1.6 (s + w + c).
-    The cap reads nothing the script only claims, such as the slope of its
-    context, so a short script cannot buy a large cap.
+    The cap reads nothing the script only claims, such as its slope, so a
+    short script cannot buy a large cap.
     """
     words = sum(len(step.word) for step in script.steps if step.word is not None)
     return 4 * (len(script.steps) + words + len(script.claimed_lhs) + len(script.claimed_rhs)) + 16
@@ -348,16 +338,17 @@ def apply_step(
     state: State,
     step: Step,
     pres: GroupPresentation,
-    context: Context,
+    slope: Slope | None,
     cited: dict[str, Equation],
     cap: int | None = None,
 ) -> State:
     """Apply one step to `state` in place and return it; raises StepError on any violation.
 
-    `context` is the script's context and `cited` maps each equation the
-    script cites and that has been proven to that equation.  The steps
-    accepted are exactly these (`side` is ``lhs`` or ``rhs`` unless said
-    otherwise, and `position` a syllable index on that side):
+    `slope` is the script's slope, None in the knot group, and `cited` maps
+    each equation the script cites and that has been proven to that
+    equation.  The steps accepted are exactly these (`side` is ``lhs`` or
+    ``rhs`` unless said otherwise, and `position` a syllable index on that
+    side):
 
     * ``invert``: invert both sides;
     * ``multiply`` with `on` ``left`` or ``right`` and a `word` over the
@@ -473,7 +464,7 @@ def apply_step(
         syls[pos : pos + 1] = base * abs(e)
 
     elif kind == "relation":
-        L, R = _resolve_ref(ref, pres, context, cited)
+        L, R = _resolve_ref(ref, pres, slope, cited)
         if direction == "forward":
             x_word, y_word = L, R
         elif direction == "backward":
@@ -517,8 +508,8 @@ def apply_step(
     return state
 
 
-def axiom_state(axiom: Axiom, context: Context, pres: GroupPresentation) -> State:
-    """The equation a script with this axiom, in this context, starts from."""
+def axiom_state(axiom: Axiom, slope: Slope | None, pres: GroupPresentation) -> State:
+    """The equation a script with this axiom, at this slope (None in the knot group), starts from."""
     if axiom.kind == "relator":
         try:
             rel = pres.relator(axiom.name)  # type: ignore[arg-type]
@@ -530,10 +521,9 @@ def axiom_state(axiom: Axiom, context: Context, pres: GroupPresentation) -> Stat
             raise StepError(f"no defined element {axiom.name!r:.40}")
         return [(axiom.name, 1)], list(pres.named[axiom.name].definition.syllables)
     if axiom.kind == "surgery":
-        if context.kind != "H":
+        if slope is None:
             raise StepError("the surgery relator is only an axiom in a surgery quotient")
-        assert context.slope is not None
-        return list(surgery_named_form(pres, context.slope).syllables), []
+        return list(surgery_named_form(pres, slope).syllables), []
     raise StepError(f"unknown axiom kind {axiom.kind!r:.40}")
 
 
@@ -549,11 +539,11 @@ def iter_states(
     cap = side_cap(script)
     env = env or {}
     cited = {c: env[c] for c in script.cites if c in env}  # what relation steps may insert
-    state = axiom_state(script.axiom, script.context, pres)
+    state = axiom_state(script.axiom, script.slope, pres)
     yield state
     for idx, step in enumerate(script.steps):
         try:
-            state = apply_step(state, step, pres, script.context, cited, cap)
+            state = apply_step(state, step, pres, script.slope, cited, cap)
         except StepError as err:
             raise StepError(err.reason, index=idx) from None
         yield state
@@ -588,7 +578,7 @@ def check_script(
             f"claimed {_brief(lhs)} = {_brief(rhs)}",
             index=len(script.steps),
         )
-    return _tuple_new(Equation, (script.claimed_lhs, script.claimed_rhs, script.context, script.script_id))
+    return _tuple_new(Equation, (script.claimed_lhs, script.claimed_rhs, script.slope, script.script_id))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +587,8 @@ def check_script(
 def script_to_json_dict(script: DerivationScript) -> dict:
     return {
         "id": script.script_id,
-        "context": script.context.kind,
-        "slope": str(script.context.slope) if script.context.slope else None,
+        "context": "G" if script.slope is None else "H",
+        "slope": None if script.slope is None else str(script.slope),
         "axiom": {"kind": script.axiom.kind, "name": script.axiom.name},
         "cites": list(script.cites),
         "steps": [s.to_json_dict() for s in script.steps],
@@ -629,11 +619,17 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     script_id = d["id"]
     if type(script_id) is not str:
         _json_typed(script_id, str, "script id")
-    context = Context(d["context"], slope)
+    context = d["context"]
+    if context == "G" and slope is not None:
+        raise ValueError("knot-group context carries no slope")
+    if context == "H" and slope is None:
+        raise ValueError("surgery context requires a slope")
+    if context not in ("G", "H"):
+        raise ValueError(f"unknown context {context!r:.40}")
     steps = tuple([Step.from_json_dict(s) for s in d["steps"]])
     lhs = Word.parse_printed(d["claimed"]["lhs"], "claimed lhs")
     rhs = Word.parse_printed(d["claimed"]["rhs"], "claimed rhs")
     for c in cites:
         if type(c) is not str:
             _json_typed(c, str, "cited equation id")
-    return DerivationScript(script_id, context, _tuple_new(Axiom, (kind, name)), steps, lhs, rhs, tuple(cites))
+    return DerivationScript(script_id, slope, _tuple_new(Axiom, (kind, name)), steps, lhs, rhs, tuple(cites))

@@ -337,9 +337,8 @@ def refute_all(
     for eq in equations:
         if not eq.provenance:
             raise ValueError("equations must carry provenance ids")
-        ctx = eq.context
-        if ctx.kind == "H" and ctx.slope != slope:
-            raise ValueError(f"equation {eq.provenance} was proven at slope {ctx.slope}, not {slope}")
+        if eq.slope is not None and eq.slope != slope:
+            raise ValueError(f"equation {eq.provenance} was proven at slope {eq.slope}, not {slope}")
         lhs, rhs = pres.expand(eq.lhs), pres.expand(eq.rhs)
         concrete.append((eq.provenance, _verdicts(signed_letters(lhs)), _verdicts(signed_letters(rhs))))
 
@@ -406,7 +405,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
         if script.script_id in env:
             problems.append(f"duplicate equation id {script.script_id!r:.40}")
             continue
-        if script.context.kind == "H" and script.context.slope != p_.slope:
+        if script.slope is not None and script.slope != p_.slope:
             problems.append(f"equation {script.script_id!r:.40} proven at a different slope")
             continue
         try:

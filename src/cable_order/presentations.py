@@ -1,4 +1,4 @@
-"""Presentations of torus-knot groups, their cables, and surgery relators.
+"""Presentations of torus-knot groups and their cables, and the surgery relator's named form.
 
 The torus knot group on parameters (x, y) is <a, b | a^x = b^y> with
 meridian mu = b^j a^i and longitude lam = mu^(-xy) a^x, where x*j + y*i = 1
@@ -13,7 +13,8 @@ u and v follow from (x, y, p).
 Each defined name means its definition over earlier names, and nothing
 else: a presentation keeps no word over the alphabet for a name or a
 relator.  :meth:`GroupPresentation.expand` writes one out on demand, and no
-certify or replay step asks it to.
+certify or replay step asks it to; the ``present --json`` document, which
+writes every one out, is built in :mod:`cli`.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
@@ -159,10 +160,14 @@ class GroupPresentation:
         if not letters.issubset(self._letters):
             g = next(g for g, _ in w.syllables if g not in self.named and g not in self.alphabet)
             raise ValueError(f"unknown generator {g!r:.40}")
-        return self._spell(w, {})
+        return self.spell(w, {})
 
-    def _spell(self, w: Word, spelled: dict[str, Word]) -> Word:
-        """`w` written out over the alphabet; `spelled` maps the names written out so far to their words."""
+    def spell(self, w: Word, spelled: dict[str, Word]) -> Word:
+        """`w` written out over the alphabet; `spelled` maps the names written out so far to their words.
+
+        A caller that spells several words through one `spelled`, as the
+        ``present --json`` document does, writes each name out once.
+        """
         out: list[Syllable] = []
         for g, e in w.syllables:
             _join(out, power(self._spelling(g, spelled), e).syllables if g in self.named else ((g, e),))
@@ -171,38 +176,13 @@ class GroupPresentation:
     def _spelling(self, name: str, spelled: dict[str, Word]) -> Word:
         """The word over the alphabet that `name` stands for, written out on its first use per `spelled`."""
         if name not in spelled:
-            spelled[name] = self._spell(self.named[name].definition, spelled)
+            spelled[name] = self.spell(self.named[name].definition, spelled)
         return spelled[name]
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""
         (g1, e1), (g2, e2) = s1, s2
         return any(e1 % k1 == 0 and e2 % k2 == 0 for k1, k2 in self._licences.get((g1, g2), ()))
-
-    def to_json_dict(self) -> dict:
-        params: dict = {"x": self.x, "y": self.y}
-        if self.kind == "cable":
-            # every cable built is the paper's; the key keeps the document's bytes
-            params.update(p=self.p, q=self.q, theorem_mode=True)
-        params["bezout"] = {"i": self.torus_bezout.i, "j": self.torus_bezout.j}
-        if self.cable_bezout is not None:
-            params["bezout"].update(u=self.cable_bezout.u, v=self.cable_bezout.v)
-        spelled: dict[str, Word] = {}  # each name is written out once per document
-        return {
-            "version": "v1",
-            "kind": self.kind,
-            "params": params,
-            "alphabet": list(self.alphabet),
-            "relators": [
-                {"name": r.name, "word": str(self._spell(r.named_form, spelled)), "named_form": str(r.named_form)}
-                for r in self.relators
-            ],
-            "named": {
-                n: {"definition": str(el.definition), "expansion": str(self._spelling(n, spelled))}
-                for n, el in self.named.items()
-            },
-            "whitelist": [[str(u), str(w)] for u, w in self.whitelist],
-        }
 
 
 @lru_cache(maxsize=None)
@@ -298,8 +278,3 @@ def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:
     if pres.kind != "cable":
         raise ParameterError("surgery relators require a cable presentation")
     return Word.from_pairs([(MUC, slope.m), (LAMC, slope.n)])
-
-
-def surgery_relator(pres: GroupPresentation, slope: Slope) -> Word:
-    """Reduced expansion of muC^m lamC^n over the letters a, b, t."""
-    return pres.expand(surgery_named_form(pres, slope))

@@ -39,9 +39,8 @@ from functools import cache
 
 from . import obstruction
 from .derivations import (
-    LHS, RHS, Axiom, CertEntry, Context, DerivationScript, Equation, Step, StepError, apply_step, axiom_state,
+    LHS, RHS, Axiom, CertEntry, DerivationScript, Equation, Step, StepError, apply_step, axiom_state,
 )
-from .normal_form import equal_in_torus_group
 from .obstruction import CertParams, Inconclusive, ObstructionCertificate, RefutationRow, signed_letters
 from .presentations import LAM, LAMC, MU, MUC, GroupPresentation, ParameterError, cable_presentation
 from .slopes import Slope, beta_slope, cramer
@@ -61,7 +60,7 @@ REDUCE = Step("reduce", "both")
 def prove(
     script_id: str,
     pres: GroupPresentation,
-    context: Context,
+    slope: Slope | None,
     axiom: Axiom,
     steps: Sequence[Step],
     cites: tuple[str, ...] = (),
@@ -69,30 +68,32 @@ def prove(
 ) -> CertEntry:
     """The entry of the script `steps`, which claims the final state the checker reaches.
 
-    Each step goes through :func:`apply_step`, which is the checker itself,
-    so nothing checks the script again before it is written.  A rejected
-    step raises StepError with its index and the script id, as
+    `slope` is where the script holds: None in the knot group, else the
+    surgery slope of its quotient.  Each step goes through
+    :func:`apply_step`, which is the checker itself, so nothing checks the
+    script again before it is written.  A rejected step raises StepError
+    with its index and the script id, as
     :func:`derivations.check_script` would.  The steps are not held to a
     :func:`derivations.side_cap`; a script read back as input, as every
     script of a certificate is under replay, is.
     """
     env = env or {}
     cited = {c: env[c] for c in cites if c in env}
-    state = axiom_state(axiom, context, pres)
+    state = axiom_state(axiom, slope, pres)
     for index, step in enumerate(steps):
         try:
-            apply_step(state, step, pres, context, cited)
+            apply_step(state, step, pres, slope, cited)
         except StepError as err:
             raise StepError(f"{err.reason}, in script {script_id!r:.40}", index=index) from None
     lhs, rhs = (tuple(side) for side in state)
     if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
         raise AssertionError("script must end on a reduced state")
-    return CertEntry(DerivationScript(script_id, context, axiom, tuple(steps), Word(lhs), Word(rhs), cites))
+    return CertEntry(DerivationScript(script_id, slope, axiom, tuple(steps), Word(lhs), Word(rhs), cites))
 
 
 def central_relation_script(pres: GroupPresentation) -> CertEntry:
     """a^x = b^y, read off the central relator."""
-    return prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+    return prove("central_relation", pres, None, Axiom("relator", "central"), [
         Step("multiply", word=Word.single("b", pres.y), on="right"),
         REDUCE,
     ])
@@ -110,7 +111,7 @@ def cable_t_power_script(pres: GroupPresentation) -> CertEntry:
     assert p is not None and q is not None
     x = pres.x
     j = pres.torus_bezout.j
-    return prove("cable_t_power", pres, Context("G"), Axiom("relator", "cable"), [
+    return prove("cable_t_power", pres, None, Axiom("relator", "cable"), [
         Step("multiply", word=Word.from_pairs([(LAM, -p), (MU, -q)]), on="left"),
         REDUCE,
         Step("invert"),
@@ -129,7 +130,7 @@ def cable_endpoint_product_script(
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     cites = ("cable_t_power",)
-    return prove("cable_endpoint_product", pres, Context("G"), Axiom("definition", LAMC), [
+    return prove("cable_endpoint_product", pres, None, Axiom("definition", LAMC), [
         Step("multiply", word=Word.single(MUC, p * q - 1), on="left"),  # muC^(pq-1) lamC = muC^-1 t^p
         REDUCE,
         Step("definition", RHS, 0, name=MUC, direction="expand"),
@@ -145,7 +146,7 @@ def surgery_t_power_identity_script(pres: GroupPresentation) -> CertEntry:
     """t^p = 1 in the quotient at the integer slope pq."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
-    return prove("surgery_t_power_identity", pres, Context("H", Slope(p * q, 1)), Axiom("surgery"), [
+    return prove("surgery_t_power_identity", pres, Slope(p * q, 1), Axiom("surgery"), [
         Step("definition", LHS, 1, name=LAMC, direction="expand"),
         REDUCE,
     ])
@@ -157,9 +158,8 @@ def surgery_endpoint_identity_script(
     """t a^(x(p-1)-i) b^(-j) = 1 in the quotient at the integer slope pq - 1."""
     p, q = pres.p, pres.q
     assert p is not None and q is not None
-    ctx = Context("H", Slope(p * q - 1, 1))
     cites = ("cable_endpoint_product",)
-    return prove("surgery_endpoint_identity", pres, ctx, Axiom("surgery"), [
+    return prove("surgery_endpoint_identity", pres, Slope(p * q - 1, 1), Axiom("surgery"), [
         # the surgered product muC^(pq-1) lamC equals its rewritten form
         Step("relation", LHS, 2, ref=("equation", "cable_endpoint_product"), direction="forward", anchor="before"),
         REDUCE,
@@ -187,7 +187,7 @@ def surgery_interior_combination_script(
     endpoint = env["cable_endpoint_product"]
     run = len(power(endpoint.rhs, d0))  # (muC^(pq-1) lamC)^-d0 starts here
     cites = ("cable_endpoint_product",)
-    return prove("surgery_interior_combination", pres, Context("H", slope), Axiom("surgery"), [
+    return prove("surgery_interior_combination", pres, slope, Axiom("surgery"), [
         Step("commute", LHS, 1, name=LAMC),
         REDUCE,  # muC^-d0 t^(pn)
         Step("relation", LHS, 0, ref=("equation", "cable_endpoint_product"), direction="forward",
@@ -224,7 +224,7 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
                 Step("swap", RHS, 1, left=(LAM, v - c * p), right=(MU, -q)),
                 REDUCE,
             ]
-    return prove(f"cable_meridian_shift_{k}", pres, Context("G"), Axiom("definition", MUC), steps)
+    return prove(f"cable_meridian_shift_{k}", pres, None, Axiom("definition", MUC), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +375,3 @@ def certificate_text(cert: ObstructionCertificate) -> str:
         head[:-1], ',"equations":[', ",".join(equations), '],"cramer":',
         _compact(None if c is None else c.to_json_dict()), ',"refutations":[', rows, "]}",
     ))
-
-
-# ---------------------------------------------------------------------------
-# identity checks
-
-def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
-    """Check that shifting the normalization by k defines the same peripherals.
-
-    The meridian variant b^(j-ky) a^(i+kx) must equal b^j a^i in the torus
-    group (decided by the normal form), and the k-shift derivation, which
-    inserts the cable relation k times, must prove exactly
-    muC = mu^(u+kq) lam^(v+kp) t^-(v+kp).
-    """
-    pres = cable_presentation(x, y, p)
-    i, j = pres.torus_bezout
-    mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
-    if not equal_in_torus_group(pres.expand(pres.named[MU].definition), mu_variant, x, y):
-        return False
-    assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
-    u, v = pres.cable_bezout
-    v_k = v + k * pres.p
-    shifted = Word.from_pairs([(MU, u + k * pres.q), (LAM, v_k), ("t", -v_k)])
-    try:
-        eq = meridian_shift_script(pres, k).equation
-    except StepError:
-        return False
-    return eq.lhs == Word.single(MUC) and eq.rhs == shifted

@@ -5,6 +5,10 @@ integer cross-multiplication; determinants for interpolating the sign of a
 peripheral product between two known slopes are computed exactly.  No
 floating point is used anywhere, since the signs of these determinants feed
 directly into certificate soundness.
+
+Part of the trusted core that replay runs.  The genus and the L-space
+window check, which only ``verify-identities`` reads, live in
+:mod:`normal_form`, outside it.
 """
 
 from __future__ import annotations
@@ -130,38 +134,3 @@ def beta_slope(p: int, q: int, beta: int) -> Slope:
         raise ValueError(f"beta must be >= 1, got {beta!s:.40}")
     # gcd(pq*beta - 1, beta) divides 1, so the fraction is already reduced
     return Slope(p * q * beta - 1, beta)
-
-
-def genus(x: int, y: int, p: int, q: int) -> Fraction:
-    """Genus of the (p,q)-cable of the (x,y)-torus knot, as an exact rational.
-
-    The result is a ``fractions.Fraction``.  That module is imported on the
-    first call, not with this module: it brings in ``decimal`` and
-    ``numbers``, about 3 ms that no certify or replay needs.
-    """
-    from fractions import Fraction
-
-    return Fraction((p - 1) * (q - 1) + p * (x - 1) * (y - 1), 2)
-
-
-class WindowReport(namedtuple("WindowReport", "x y p q two_g_minus_1 window_low_gap ok")):
-    """The window check at (x, y, p) with q = pxy - 1 (a tuple).
-
-    `window_low_gap` is p(x + y) - 2, the distance from pq - 1 down to
-    2g - 1, and `ok` says that the identity and the gap's sign hold.
-    """
-
-    __slots__ = ()
-
-
-def lspace_window_check(x: int, y: int, p: int) -> WindowReport:
-    """Check that [pq-1, pq] sits above the 2g-1 threshold when q = p*x*y - 1.
-
-    Verifies the exact identity 2g - 1 == (pq - 1) - [p(x+y) - 2] together
-    with p(x+y) - 2 > 0.
-    """
-    q = p * x * y - 1
-    g2 = 2 * genus(x, y, p, q)
-    gap = p * (x + y) - 2
-    ok = g2.denominator == 1 and int(g2) - 1 == (p * q - 1) - gap and gap > 0
-    return WindowReport(x, y, p, q, int(g2) - 1, gap, ok)

@@ -155,9 +155,6 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.syllables)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
     def generators(self) -> set[str]:
         return {g for g, _ in self.syllables}
 
@@ -204,11 +201,3 @@ def power(w: Word, n: int) -> Word:
         mid = core[1:-1]
         core_n = core[:1] + (mid + ((g0, e1 + e0),)) * (n - 1) + mid + core[-1:]
     return Word(head + core_n + tail)
-
-
-def abelianize(w: Word) -> dict[str, int]:
-    """Exponent sum per generator; generators with sum zero are dropped."""
-    sums: dict[str, int] = {}
-    for g, e in w.syllables:
-        sums[g] = sums.get(g, 0) + e
-    return {g: e for g, e in sums.items() if e}

@@ -6,11 +6,11 @@ import random
 
 from hypothesis import strategies as st
 
-from cable_order.derivations import LHS, RHS, Axiom, Context, DerivationScript, Equation, Step
+from cable_order.derivations import LHS, RHS, Axiom, DerivationScript, Equation, Step
 from cable_order.presentations import LAM, LAMC, MU, MUC, GroupPresentation
 from cable_order.proofs import REDUCE, prove
 from cable_order.slopes import Slope, cramer
-from cable_order.words import Word, abelianize, concat, power
+from cable_order.words import Word, concat, power
 
 
 def word_strategy(alphabet=("a", "b", "t"), max_syllables=8, max_exp=6):
@@ -98,6 +98,14 @@ def reference_spellings(pres: GroupPresentation) -> dict[str, Word]:
 
 
 # -- exact integer solvers for abelianization lattice membership -------------
+
+def abelianize(w: Word) -> dict[str, int]:
+    """Exponent sum per generator; generators with sum zero are dropped."""
+    sums: dict[str, int] = {}
+    for g, e in w.syllables:
+        sums[g] = sums.get(g, 0) + e
+    return {g: e for g, e in sums.items() if e}
+
 
 def ab_vector(word_or_dict) -> tuple[int, int, int]:
     d = word_or_dict if isinstance(word_or_dict, dict) else abelianize(word_or_dict)
@@ -239,7 +247,7 @@ def swap_expand_t_power_script(pres: GroupPresentation) -> DerivationScript:
         Step("swap", RHS, 1, left=("b", -j), right=("a", x * p)),
         REDUCE,
     ]
-    return prove("cable_t_power", pres, Context("G"), Axiom("relator", "cable"), steps).script
+    return prove("cable_t_power", pres, None, Axiom("relator", "cable"), steps).script
 
 
 def swap_expand_interior_script(
@@ -267,5 +275,5 @@ def swap_expand_interior_script(
             steps.append(Step("relation", LHS, 2 * k + 2, ref=("equation", "cable_endpoint_product"),
                               direction="forward", anchor="before"))
     steps.append(REDUCE)
-    return prove("surgery_interior_combination", pres, Context("H", slope), Axiom("surgery"), steps,
+    return prove("surgery_interior_combination", pres, slope, Axiom("surgery"), steps,
                  ("cable_endpoint_product",), env).script

@@ -13,7 +13,7 @@ from math import gcd
 
 from cable_order.cli import main
 from cable_order.derivations import check_script
-from cable_order.normal_form import eliminate_t, equal_in_torus_group, normal_form
+from cable_order.normal_form import eliminate_t, equal_in_torus_group, genus, lspace_window_check, normal_form
 from cable_order.obstruction import (
     Inconclusive,
     ObstructionCertificate,
@@ -24,7 +24,7 @@ from cable_order.obstruction import (
 )
 from cable_order.presentations import bezout_torus, cable_presentation
 from cable_order.proofs import cable_t_power_script, central_relation_script, certify_slope
-from cable_order.slopes import Slope, beta_slope, cramer, genus, lspace_window_check
+from cable_order.slopes import Slope, beta_slope, cramer
 from cable_order.words import Word
 from helpers import (
     apply_mutation,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cable_order import cli
+from cable_order import cli, proofs
 from cable_order.cli import main, parse_grid
 from cable_order.derivations import CertEntry, check_script, script_from_json_dict, script_to_json_dict
 from cable_order.obstruction import Inconclusive, all_sign_assignments, certificate_from_json_dict, replay
@@ -678,6 +678,10 @@ CORE_REJECTIONS = {
     "cites_as_an_object": (
         lambda d: _entry(d, "central_relation")["script"].update(cites={"k": 1}), 1,
         "cites must be list, got dict"),
+    "params_slope_unparsable": (
+        lambda d: d["params"].update(slope="65|3"), 1, "bad slope '65|3': expected M or M/N with integers M and N"),
+    "assignment_with_an_unknown_sign": (
+        lambda d: d["refutations"][0]["assignment"].update(a="up"), 1, "bad sign 'up'"),
     # the checker
     "unknown_reference_type": (
         lambda d: _steps(d, SURGERY)[2]["ref"].update(type="lemma"), 2,
@@ -716,6 +720,14 @@ CORE_REJECTIONS = {
     "surgery_axiom_in_the_knot_group": (
         lambda d: _entry(d, "central_relation")["script"].update(axiom={"kind": "surgery", "name": None}), 2,
         "script 'central_relation' fails: the surgery relator is only an axiom in a surgery quotient"),
+    "relation_citing_a_relator_for_an_equation": (
+        lambda d: _steps(d, "cable_endpoint_product")[5].update(ref={"type": "relator", "name": "central"}), 2,
+        "script 'cable_endpoint_product' fails: step 7: claimed result mismatch: "
+        "derived muC^21 lamC = t a^-2 t^2 b^3 a^-2, claimed muC^21 lamC = t a b"),
+    "claimed_side_that_the_steps_do_not_reach": (
+        lambda d: [c.update(lhs="a^3") for c in (_entry(d, "central_relation"),
+                                                 _entry(d, "central_relation")["script"]["claimed"])], 2,
+        "script 'central_relation' fails: step 2: claimed result mismatch: derived a^2 = b^3, claimed a^3 = b^3"),
     # replay itself
     "duplicated_entry_id": (
         lambda d: d["equations"].insert(1, copy.deepcopy(d["equations"][0])), 2,
@@ -732,6 +744,9 @@ CORE_REJECTIONS = {
     "recorded_signs_that_do_not_clash": (
         lambda d: d["refutations"][0].update(reason=CLASH_CENTRAL_POS_POS), 2,
         "row for 'central_relation' is not a clash"),
+    "duplicated_assignment": (
+        lambda d: d["refutations"].append(copy.deepcopy(d["refutations"][0])), 2,
+        "duplicate assignment {'a': 'pos', 'b': 'pos', 't': 'pos'}"),
 }
 
 
@@ -1026,11 +1041,11 @@ def test_import_loads_neither_typing_nor_fractions():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cable_order.cli; "
         "print(sorted(m for m in ('typing', 'fractions') if m in sys.modules)); "
-        "from cable_order.slopes import genus; print(genus(2, 3, 2, 11), 'fractions' in sys.modules)"
+        "from cable_order.normal_form import genus; print(genus(2, 3, 2, 11), 'fractions' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "[]\n7 True\n"
+    assert done.stdout == "[]\n7 False\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1286,6 +1301,12 @@ class TestSweep:
         assert captured.out == "" and len(captured.err) < 1024
         assert not out.exists()
 
+    def test_a_bad_grid_dimension_is_cut(self, tmp_path, capsys):
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", "k" * 300 + "=1;x=2;y=3;p=2;beta=1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: bad grid dimension '" + "k" * 39 + "\n"
+        assert not out.exists()
+
     def test_a_malformed_grid_slope_stays_its_points_record(self, tmp_path, capsys):
         out = tmp_path / "certs"
         assert main(["sweep", "--grid", "x=2;y=3;p=2;slope=abc|21", "--out", str(out)]) == 1
@@ -1320,7 +1341,7 @@ class TestVerifyIdentities:
             check_script(corrupted, pres, {})  # a script from outside the program is checked before use
             return CertEntry(corrupted)
 
-        monkeypatch.setattr(cli, "cable_t_power_script", checked_entry)
+        monkeypatch.setattr(proofs, "cable_t_power_script", checked_entry)
         assert main(["verify-identities", "--x", "2", "--y", "3", "--p", "2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "step 3" in out

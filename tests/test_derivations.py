@@ -9,7 +9,6 @@ import pytest
 from cable_order import derivations, obstruction, proofs
 from cable_order.derivations import (
     Axiom,
-    Context,
     DerivationScript,
     Equation,
     Step,
@@ -26,7 +25,7 @@ from cable_order.presentations import (
     LAMC,
     MUC,
     cable_presentation,
-    surgery_relator,
+    surgery_named_form,
 )
 from cable_order.proofs import (
     cable_endpoint_product_script,
@@ -61,7 +60,7 @@ class TestBuiltinChains:
         pres = cable_presentation(2, 3, 2)
         eq = check_script(cable_t_power_script(pres).script, pres, {})
         assert (eq.lhs, eq.rhs) == (Word.parse("t^2"), Word.parse("a^3 b"))
-        assert eq.context == Context("G")
+        assert eq.slope is None
         assert eq.provenance == "cable_t_power"
 
     def test_interior_combination_instances(self):
@@ -117,27 +116,27 @@ class TestStepValidation:
         pres = cable_presentation(2, 3, 2)
         step = Step(kind="swap", side="lhs", position=0, left=("a", 1), right=("b", 1))
         with pytest.raises(StepError, match="not licensed"):
-            apply_step(state_of("a b", "a b"), step, pres, Context("G"), {})
+            apply_step(state_of("a b", "a b"), step, pres, None, {})
 
     def test_builder_step_error_names_its_index_and_script(self):
         pres = cable_presentation(2, 3, 2)
         steps = [Step("multiply", word=Word.parse("a b"), on="left"),
                  Step("swap", "lhs", 0, left=("a", 1), right=("b", 1))]
         with pytest.raises(StepError, match="not licensed") as err:
-            prove("x", pres, Context("G"), Axiom("relator", "central"), steps)
+            prove("x", pres, None, Axiom("relator", "central"), steps)
         assert err.value.index == 1
         assert str(err.value).startswith("step 1: ") and "'x'" in str(err.value)
 
     def test_licensed_commutation(self):
         pres = cable_presentation(2, 3, 2)
         step = Step(kind="swap", side="lhs", position=0, left=("b", -1), right=("a", 4))
-        lhs, _ = apply_step(state_of("b^-1 a^4", "b^-1 a^4"), step, pres, Context("G"), {})
+        lhs, _ = apply_step(state_of("b^-1 a^4", "b^-1 a^4"), step, pres, None, {})
         assert lhs == [("a", 4), ("b", -1)]
 
     def test_swap_carves_syllables(self):
         pres = cable_presentation(2, 3, 2)
         step = Step(kind="swap", side="lhs", position=0, left=("mu", 6), right=("lam", 1))
-        lhs, _ = apply_step(state_of("mu^11 lam^2", "t^2"), step, pres, Context("G"), {})
+        lhs, _ = apply_step(state_of("mu^11 lam^2", "t^2"), step, pres, None, {})
         assert lhs == [("mu", 5), ("lam", 1), ("mu", 6), ("lam", 1)]
 
     def test_relator_insertion_inside_t_run(self):
@@ -151,7 +150,7 @@ class TestStepValidation:
             direction="backward",
             anchor="after",
         )
-        lhs, _ = apply_step(state_of("t^4", "t^4"), step, pres, Context("G"), {})
+        lhs, _ = apply_step(state_of("t^4", "t^4"), step, pres, None, {})
         assert lhs == [("t", 4), ("mu", 11), ("lam", 2), ("t", -2)]
 
     def test_relator_mismatch(self):
@@ -165,23 +164,23 @@ class TestStepValidation:
             anchor="before",
         )
         with pytest.raises(StepError, match="relator mismatch"):
-            apply_step(state_of("a", "a"), step, pres, Context("G"), {})
+            apply_step(state_of("a", "a"), step, pres, None, {})
 
     def test_position_out_of_range(self):
         pres = cable_presentation(2, 3, 2)
         step = Step(kind="definition", name="mu", side="lhs", position=5, direction="expand")
         with pytest.raises(StepError, match="out of range"):
-            apply_step(state_of("a", "a"), step, pres, Context("G"), {})
+            apply_step(state_of("a", "a"), step, pres, None, {})
 
     def test_cited_equation_insertion(self):
         pres = cable_presentation(2, 3, 2)
         cited = prove_chain(pres, central_relation_script)  # a^2 = b^3
         step = Step(kind="relation", ref=("equation", "central_relation"), side="rhs",
                     position=0, direction="forward", anchor="before")
-        _, rhs = apply_step(state_of("b", "b"), step, pres, Context("G"), cited)
+        _, rhs = apply_step(state_of("b", "b"), step, pres, None, cited)
         assert rhs == [("a", -2), ("b", 3), ("b", 1)]
         with pytest.raises(StepError, match="not cited"):
-            apply_step(state_of("b", "b"), step, pres, Context("G"), {})
+            apply_step(state_of("b", "b"), step, pres, None, {})
 
     def test_forged_claim_rejected(self):
         pres = cable_presentation(2, 3, 2)
@@ -194,11 +193,11 @@ class TestStepValidation:
     def test_citation_requires_matching_quotient(self):
         pres = cable_presentation(2, 3, 2)
         foreign = Equation(
-            Word.parse("t^2"), Word.identity(), Context("H", Slope(22, 1)), "foreign"
+            Word.parse("t^2"), Word.identity(), Slope(22, 1), "foreign"
         )
         script = DerivationScript(
             script_id="bad_cite",
-            context=Context("H", Slope(21, 1)),
+            slope=Slope(21, 1),
             axiom=Axiom("surgery"),
             steps=(
                 Step(
@@ -222,7 +221,7 @@ class TestStepValidation:
         env = prove_chain(pres, central_relation_script)
         script = DerivationScript(
             script_id="no_cite",
-            context=Context("G"),
+            slope=None,
             axiom=Axiom("relator", "central"),
             steps=(
                 Step(
@@ -290,7 +289,7 @@ class TestStepValidation:
         lhs, rhs = [("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)]
         state = (lhs, rhs)
         with pytest.raises(StepError):
-            apply_step(state, step, pres, Context("G"), {}, cap=20)
+            apply_step(state, step, pres, None, {}, cap=20)
         assert state[0] is lhs and state[1] is rhs
         assert state == ([("mu", 11), ("lam", 2), ("t", -2)], [("b", -1), ("a", 2)])
 
@@ -351,11 +350,11 @@ class TestAbelianizationInvariance:
             ab_vector(pres.expand(pres.relator("cable").named_form)),
         ]
         if slope is not None:
-            cols.append(ab_vector(surgery_relator(pres, slope)))
+            cols.append(ab_vector(pres.expand(surgery_named_form(pres, slope))))
         return cols
 
     def _check_states(self, pres, script, env):
-        cols = self._lattice(pres, script.context.slope)
+        cols = self._lattice(pres, script.slope)
         for state in iter_states(script, pres, env):
             lhs = ab_vector(pres.expand(Word.from_pairs(state[0])))
             rhs = ab_vector(pres.expand(Word.from_pairs(state[1])))
@@ -376,17 +375,17 @@ class TestExponentForms:
     # the commute and relation-exponent steps against the chains of single steps they replace
     def test_collected_lamc_power_matches_expand_and_swaps(self):
         pres = cable_presentation(2, 3, 2)
-        ctx = Context("H", Slope(43, 2))
+        slope = Slope(43, 2)
         for e in range(-6, 7):
             if e == 0:
                 continue  # lamC^0 is no syllable
             collected = apply_step(
-                ([(LAMC, e)], []), Step(kind="commute", side="lhs", position=0, name=LAMC), pres, ctx, {}
+                ([(LAMC, e)], []), Step(kind="commute", side="lhs", position=0, name=LAMC), pres, slope, {}
             )
             state = apply_step(
                 ([(LAMC, e)], []),
                 Step(kind="definition", name=LAMC, side="lhs", position=0, direction="expand"),
-                pres, ctx, {},
+                pres, slope, {},
             )
             lhs = state[0]
             moved = True
@@ -395,9 +394,9 @@ class TestExponentForms:
                 for i in range(len(lhs) - 1):
                     if lhs[i][0] == "t" and lhs[i + 1][0] == MUC:
                         step = Step(kind="swap", side="lhs", position=i, left=lhs[i], right=lhs[i + 1])
-                        apply_step(state, step, pres, ctx, {})
+                        apply_step(state, step, pres, slope, {})
                         moved = True
-            apply_step(state, Step(kind="reduce", side="both"), pres, ctx, {})
+            apply_step(state, Step(kind="reduce", side="both"), pres, slope, {})
             assert collected == state == ([(MUC, -22 * e), ("t", 2 * e)], []), e
 
     def test_new_proof_matches_the_swap_expand_chain(self):
@@ -441,24 +440,24 @@ class TestExponentForms:
 
     def test_run_collapse_needs_the_licence_of_every_pair(self):
         pres = cable_presentation(2, 3, 2)
-        ctx = Context("G")
+        slope = None
         run = Step(kind="commute", side="lhs", position=0, word=Word.parse("muC^2 lamC^-1"), n=2)
-        lhs, _ = apply_step(state_of("muC^2 lamC^-1 muC^2 lamC^-1 a", "a"), run, pres, ctx, {})
+        lhs, _ = apply_step(state_of("muC^2 lamC^-1 muC^2 lamC^-1 a", "a"), run, pres, slope, {})
         assert lhs == [(MUC, 4), (LAMC, -2), ("a", 1)]
         unlicensed = Step(kind="commute", side="lhs", position=0, word=Word.parse("a b"), n=2)
         with pytest.raises(StepError, match="not licensed"):
-            apply_step(state_of("a b a b", "1"), unlicensed, pres, ctx, {})
+            apply_step(state_of("a b a b", "1"), unlicensed, pres, slope, {})
 
     def test_relation_exponent_inserts_powers(self):
         pres = cable_presentation(2, 3, 2)
         cited = prove_chain(pres, central_relation_script)  # a^2 = b^3
         step = Step(kind="relation", ref=("equation", "central_relation"), side="lhs", position=1,
                     direction="forward", anchor="after", n=3)
-        ctx = Context("H", Slope(64, 3))
-        lhs, _ = apply_step(([("t", 1), ("t", -1)], []), step, pres, ctx, cited)
+        slope = Slope(64, 3)
+        lhs, _ = apply_step(([("t", 1), ("t", -1)], []), step, pres, slope, cited)
         assert lhs == [("t", 1), ("b", 9), ("a", -6), ("t", -1)]
         with pytest.raises(StepError, match="a side of 7 syllables; the cap is 6"):
-            apply_step(([("t", 1)], []), step, pres, ctx, cited, cap=6)
+            apply_step(([("t", 1)], []), step, pres, slope, cited, cap=6)
 
     def test_side_cap_follows_the_size_of_the_script(self):
         pres = cable_presentation(2, 3, 2)

@@ -11,8 +11,8 @@ from cable_order.normal_form import (
     normal_form,
 )
 from cable_order.presentations import LAM, MU, bezout_torus, cable_presentation
-from cable_order.words import Word, abelianize
-from helpers import random_licensed_move, random_word
+from cable_order.words import Word
+from helpers import abelianize, random_licensed_move, random_word
 
 
 class TestNormalForm:
@@ -55,19 +55,6 @@ class TestEquality:
 
     def test_identity_equals_relator(self):
         assert equal_in_torus_group(Word.identity(), Word.parse("a^2 b^-3"), 2, 3)
-
-
-class TestPrintedForm:
-    def test_round_trip(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            nf = normal_form(random_word(rng, max_syllables=10, max_exp=8), 3, 5)
-            assert TorusNormalForm.parse(str(nf)) == nf
-
-    def test_format(self):
-        nf = normal_form(Word.parse("a^3 b"), 2, 3)
-        assert str(nf) == "c^1 · a b"
-        assert str(TorusNormalForm(0, ())) == "c^0"
 
 
 class TestEliminateT:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from cable_order import obstruction, proofs
 from cable_order.cli import main
 from cable_order.derivations import (
-    Axiom, CertEntry, Context, Equation, Step, check_script, script_from_json_dict, script_to_json_dict,
+    Axiom, CertEntry, Equation, Step, check_script, script_from_json_dict, script_to_json_dict,
 )
 from cable_order.obstruction import (
     NEG,
@@ -159,14 +159,14 @@ class TestRefuteAll:
     def test_requires_matching_slope(self):
         pres, _ = knot_group_equations()
         foreign = Equation(
-            Word.parse("t^2"), Word.identity(), Context("H", Slope(22, 1)), "foreign"
+            Word.parse("t^2"), Word.identity(), Slope(22, 1), "foreign"
         )
         with pytest.raises(ValueError, match="slope"):
             refute_all([foreign], pres, Slope(21, 1))
 
     def test_requires_provenance(self):
         pres, _ = knot_group_equations()
-        anon = Equation(Word.parse("a"), Word.parse("a"), Context("G"))
+        anon = Equation(Word.parse("a"), Word.parse("a"), None)
         with pytest.raises(ValueError, match="provenance"):
             refute_all([anon], pres, None)
 
@@ -177,7 +177,7 @@ class TestRefuteAll:
         # the result must be Inconclusive, never a certificate
         pres = cable_presentation(2, 3, 2)
         eqs = [
-            Equation(w, w, Context("G"), provenance=f"eq{i}") for i, w in enumerate(words)
+            Equation(w, w, None, provenance=f"eq{i}") for i, w in enumerate(words)
         ]
         result = refute_all(eqs, pres, None)
         compatible = all(
@@ -539,7 +539,7 @@ class TestReplay:
         # and an uncited entry carrying muC^N must cost replay nothing per N
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 1)
-        padded = prove("padded", pres, Context("G"), Axiom("relator", "central"), [
+        padded = prove("padded", pres, None, Axiom("relator", "central"), [
             Step("multiply", word=Word.single("b", 3), on="right"),
             REDUCE,
             Step("multiply", word=Word.single(MUC, 10_000), on="left"),
@@ -566,7 +566,7 @@ class TestReplay:
         # spelled out, and every row then reads at most 6
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 1)
-        grown = prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+        grown = prove("central_relation", pres, None, Axiom("relator", "central"), [
             Step("multiply", word=Word.single("b", 3), on="right"),
             REDUCE,
             Step("multiply", word=Word.single(MUC, 10**5), on="left"),
@@ -799,7 +799,7 @@ def test_every_fixture_cites_equations_over_a_b_and_t(path):
 def muc_power_tamper(n: int) -> ObstructionCertificate:
     """The (2, 3, 2) beta-1 certificate with muC^n multiplied onto both sides of its cited central relation."""
     pres = cable_presentation(2, 3, 2)
-    grown = prove("central_relation", pres, Context("G"), Axiom("relator", "central"), [
+    grown = prove("central_relation", pres, None, Axiom("relator", "central"), [
         Step("multiply", word=Word.single("b", 3), on="right"),
         REDUCE,
         Step("multiply", word=Word.single(MUC, n), on="left"),

@@ -6,8 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from cable_order.slopes import Slope, beta_slope, cramer, genus, lspace_window_check
-from cable_order.words import Word, abelianize, concat, power
+from cable_order.normal_form import genus, lspace_window_check
+from cable_order.slopes import Slope, beta_slope, cramer
+from cable_order.words import Word, concat, power
+from helpers import abelianize
 
 
 def random_slope(rng, max_num=100, max_den=9) -> Slope:
@@ -141,6 +143,13 @@ class TestGenusAndWindow:
         assert genus(2, 3, 3, 17) == 19
         assert 2 * genus(2, 3, 2, 11) - 1 == 13
 
+    def test_genus_needs_coprime_pairs(self):
+        # 2g = (p - 1)(q - 1) + p(x - 1)(y - 1) is odd at (2, 3, 2, 10): no knot has that genus
+        with pytest.raises(ValueError, match=r"coprime pairs, got \(x, y\) = \(2, 3\) and \(p, q\) = \(2, 10\)"):
+            genus(2, 3, 2, 10)
+        with pytest.raises(ValueError, match="coprime pairs"):
+            genus(2, 4, 3, 23)
+
     def test_window_examples(self):
         rep = lspace_window_check(2, 3, 2)
         assert rep.ok and rep.two_g_minus_1 == 13 and rep.window_low_gap == 8
@@ -162,4 +171,4 @@ class TestGenusAndWindow:
         if gcd(x, y) != 1:
             return
         q = p * x * y - 1
-        assert genus(x, y, p, q).denominator == 1
+        assert type(genus(x, y, p, q)) is int

@@ -17,8 +17,8 @@ from cable_order.presentations import (
 )
 from cable_order.proofs import certify_slope
 from cable_order.slopes import Slope
-from cable_order.words import Word, WordSyntaxError, abelianize, concat, invert, power
-from helpers import reference_spellings, word_strategy
+from cable_order.words import Word, WordSyntaxError, concat, invert, power
+from helpers import abelianize, reference_spellings, word_strategy
 
 
 def W(text: str) -> Word:
