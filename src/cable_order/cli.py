@@ -124,7 +124,7 @@ def presentation_to_json_dict(pres: GroupPresentation) -> dict:
     :meth:`GroupPresentation.spell`), and nothing is kept between documents.
     """
     params: dict = {"x": pres.x, "y": pres.y}
-    if pres.kind == "cable":
+    if pres.p is not None:
         # every cable built is the paper's; the key keeps the document's bytes
         params.update(p=pres.p, q=pres.q, theorem_mode=True)
     params["bezout"] = {"i": pres.torus_bezout.i, "j": pres.torus_bezout.j}
@@ -133,16 +133,16 @@ def presentation_to_json_dict(pres: GroupPresentation) -> dict:
     spelled: dict[str, Word] = {}
     return {
         "version": "v1",
-        "kind": pres.kind,
+        "kind": "torus" if pres.p is None else "cable",
         "params": params,
         "alphabet": list(pres.alphabet),
         "relators": [
-            {"name": r.name, "word": str(pres.spell(r.named_form, spelled)), "named_form": str(r.named_form)}
-            for r in pres.relators
+            {"name": name, "word": str(pres.spell(form, spelled)), "named_form": str(form)}
+            for name, form in pres.relators.items()
         ],
         "named": {
-            n: {"definition": str(el.definition), "expansion": str(pres._spelling(n, spelled))}
-            for n, el in pres.named.items()
+            n: {"definition": str(definition), "expansion": str(pres._spelling(n, spelled))}
+            for n, definition in pres.named.items()
         },
         "whitelist": [[str(u), str(w)] for u, w in pres.whitelist],
     }
@@ -301,6 +301,10 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
     if not report:
         record.update(status="replay_failed", detail="; ".join(report.problems))
         return record
+    if len(stem) > 200:  # a long beta or slope: a file name may hold at most 255 bytes
+        import hashlib  # here, so that starting the CLI does not load it
+
+        stem = "cert_" + hashlib.sha256(stem.encode()).hexdigest()[:32]
     path = Path(out_dir) / f"{stem}.json"
     if _write(path, text + "\n") != CERTIFIED:
         record.update(status="unwritable", file=path.name)

@@ -47,13 +47,16 @@ proven in G hold in every H and may be cited there; equations proven in
 some H may only be cited at the same slope.  The JSON form of a script
 spells this as ``"context": "G"`` or ``"H"`` beside ``"slope"``, and the
 loader checks that the two agree.
+
+Every record here is a named tuple that stores each fact once: a
+certificate entry is ``(script,)``, and its id and equation are read from
+the script when asked for.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .presentations import GroupPresentation, surgery_named_form
 from .slopes import Slope
@@ -224,37 +227,29 @@ class Axiom(namedtuple("Axiom", "kind name", defaults=(None,))):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    """A derivation: an axiom, then steps, ending at the claimed equation; `cites` names earlier equations.
+class DerivationScript(namedtuple("DerivationScript", "script_id slope axiom steps claimed_lhs claimed_rhs cites",
+                                  defaults=((),))):
+    """A derivation (a tuple): an axiom, then steps, ending at the claimed equation; `cites` names earlier ones.
 
     `slope` is None in the knot group G, and the surgery slope in a quotient H.
     """
 
-    script_id: str
-    slope: Slope | None
-    axiom: Axiom
-    steps: tuple[Step, ...]
-    claimed_lhs: Word
-    claimed_rhs: Word
-    cites: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CertEntry:
-    """A script, as a certificate lists it; its id and equation (built once, here) are read from the script."""
+class CertEntry(namedtuple("CertEntry", "script")):
+    """A script, as a certificate lists it (a tuple); its id and equation are read from the script."""
 
-    script: DerivationScript
-    equation: Equation = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        s = self.script
-        equation = _tuple_new(Equation, (s.claimed_lhs, s.claimed_rhs, s.slope, s.script_id))
-        object.__setattr__(self, "equation", equation)
+    __slots__ = ()
 
     @property
     def entry_id(self) -> str:
         return self.script.script_id
+
+    @property
+    def equation(self) -> Equation:
+        s = self.script
+        return _tuple_new(Equation, (s.claimed_lhs, s.claimed_rhs, s.slope, s.script_id))
 
     def to_json_dict(self) -> dict:
         doc = script_to_json_dict(self.script)
@@ -280,11 +275,9 @@ def _resolve_ref(
         raise StepError("relation requires a reference")
     kind, name = ref
     if kind == "relator":
-        try:
-            rel = pres.relator(name)
-        except KeyError:
-            raise StepError(f"relator mismatch: no relator {name!r:.40}") from None
-        return rel.named_form, Word.identity()
+        if name not in pres.relators:
+            raise StepError(f"relator mismatch: no relator {name!r:.40}")
+        return pres.relators[name], Word.identity()
     if kind == "equation":
         if name not in cited:
             raise StepError(f"equation {name!r:.40} is not cited by the script, or not proven")
@@ -458,7 +451,7 @@ def apply_step(
         g, e = syls[pos]
         if g != name:
             raise StepError(f"syllable at position {pos} is not {name}")
-        definition = pres.named[name].definition.syllables
+        definition = pres.named[name].syllables
         _check_side(len(syls) - 1 + len(definition) * abs(e), cap)
         base = definition if e > 0 else _invert_raw(definition)
         syls[pos : pos + 1] = base * abs(e)
@@ -491,7 +484,7 @@ def apply_step(
             g, e = syls[pos]
             if g != name:
                 raise StepError(f"syllable at position {pos} is not {name}")
-            factors, end = pres.named[name].definition.syllables, pos + 1
+            factors, end = pres.named[name].syllables, pos + 1
         elif name is None and word and n is not None and n >= 1:  # n copies of a block
             factors, e = word.syllables, n
             end = pos + len(factors) * n
@@ -511,15 +504,13 @@ def apply_step(
 def axiom_state(axiom: Axiom, slope: Slope | None, pres: GroupPresentation) -> State:
     """The equation a script with this axiom, at this slope (None in the knot group), starts from."""
     if axiom.kind == "relator":
-        try:
-            rel = pres.relator(axiom.name)  # type: ignore[arg-type]
-        except KeyError:
-            raise StepError(f"relator mismatch: no relator {axiom.name!r:.40}") from None
-        return list(rel.named_form.syllables), []
+        if axiom.name not in pres.relators:
+            raise StepError(f"relator mismatch: no relator {axiom.name!r:.40}")
+        return list(pres.relators[axiom.name].syllables), []
     if axiom.kind == "definition":
         if axiom.name not in pres.named:
             raise StepError(f"no defined element {axiom.name!r:.40}")
-        return [(axiom.name, 1)], list(pres.named[axiom.name].definition.syllables)
+        return [(axiom.name, 1)], list(pres.named[axiom.name].syllables)
     if axiom.kind == "surgery":
         if slope is None:
             raise StepError("the surgery relator is only an axiom in a surgery quotient")
@@ -632,4 +623,7 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     for c in cites:
         if type(c) is not str:
             _json_typed(c, str, "cited equation id")
-    return DerivationScript(script_id, slope, _tuple_new(Axiom, (kind, name)), steps, lhs, rhs, tuple(cites))
+    # tuple.__new__ skips the Python frames of the records' __new__, as in Step.from_json_dict
+    return _tuple_new(DerivationScript, (
+        script_id, slope, _tuple_new(Axiom, (kind, name)), steps, lhs, rhs, tuple(cites),
+    ))

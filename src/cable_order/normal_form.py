@@ -79,7 +79,7 @@ def eliminate_t(w: Word, pres: GroupPresentation) -> Word:
     which signals the word may lie outside the subgroup where the
     substitution applies.
     """
-    if pres.kind != "cable":
+    if pres.p is None:
         raise ValueError("eliminate_t requires a cable presentation")
     p = pres.p
     assert p is not None and pres.q is not None
@@ -149,7 +149,7 @@ def peripheral_invariance_check(x: int, y: int, p: int, k: int) -> bool:
     pres = cable_presentation(x, y, p)
     i, j = pres.torus_bezout
     mu_variant = Word.from_pairs([("b", j - k * y), ("a", i + k * x)])
-    if not equal_in_torus_group(pres.expand(pres.named[MU].definition), mu_variant, x, y):
+    if not equal_in_torus_group(pres.expand(pres.named[MU]), mu_variant, x, y):
         return False
     assert pres.p is not None and pres.q is not None and pres.cable_bezout is not None
     u, v = pres.cable_bezout

@@ -17,7 +17,9 @@ result is an :class:`Inconclusive` value listing the survivors.
 A certificate holds each fact once: an entry is its script, and q, the mode
 and :func:`determinant_data` follow from (x, y, p, slope, beta).  The loader
 checks each copy that the JSON form repeats; :func:`replay` checks only the
-proofs and the rows.
+proofs and the rows.  The records are named tuples; a
+:class:`SignAssignment` equals and hashes as its (a, b, t) signs, so one
+table gives the position of either, for the loader and for :func:`replay`.
 
 A verdict reads only which of the 6 signed letters of a, b, t a word has, so
 :func:`refute_all` and :func:`replay` look verdicts up in a table of at most
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from .derivations import (
@@ -51,18 +52,20 @@ VERSION = "v2"  # the format certify writes
 _VERSIONS = frozenset({"v1", VERSION})  # the formats replay reads
 
 
-@dataclass(frozen=True, slots=True)
-class SignAssignment:
-    """A sign, "pos", "neg" or "zero", for each generator a, b and t."""
+class SignAssignment(namedtuple("SignAssignment", "a b t")):
+    """A sign, "pos", "neg" or "zero", for each generator a, b and t (a tuple, equal to its signs)."""
 
-    a: str
-    b: str
-    t: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for s in (self.a, self.b, self.t):
+    def __new__(cls, a: str, b: str, t: str) -> "SignAssignment":
+        for s in (a, b, t):
             if s not in SIGNS:
                 raise ValueError(f"bad sign {s!r:.40}")
+        return _tuple_new(cls, (a, b, t))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "SignAssignment":  # _replace builds through here: check it too
+        return cls(*iterable)
 
     def get(self, gen: str) -> str:
         return getattr(self, gen)
@@ -75,9 +78,8 @@ class SignAssignment:
 
 
 _ASSIGNMENTS = tuple(SignAssignment(sa, sb, st) for sa in SIGNS for sb in SIGNS for st in SIGNS)
-_BY_SIGNS = {(s.a, s.b, s.t): s for s in _ASSIGNMENTS}
-# the signs (a, b, t) -> position: a tuple hashes in C, a SignAssignment through a Python __hash__
-_POSITIONS = {signs: k for k, signs in enumerate(_BY_SIGNS)}
+# assignment -> position; an assignment hashes and compares as its (a, b, t) tuple, so either is a key
+_POSITIONS = {s: k for k, s in enumerate(_ASSIGNMENTS)}
 _ALL_ZERO = _POSITIONS[ZERO, ZERO, ZERO]
 _SIGNED_LETTERS = frozenset((g, e) for g in ("a", "b", "t") for e in (1, -1))  # the 6 signed letters
 
@@ -165,15 +167,10 @@ class Inconclusive(namedtuple("Inconclusive", "survivors")):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CertParams:
-    """(x, y, p), the slope and its beta label, if any; q and the mode are derived."""
+class CertParams(namedtuple("CertParams", "x y p slope beta", defaults=(None,))):
+    """(x, y, p), the slope and its beta label, if any; q and the mode are derived (a tuple)."""
 
-    x: int
-    y: int
-    p: int
-    slope: Slope
-    beta: int | None = None
+    __slots__ = ()
 
     @property
     def q(self) -> int:
@@ -207,14 +204,11 @@ def determinant_data(params: CertParams, version: str) -> CramerTriple | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class ObstructionCertificate:
-    """The entries, each a checked script, and the row that refutes each of the 27 assignments."""
+class ObstructionCertificate(namedtuple("ObstructionCertificate", "params entries refutations version",
+                                        defaults=(VERSION,))):
+    """The entries, each a checked script, and the row that refutes each of the 27 assignments (a tuple)."""
 
-    params: CertParams
-    entries: tuple[CertEntry, ...]
-    refutations: tuple[RefutationRow, ...]
-    version: str = VERSION
+    __slots__ = ()
 
     @property
     def cramer_data(self) -> CramerTriple | None:
@@ -293,7 +287,7 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         if type(signs) is not dict or signs.keys() != _ASSIGNMENT_KEYS:
             raise ValueError("a refutation assignment must be an object with the keys a, b and t")
         try:
-            assignment = _BY_SIGNS[signs["a"], signs["b"], signs["t"]]
+            assignment = _ASSIGNMENTS[_POSITIONS[signs["a"], signs["b"], signs["t"]]]
         except (KeyError, TypeError):  # not a sign, or unhashable: name the first bad one
             assignment = SignAssignment(signs["a"], signs["b"], signs["t"])
         reason = r["reason"]
@@ -420,7 +414,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     concrete: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {}
     uncited: dict[str, int] = {}  # rows per cited id with no verified equation over a, b and t
     for assignment, eq_id, lhs_sign, rhs_sign in cert.refutations:
-        k = _POSITIONS[assignment.a, assignment.b, assignment.t]
+        k = _POSITIONS[assignment]
         if k in seen:
             problems.append(f"duplicate assignment {assignment.to_json_dict()}")
             continue

@@ -10,9 +10,12 @@ The paper's cables have q = p*x*y - 1 with p >= 2, and use the
 normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
 u and v follow from (x, y, p).
 
-Each defined name means its definition over earlier names, and nothing
-else: a presentation keeps no word over the alphabet for a name or a
-relator.  :meth:`GroupPresentation.expand` writes one out on demand, and no
+A torus-knot presentation is the one whose `p` is None.  `named` maps
+each defined name to its definition and `relators` each relator's name to
+its named form, the word over defined names that equals the identity; both
+are read-only, and a name is stored nowhere else.  Each defined name means
+its definition over earlier names, and nothing else: a presentation keeps
+no word over the alphabet for a name or a relator.  :meth:`GroupPresentation.expand` writes one out on demand, and no
 certify or replay step asks it to; the ``present --json`` document, which
 writes every one out, is built in :mod:`cli`.
 
@@ -79,30 +82,17 @@ def bezout_torus(x: int, y: int) -> TorusBezout:
     return TorusBezout(i, j)
 
 
-class Relator(namedtuple("Relator", "name named_form")):
-    """A relator (a tuple): `named_form`, over defined names and quoted verbatim by axioms, is the identity."""
-
-    __slots__ = ()
-
-
-class NamedElement(namedtuple("NamedElement", "name definition")):
-    """A defined element: `definition` over earlier names is what `name` means (a tuple)."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
-    """A torus-knot or cable group: generators, relators, defined names and the commutation whitelist."""
+    """A torus-knot group (`p` None) or a cable group: generators, relators, defined names and the whitelist."""
 
-    kind: str  # "torus" | "cable"
     x: int
     y: int
     p: int | None
     q: int | None
     alphabet: tuple[str, ...]
-    relators: tuple[Relator, ...]
-    named: Mapping[str, NamedElement]  # stored as a read-only copy
+    relators: Mapping[str, Word]  # name -> named form, the identity; stored as a read-only copy
+    named: Mapping[str, Word]  # name -> definition over earlier names; stored as a read-only copy
     whitelist: tuple[tuple[Word, Word], ...]
     torus_bezout: TorusBezout
     cable_bezout: CableBezout | None
@@ -118,6 +108,7 @@ class GroupPresentation:
     _lemmas: dict[object, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "relators", MappingProxyType(dict(self.relators)))
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
         licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         for u, w in self.whitelist:
@@ -130,16 +121,10 @@ class GroupPresentation:
         object.__setattr__(self, "_lemmas", {})
 
     def __reduce__(self):
-        # a mappingproxy does not pickle: rebuild through __init__, which wraps `named` again
+        # a mappingproxy does not pickle: rebuild through __init__, which wraps both mappings again
         args = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        args["named"] = dict(self.named)
+        args["relators"], args["named"] = dict(self.relators), dict(self.named)
         return (GroupPresentation, tuple(args.values()))
-
-    def relator(self, name: str) -> Relator:
-        for rel in self.relators:
-            if rel.name == name:
-                return rel
-        raise KeyError(f"no relator named {name!r}")
 
     def letters(self) -> frozenset[str]:
         """The generators and the defined names (built with the presentation)."""
@@ -176,7 +161,7 @@ class GroupPresentation:
     def _spelling(self, name: str, spelled: dict[str, Word]) -> Word:
         """The word over the alphabet that `name` stands for, written out on its first use per `spelled`."""
         if name not in spelled:
-            spelled[name] = self.spell(self.named[name].definition, spelled)
+            spelled[name] = self.spell(self.named[name], spelled)
         return spelled[name]
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
@@ -189,10 +174,9 @@ class GroupPresentation:
 def torus_presentation(x: int, y: int) -> GroupPresentation:
     """<a, b | a^x = b^y> with named meridian and longitude."""
     i, j = bezout_torus(x, y)
-    central = Word.from_pairs([("a", x), ("b", -y)])
     named = {
-        MU: NamedElement(MU, Word.from_pairs([("b", j), ("a", i)])),
-        LAM: NamedElement(LAM, Word.from_pairs([(MU, -x * y), ("a", x)])),
+        MU: Word.from_pairs([("b", j), ("a", i)]),
+        LAM: Word.from_pairs([(MU, -x * y), ("a", x)]),
     }
     whitelist = (
         (Word.single("a", x), Word.single("b")),
@@ -201,13 +185,12 @@ def torus_presentation(x: int, y: int) -> GroupPresentation:
         (Word.single(MU), Word.single("a", x)),  # a^x = b^y is central
     )
     return GroupPresentation(
-        kind="torus",
         x=x,
         y=y,
         p=None,
         q=None,
         alphabet=("a", "b"),
-        relators=(Relator("central", central),),
+        relators={"central": Word.from_pairs([("a", x), ("b", -y)])},
         named=named,
         whitelist=whitelist,
         torus_bezout=TorusBezout(i, j),
@@ -236,12 +219,9 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         raise ParameterError(f"cable winding p must be >= 2, got {p!s:.40}")
     q, u, v = p * x * y - 1, x * y, 1  # p*u - q*v = 1
 
-    muc_def = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
-    lamc_def = Word.from_pairs([(MUC, -p * q), ("t", p)])
-    cable_named_form = Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])
     named = dict(base.named)
-    named[MUC] = NamedElement(MUC, muc_def)
-    named[LAMC] = NamedElement(LAMC, lamc_def)
+    named[MUC] = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
+    named[LAMC] = Word.from_pairs([(MUC, -p * q), ("t", p)])
 
     tp = Word.single("t", p)
     whitelist = base.whitelist + (
@@ -252,16 +232,12 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
         (Word.single(LAMC), tp),
     )
     return GroupPresentation(
-        kind="cable",
         x=x,
         y=y,
         p=p,
         q=q,
         alphabet=("a", "b", "t"),
-        relators=(
-            base.relators[0],
-            Relator("cable", cable_named_form),
-        ),
+        relators={**base.relators, "cable": Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])},
         named=named,
         whitelist=whitelist,
         torus_bezout=base.torus_bezout,
@@ -275,6 +251,6 @@ cable_presentation.cache_info = _cable_presentation.cache_info  # type: ignore[a
 
 def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:
     """The surgery relator muC^m lamC^n over the peripheral names."""
-    if pres.kind != "cable":
+    if pres.p is None:
         raise ParameterError("surgery relators require a cable presentation")
     return Word.from_pairs([(MUC, slope.m), (LAMC, slope.n)])

@@ -87,7 +87,7 @@ def reference_spellings(pres: GroupPresentation) -> dict[str, Word]:
     mu = Word.from_pairs([("b", j), ("a", i)])
     lam = concat(power(mu, -x * y), Word.single("a", x))
     out = {MU: mu, LAM: lam, "central": Word.from_pairs([("a", x), ("b", -y)])}
-    if pres.kind == "cable":
+    if pres.p is not None:
         p, q = pres.p, pres.q
         u, v = pres.cable_bezout
         muc = concat(power(mu, u), power(lam, v), Word.single("t", -v))

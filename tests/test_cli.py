@@ -1137,6 +1137,18 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert [r["status"] for r in summary["results"]] == ["unwritable", "certified"]
 
+    def test_a_long_beta_is_written_under_a_hashed_name(self, tmp_path, capsys):
+        # the plain stem would be 323 characters: more than a file name may hold
+        beta = "9" * 300
+        out = tmp_path / "certs"
+        assert main(["sweep", "--grid", f"x=2;y=3;p=2;beta={beta}", "--out", str(out)]) == 0
+        (record,) = json.loads((out / "summary.json").read_text())["results"]
+        stem = f"cert_x2_y3_p2_beta{beta}"
+        assert record["status"] == "certified"
+        assert record["file"] == f"cert_{hashlib.sha256(stem.encode()).hexdigest()[:32]}.json"
+        assert len(record["file"].encode()) <= 255
+        assert main(["replay", str(out / record["file"])]) == 0
+
     def test_a_point_whose_written_bytes_do_not_replay_is_not_written(self, tmp_path, capsys, monkeypatch):
         # the writer is made to flip one recorded sign in its text: the in-memory
         # certificate is sound, so only a replay of the text catches it

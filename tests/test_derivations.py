@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -185,7 +184,7 @@ class TestStepValidation:
     def test_forged_claim_rejected(self):
         pres = cable_presentation(2, 3, 2)
         script = cable_t_power_script(pres).script
-        forged = dataclasses.replace(script, claimed_rhs=Word.parse("a^3 b^2"))
+        forged = script._replace(claimed_rhs=Word.parse("a^3 b^2"))
         with pytest.raises(StepError, match="claimed result mismatch") as err:
             check_script(forged, pres, {})
         assert err.value.index == len(script.steps)
@@ -346,8 +345,8 @@ class TestConservativity:
 class TestAbelianizationInvariance:
     def _lattice(self, pres, slope):
         cols = [
-            ab_vector(pres.expand(pres.relator("central").named_form)),
-            ab_vector(pres.expand(pres.relator("cable").named_form)),
+            ab_vector(pres.expand(pres.relators["central"])),
+            ab_vector(pres.expand(pres.relators["cable"])),
         ]
         if slope is not None:
             cols.append(ab_vector(pres.expand(surgery_named_form(pres, slope))))
@@ -463,7 +462,7 @@ class TestExponentForms:
         pres = cable_presentation(2, 3, 2)
         script = cable_t_power_script(pres).script  # 8 steps, 2 syllables of words, 3 claimed
         assert side_cap(script) == 4 * (8 + 2 + 3) + 16
-        padded = dataclasses.replace(script, steps=script.steps + (Step(kind="invert"),) * 5)
+        padded = script._replace(steps=script.steps + (Step(kind="invert"),) * 5)
         assert side_cap(padded) == side_cap(script) + 20
 
     def test_side_cap_does_not_follow_the_claimed_slope(self):
@@ -479,7 +478,7 @@ class TestExponentForms:
         script = cable_t_power_script(pres).script
         spelled = Step(kind="multiply", on="left", word=Word.parse("lam^50"))
         expand = Step(kind="definition", name="lam", side="lhs", position=0, direction="expand")
-        probe = dataclasses.replace(script, steps=script.steps + (spelled, expand))
+        probe = script._replace(steps=script.steps + (spelled, expand))
         with pytest.raises(StepError, match="a side of 101 syllables; the cap is 80") as err:
             check_script(probe, pres, {})
         assert err.value.index == 9

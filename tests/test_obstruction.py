@@ -10,7 +10,6 @@ import sys
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -229,7 +228,7 @@ class TestCertifyBeta:
                 for beta in range(1, 26):
                     cert = certify_beta(x, y, p, beta)
                     same = certify_slope(x, y, p, beta_slope(p, p * x * y - 1, beta))
-                    assert cert.params == replace(same.params, beta=beta) and cert.params.mode == "beta"
+                    assert cert.params == same.params._replace(beta=beta) and cert.params.mode == "beta"
                     assert (cert.entries, cert.cramer_data, cert.refutations) == (
                         same.entries, same.cramer_data, same.refutations
                     ), (x, y, p, beta)
@@ -544,7 +543,7 @@ class TestReplay:
             REDUCE,
             Step("multiply", word=Word.single(MUC, 10_000), on="left"),
         ])
-        cert = replace(cert, entries=cert.entries + (padded,))
+        cert = cert._replace(entries=cert.entries + (padded,))
         endpoint = next(e for e in cert.entries if e.entry_id == "cable_endpoint_product")
         assert endpoint.equation.lhs.syllables == ((MUC, 21), (LAMC, 1))
 
@@ -571,7 +570,7 @@ class TestReplay:
             REDUCE,
             Step("multiply", word=Word.single(MUC, 10**5), on="left"),
         ])
-        cert = replace(cert, entries=(grown,) + cert.entries[1:])
+        cert = cert._replace(entries=(grown,) + cert.entries[1:])
 
         read = []
         real = obstruction.evaluate_sign
@@ -748,8 +747,8 @@ class TestTableMemo:
         real = proofs.surgery_t_power_identity_script
         kept = certify_slope(2, 3, 2, Slope(22))  # t^2 = 1
         variants = (
-            lambda script: replace(script, script_id="renamed"),
-            lambda script: replace(script, claimed_lhs=invert(script.claimed_lhs)),  # t^-2 = 1
+            lambda script: script._replace(script_id="renamed"),
+            lambda script: script._replace(claimed_lhs=invert(script.claimed_lhs)),  # t^-2 = 1
         )
         tables = [kept.refutations]
         for change in variants:
@@ -767,7 +766,7 @@ class TestTableMemo:
 
     def test_a_table_text_is_used_only_for_its_own_rows(self):
         cert = certify_beta(2, 3, 2, 2)
-        copy_ = replace(cert, refutations=tuple(list(cert.refutations)))  # equal rows, not the memo's tuple
+        copy_ = cert._replace(refutations=tuple(list(cert.refutations)))  # equal rows, not the memo's tuple
         assert copy_.refutations is not cert.refutations
         reference = TestCertificateText.reference(cert)
         assert certificate_text(copy_) == certificate_text(cert) == reference
@@ -805,7 +804,7 @@ def muc_power_tamper(n: int) -> ObstructionCertificate:
         Step("multiply", word=Word.single(MUC, n), on="left"),
     ])
     cert = certify_beta(2, 3, 2, 1)
-    return replace(cert, entries=(grown,) + cert.entries[1:])
+    return cert._replace(entries=(grown,) + cert.entries[1:])
 
 
 def endpoint_product_tamper() -> dict:
@@ -940,7 +939,7 @@ class TestCertificateText:
     def test_a_lemma_text_is_used_only_for_its_own_entry(self):
         cert = certify_beta(2, 3, 2, 2)
         entries = tuple(CertEntry(script_from_json_dict(script_to_json_dict(e.script))) for e in cert.entries)
-        copy_ = replace(cert, entries=entries)  # equal entries, none of them the memo's object
+        copy_ = cert._replace(entries=entries)  # equal entries, none of them the memo's object
         assert certificate_text(copy_) == certificate_text(cert) == self.reference(cert)
         # a marked memo text shows which of the two took it
         memo = cable_presentation(2, 3, 2)._lemmas
@@ -954,7 +953,7 @@ class TestCertificateText:
         rows = list(cert.refutations)
         for k in range(40):  # over a thousand distinct rows, none of them a memo's
             renamed = tuple(row if row.equation_id is None else row._replace(equation_id=f"e{k}") for row in rows)
-            copy_ = replace(cert, refutations=renamed)
+            copy_ = cert._replace(refutations=renamed)
             assert certificate_text(copy_) == self.reference(copy_)
 
 

@@ -90,7 +90,7 @@ class TestCablePresentation:
 
     def test_relator_abelianization(self):
         pres = cable_presentation(2, 3, 2)
-        ab = abelianize(pres.expand(pres.relator("cable").named_form))
+        ab = abelianize(pres.expand(pres.relators["cable"]))
         ab_mu = abelianize(pres.expand(Word.single(MU)))
         ab_lam = abelianize(pres.expand(Word.single(LAM)))
         for g in ("a", "b", "t"):
@@ -151,8 +151,8 @@ def test_spellings_match_the_concat_power_reference(xyp):
     # from the concrete spellings instead, and both must be one reduced word
     for pres in (torus_presentation(*xyp[:2]), cable_presentation(*xyp)):
         reference = reference_spellings(pres)
-        spelled = {n: pres.expand(el.definition) for n, el in pres.named.items()}
-        spelled.update((r.name, pres.expand(r.named_form)) for r in pres.relators)
+        spelled = {n: pres.expand(definition) for n, definition in pres.named.items()}
+        spelled.update((name, pres.expand(form)) for name, form in pres.relators.items())
         assert spelled == reference
         for word in spelled.values():
             assert word.generators() <= set(pres.alphabet)
@@ -172,8 +172,13 @@ class TestPresentationCache:
             pres.named[MU] = pres.named[LAM]
         with pytest.raises(TypeError):
             del pres.named[LAMC]
+        with pytest.raises(TypeError):
+            pres.relators["cable"] = pres.relators["central"]
+        with pytest.raises(TypeError):
+            del pres.relators["central"]
         assert pres.expand(Word.single(MU)) == Word.parse("b^-1 a")
-        assert cable_presentation(2, 3, 2).named[LAMC].definition == Word.parse("muC^-22 t^2")
+        assert cable_presentation(2, 3, 2).named[LAMC] == Word.parse("muC^-22 t^2")
+        assert cable_presentation(2, 3, 2).relators["cable"] == Word.parse("mu^11 lam^2 t^-2")
 
     def test_cold_build_spells_nothing(self, monkeypatch):
         # a work count, not a timing: a build keeps definitions only, so it
@@ -193,7 +198,7 @@ class TestPresentationCache:
         try:
             pres = cable_presentation(11, 13, 9)
             assert built == []
-            pres.expand(pres.relator("cable").named_form)
+            pres.expand(pres.relators["cable"])
             assert max(built) >= 1_000
         finally:
             torus_presentation.cache_clear()
@@ -204,10 +209,10 @@ class TestPresentationCache:
         try:
             pres = cable_presentation(11, 13, 9)
             mu_w, lam_w = pres.expand(Word.single(MU)), pres.expand(Word.single(LAM))
-            word = pres.expand(pres.relator("cable").named_form)
+            word = pres.expand(pres.relators["cable"])
             assert word == concat(power(mu_w, 1286), power(lam_w, 9), Word.single("t", -9))
             assert len(word) == 4575
-            again = pres.expand(pres.relator("cable").named_form)
+            again = pres.expand(pres.relators["cable"])
             assert again == word and again is not word  # built anew: the presentation keeps no word
         finally:
             cable_presentation.cache_clear()
@@ -224,12 +229,14 @@ class TestPresentationCache:
         pres = cable_presentation(2, 3, 2)
         again = pickle.loads(pickle.dumps(pres))
         assert again == pres and cli.presentation_to_json_dict(again) == cli.presentation_to_json_dict(pres)
-        # a name and a relator are two-field records: the definition or named form, and nothing built from it
-        assert again.named[LAMC] == (LAMC, Word.parse("muC^-22 t^2")) == pres.named[LAMC]
-        assert again.relator("cable") == ("cable", Word.parse("mu^11 lam^2 t^-2")) == pres.relator("cable")
+        # a name maps to its definition and a relator to its named form, and nothing built from either
+        assert again.named[LAMC] == Word.parse("muC^-22 t^2") == pres.named[LAMC]
+        assert again.relators["cable"] == Word.parse("mu^11 lam^2 t^-2") == pres.relators["cable"]
         assert again.commutes((MUC, 21), (LAMC, 1)) and not again.commutes((MU, 3), ("t", 3))
         with pytest.raises(TypeError):
             again.named[MU] = again.named[LAM]
+        with pytest.raises(TypeError):
+            again.relators["cable"] = again.relators["central"]
 
 
 class TestSurgeryRelator:
@@ -308,7 +315,7 @@ class TestSerialization:
         # a work count: each definition and each relator's named form is
         # written out once per document, and the names' words are reused
         pres = cable_presentation(*xyp)
-        reference = {n: str(pres.expand(el.definition)) for n, el in pres.named.items()}
+        reference = {n: str(pres.expand(definition)) for n, definition in pres.named.items()}
         spelled = []
         real_spell = GroupPresentation.spell
 
@@ -319,7 +326,7 @@ class TestSerialization:
         monkeypatch.setattr(GroupPresentation, "spell", counting)
         doc = cli.presentation_to_json_dict(pres)
         assert sorted(map(str, spelled)) == sorted(
-            [str(el.definition) for el in pres.named.values()] + [str(r.named_form) for r in pres.relators]
+            [str(w) for w in pres.named.values()] + [str(w) for w in pres.relators.values()]
         )
         assert {n: entry["expansion"] for n, entry in doc["named"].items()} == reference
         spelled.clear()

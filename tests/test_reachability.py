@@ -40,11 +40,14 @@ NOT_RUN_BY_REPLAY = {
     "obstruction.refute_all": "the refutation search certify runs: replay recomputes each row instead, "
                               "and bench/spans.py and proofs._certify look it up on the module",
     "obstruction.SignAssignment.is_all_zero": "read only by refute_all",
+    "obstruction.SignAssignment._make": "checks the signs of a copy made with _replace; the loader makes none",
     "obstruction.ObstructionCertificate.to_json_dict": _BENCH_WRITER,
     "obstruction.ObstructionCertificate.cramer_data": _BENCH_WRITER,
     "obstruction.CertParams.to_json_dict": _BENCH_WRITER,
     "obstruction.RefutationRow.to_json_dict": _BENCH_WRITER,
     "derivations.CertEntry.to_json_dict": _BENCH_WRITER,
+    "derivations.CertEntry.equation": "certify and bench/harness.py read it; "
+                                      "replay takes each equation from check_script",
     "derivations.script_to_json_dict": _BENCH_WRITER,
     "derivations.Step.to_json_dict": _BENCH_WRITER,
     "presentations.GroupPresentation.expand": _SPELLING + "; bench/spans.py patches it",
