@@ -305,8 +305,8 @@ def side_cap(script: DerivationScript) -> int:
     The cap reads nothing the script only claims, such as its slope, so a
     short script cannot buy a large cap.
     """
-    words = sum(len(step.word) for step in script.steps if step.word is not None)
-    return 4 * (len(script.steps) + words + len(script.claimed_lhs) + len(script.claimed_rhs)) + 16
+    words = sum([len(step.word.syllables) for step in script.steps if step.word is not None])
+    return 4 * (len(script.steps) + words + len(script.claimed_lhs.syllables) + len(script.claimed_rhs.syllables)) + 16
 
 
 def _check_side(new_length: int, cap: int | None) -> None:

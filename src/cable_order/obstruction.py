@@ -70,9 +70,6 @@ class SignAssignment(namedtuple("SignAssignment", "a b t")):
     def get(self, gen: str) -> str:
         return getattr(self, gen)
 
-    def is_all_zero(self) -> bool:
-        return self.a == ZERO and self.b == ZERO and self.t == ZERO
-
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "t": self.t}
 
@@ -325,7 +322,9 @@ def refute_all(
     table, or Inconclusive with the surviving assignments.  Each side is
     expanded over a, b and t, and its 27 verdicts are read from the sign
     table (at most 64 letter sets).  :func:`replay` reads the sides as
-    written, so a row may cite only an equation over a, b and t.
+    written, so a row may cite only an equation over a, b and t.  The
+    all-zero assignment is told by its position, and every row is built as
+    its tuple, as the loader builds them.
     """
     concrete = []
     for eq in equations:
@@ -339,15 +338,15 @@ def refute_all(
     rows: list[RefutationRow] = []
     survivors: list[SignAssignment] = []
     for k, assignment in enumerate(_ASSIGNMENTS):
-        if assignment.is_all_zero():
+        if k == _ALL_ZERO:
             # all generators trivial would make the whole group trivial, and
             # left-orderability is a property of nontrivial groups
-            rows.append(RefutationRow(assignment, None, None, None))
+            rows.append(_tuple_new(RefutationRow, (assignment, None, None, None)))
             continue
         for eq_id, lv, rv in concrete:
             ls, rs = lv[k], rv[k]
             if ls != UNKNOWN and rs != UNKNOWN and ls != rs:
-                rows.append(RefutationRow(assignment, eq_id, ls, rs))
+                rows.append(_tuple_new(RefutationRow, (assignment, eq_id, ls, rs)))
                 break
         else:
             survivors.append(assignment)

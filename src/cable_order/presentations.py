@@ -8,7 +8,11 @@ muC = mu^u lam^v t^-v and lamC = muC^(-pq) t^p with p*u - q*v = 1.
 
 The paper's cables have q = p*x*y - 1 with p >= 2, and use the
 normalization (u, v) = (x*y, 1); they are the only cables built here, so q,
-u and v follow from (x, y, p).
+u and v follow from (x, y, p).  A cable is built over its cached torus
+base: it takes the base's relator, names, whitelist and (i, j), and adds
+its own.  Every word a build writes is reduced as written (x, y, p >= 2 give
+nonzero exponents on distinct adjacent letters), so it is made from its
+syllables and the build runs no reducer.
 
 A torus-knot presentation is the one whose `p` is None.  `named` maps
 each defined name to its definition and `relators` each relator's name to
@@ -112,12 +116,12 @@ class GroupPresentation:
         object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
         licences: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         for u, w in self.whitelist:
-            if len(u.syllables) == 1 and len(w.syllables) == 1:
-                (g1, k1), (g2, k2) = u.syllables[0], w.syllables[0]
+            if len(u.syllables) == len(w.syllables) == 1:
+                ((g1, k1),), ((g2, k2),) = u.syllables, w.syllables
                 licences[g1, g2] = licences.get((g1, g2), ()) + ((k1, k2),)
                 licences[g2, g1] = licences.get((g2, g1), ()) + ((k2, k1),)
         object.__setattr__(self, "_licences", MappingProxyType(licences))
-        object.__setattr__(self, "_letters", frozenset(self.alphabet) | frozenset(self.named))
+        object.__setattr__(self, "_letters", frozenset((*self.alphabet, *self.named)))
         object.__setattr__(self, "_lemmas", {})
 
     def __reduce__(self):
@@ -167,33 +171,32 @@ class GroupPresentation:
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""
         (g1, e1), (g2, e2) = s1, s2
-        return any(e1 % k1 == 0 and e2 % k2 == 0 for k1, k2 in self._licences.get((g1, g2), ()))
+        for k1, k2 in self._licences.get((g1, g2), ()):  # a loop: any() over a generator costs twice as much
+            if e1 % k1 == 0 and e2 % k2 == 0:
+                return True
+        return False
 
 
 @lru_cache(maxsize=None)
 def torus_presentation(x: int, y: int) -> GroupPresentation:
     """<a, b | a^x = b^y> with named meridian and longitude."""
-    i, j = bezout_torus(x, y)
-    named = {
-        MU: Word.from_pairs([("b", j), ("a", i)]),
-        LAM: Word.from_pairs([(MU, -x * y), ("a", x)]),
-    }
-    whitelist = (
-        (Word.single("a", x), Word.single("b")),
-        (Word.single("a"), Word.single("b", y)),
-        (Word.single(MU), Word.single(LAM)),
-        (Word.single(MU), Word.single("a", x)),  # a^x = b^y is central
-    )
+    bezout = bezout_torus(x, y)
+    a_x, mu = Word.single("a", x), Word.single(MU)
     return GroupPresentation(
         x=x,
         y=y,
         p=None,
         q=None,
         alphabet=("a", "b"),
-        relators={"central": Word.from_pairs([("a", x), ("b", -y)])},
-        named=named,
-        whitelist=whitelist,
-        torus_bezout=TorusBezout(i, j),
+        relators={"central": Word((("a", x), ("b", -y)))},
+        named={MU: Word((("b", bezout.j), ("a", bezout.i))), LAM: Word(((MU, -x * y), ("a", x)))},
+        whitelist=(
+            (a_x, Word.single("b")),
+            (Word.single("a"), Word.single("b", y)),
+            (mu, Word.single(LAM)),
+            (mu, a_x),  # a^x = b^y is central
+        ),
+        torus_bezout=bezout,
         cable_bezout=None,
     )
 
@@ -218,28 +221,16 @@ def _cable_presentation(x: int, y: int, p: int) -> GroupPresentation:
     if p < 2:
         raise ParameterError(f"cable winding p must be >= 2, got {p!s:.40}")
     q, u, v = p * x * y - 1, x * y, 1  # p*u - q*v = 1
-
-    named = dict(base.named)
-    named[MUC] = Word.from_pairs([(MU, u), (LAM, v), ("t", -v)])
-    named[LAMC] = Word.from_pairs([(MUC, -p * q), ("t", p)])
-
-    tp = Word.single("t", p)
-    whitelist = base.whitelist + (
-        (Word.single(MU), tp),
-        (Word.single(LAM), tp),
-        (Word.single(MUC), Word.single(LAMC)),
-        (Word.single(MUC), tp),
-        (Word.single(LAMC), tp),
-    )
+    tp, muc, lamc = Word.single("t", p), Word.single(MUC), Word.single(LAMC)
     return GroupPresentation(
         x=x,
         y=y,
         p=p,
         q=q,
         alphabet=("a", "b", "t"),
-        relators={**base.relators, "cable": Word.from_pairs([(MU, q), (LAM, p), ("t", -p)])},
-        named=named,
-        whitelist=whitelist,
+        relators={**base.relators, "cable": Word(((MU, q), (LAM, p), ("t", -p)))},
+        named={**base.named, MUC: Word(((MU, u), (LAM, v), ("t", -v))), LAMC: Word(((MUC, -p * q), ("t", p)))},
+        whitelist=base.whitelist + ((Word.single(MU), tp), (Word.single(LAM), tp), (muc, lamc), (muc, tp), (lamc, tp)),
         torus_bezout=base.torus_bezout,
         cable_bezout=CableBezout(u, v),
     )
@@ -253,4 +244,4 @@ def surgery_named_form(pres: GroupPresentation, slope: Slope) -> Word:
     """The surgery relator muC^m lamC^n over the peripheral names."""
     if pres.p is None:
         raise ParameterError("surgery relators require a cable presentation")
-    return Word.from_pairs([(MUC, slope.m), (LAMC, slope.n)])
+    return Word(((MUC, slope.m), (LAMC, slope.n)) if slope.m else ((LAMC, slope.n),))  # n >= 1: reduced as written

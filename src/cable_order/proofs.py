@@ -39,12 +39,12 @@ from functools import cache
 
 from . import obstruction
 from .derivations import (
-    LHS, RHS, Axiom, CertEntry, DerivationScript, Equation, Step, StepError, apply_step, axiom_state,
+    LHS, RHS, Axiom, CertEntry, DerivationScript, Equation, Step, StepError, _tuple_new, apply_step, axiom_state,
 )
 from .obstruction import CertParams, Inconclusive, ObstructionCertificate, RefutationRow, signed_letters
 from .presentations import LAM, LAMC, MU, MUC, GroupPresentation, ParameterError, cable_presentation
 from .slopes import Slope, beta_slope, cramer
-from .words import Word, _reduce, invert, power
+from .words import Syllable, Word, _reduce, invert, power
 
 
 class UnsupportedParameters(ParameterError):
@@ -55,6 +55,32 @@ class UnsupportedParameters(ParameterError):
 # proofs
 
 REDUCE = Step("reduce", "both")
+INVERT = Step("invert")
+
+# The other step forms the factories emit, each built as its tuple of the
+# twelve fields: Step's keyword arguments cost twice as much.
+
+
+def _multiply(word: Word, on: str) -> Step:
+    return _tuple_new(Step, ("multiply", None, None, word, None, None, None, None, None, None, on, None))
+
+
+def _swap(side: str, position: int, left: Syllable, right: Syllable) -> Step:
+    return _tuple_new(Step, ("swap", side, position, None, None, None, None, None, left, right, None, None))
+
+
+def _expand(side: str, position: int, name: str) -> Step:
+    return _tuple_new(Step, ("definition", side, position, None, name, None, "expand", None, None, None, None, None))
+
+
+def _relation(
+    side: str, position: int, ref: tuple[str, str], direction: str, anchor: str, n: int | None = None
+) -> Step:
+    return _tuple_new(Step, ("relation", side, position, None, None, ref, direction, anchor, None, None, None, n))
+
+
+def _commute(side: str, position: int, name: str | None, word: Word | None = None, n: int | None = None) -> Step:
+    return _tuple_new(Step, ("commute", side, position, word, name, None, None, None, None, None, None, n))
 
 
 def prove(
@@ -75,7 +101,9 @@ def prove(
     with its index and the script id, as
     :func:`derivations.check_script` would.  The steps are not held to a
     :func:`derivations.side_cap`; a script read back as input, as every
-    script of a certificate is under replay, is.
+    script of a certificate is under replay, is.  A script that ends on
+    :data:`REDUCE` ends reduced; any other final state is reduced again to
+    check that it is.
     """
     env = env or {}
     cited = {c: env[c] for c in cites if c in env}
@@ -85,16 +113,17 @@ def prove(
             apply_step(state, step, pres, slope, cited)
         except StepError as err:
             raise StepError(f"{err.reason}, in script {script_id!r:.40}", index=index) from None
-    lhs, rhs = (tuple(side) for side in state)
-    if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
+    lhs, rhs = tuple(state[0]), tuple(state[1])
+    if not (steps and steps[-1] is REDUCE) and (_reduce(lhs) != lhs or _reduce(rhs) != rhs):
         raise AssertionError("script must end on a reduced state")
-    return CertEntry(DerivationScript(script_id, slope, axiom, tuple(steps), Word(lhs), Word(rhs), cites))
+    script = _tuple_new(DerivationScript, (script_id, slope, axiom, tuple(steps), Word(lhs), Word(rhs), cites))
+    return _tuple_new(CertEntry, (script,))
 
 
 def central_relation_script(pres: GroupPresentation) -> CertEntry:
     """a^x = b^y, read off the central relator."""
     return prove("central_relation", pres, None, Axiom("relator", "central"), [
-        Step("multiply", word=Word.single("b", pres.y), on="right"),
+        _multiply(Word.single("b", pres.y), "right"),
         REDUCE,
     ])
 
@@ -112,13 +141,13 @@ def cable_t_power_script(pres: GroupPresentation) -> CertEntry:
     x = pres.x
     j = pres.torus_bezout.j
     return prove("cable_t_power", pres, None, Axiom("relator", "cable"), [
-        Step("multiply", word=Word.from_pairs([(LAM, -p), (MU, -q)]), on="left"),
+        _multiply(Word(((LAM, -p), (MU, -q))), "left"),
         REDUCE,
-        Step("invert"),
-        Step("commute", RHS, 1, name=LAM),
+        INVERT,
+        _commute(RHS, 1, LAM),
         REDUCE,  # mu^-1 a^(px)
-        Step("definition", RHS, 0, name=MU, direction="expand"),
-        Step("swap", RHS, 1, left=("b", -j), right=("a", x * p)),
+        _expand(RHS, 0, MU),
+        _swap(RHS, 1, ("b", -j), ("a", x * p)),
         REDUCE,
     ])
 
@@ -131,13 +160,13 @@ def cable_endpoint_product_script(
     assert p is not None and q is not None
     cites = ("cable_t_power",)
     return prove("cable_endpoint_product", pres, None, Axiom("definition", LAMC), [
-        Step("multiply", word=Word.single(MUC, p * q - 1), on="left"),  # muC^(pq-1) lamC = muC^-1 t^p
+        _multiply(Word.single(MUC, p * q - 1), "left"),  # muC^(pq-1) lamC = muC^-1 t^p
         REDUCE,
-        Step("definition", RHS, 0, name=MUC, direction="expand"),
-        Step("definition", RHS, 1, name=LAM, direction="expand"),
+        _expand(RHS, 0, MUC),
+        _expand(RHS, 1, LAM),
         REDUCE,
         # t^p over a and b
-        Step("relation", RHS, 3, ref=("equation", "cable_t_power"), direction="forward", anchor="before"),
+        _relation(RHS, 3, ("equation", "cable_t_power"), "forward", "before"),
         REDUCE,
     ], cites, env)
 
@@ -147,7 +176,7 @@ def surgery_t_power_identity_script(pres: GroupPresentation) -> CertEntry:
     p, q = pres.p, pres.q
     assert p is not None and q is not None
     return prove("surgery_t_power_identity", pres, Slope(p * q, 1), Axiom("surgery"), [
-        Step("definition", LHS, 1, name=LAMC, direction="expand"),
+        _expand(LHS, 1, LAMC),
         REDUCE,
     ])
 
@@ -161,7 +190,7 @@ def surgery_endpoint_identity_script(
     cites = ("cable_endpoint_product",)
     return prove("surgery_endpoint_identity", pres, Slope(p * q - 1, 1), Axiom("surgery"), [
         # the surgered product muC^(pq-1) lamC equals its rewritten form
-        Step("relation", LHS, 2, ref=("equation", "cable_endpoint_product"), direction="forward", anchor="before"),
+        _relation(LHS, 2, ("equation", "cable_endpoint_product"), "forward", "before"),
         REDUCE,
     ], cites, env)
 
@@ -188,14 +217,13 @@ def surgery_interior_combination_script(
     run = len(power(endpoint.rhs, d0))  # (muC^(pq-1) lamC)^-d0 starts here
     cites = ("cable_endpoint_product",)
     return prove("surgery_interior_combination", pres, slope, Axiom("surgery"), [
-        Step("commute", LHS, 1, name=LAMC),
+        _commute(LHS, 1, LAMC),
         REDUCE,  # muC^-d0 t^(pn)
-        Step("relation", LHS, 0, ref=("equation", "cable_endpoint_product"), direction="forward",
-             anchor="after", n=d0),
-        Step("commute", LHS, run, word=invert(endpoint.lhs), n=d0),
-        Step("commute", LHS, run, name=LAMC),
-        Step("swap", LHS, run + 1, left=("t", -p * d0), right=(MUC, (1 - pq) * d0)),
-        Step("swap", LHS, run + 2, left=("t", -p * d0), right=(MUC, -d0)),
+        _relation(LHS, 0, ("equation", "cable_endpoint_product"), "forward", "after", d0),
+        _commute(LHS, run, None, invert(endpoint.lhs), d0),
+        _commute(LHS, run, LAMC),
+        _swap(LHS, run + 1, ("t", -p * d0), (MUC, (1 - pq) * d0)),
+        _swap(LHS, run + 2, ("t", -p * d0), (MUC, -d0)),
         REDUCE,
     ], cites, env)
 
@@ -210,18 +238,18 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
     for c in range(abs(k)):
         if k > 0:
             steps += [
-                Step("relation", RHS, 2, ref=cable, direction="backward", anchor="before"),
-                Step("swap", RHS, 1, left=(LAM, v + c * p), right=(MU, q)),
+                _relation(RHS, 2, cable, "backward", "before"),
+                _swap(RHS, 1, (LAM, v + c * p), (MU, q)),
                 REDUCE,
             ]
         else:
             # t^p passes lam and mu, then mu passes lam
             steps += [
-                Step("relation", RHS, 2, ref=cable, direction="forward", anchor="before"),
-                Step("swap", RHS, 2, left=("t", p), right=(LAM, -p)),
-                Step("swap", RHS, 3, left=("t", p), right=(MU, -q)),
-                Step("swap", RHS, 2, left=(LAM, -p), right=(MU, -q)),
-                Step("swap", RHS, 1, left=(LAM, v - c * p), right=(MU, -q)),
+                _relation(RHS, 2, cable, "forward", "before"),
+                _swap(RHS, 2, ("t", p), (LAM, -p)),
+                _swap(RHS, 3, ("t", p), (MU, -q)),
+                _swap(RHS, 2, (LAM, -p), (MU, -q)),
+                _swap(RHS, 1, (LAM, v - c * p), (MU, -q)),
                 REDUCE,
             ]
     return prove(f"cable_meridian_shift_{k}", pres, None, Axiom("definition", MUC), steps)
@@ -274,6 +302,7 @@ def certify_slope(x: int, y: int, p: int, slope: Slope) -> ObstructionCertificat
 def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> ObstructionCertificate | Inconclusive:
     """The certificate at `slope`, whose parameters carry the label `beta`.
 
+    A slope outside [pq-1, pq] is refused before any lemma is built.
     Every entry comes from a proof factory, whose steps :func:`prove`
     checked as it applied them, so nothing here checks a script again.  The
     slope-free lemmas (``central_relation``, ``cable_t_power`` and, below
@@ -291,14 +320,17 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
     """
     pres = _theorem_pres(x, y, p)
     assert pres.q is not None
-    q = pres.q
-    pq = p * q
+    pq = p * pres.q
     low, high = Slope(pq - 1, 1), Slope(pq, 1)
+    if not low <= slope <= high:
+        raise UnsupportedParameters(
+            f"slope {slope!s:.40} is outside the certified window [{pq - 1!s:.40}, {pq!s:.40}]"
+        )
     entries = [_lemma(pres, central_relation_script), _lemma(pres, cable_t_power_script)]
     env = {entry.entry_id: entry.equation for entry in entries}
     if slope == high:
         surgery = surgery_t_power_identity_script(pres)
-    elif low <= slope < high:
+    else:
         endpoint = _lemma(pres, cable_endpoint_product_script, env)
         entries.append(endpoint)
         env[endpoint.entry_id] = endpoint.equation
@@ -306,10 +338,6 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
             surgery = surgery_endpoint_identity_script(pres, env)
         else:
             surgery = surgery_interior_combination_script(pres, slope, env)
-    else:
-        raise UnsupportedParameters(
-            f"slope {slope!s:.40} is outside the certified window [{pq - 1!s:.40}, {pq!s:.40}]"
-        )
     entries.append(surgery)
 
     # the key is what refute_all reads of `cited` that can change over one
@@ -331,8 +359,17 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
 # ---------------------------------------------------------------------------
 # certificate text
 
-# json.dumps(doc, separators=(",", ":"), check_circular=False), with one encoder for every call
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# json.dumps(doc, separators=(",", ":"), check_circular=False), from one encoder made at import: CPython's C
+# encoder is called as it is, which skips the set-up JSONEncoder.encode repeats per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    # markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+
+def _compact(doc: object) -> str:
+    return "".join(_C_ENCODE(doc, 0)) if _C_ENCODE else _ENCODER.encode(doc)
 
 
 @cache
@@ -361,14 +398,11 @@ def certificate_text(cert: ObstructionCertificate) -> str:
     certified one's do.
     """
     par = cert.params
-    memo = tuple(cable_presentation(par.x, par.y, par.p)._lemmas.values())
-    equations = [
-        next((text for part, text in memo if part is entry), None) or _compact(entry.to_json_dict())
-        for entry in cert.entries
-    ]
-    rows = next((text for part, text in memo if part is cert.refutations), None) or ",".join(
-        _compact(row.to_json_dict()) for row in cert.refutations
-    )
+    # the memo's texts by the id of their part: the parts and the certificate's are all live, so an
+    # equal id is the same object
+    texts = {id(part): text for part, text in cable_presentation(par.x, par.y, par.p)._lemmas.values()}
+    equations = [texts.get(id(entry)) or _compact(entry.to_json_dict()) for entry in cert.entries]
+    rows = texts.get(id(cert.refutations)) or ",".join(_compact(row.to_json_dict()) for row in cert.refutations)
     c = cert.cramer_data
     head = _compact({"version": cert.version, "params": par.to_json_dict()})
     return "".join((

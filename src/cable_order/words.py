@@ -93,7 +93,7 @@ class Word:
 
     @staticmethod
     def single(gen: str, exp: int = 1) -> "Word":
-        return Word.from_pairs([(gen, exp)])
+        return Word(((gen, exp),) if exp else ())  # one syllable is reduced
 
     @staticmethod
     def parse(text: str) -> "Word":
@@ -144,7 +144,7 @@ class Word:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
+        return " ".join([g if e == 1 else f"{g}^{e}" for g, e in self.syllables])  # a list joins faster
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
@@ -182,6 +182,8 @@ def power(w: Word, n: int) -> Word:
     """
     if n == 0 or not w.syllables:
         return Word()
+    if n in (1, -1):  # nothing to peel: w or its inverse
+        return w if n == 1 else invert(w)
     syls = w.syllables if n > 0 else invert(w).syllables
     n = abs(n)
     last = len(syls) - 1

@@ -536,6 +536,19 @@ class TestSerialization:
             with pytest.raises(AttributeError):
                 setattr(step, field, None)
 
+    def test_the_factories_build_the_steps_their_keywords_name(self):
+        # proofs builds each step as its tuple of twelve fields, skipping Step's keyword arguments
+        word, ref = Word.parse("lam^-2 mu^-11"), ("equation", "cable_t_power")
+        assert proofs._multiply(word, "left") == Step("multiply", word=word, on="left")
+        assert proofs._swap("rhs", 1, ("b", 1), ("a", 4)) == Step("swap", "rhs", 1, left=("b", 1), right=("a", 4))
+        assert proofs._expand("lhs", 0, "mu") == Step("definition", "lhs", 0, name="mu", direction="expand")
+        assert proofs._relation("rhs", 3, ref, "forward", "after", 2) == Step(
+            "relation", "rhs", 3, ref=ref, direction="forward", anchor="after", n=2)
+        assert proofs._commute("lhs", 1, "lamC") == Step("commute", "lhs", 1, name="lamC")
+        assert proofs._commute("lhs", 4, None, word, 3) == Step("commute", "lhs", 4, word=word, n=3)
+        assert proofs.INVERT == Step("invert")
+        assert all(type(step) is Step for step in (proofs._swap("lhs", 0, ("a", 1), ("b", 1)), proofs.INVERT))
+
     def test_steps_carry_only_what_the_checker_reads(self):
         assert len(Step._fields) == 12 and "why" not in Step._fields
         doc = proofs.certify_slope(2, 3, 2, Slope(43, 2)).to_json_dict()

@@ -656,6 +656,15 @@ class TestLemmaMemo:
         certify_beta(2, 3, 2, 1)
         assert builds == dict.fromkeys(LEMMA_FACTORIES, 2)
 
+    @pytest.mark.parametrize("slope", [Slope(24, 1), Slope(20, 1), Slope(1, 1)])
+    def test_a_refused_slope_builds_no_lemma(self, monkeypatch, slope):
+        # the window is checked before any lemma is proved or encoded
+        builds = count_lemma_builds(monkeypatch)
+        with pytest.raises(UnsupportedParameters, match=r"outside the certified window \[21, 22\]"):
+            certify_slope(2, 3, 2, slope)
+        assert builds == dict.fromkeys(LEMMA_FACTORIES, 0)
+        assert cable_presentation(2, 3, 2)._lemmas == {}
+
     def test_a_sweep_builds_the_lemmas_once_per_triple(self, monkeypatch, tmp_path):
         builds = count_lemma_builds(monkeypatch)
         assert main(["sweep", "--grid", "x=2;y=3;p=2;beta=1..5", "--out", str(tmp_path)]) == 0
@@ -917,6 +926,34 @@ class TestCertificateText:
         assert len(texts) == 1276
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest == "ab242a0c0679ab1ec367a1644fa9ae3ec293ac5e019f9fb8dbb7cc3d03d91184"
+
+    def test_grid_certificate_bytes_are_pinned_when_every_certify_is_cold(self):
+        # the grid above, with both presentation caches cleared before each
+        # certificate, as in one fresh `certify` process per certificate: the
+        # lemmas, the table and their texts are all built again every time
+        triples = [
+            (x, y, p) for x in range(2, 8) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in range(2, 6)
+        ]
+        calls = [(certify_beta, (x, y, p, beta)) for x, y, p in triples for beta in range(1, 26)]
+        for x, y, p in triples:
+            pq = p * (p * x * y - 1)
+            for slope in (Slope(pq - 1, 1), Slope(pq, 1), Slope(2 * pq - 1, 2), Slope(3 * pq - 2, 3)):
+                calls.append((certify_slope, (x, y, p, slope)))
+        texts = []
+        for certify, args in calls:
+            cable_presentation.cache_clear()
+            torus_presentation.cache_clear()
+            texts.append(certificate_text(certify(*args)) + "\n")
+        assert len(texts) == 1276
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "ab242a0c0679ab1ec367a1644fa9ae3ec293ac5e019f9fb8dbb7cc3d03d91184"
+
+    def test_the_compact_encoder_is_json_dumps_with_or_without_the_c_encoder(self, monkeypatch):
+        doc = {**certify_beta(2, 3, 2, 3).to_json_dict(), "text": "\u00e9\"\\", "none": [None, True, -1]}
+        text = proofs._compact(doc)
+        assert text == json.dumps(doc, separators=(",", ":"))
+        monkeypatch.setattr(proofs, "_C_ENCODE", None)  # an interpreter without CPython's C encoder
+        assert proofs._compact(doc) == text
 
     @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: f"{path.parent.name}_{path.stem}")
     def test_a_loaded_certificate_is_written_as_its_dict(self, path):

@@ -158,6 +158,21 @@ def test_spellings_match_the_concat_power_reference(xyp):
             assert word.generators() <= set(pres.alphabet)
 
 
+@pytest.mark.parametrize(
+    "xyp", ACCEPTANCE_TRIPLES + [(11, 13, 9), (2, 3, 50), (1000, 1001, 2)], ids=lambda xyp: "x{}_y{}_p{}".format(*xyp)
+)
+def test_every_word_a_build_writes_is_reduced(xyp):
+    # the builds and the surgery relator write their words from syllables and never call the reducer
+    pres = cable_presentation(*xyp)
+    pq = pres.p * pres.q
+    built = [*pres.relators.values(), *pres.named.values(), *(w for pair in pres.whitelist for w in pair)]
+    built += [surgery_named_form(pres, s) for s in (Slope(0, 1), Slope(pq - 1), Slope(2 * pq - 1, 2), Slope(-3, 7))]
+    torus = torus_presentation(*xyp[:2])
+    built += [*torus.relators.values(), *torus.named.values(), *(w for pair in torus.whitelist for w in pair)]
+    for word in built:
+        assert Word.from_pairs(word.syllables) == word, word
+
+
 class TestPresentationCache:
     def test_default_q_shares_one_cache_entry(self):
         cable_presentation.cache_clear()

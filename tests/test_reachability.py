@@ -39,7 +39,6 @@ _SPELLING = "spells names out for certify, present --json and verify-identities;
 NOT_RUN_BY_REPLAY = {
     "obstruction.refute_all": "the refutation search certify runs: replay recomputes each row instead, "
                               "and bench/spans.py and proofs._certify look it up on the module",
-    "obstruction.SignAssignment.is_all_zero": "read only by refute_all",
     "obstruction.SignAssignment._make": "checks the signs of a copy made with _replace; the loader makes none",
     "obstruction.ObstructionCertificate.to_json_dict": _BENCH_WRITER,
     "obstruction.ObstructionCertificate.cramer_data": _BENCH_WRITER,
