@@ -592,20 +592,20 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     # of every certificate loaded, and the helpers are called only to name a fault
     if type(d) is not dict:
         raise ValueError(f"a script must be a JSON object, got {type(d).__name__}")
-    slope = d.get("slope")
-    if slope is not None:  # only null or absent is no slope
+    slope = d["slope"]  # present, as are the axiom's name and cites: null is the one spelling of none
+    if slope is not None:
         slope = Slope.parse_printed(slope, "script slope")
     axiom = d["axiom"]
     kind = axiom["kind"]
     if type(kind) is not str or kind not in _AXIOM_KINDS:
         _json_enum(kind, _AXIOM_KINDS, "axiom kind")
-    name = axiom.get("name")
+    name = axiom["name"]
     if name is not None and type(name) is not str:
         _json_typed(name, str, "axiom name")
     if kind == "surgery" and name is not None:  # the checker reads no name there
         raise ValueError("a surgery axiom's name must be null")
-    cites = d.get("cites", [])
-    if type(cites) is not list:  # absent is none; a string is no list of ids
+    cites = d["cites"]
+    if type(cites) is not list:  # a string is no list of ids
         _json_typed(cites, list, "cites")
     script_id = d["id"]
     if type(script_id) is not str:

@@ -41,7 +41,7 @@ from functools import cache
 from .derivations import (
     CertEntry, Equation, StepError, _json_enum, _json_typed, _tuple_new, check_script, script_from_json_dict,
 )
-from .presentations import GroupPresentation, ParameterError, cable_presentation
+from .presentations import GroupPresentation, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
 from .words import Syllable, Word
 
@@ -239,8 +239,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     `direction`, `anchor` and `on`, the axiom `kind`, `params.mode`, the
     recorded signs) outside its values, or a v1 document with a step of a
     form that v2 added raises ValueError here, so that `replay` checks only
-    proofs and rows, of the right JSON types.  Load errors cut the values
-    they quote to 40 characters.
+    proofs and rows, of the right JSON types.  An entry's and a script's
+    slope, an axiom's name and a script's cites must be present, with null
+    as the one spelling of none; an absent key raises KeyError, whose text
+    is the key.  Load errors cut the values they quote to 40 characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -262,10 +264,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
         s = e["script"]  # first: raises unless the entry is an object
         script = script_from_json_dict(s)
         claimed = s["claimed"]
-        repeated = {"id": s["id"], "context": s["context"], "slope": s.get("slope"),
+        repeated = {"id": s["id"], "context": s["context"], "slope": s["slope"],
                     "lhs": claimed["lhs"], "rhs": claimed["rhs"]}
         for key, value in repeated.items():  # each the script's text, checked by the parse above
-            if e.get(key) != value:
+            if e[key] != value:
                 raise ValueError(f"the {key} of equation {script.script_id!r:.40} differs from its script's")
         entries.append(CertEntry(script))
     version = _json_typed(doc.get("version", ""), str, "version")
@@ -388,7 +390,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
     p_ = cert.params
     try:
         pres = cable_presentation(p_.x, p_.y, p_.p)
-    except (ParameterError, ValueError) as err:
+    except ValueError as err:
         return ReplayReport(False, [f"parameters do not rebuild: {err}"])
 
     # scripts, in order, with citations drawn only from earlier entries

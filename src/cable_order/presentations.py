@@ -32,15 +32,10 @@ a^x = b^y is central in the torus-knot group.
 
 Presentations are deeply immutable, because the caches below hand the same
 object to every caller and the checker reads its definitions and licences.
-The only state set after construction is `_lemmas`, the memo of
-slope-free lemmas and refutation tables that ``proofs.certify_slope``
-fills once per presentation; no module of the trusted core reads it, so
-`replay` never takes a proof or a row from it.  ``dataclasses.replace``,
-copying and unpickling start it empty, and clearing the caches below drops
-it.  It holds certificate entries and refutation rows, each beside the
-compact JSON text that ``proofs.certificate_text`` writes in place of
-encoding it again, with no reference back to a presentation, so a
-presentation is freed by reference counting alone.
+Nothing is set after construction.  Certify's memo of lemmas and tables
+over a presentation lives in ``proofs``, keyed by the presentation's id
+and dropped when it is freed; no core module imports ``proofs``, so
+`replay` cannot read that memo.
 """
 
 from __future__ import annotations
@@ -106,10 +101,6 @@ class GroupPresentation:
         init=False, repr=False, compare=False
     )
     _letters: frozenset[str] = field(init=False, repr=False, compare=False)  # see letters()
-    # factory name -> (the lemma's CertEntry, its compact JSON text), and the
-    # surgery equation's (id, lhs letters, rhs letters) -> (its refutation rows,
-    # their compact JSON text), built over this presentation: see the docstring
-    _lemmas: dict[object, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relators", MappingProxyType(dict(self.relators)))
@@ -122,7 +113,6 @@ class GroupPresentation:
                 licences[g2, g1] = licences.get((g2, g1), ()) + ((k2, k1),)
         object.__setattr__(self, "_licences", MappingProxyType(licences))
         object.__setattr__(self, "_letters", frozenset((*self.alphabet, *self.named)))
-        object.__setattr__(self, "_lemmas", {})
 
     def __reduce__(self):
         # a mappingproxy does not pickle: rebuild through __init__, which wraps both mappings again

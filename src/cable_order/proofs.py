@@ -13,8 +13,7 @@ returns a :class:`CertEntry` holding only the script, whose claimed sides
 are its checked final state.  The entry's id and equation are read from the
 script, so the equation is used as it stands, never derived again, and an
 entry cannot disagree with its script.  The slope-free lemmas are built
-once per presentation, which keeps their entries for every later
-certificate over it.
+once per presentation, and kept for every later certificate over it.
 
 One pipeline covers every slope in [pq-1, pq]; its surgery proof takes the
 same number of steps at every slope.  :func:`certify_slope` runs it at a
@@ -28,14 +27,17 @@ each distinct table once per process.
 
 :func:`certificate_text` writes a certificate from parts each encoded
 once: a lemma's text is kept beside its entry, and a table's beside its
-rows.
+rows.  This module keeps them in its memo per presentation (:func:`_memo`),
+which lives until the presentation is freed, as a cache clear frees it.
+No core module imports this one, so `replay` cannot read the memo.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections.abc import Callable, Sequence
-from functools import cache
+from functools import cache, partial
 
 from . import obstruction
 from .derivations import (
@@ -45,10 +47,6 @@ from .obstruction import CertParams, Inconclusive, ObstructionCertificate, Refut
 from .presentations import LAM, LAMC, MU, MUC, GroupPresentation, ParameterError, cable_presentation
 from .slopes import Slope, beta_slope, cramer
 from .words import Syllable, Word, _reduce, invert, power
-
-
-class UnsupportedParameters(ParameterError):
-    """Parameters outside the range the certified theorems cover."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +256,34 @@ def meridian_shift_script(pres: GroupPresentation, k: int) -> CertEntry:
 # ---------------------------------------------------------------------------
 # certification pipelines
 
-def _theorem_pres(x: int, y: int, p: int) -> GroupPresentation:
-    try:
-        return cable_presentation(x, y, p)
-    except ParameterError as err:
-        raise UnsupportedParameters(str(err)) from None
+_MEMOS: dict[int, tuple[weakref.ref, dict]] = {}  # id(pres) -> (a weak reference to pres, its memo)
+
+
+def _memo(pres: GroupPresentation) -> dict[object, tuple[object, str]]:
+    """Certify's memo for `pres`, dropped as `pres` is freed, before its id can be reused.
+
+    A lemma factory's name keys its entry, and a surgery equation's (id, lhs letters, rhs
+    letters) its rows, each beside its compact JSON text; none refers back to a presentation.
+    """
+    held = _MEMOS.get(id(pres))
+    if held is None:  # the callback is passed the reference: it runs _MEMOS.pop(id(pres), ref)
+        held = _MEMOS[id(pres)] = (weakref.ref(pres, partial(_MEMOS.pop, id(pres))), {})
+    return held[1]
 
 
 def _lemma(pres: GroupPresentation, factory: Callable[..., CertEntry], *args: object) -> CertEntry:
     """The slope-free lemma ``factory(pres, *args)``, built once per presentation.
 
-    The presentation keeps the entry and its compact JSON text, so a later
-    certificate over it lists the same script and equation, and
+    The presentation's memo keeps the entry and its compact JSON text, so a
+    later certificate over it lists the same script and equation, and
     :func:`certificate_text` writes the same bytes, without building or
     encoding anything again.
     """
-    lemma = pres._lemmas.get(factory.__name__)
+    memo = _memo(pres)
+    lemma = memo.get(factory.__name__)
     if lemma is None:
         entry = factory(pres, *args)
-        lemma = pres._lemmas[factory.__name__] = (entry, _compact(entry.to_json_dict()))
+        lemma = memo[factory.__name__] = (entry, _compact(entry.to_json_dict()))
     return lemma[0]
 
 
@@ -290,7 +297,7 @@ def certify_beta(
     and every larger beta an interior slope.
     """
     if beta < 1:
-        raise UnsupportedParameters(f"beta must be >= 1, got {beta!s:.40}")
+        raise ParameterError(f"beta must be >= 1, got {beta!s:.40}")
     return _certify(x, y, p, beta_slope(p, p * x * y - 1, beta), beta)
 
 
@@ -307,7 +314,7 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
     checked as it applied them, so nothing here checks a script again.  The
     slope-free lemmas (``central_relation``, ``cable_t_power`` and, below
     pq, ``cable_endpoint_product``) are built on the first certificate that
-    needs them over the cached presentation, which keeps them; later
+    needs them over the cached presentation, whose memo keeps them; later
     certificates over it reuse them and build only the surgery script.
     The refutation table is kept in the same memo, keyed by the surgery
     equation's id and the signed letters of its sides, which with the
@@ -318,14 +325,12 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
     :func:`replay` re-checks every script and every row a certificate
     carries.
     """
-    pres = _theorem_pres(x, y, p)
+    pres = cable_presentation(x, y, p)
     assert pres.q is not None
     pq = p * pres.q
     low, high = Slope(pq - 1, 1), Slope(pq, 1)
     if not low <= slope <= high:
-        raise UnsupportedParameters(
-            f"slope {slope!s:.40} is outside the certified window [{pq - 1!s:.40}, {pq!s:.40}]"
-        )
+        raise ParameterError(f"slope {slope!s:.40} is outside the certified window [{pq - 1!s:.40}, {pq!s:.40}]")
     entries = [_lemma(pres, central_relation_script), _lemma(pres, cable_t_power_script)]
     env = {entry.entry_id: entry.equation for entry in entries}
     if slope == high:
@@ -346,13 +351,14 @@ def _certify(x: int, y: int, p: int, slope: Slope, beta: int | None) -> Obstruct
     # here spells or sign-evaluates its sides, which hold muC and lamC
     eq = surgery.equation
     key = (surgery.entry_id, signed_letters(eq.lhs), signed_letters(eq.rhs))
-    table = pres._lemmas.get(key)
+    memo = _memo(pres)
+    table = memo.get(key)
     if table is None:
         cited = [entries[0].equation, entries[1].equation, eq]
         rows = obstruction.refute_all(cited, pres, slope)  # looked up on the module, where a caller may wrap it
         if isinstance(rows, Inconclusive):
             return rows
-        table = pres._lemmas[key] = _table(rows)
+        table = memo[key] = _table(rows)
     return ObstructionCertificate(CertParams(x, y, p, slope, beta), tuple(entries), table[0])
 
 
@@ -400,7 +406,7 @@ def certificate_text(cert: ObstructionCertificate) -> str:
     par = cert.params
     # the memo's texts by the id of their part: the parts and the certificate's are all live, so an
     # equal id is the same object
-    texts = {id(part): text for part, text in cable_presentation(par.x, par.y, par.p)._lemmas.values()}
+    texts = {id(part): text for part, text in _memo(cable_presentation(par.x, par.y, par.p)).values()}
     equations = [texts.get(id(entry)) or _compact(entry.to_json_dict()) for entry in cert.entries]
     rows = texts.get(id(cert.refutations)) or ",".join(_compact(row.to_json_dict()) for row in cert.refutations)
     c = cert.cramer_data

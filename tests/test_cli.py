@@ -678,6 +678,16 @@ CORE_REJECTIONS = {
     "cites_as_an_object": (
         lambda d: _entry(d, "central_relation")["script"].update(cites={"k": 1}), 1,
         "cites must be list, got dict"),
+    # one spelling per key: null is the spelling of none, and each of these
+    # keys must be present, so an absent one is not a second spelling of null
+    "entry_without_a_slope": (
+        lambda d: _entry(d, "central_relation").pop("slope"), 1, "'slope'"),
+    "script_without_a_slope": (
+        lambda d: _entry(d, "central_relation")["script"].pop("slope"), 1, "'slope'"),
+    "axiom_without_a_name": (
+        lambda d: _entry(d, SURGERY)["script"]["axiom"].pop("name"), 1, "'name'"),
+    "script_without_cites": (
+        lambda d: _entry(d, "central_relation")["script"].pop("cites"), 1, "'cites'"),
     "params_slope_unparsable": (
         lambda d: d["params"].update(slope="65|3"), 1, "bad slope '65|3': expected M or M/N with integers M and N"),
     "assignment_with_an_unknown_sign": (

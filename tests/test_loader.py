@@ -5,19 +5,22 @@ printed grammar at once.  That is a fast path only: it must accept exactly
 the texts that parsing and printing back accept, with equal values, and
 any other text must get the message that path gives.  The inline checks must fault a
 document with two faults on the same one, and with the same text, as the
-helpers they replaced.
+helpers they replaced.  Loading a certificate and writing it again gives
+back its text.
 """
 
 import copy
 import json
+import random
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cable_order.obstruction import certificate_from_json_dict
-from cable_order.proofs import certificate_text, certify_beta
+from cable_order.proofs import certificate_text, certify_beta, certify_slope
 from cable_order.slopes import Slope
 from cable_order.words import Word
 
@@ -226,3 +229,39 @@ def test_a_document_with_two_faults_names_the_first_checked(base_doc, case):
     with pytest.raises((ValueError, KeyError)) as err:  # a KeyError's text is the missing key, quoted
         certificate_from_json_dict(doc)
     assert str(err.value) == message
+
+
+FIXTURES = sorted((Path(__file__).resolve().parent / "data").glob("v*/*.json"))
+
+
+def grid_sample(count: int, seed: int) -> list:
+    """`count` certificates made now, at points drawn from the acceptance grid: beta and slope kinds."""
+    rng = random.Random(seed)
+    triples = [(x, y, p) for x in range(2, 8) for y in range(x + 1, 8) if gcd(x, y) == 1 for p in range(2, 6)]
+    certs = []
+    for _ in range(count):
+        x, y, p = rng.choice(triples)
+        if rng.randrange(2):
+            certs.append(certify_beta(x, y, p, rng.randint(1, 10**6)))
+        else:  # (pq n - k)/n: pq at k = 0, pq - 1 at k = n, and strictly between them otherwise
+            pq, n = p * (p * x * y - 1), rng.randint(1, 40)
+            m = pq * n - rng.randint(0, n)
+            certs.append(certify_slope(x, y, p, Slope(m // gcd(m, n), n // gcd(m, n))))
+    return certs
+
+
+def test_loading_then_writing_gives_the_same_text_on_a_grid_sample():
+    for cert in grid_sample(60, seed=0):
+        text = certificate_text(cert)
+        assert certificate_text(certificate_from_json_dict(json.loads(text))) == text, cert.params
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: f"{path.parent.name}_{path.stem}")
+def test_loading_then_writing_a_fixture_gives_its_text_without_the_step_reasons(path):
+    # `why` is a step's comment for the reader: the loader keeps no copy of it, and the writer writes none
+    doc = json.loads(path.read_text())
+    for entry in doc["equations"]:
+        for step in entry["script"]["steps"]:
+            step.pop("why", None)
+    text = json.dumps(doc, separators=(",", ":"))
+    assert certificate_text(certificate_from_json_dict(doc)) == text

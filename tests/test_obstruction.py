@@ -40,12 +40,12 @@ from cable_order.presentations import (
     LAMC,
     MUC,
     GroupPresentation,
+    ParameterError,
     cable_presentation,
     torus_presentation,
 )
 from cable_order.proofs import (
     REDUCE,
-    UnsupportedParameters,
     cable_t_power_script,
     central_relation_script,
     certificate_text,
@@ -207,11 +207,11 @@ class TestCertifyBeta:
         assert replay(cert)
 
     def test_rejects_p_one(self):
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ParameterError):
             certify_beta(2, 3, 1, 1)
 
     def test_rejects_bad_beta(self):
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ParameterError):
             certify_beta(2, 3, 2, 0)
 
     def test_large_beta_exponent(self):
@@ -294,11 +294,11 @@ class TestCertifySlope:
             assert replay(cert)
 
     def test_outside_window_rejected(self):
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ParameterError):
             certify_slope(2, 3, 2, Slope(1, 1))
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ParameterError):
             certify_slope(2, 3, 2, Slope(23, 1))
-        with pytest.raises(UnsupportedParameters, match="outside the certified window"):
+        with pytest.raises(ParameterError, match="outside the certified window"):
             certify_slope(2, 3, 2, Slope(19, 1))  # below pq - 1, where the sign atoms do not reach
 
     @pytest.mark.parametrize("x,y,p", [(6, 7, 5), (11, 13, 9), (2, 3, 50)])
@@ -660,10 +660,10 @@ class TestLemmaMemo:
     def test_a_refused_slope_builds_no_lemma(self, monkeypatch, slope):
         # the window is checked before any lemma is proved or encoded
         builds = count_lemma_builds(monkeypatch)
-        with pytest.raises(UnsupportedParameters, match=r"outside the certified window \[21, 22\]"):
+        with pytest.raises(ParameterError, match=r"outside the certified window \[21, 22\]"):
             certify_slope(2, 3, 2, slope)
         assert builds == dict.fromkeys(LEMMA_FACTORIES, 0)
-        assert cable_presentation(2, 3, 2)._lemmas == {}
+        assert proofs._memo(cable_presentation(2, 3, 2)) == {}
 
     def test_a_sweep_builds_the_lemmas_once_per_triple(self, monkeypatch, tmp_path):
         builds = count_lemma_builds(monkeypatch)
@@ -673,23 +673,34 @@ class TestLemmaMemo:
     def test_a_presentation_with_lemmas_makes_no_reference_cycle(self):
         pres = cable_presentation(2, 3, 2)
         cert = certify_beta(2, 3, 2, 3)
-        assert len(pres._lemmas) == 4  # three lemmas and one refutation table
-        gone = weakref.ref(pres)
+        assert len(proofs._memo(pres)) == 4  # three lemmas and one refutation table
+        gone, key = weakref.ref(pres), id(pres)
         gc.disable()
         try:
             cable_presentation.cache_clear()
             torus_presentation.cache_clear()
             del pres
             assert gone() is None  # freed by reference counting, without the collector
+            assert key not in proofs._MEMOS  # and its memo with it
         finally:
             gc.enable()
         # the certificate outlives its presentation and still replays
         assert replay(cert)
 
+    def test_a_presentation_holds_no_container_after_certify(self):
+        # certify's memo is kept in proofs: a cached presentation holds only its definitions
+        pres = cable_presentation(2, 3, 2)
+        for cert in (certify_beta(2, 3, 2, 3), certify_slope(2, 3, 2, Slope(22, 1))):
+            certificate_text(cert)
+        assert pres is cable_presentation(2, 3, 2)
+        held = {name: type(value) for name, value in vars(pres).items() if isinstance(value, (dict, list, set))}
+        assert held == {}
+        assert len(proofs._memo(pres)) == 5  # three lemmas and two refutation tables
+
 
 def table_key(pres, cert):
     """The key under which the presentation's memo keeps `cert`'s refutation table."""
-    return next(key for key, (part, _) in pres._lemmas.items() if part is cert.refutations)
+    return next(key for key, (part, _) in proofs._memo(pres).items() if part is cert.refutations)
 
 
 def count_searches(monkeypatch) -> list:
@@ -727,7 +738,7 @@ class TestTableMemo:
         for cert in self.certificates(x, y, p):
             surgery = cert.entries[-1].equation
             cited = [cert.entries[0].equation, cert.entries[1].equation, surgery]
-            assert cert.refutations is pres._lemmas[table_key(pres, cert)][0]
+            assert cert.refutations is proofs._memo(pres)[table_key(pres, cert)][0]
             assert cert.refutations == refute_all(cited, pres, cert.params.slope), surgery.provenance
 
     def test_each_table_is_searched_once_per_presentation(self, monkeypatch):
@@ -782,7 +793,7 @@ class TestTableMemo:
         # a marked memo text shows which of the two took it
         pres = cable_presentation(2, 3, 2)
         key = table_key(pres, cert)
-        pres._lemmas[key] = (cert.refutations, '"marked"')
+        proofs._memo(pres)[key] = (cert.refutations, '"marked"')
         assert certificate_text(cert).endswith(',"refutations":["marked"]}')
         assert certificate_text(copy_) == reference
 
@@ -979,7 +990,7 @@ class TestCertificateText:
         copy_ = cert._replace(entries=entries)  # equal entries, none of them the memo's object
         assert certificate_text(copy_) == certificate_text(cert) == self.reference(cert)
         # a marked memo text shows which of the two took it
-        memo = cable_presentation(2, 3, 2)._lemmas
+        memo = proofs._memo(cable_presentation(2, 3, 2))
         entry, _ = memo["central_relation_script"]
         memo["central_relation_script"] = (entry, '"marked"')
         assert '"equations":["marked",' in certificate_text(cert)
