@@ -50,13 +50,11 @@ from functools import cache
 from math import gcd
 from pathlib import Path
 
-from .derivations import StepError
 from .normal_form import identity_report
 from .obstruction import Inconclusive, ObstructionCertificate, certificate_from_json_dict, replay
 from .presentations import GroupPresentation, cable_presentation, torus_presentation
 from .proofs import certify_beta, certify_slope, certificate_text
 from .slopes import Slope, over_digit_limit
-from .words import Word
 
 CERTIFIED, ERROR, INCONCLUSIVE = 0, 1, 2
 
@@ -119,9 +117,8 @@ def _print_table(cert: ObstructionCertificate) -> None:
 def presentation_to_json_dict(pres: GroupPresentation) -> dict:
     """The ``present --json`` document: each relator and name both as defined and written out over the alphabet.
 
-    Each name is written out once per document: every relator and name is
-    spelled through one `spelled` memo (see
-    :meth:`GroupPresentation.spell`), and nothing is kept between documents.
+    Each relator's named form and each name's definition is written out by
+    its own :meth:`GroupPresentation.expand` call, and nothing is kept.
     """
     params: dict = {"x": pres.x, "y": pres.y}
     if pres.p is not None:
@@ -130,18 +127,17 @@ def presentation_to_json_dict(pres: GroupPresentation) -> dict:
     params["bezout"] = {"i": pres.torus_bezout.i, "j": pres.torus_bezout.j}
     if pres.cable_bezout is not None:
         params["bezout"].update(u=pres.cable_bezout.u, v=pres.cable_bezout.v)
-    spelled: dict[str, Word] = {}
     return {
         "version": "v1",
         "kind": "torus" if pres.p is None else "cable",
         "params": params,
         "alphabet": list(pres.alphabet),
         "relators": [
-            {"name": name, "word": str(pres.spell(form, spelled)), "named_form": str(form)}
+            {"name": name, "word": str(pres.expand(form)), "named_form": str(form)}
             for name, form in pres.relators.items()
         ],
         "named": {
-            n: {"definition": str(definition), "expansion": str(pres._spelling(n, spelled))}
+            n: {"definition": str(definition), "expansion": str(pres.expand(definition))}
             for n, definition in pres.named.items()
         },
         "whitelist": [[str(u), str(w)] for u, w in pres.whitelist],
@@ -168,7 +164,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             result = certify_beta(args.x, args.y, args.p, args.beta)
         else:
             result = certify_slope(args.x, args.y, args.p, Slope.parse(args.slope))
-    except (ValueError, StepError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
     elapsed = time.perf_counter() - started
@@ -285,7 +281,7 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
             slope = Slope.parse(val)
             result = certify_slope(x, y, p, slope)
             stem = f"cert_x{x}_y{y}_p{p}_slope{slope.m}_{slope.n}"
-    except (ValueError, StepError) as err:
+    except ValueError as err:
         record.update(status="unsupported", detail=str(err))
         return record
     if isinstance(result, Inconclusive):

@@ -65,8 +65,8 @@ from .words import Syllable, Word, _reduce, power
 LHS, RHS = "lhs", "rhs"
 
 
-class StepError(Exception):
-    """A derivation step failed to apply or the final claim did not match.
+class StepError(ValueError):
+    """A derivation step failed to apply or the final claim did not match (a ValueError).
 
     Messages cut quoted values to 40 characters and words to a short window.
     """

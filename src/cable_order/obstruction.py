@@ -39,7 +39,7 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 
 from .derivations import (
-    CertEntry, Equation, StepError, _json_enum, _json_typed, _tuple_new, check_script, script_from_json_dict,
+    CertEntry, Equation, _json_enum, _json_typed, _tuple_new, check_script, script_from_json_dict,
 )
 from .presentations import GroupPresentation, cable_presentation
 from .slopes import CramerTriple, Slope, beta_slope, cramer
@@ -240,9 +240,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
     recorded signs) outside its values, or a v1 document with a step of a
     form that v2 added raises ValueError here, so that `replay` checks only
     proofs and rows, of the right JSON types.  An entry's and a script's
-    slope, an axiom's name and a script's cites must be present, with null
-    as the one spelling of none; an absent key raises KeyError, whose text
-    is the key.  Load errors cut the values they quote to 40 characters.
+    slope, an axiom's name, a script's cites, the version and `cramer` must
+    be present, with null as the one spelling of none; an absent key raises
+    KeyError, whose text is the key.  Load errors cut quoted values to 40
+    characters.
     """
     par = doc["params"]
     params = CertParams(
@@ -270,10 +271,10 @@ def certificate_from_json_dict(doc: dict) -> ObstructionCertificate:
             if e[key] != value:
                 raise ValueError(f"the {key} of equation {script.script_id!r:.40} differs from its script's")
         entries.append(CertEntry(script))
-    version = _json_typed(doc.get("version", ""), str, "version")
+    version = _json_typed(doc["version"], str, "version")
     if version == "v1" and any(step.v2_only() for e in entries for step in e.script.steps):
         raise ValueError("a v1 certificate uses a step form of v2 (commute, or a relation exponent)")
-    c, derived = doc.get("cramer"), determinant_data(params, version)
+    c, derived = doc["cramer"], determinant_data(params, version)
     if c is not None:  # typed first: true and 1.0 compare equal to 1
         for key in ("d0", "d1", "d"):
             _json_typed(c[key], int, f"cramer.{key}")
@@ -405,7 +406,7 @@ def replay(cert: ObstructionCertificate) -> ReplayReport:
             continue
         try:
             env[script.script_id] = check_script(script, pres, env)
-        except (StepError, ValueError) as err:
+        except ValueError as err:
             problems.append(f"script {script.script_id!r:.40} fails: {err}")
 
     # refutation table: all 27 assignments, each row recomputed

@@ -19,9 +19,11 @@ each defined name to its definition and `relators` each relator's name to
 its named form, the word over defined names that equals the identity; both
 are read-only, and a name is stored nowhere else.  Each defined name means
 its definition over earlier names, and nothing else: a presentation keeps
-no word over the alphabet for a name or a relator.  :meth:`GroupPresentation.expand` writes one out on demand, and no
-certify or replay step asks it to; the ``present --json`` document, which
-writes every one out, is built in :mod:`cli`.
+no word over the alphabet for a name or a relator.
+:meth:`GroupPresentation.expand` writes one out anew on every call, by
+recursion through the definitions (at most four deep); no certify or replay
+step asks it to, and the ``present --json`` document in :mod:`cli` calls it
+once for each relator and each name.
 
 Each presentation carries a commutation whitelist: the only pairs that the
 derivation checker may swap.  Pairs are stored as base words; a query for
@@ -48,7 +50,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .slopes import Slope
-from .words import Syllable, Word, _join, power
+from .words import Syllable, Word, concat, power
 
 MU, LAM, MUC, LAMC = "mu", "lam", "muC", "lamC"
 
@@ -127,11 +129,11 @@ class GroupPresentation:
     def expand(self, w: Word) -> Word:
         """The reduced word over the alphabet that `w` stands for: `w` itself if it is over the alphabet.
 
-        Each name^e becomes the e-th power of the name's definition written
-        out, joined with cancelling at the junctions.  A call writes each
-        name out once and keeps nothing, so every call builds its words anew.
-        A letter that is neither a generator nor a name is a ValueError,
-        raised before anything is built.
+        Otherwise it is the :func:`concat` of its syllables, where name^e is
+        the e-th power of the name's definition written out by recursion: a
+        name is written out once per place in a definition, never per copy,
+        and every call builds anew.  A letter that is neither a generator nor
+        a name is a ValueError, raised before anything is built.
         """
         letters = w.generators()
         if letters.issubset(self.alphabet):
@@ -139,24 +141,8 @@ class GroupPresentation:
         if not letters.issubset(self._letters):
             g = next(g for g, _ in w.syllables if g not in self.named and g not in self.alphabet)
             raise ValueError(f"unknown generator {g!r:.40}")
-        return self.spell(w, {})
-
-    def spell(self, w: Word, spelled: dict[str, Word]) -> Word:
-        """`w` written out over the alphabet; `spelled` maps the names written out so far to their words.
-
-        A caller that spells several words through one `spelled`, as the
-        ``present --json`` document does, writes each name out once.
-        """
-        out: list[Syllable] = []
-        for g, e in w.syllables:
-            _join(out, power(self._spelling(g, spelled), e).syllables if g in self.named else ((g, e),))
-        return Word(tuple(out))
-
-    def _spelling(self, name: str, spelled: dict[str, Word]) -> Word:
-        """The word over the alphabet that `name` stands for, written out on its first use per `spelled`."""
-        if name not in spelled:
-            spelled[name] = self.spell(self.named[name], spelled)
-        return spelled[name]
+        return concat(*[power(self.expand(self.named[g]), e) if g in self.named else Word(((g, e),))
+                        for g, e in w.syllables])
 
     def commutes(self, s1: Syllable, s2: Syllable) -> bool:
         """True when the whitelist licenses swapping the two syllables."""

@@ -7,9 +7,8 @@ reduced word, so they can be shared freely across concurrent sweeps.
 
 ``Word(...)`` trusts its syllables to be reduced already; unreduced input
 (text, raw pairs) goes through :meth:`Word.from_pairs`, the one full reducer.
-:func:`concat`, :func:`power` and ``GroupPresentation.expand`` rely on that
-invariant: they cancel and merge syllables only where two reduced words meet
-(:func:`_join`), so their cost is linear in the length of what they join.
+:func:`concat`, the one join, cancels and merges only where two words meet,
+so it takes linear time; ``GroupPresentation.expand`` joins powers with it.
 
 Text syntax: syllables are whitespace-separated, ``a^3 b^-1 t^2``; an
 exponent of 1 is left implicit (``a``); ``1`` or the empty string denotes the
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 Syllable = tuple[str, int]
@@ -52,33 +51,13 @@ def _reduce(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(stack)
 
 
-def _join(out: list[Syllable], syllables: Sequence[Syllable]) -> None:
-    """Append the reduced `syllables` to the reduced list `out` in place.
-
-    Only the junction can cancel or merge: a cancellation exposes the next
-    pair of syllables across it, and the first merge or mismatch ends it.
-    """
-    i = 0
-    while out and i < len(syllables):
-        gen, exp = syllables[i]
-        last_gen, last_exp = out[-1]
-        if last_gen != gen:
-            break
-        i += 1
-        if last_exp + exp:
-            out[-1] = (gen, last_exp + exp)
-            break
-        out.pop()
-    out.extend(syllables[i:])
-
-
 @dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word.  Construct via :meth:`from_pairs` or :meth:`parse`.
 
     The constructor does not reduce: ``Word(syllables)`` is only for syllables
-    that are already reduced, because :func:`concat`, :func:`power` and
-    ``GroupPresentation.expand`` cancel only at the junctions between words.
+    that are already reduced, because :func:`concat` cancels only at the
+    junctions between words.
     """
 
     syllables: tuple[Syllable, ...] = ()
@@ -160,9 +139,20 @@ class Word:
 
 
 def concat(*ws: Word) -> Word:
+    """The reduced product of reduced words: a junction cancels until the first merge or mismatch."""
     out: list[Syllable] = []
     for w in ws:
-        _join(out, w.syllables)
+        syllables, k = w.syllables, 0  # k: the syllables that cancel at this junction
+        if out and syllables and out[-1][0] == syllables[0][0]:  # else nothing cancels or merges
+            for (g0, e0), (g1, e1) in zip(reversed(out), syllables):
+                if g0 != g1 or e0 + e1:
+                    break
+                k += 1
+            del out[len(out) - k:]
+            if out and k < len(syllables) and out[-1][0] == syllables[k][0]:
+                out[-1] = (out[-1][0], out[-1][1] + syllables[k][1])
+                k += 1
+        out.extend(syllables[k:])
     return Word(tuple(out))
 
 

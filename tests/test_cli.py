@@ -778,6 +778,20 @@ def test_each_trusted_core_rejection_gives_its_message(tmp_path, capsys, case):
         assert err.splitlines()[0] == f"replay problem: {message}"
 
 
+@pytest.mark.parametrize("key", ["cramer", "version"])
+def test_a_certificate_without_its_cramer_or_version_does_not_load(tmp_path, capsys, key):
+    # one spelling per key: at beta 1 the determinant data is null, so an
+    # absent cramer would read as null, and an absent version as ""
+    doc = json.loads(cli.certificate_text(certify_beta(2, 3, 2, 1)))
+    assert doc["cramer"] is None and doc["version"] == "v2"
+    del doc[key]
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot load certificate: '{key}'\n"
+
+
 class TestV1Certificates:
     # written by the release before format v2: beta certificates with the beta-only
     # proofs and no determinant data, and a slope certificate with the swap/expand chain

@@ -12,7 +12,6 @@ from cable_order.presentations import (
     LAMC,
     MU,
     MUC,
-    GroupPresentation,
     ParameterError,
     bezout_torus,
     cable_presentation,
@@ -325,27 +324,31 @@ class TestSerialization:
         d2 = json.dumps(cli.presentation_to_json_dict(cable_presentation(3, 5, 2)), indent=2)
         assert d1 == d2
 
-    @pytest.mark.parametrize("xyp", [(2, 3, 2), (11, 13, 9)], ids=["x2_y3_p2", "x11_y13_p9"])
-    def test_a_document_writes_each_name_out_once(self, monkeypatch, xyp):
-        # a work count: each definition and each relator's named form is
-        # written out once per document, and the names' words are reused
-        pres = cable_presentation(*xyp)
-        reference = {n: str(pres.expand(definition)) for n, definition in pres.named.items()}
-        spelled = []
-        real_spell = GroupPresentation.spell
+    def test_a_document_takes_as_many_powers_at_any_p(self, monkeypatch):
+        # a work count: expand writes each name out once for each place it
+        # appears in a definition, so the number of powers a document takes
+        # is fixed by the definitions' shape and does not grow with p, q or
+        # the length of a word
+        powers = []
+        real_power = presentations.power
 
-        def counting(self, w, done):
-            spelled.append(w)
-            return real_spell(self, w, done)
+        def counting(w, n):
+            powers.append(n)
+            return real_power(w, n)
 
-        monkeypatch.setattr(GroupPresentation, "spell", counting)
-        doc = cli.presentation_to_json_dict(pres)
-        assert sorted(map(str, spelled)) == sorted(
-            [str(w) for w in pres.named.values()] + [str(w) for w in pres.relators.values()]
-        )
-        assert {n: entry["expansion"] for n, entry in doc["named"].items()} == reference
-        spelled.clear()
-        assert cli.presentation_to_json_dict(pres) == doc and len(spelled) == 6  # nothing kept between documents
+        monkeypatch.setattr(presentations, "power", counting)
+        counts = []
+        for xyp in [(2, 3, 2), (11, 13, 9)]:
+            pres = cable_presentation(*xyp)
+            doc = cli.presentation_to_json_dict(pres)
+            counts.append(len(powers))
+            powers.clear()
+            reference = reference_spellings(pres)
+            assert {n: entry["expansion"] for n, entry in doc["named"].items()} == {
+                n: str(reference[n]) for n in pres.named
+            }
+            assert {r["name"]: r["word"] for r in doc["relators"]} == {n: str(reference[n]) for n in pres.relators}
+        assert counts[0] == counts[1] and 0 < counts[0] < 40
 
 
 class TestLicences:

@@ -35,7 +35,6 @@ FIXTURES = sorted((Path(__file__).resolve().parent / "data").glob("v*/*.json"))
 SAMPLE = ((2, 3, 2), (2, 5, 3), (3, 4, 2), (3, 5, 3))
 
 _BENCH_WRITER = "a writer: bench/spans.py patches ObstructionCertificate.to_json_dict, and the byte pins test it"
-_SPELLING = "spells names out for certify, present --json and verify-identities; replay reads sides as written"
 NOT_RUN_BY_REPLAY = {
     "obstruction.refute_all": "the refutation search certify runs: replay recomputes each row instead, "
                               "and bench/spans.py and proofs._certify look it up on the module",
@@ -49,11 +48,9 @@ NOT_RUN_BY_REPLAY = {
                                       "replay takes each equation from check_script",
     "derivations.script_to_json_dict": _BENCH_WRITER,
     "derivations.Step.to_json_dict": _BENCH_WRITER,
-    "presentations.GroupPresentation.expand": _SPELLING + "; bench/spans.py patches it",
-    "presentations.GroupPresentation.spell": _SPELLING,
-    "presentations.GroupPresentation._spelling": _SPELLING,
-    "words._join": "joins words for spell and concat",
-    "words.concat": "the product the verify-identities checks and the tests build words with",
+    "presentations.GroupPresentation.expand": "spells names out for certify, present --json and verify-identities; "
+                                              "replay reads sides as written, and bench/spans.py patches it",
+    "words.concat": "the product expand writes names out with, and the verify-identities checks build words with",
     "words.Word.__iter__": "the tests iterate words, as when they take the sign of one",
     "presentations.GroupPresentation.__reduce__": "pickling, which test_presentations pins",
     "slopes.Slope.__le__": "certify's window test reads it, and test_slopes pins the order",

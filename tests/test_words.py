@@ -281,19 +281,18 @@ class TestJunctionArithmetic:
     def test_a_power_of_a_name_expands_its_definition_once(self, monkeypatch, exponent):
         # a work count: muC^N becomes (a^2 t^-1)^N from one expansion of
         # muC's definition, not from N copies of mu^6 lam t^-1 whose lam is
-        # substituted copy by copy
-        joins = []
-        real_join = presentations._join
-
-        def counting(out, syls):
-            joins.append(len(syls))
-            real_join(out, syls)
-
-        monkeypatch.setattr(presentations, "_join", counting)
+        # substituted copy by copy, so it takes as many powers and joins as muC
+        calls = []
+        real_power, real_concat = presentations.power, presentations.concat
+        monkeypatch.setattr(presentations, "power", lambda w, n: calls.append("power") or real_power(w, n))
+        monkeypatch.setattr(presentations, "concat", lambda *ws: calls.append("concat") or real_concat(*ws))
         pres = cable_presentation(2, 3, 2)
+        pres.expand(Word.from_pairs([(MUC, 1), ("t", 3)]))
+        once = len(calls)
+        calls.clear()
         w = Word.from_pairs([(MUC, exponent), ("t", 3)])
         assert pres.expand(w) == reference_expand(pres, w)
-        assert len(joins) < 20
+        assert len(calls) == once < 20
 
     def test_cold_build_feeds_the_full_reducer_little(self, monkeypatch):
         # a work count, not a timing: building (11, 13, 9) with full reduction
