@@ -324,11 +324,38 @@ class TestSerialization:
         d2 = json.dumps(cli.presentation_to_json_dict(cable_presentation(3, 5, 2)), indent=2)
         assert d1 == d2
 
+    @pytest.mark.parametrize("xyp", [(2, 3, 2), (11, 13, 9)], ids=["x2_y3_p2", "x11_y13_p9"])
+    def test_a_document_writes_each_name_out_once(self, monkeypatch, xyp):
+        # a work count: each relator's named form and each definition is
+        # written out by its own expand call, which takes one power for each
+        # place a name appears in it or, by recursion, in the names' definitions
+        pres = cable_presentation(*xyp)
+
+        def places(w):
+            return sum(1 + places(pres.named[g]) for g, _ in w.syllables if g in pres.named)
+
+        powers = []
+        real_power = presentations.power
+
+        def counting(w, n):
+            powers.append(n)
+            return real_power(w, n)
+
+        monkeypatch.setattr(presentations, "power", counting)
+        doc = cli.presentation_to_json_dict(pres)
+        assert len(powers) == sum(map(places, [*pres.relators.values(), *pres.named.values()]))
+        reference = reference_spellings(pres)
+        assert {n: entry["expansion"] for n, entry in doc["named"].items()} == {n: str(reference[n]) for n in pres.named}
+        assert {r["name"]: r["word"] for r in doc["relators"]} == {n: str(reference[n]) for n in pres.relators}
+        count = len(powers)
+        powers.clear()
+        assert cli.presentation_to_json_dict(pres) == doc and len(powers) == count  # nothing kept between documents
+
     def test_a_document_takes_as_many_powers_at_any_p(self, monkeypatch):
-        # a work count: expand writes each name out once for each place it
-        # appears in a definition, so the number of powers a document takes
-        # is fixed by the definitions' shape and does not grow with p, q or
-        # the length of a word
+        # expand writes each name out once for each place it appears in a
+        # definition, so the number of powers a document takes is fixed by
+        # the definitions' shape and does not grow with p, q or the length
+        # of a word
         powers = []
         real_power = presentations.power
 
@@ -339,15 +366,9 @@ class TestSerialization:
         monkeypatch.setattr(presentations, "power", counting)
         counts = []
         for xyp in [(2, 3, 2), (11, 13, 9)]:
-            pres = cable_presentation(*xyp)
-            doc = cli.presentation_to_json_dict(pres)
+            cli.presentation_to_json_dict(cable_presentation(*xyp))
             counts.append(len(powers))
             powers.clear()
-            reference = reference_spellings(pres)
-            assert {n: entry["expansion"] for n, entry in doc["named"].items()} == {
-                n: str(reference[n]) for n in pres.named
-            }
-            assert {r["name"]: r["word"] for r in doc["relators"]} == {n: str(reference[n]) for n in pres.relators}
         assert counts[0] == counts[1] and 0 < counts[0] < 40
 
 
