@@ -30,25 +30,34 @@ blocks; it may even parse as a certificate that matches neither write.
 Only ``replay``, which checks every step and sign again, vouches for such a
 file.
 
-The argument parser is built once per process and reused by every
-:func:`main` call.  What a single command needs is imported when it runs:
-``concurrent.futures`` when a sweep runs more than one worker.  ``sweep
---jobs N`` runs at most N workers, and never more than there are grid
-points or processors.  ``verify-identities`` runs the checks of
-:mod:`normal_form`.
+A command line is read without argparse when it is well formed: a command
+of :data:`COMMANDS`, then, for ``replay``, one path that does not start with
+``-``, or else each of the command's options spelled exactly as declared, at
+most once, each with a value that does not start with ``-`` and that the
+option's converter takes, with every required option and exactly one of
+``--beta`` and ``--slope`` given.  Every other line goes to argparse as it
+is: help, usage errors, ``--x=2``, ``--p -3``, a repeated option and ``--``.
+Its parser is built from the same declaration on first use and shared by
+every later :func:`main` call, and ``argparse`` is imported only then, so
+each line keeps argparse's namespace, messages and exit codes.  What a
+single command needs is imported when it runs: ``concurrent.futures`` when a
+sweep runs more than one worker.  ``sweep --jobs N`` runs at most N workers,
+and never more than there are grid points or processors.
+``verify-identities`` runs the checks of :mod:`normal_form`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import stat
 import sys
 import time
+from collections import namedtuple
 from functools import cache
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 from .normal_form import identity_report
 from .obstruction import Inconclusive, ObstructionCertificate, certificate_from_json_dict, replay
@@ -85,12 +94,16 @@ def _write(path: str | Path | None, text: str) -> int:
         return CERTIFIED
     data = text.encode()
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            info = os.fstat(fh.fileno())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:  # a write may take fewer bytes than it is given
+                rest = rest[os.write(fd, rest):]
+            info = os.fstat(fd)
             if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
-                fh.truncate()
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as err:
         print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
         return ERROR
@@ -144,7 +157,7 @@ def presentation_to_json_dict(pres: GroupPresentation) -> dict:
     }
 
 
-def cmd_present(args: argparse.Namespace) -> int:
+def cmd_present(args: SimpleNamespace) -> int:
     try:
         if args.p is not None:
             pres = cable_presentation(args.x, args.y, args.p)
@@ -157,7 +170,7 @@ def cmd_present(args: argparse.Namespace) -> int:
     return _dump(doc, args.json)
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     try:
         if args.beta is not None:
@@ -183,7 +196,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return CERTIFIED
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: SimpleNamespace) -> int:
     try:
         doc = json.loads(Path(args.path).read_text())
         cert = certificate_from_json_dict(doc)
@@ -200,7 +213,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return INCONCLUSIVE
 
 
-def cmd_verify_identities(args: argparse.Namespace) -> int:
+def cmd_verify_identities(args: SimpleNamespace) -> int:
     try:
         checks = identity_report(args.x, args.y, args.p)
     except ValueError as err:
@@ -309,7 +322,7 @@ def _sweep_point(task: tuple[int, int, int, str, str, str]) -> dict:
     return record
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     try:
         dims = parse_grid(args.grid)
         points = grid_points(dims)
@@ -348,29 +361,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a usage error exits with ERROR (1) instead of 2.
-
-    An option must be spelled in full: with abbreviations, adding an option
-    could change what a command line means.  Subparsers are of this class too.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(ERROR, f"{self.prog}: error: {message}\n")
-
-    def print_help(self, file=None) -> None:
-        # argparse's own writer swallows OSError, so --help into a closed stdout would exit 0
-        (file or sys.stdout).write(self.format_help())
-
+# the command line
 
 def _jobs(text: str) -> int:
     """The value of ``sweep --jobs``: an integer of at least 1, or a usage error."""
     if not text.isdecimal() or int(text) < 1:
+        import argparse  # only for the error: a well-formed command line never loads it
+
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r:.40}")
     return int(text)
 
@@ -380,63 +377,142 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        import argparse  # only for the error: a well-formed command line never loads it
+
         why = over_digit_limit(text) or "must be an integer"
         raise argparse.ArgumentTypeError(f"{why}, got {text!r:.40}") from None
 
 
+# An option: its spelling, the converter of its value (None for a flag, which
+# takes no value and reads False when absent), whether it must be given, its
+# default, and argparse's help text and metavar.
+_Option = namedtuple("_Option", "flag convert required default help metavar",
+                     defaults=(str, False, None, None, None))
+# A command: the function it runs, argparse's help line, its options by
+# spelling in the order of its usage line, the one pair of them of which
+# exactly one must be given, and the name of its one positional argument.
+_Command = namedtuple("_Command", "run help options pair positional", defaults=((), None))
+
+
+def _options(*options: _Option) -> dict[str, _Option]:
+    return {option.flag: option for option in options}
+
+
+_X, _Y, _P = (_Option(flag, _integer, required=True) for flag in ("--x", "--y", "--p"))
+_JSON = _Option("--json", metavar="PATH")
+
+# Each command, declared once: main reads a well-formed command line from it,
+# build_parser builds argparse from it, and both run the command it names.
+COMMANDS = {
+    "present": _Command(cmd_present, "print a presentation document",
+                        _options(_X, _Y, _Option("--p", _integer), _JSON)),
+    "certify": _Command(cmd_certify, "emit a non-left-orderability certificate", _options(
+        _X, _Y, _P, _Option("--beta", _integer), _Option("--slope"), _JSON,
+        _Option("--table", None, default=False, help="print the 27-row table instead of JSON"),
+    ), pair=("--beta", "--slope")),
+    "sweep": _Command(cmd_sweep, "certify a parameter grid", _options(
+        _Option("--grid", required=True,
+                help='e.g. "x=2..5;y=2..5;p=2..3;beta=1..5" or ...;slope=21/1|43/2'),
+        _Option("--out", default="certs"),
+        _Option("--jobs", _jobs, default=1),
+    )),
+    "verify-identities": _Command(cmd_verify_identities, "cross-check oracles against derivations",
+                                  _options(_X, _Y, _P)),
+    "replay": _Command(cmd_replay, "independently re-check a certificate file", {}, positional="path"),
+}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a well-formed command line (see the module docstring), or None for argparse to read it.
+
+    argparse gives such a line the same namespace: it takes each value,
+    which does not start with ``-``, as the option's argument and passes it
+    through the same converter.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    if command.positional:
+        if len(argv) != 2 or argv[1][:1] == "-":
+            return None
+        return SimpleNamespace(command=argv[0], **{command.positional: argv[1]})
+    options, given = command.options, {}
+    i, n = 1, len(argv)
+    while i < n:
+        option = options.get(argv[i])
+        if option is None or option.flag in given:
+            return None
+        if option.convert is None:
+            given[option.flag] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1][:1] == "-":
+            return None
+        try:
+            given[option.flag] = option.convert(argv[i + 1])
+        except Exception:  # whatever it is, argparse reads the line again and reports or raises it
+            return None
+        i += 2
+    if command.pair and (command.pair[0] in given) == (command.pair[1] in given):
+        return None
+    values = {"command": argv[0]}
+    for flag, option in options.items():  # each under its name, "--x" under "x"
+        if flag in given:
+            values[flag[2:]] = given[flag]
+        elif option.required:
+            return None
+        else:
+            values[flag[2:]] = option.default
+    return SimpleNamespace(**values)
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one.
+def build_parser():
+    """The CLI's argparse parser, built from :data:`COMMANDS` on the first call and shared by every later one.
 
     Sharing it is safe: ``parse_args`` returns a new namespace per call and
-    leaves the parser unchanged.
+    leaves the parser unchanged.  A usage error exits with ERROR (1), not
+    argparse's 2, and an option must be spelled in full: with abbreviations,
+    adding an option could change what a command line means.
     """
-    parser = _Parser(
+    import argparse  # here, so that a well-formed command line never loads it
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None) -> None:
+            # argparse's own writer swallows OSError, so --help into a closed stdout would exit 0
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="cable-order",
         description="Build cable-knot group presentations and certify "
         "non-left-orderability of surgery quotients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_params(sp: argparse.ArgumentParser, with_p_required: bool) -> None:
-        sp.add_argument("--x", type=_integer, required=True)
-        sp.add_argument("--y", type=_integer, required=True)
-        sp.add_argument("--p", type=_integer, required=with_p_required, default=None)
-
-    sp = sub.add_parser("present", help="print a presentation document")
-    add_params(sp, with_p_required=False)
-    sp.add_argument("--json", metavar="PATH", default=None)
-    sp.set_defaults(fn=cmd_present)
-
-    sp = sub.add_parser("certify", help="emit a non-left-orderability certificate")
-    add_params(sp, with_p_required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta", type=_integer, default=None)
-    group.add_argument("--slope", type=str, default=None)
-    sp.add_argument("--json", metavar="PATH", default=None)
-    sp.add_argument("--table", action="store_true", help="print the 27-row table instead of JSON")
-    sp.set_defaults(fn=cmd_certify)
-
-    sp = sub.add_parser("sweep", help="certify a parameter grid")
-    sp.add_argument("--grid", required=True,
-                    help='e.g. "x=2..5;y=2..5;p=2..3;beta=1..5" or ...;slope=21/1|43/2')
-    sp.add_argument("--out", default="certs")
-    sp.add_argument("--jobs", type=_jobs, default=1)
-    sp.set_defaults(fn=cmd_sweep)
-
-    sp = sub.add_parser("verify-identities", help="cross-check oracles against derivations")
-    add_params(sp, with_p_required=True)
-    sp.set_defaults(fn=cmd_verify_identities)
-
-    sp = sub.add_parser("replay", help="independently re-check a certificate file")
-    sp.add_argument("path")
-    sp.set_defaults(fn=cmd_replay)
-    parser.commands = sub.choices  # each command's subparser, for main
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        group = sp.add_mutually_exclusive_group(required=True) if command.pair else None
+        for flag, option in command.options.items():
+            into = group if flag in command.pair else sp
+            if option.convert is None:
+                into.add_argument(flag, action="store_true", help=option.help)
+            else:
+                into.add_argument(flag, type=option.convert, required=option.required,
+                                  default=option.default, help=option.help, metavar=option.metavar)
+        if command.positional:
+            sp.add_argument(command.positional)
+    parser.commands = sub.choices  # each command's subparser, for _parse
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the command `argv` names (``sys.argv[1:]`` by default) and return its exit code.
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argparse's namespace for `argv`; on help or a usage error, argparse prints and exits.
 
     A command's own arguments are parsed by its subparser alone, which is
     what the top-level parser would hand them to, and so give the same
@@ -444,15 +520,25 @@ def main(argv: list[str] | None = None) -> int:
     ``-h``, the top-level parser reports it.
     """
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:  # the top-level parser names what no parser took
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.fn(args)
+        return parser.parse_args(argv, SimpleNamespace())
+    args, extra = command.parse_known_args(argv[1:], SimpleNamespace(command=argv[0]))
+    if extra:  # the top-level parser names what no parser took
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command `argv` names (``sys.argv[1:]`` by default) and return its exit code.
+
+    A well-formed command line is read from :data:`COMMANDS` without
+    argparse; any other goes to :func:`_parse`.  Either way the command
+    runs from :data:`COMMANDS`.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv) or _parse(argv)
+    return COMMANDS[args.command].run(args)
 
 
 def console_main() -> None:

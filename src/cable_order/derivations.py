@@ -618,6 +618,12 @@ def script_from_json_dict(d: dict) -> DerivationScript:
     if context not in ("G", "H"):
         raise ValueError(f"unknown context {context!r:.40}")
     steps = tuple([Step.from_json_dict(s) for s in d["steps"]])
+    previous = None
+    for index, step in enumerate(steps):
+        # the reduce the checker takes (side both) changes nothing after a reduce: one spelling
+        if previous == "reduce" and step.kind == "reduce" and step.side == "both":
+            raise ValueError(f"script {script_id!r:.40}: step {index} repeats the reduce step before it")
+        previous = step.kind
     lhs = Word.parse_printed(d["claimed"]["lhs"], "claimed lhs")
     rhs = Word.parse_printed(d["claimed"]["rhs"], "claimed rhs")
     for c in cites:

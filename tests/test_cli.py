@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -285,6 +286,33 @@ class TestWrite:
         assert cli._write(fifo, "x" * 100_000 + "\n") == cli.CERTIFIED
         reader.join(timeout=10)
         assert got == [b"x" * 100_000 + b"\n"]
+
+    def test_short_writes_give_the_exact_bytes(self, tmp_path, monkeypatch):
+        calls = []
+        real = os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: calls.append(fd) or real(fd, data[:7]))
+        out = tmp_path / "cert.json"
+        out.write_bytes(b"y" * 1000)  # longer than what is written, so also cut
+        text = "x" * 100 + "\n"
+        assert cli._write(out, text) == cli.CERTIFIED
+        assert out.read_bytes() == text.encode()
+        assert len(calls) == 15  # 101 bytes, 7 at a time
+
+    def test_a_full_disk_is_a_clean_error_that_closes_the_file(self, tmp_path, monkeypatch, capsys):
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def no_space(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+        monkeypatch.setattr(cli.os, "write", no_space)
+        monkeypatch.setattr(cli.os, "close", lambda fd: closed.append(fd) or real_close(fd))
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "7", "--json", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+        assert len(opened) == 1 and closed == opened
+        assert out.read_bytes() == b""
 
     def test_rewrite_never_truncates_on_open(self, tmp_path, monkeypatch, capsys):
         flags = []
@@ -688,6 +716,13 @@ CORE_REJECTIONS = {
         lambda d: _entry(d, SURGERY)["script"]["axiom"].pop("name"), 1, "'name'"),
     "script_without_cites": (
         lambda d: _entry(d, "central_relation")["script"].pop("cites"), 1, "'cites'"),
+    # a reduce changes nothing after a reduce, so a second one is a second spelling
+    "repeated_reduce": (
+        lambda d: _steps(d, "central_relation").append({"kind": "reduce", "side": "both"}), 1,
+        "script 'central_relation': step 2 repeats the reduce step before it"),
+    "repeated_reduce_with_a_position": (  # the checker reads no position on a reduce
+        lambda d: _steps(d, "central_relation").append({"kind": "reduce", "side": "both", "position": 0}), 1,
+        "script 'central_relation': step 2 repeats the reduce step before it"),
     "params_slope_unparsable": (
         lambda d: d["params"].update(slope="65|3"), 1, "bad slope '65|3': expected M or M/N with integers M and N"),
     "assignment_with_an_unknown_sign": (
@@ -790,6 +825,29 @@ def test_a_certificate_without_its_cramer_or_version_does_not_load(tmp_path, cap
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert capsys.readouterr().err == f"error: cannot load certificate: '{key}'\n"
+
+
+@pytest.mark.parametrize("path", V1_FIXTURES + V2_FIXTURES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_a_repeated_reduce_step_does_not_load(tmp_path, capsys, path):
+    # every reduce of every script of every fixture, written twice
+    doc = json.loads(path.read_text())
+    tampered = 0
+    for e in range(len(doc["equations"])):
+        steps = doc["equations"][e]["script"]["steps"]
+        for i, step in enumerate(steps):
+            if step["kind"] != "reduce":
+                continue
+            twice = copy.deepcopy(doc)
+            twice["equations"][e]["script"]["steps"].insert(i + 1, dict(step))
+            out = tmp_path / "cert.json"
+            out.write_text(json.dumps(twice))
+            capsys.readouterr()
+            assert main(["replay", str(out)]) == 1
+            script = doc["equations"][e]["id"]
+            assert capsys.readouterr().err == (
+                f"error: cannot load certificate: script '{script}': step {i + 1} repeats the reduce step before it\n")
+            tampered += 1
+    assert tampered >= 4
 
 
 class TestV1Certificates:
@@ -952,25 +1010,45 @@ COMMANDS = ("present", "certify", "sweep", "verify-identities", "replay")
 
 
 class TestDispatch:
-    """main parses a command's arguments with its subparser alone, as the top-level parser would."""
+    """main reads a well-formed command line as argparse would, and hands any other line to argparse."""
 
+    CERTIFY = ["certify", "--x", "2", "--y", "3", "--p", "2"]
+    WELL_FORMED = [
+        # the benchmark's shapes
+        [*CERTIFY, "--beta", "7", "--json", ".bench_work/grid-1-1/0.json"],
+        [*CERTIFY, "--slope", "43/2", "--json", ".bench_work/large_pq-1-1/3.json"],
+        ["replay", ".bench_work/grid-1-1/0.json"],
+        [*CERTIFY, "--beta", "1", "--table", "--json", "a.json"],
+        [*CERTIFY, "--json", "", "--beta", "1"],
+        ["certify", "--x", " 2", "--y", "3", "--p", "2", "--beta", "1"],
+        ["replay", ""], ["replay", "a.json"],
+        ["present", "--x", "2", "--y", "3"],
+        ["present", "--x", "2", "--y", "3", "--p", "2", "--json", "a.json"],
+        ["sweep", "--grid", "x=2;y=3;p=2;beta=1"],
+        ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--out", "certs", "--jobs", "2"],
+        ["verify-identities", "--x", "2", "--y", "3", "--p", "2"],
+    ]
     ARGVS = [
         [], ["nope"], ["-h"], ["--help"], ["--x", "2"], ["-h", "replay"],
         *([command, "--help"] for command in COMMANDS),
         *([command] for command in COMMANDS),
         *([command, "--beta", "x"] for command in COMMANDS),
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "x"],
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "9" * 5000],
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--slope", "43/2"],
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--zap", "-q"],
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--bet", "2"],
-        ["certify", "--x", "2", "--y", "3", "--p", "2", "--beta", "1", "--table", "--json", "a.json"],
-        ["present", "--x", "2", "--y", "3"],
+        *WELL_FORMED,
+        [*CERTIFY, "--beta", "x"],
+        [*CERTIFY, "--beta", "9" * 5000],
+        [*CERTIFY, "--beta", "1", "--slope", "43/2"],
+        [*CERTIFY, "--beta", "1", "--zap", "-q"],
+        [*CERTIFY, "--beta", "1", "--bet", "2"],
+        ["certify", "--x", "2", "--y", "3", "--p", "-3", "--beta", "1"],
+        [*CERTIFY, "--beta", "1", "--json=a.json"],
+        ["certify", "--x=2", "--y", "3", "--p", "2", "--beta", "1"],
+        [*CERTIFY, "--x", "4", "--beta", "1"],
+        [*CERTIFY, "--beta", "1", "--json", "--table"],
+        [*CERTIFY, "--beta", "1", "--table", "--table"],
+        [*CERTIFY, "--beta", "1", "--", "--json", "a.json"],
         ["present", "--x", "2", "--y", "3", "--p", "2", "--json", "--"],
         ["sweep", "--grid", "x=2;y=3;p=2;beta=1", "--jobs", "0"],
-        ["sweep", "--grid", "x=2;y=3;p=2;beta=1"],
-        ["verify-identities", "--x", "2", "--y", "3", "--p", "2"],
-        ["replay", "a.json"], ["replay", "a.json", "b.json"], ["replay", "--", "-a.json"], ["replay", "-a.json"],
+        ["replay", "a.json", "b.json"], ["replay", "--", "-a.json"], ["replay", "-a.json"],
         ["replay", "--help", "a.json"],
     ]
 
@@ -984,24 +1062,24 @@ class TestDispatch:
         return result, code, captured.out, captured.err
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_main_parses_as_the_top_level_parser(self, argv, capsys):
-        commands = cli.build_parser().commands
-        saved = {name: sp.get_default("fn") for name, sp in commands.items()}
+    def test_main_parses_as_the_top_level_parser(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
 
         def namespace_of(args):
             return vars(args)  # main returns what the command would be given
 
-        try:
-            for sp in commands.values():
-                sp.set_defaults(fn=namespace_of)
-            direct = self.outcome(lambda a: vars(cli.build_parser().parse_args(a)), argv, capsys)
-            dispatched = self.outcome(main, argv, capsys)
-        finally:
-            for name, sp in commands.items():
-                sp.set_defaults(fn=saved[name])
+        for name, command in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=namespace_of))
+        direct = self.outcome(lambda a: vars(cli.build_parser().parse_args(a)), argv, capsys)
+        dispatched = self.outcome(main, argv, capsys)
         assert dispatched == direct
         if direct[0] is not None:
             assert direct[0]["command"] == argv[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_only_a_well_formed_line_is_read_without_argparse(self, argv):
+        assert (cli._read(argv) is not None) == (argv in self.WELL_FORMED)
 
     def test_main_reads_sys_argv_by_default(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["cable-order", "replay", "a.json", "b.json"])
@@ -1058,6 +1136,20 @@ def test_import_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_a_well_formed_replay_and_certify_never_load_argparse(tmp_path):
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from cable_order.cli import main; "
+        "print(main(['replay', sys.argv[2]]), "
+        "main(['certify', '--x', '2', '--y', '3', '--p', '2', '--beta', '7', '--json', sys.argv[3]]), "
+        "'argparse' in sys.modules)"
+    )
+    out = tmp_path / "cert.json"
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC), str(V2_FIXTURES[1]), str(out)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert V2_FIXTURES[1].name == "x2_y3_p2_beta7.json"
+    assert done.stdout == "replay ok\n0 0 False\n"
 
 
 def test_import_loads_neither_typing_nor_fractions():
